@@ -307,6 +307,12 @@ def build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError("must be >= 1")
         return v
 
+    def positive_float(text):
+        v = float(text)
+        if not v > 0:  # also rejects nan
+            raise argparse.ArgumentTypeError("must be positive")
+        return v
+
     sp = sub.add_parser("germs", help="enumerate sector germs")
     common(sp)
     sp.add_argument("--radius", type=positive_int, default=1)
@@ -322,12 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("spectrum", help="joint spectra and Taylor classification on F_1")
     common(sp)
-    def positive_float(text):
-        v = float(text)
-        if v <= 0:
-            raise argparse.ArgumentTypeError("must be positive")
-        return v
-
     sp.add_argument("--theta", type=_parse_theta, default=Fraction(1, 2))
     sp.add_argument("--seed", type=lambda s: int(s, 0), default=spectra.DEFAULT_SEED)
     sp.add_argument("--tol-res", type=positive_float, default=spectra.TOL_RES)
@@ -339,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("koszul", help="Koszul cohomology of one character")
     common(sp)
     sp.add_argument("--chi", help="complex values per generator, e.g. '1+0j,0.5j'")
-    sp.add_argument("--tol-rank", type=float, default=spectra.TOL_RANK)
+    sp.add_argument("--tol-rank", type=positive_float, default=spectra.TOL_RANK)
     sp.set_defaults(func=cmd_koszul)
 
     sp = sub.add_parser("verify", help="run the full invariant suite")

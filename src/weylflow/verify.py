@@ -94,26 +94,25 @@ def check_walk_parameters(ctx: FixtureContext) -> List[CheckResult]:
     out = []
     coords = _dominant_coords(ctx.rank, 4)
     unique_ok, mult_ok, inv_ok = True, True, True
-    detail = []
+    unique_detail, mult_detail, inv_detail = [], [], []
     values = {}
     for cs in coords:
         mu = Coweight(cs)
         prods = all_minimal_walk_products(R, q, mu)
         if len(prods) != 1:
             unique_ok = False
-            detail.append(f"walk products for {cs}: {sorted(prods)}")
+            unique_detail.append(f"walk products for {cs}: {sorted(prods)}")
         values[cs] = translation_parameter(R, q, mu)
         if values[cs] != max(prods):
             unique_ok = False
+            unique_detail.append(f"q_t({cs}) = {values[cs]} but walks give {max(prods)}")
     for a in coords:
         for b in coords:
             c = tuple(x + y for x, y in zip(a, b))
             if sum(c) <= 4 and c in values:
                 if values[c] != values[a] * values[b]:
                     mult_ok = False
-                    detail.append(f"q_t not multiplicative at {a}+{b}")
-    from .rootdata import minimal_walk_types
-
+                    mult_detail.append(f"q_t not multiplicative at {a}+{b}")
     for cs in coords:
         if sum(cs) == 0:
             continue
@@ -121,10 +120,14 @@ def check_walk_parameters(ctx: FixtureContext) -> List[CheckResult]:
         back = _walk_product_any(R, q, -mu)
         if back != values[cs]:
             inv_ok = False
-            detail.append(f"q_t({cs}) = {values[cs]} but reverse walk gives {back}")
-    out.append(CheckResult("walk q-product independent of the minimal walk", unique_ok))
-    out.append(CheckResult("q_t multiplicative on dominant sums", mult_ok))
-    out.append(CheckResult("q_t symmetric under negation", inv_ok, "; ".join(detail)))
+            inv_detail.append(f"q_t({cs}) = {values[cs]} but reverse walk gives {back}")
+    out.append(
+        CheckResult(
+            "walk q-product independent of the minimal walk", unique_ok, "; ".join(unique_detail)
+        )
+    )
+    out.append(CheckResult("q_t multiplicative on dominant sums", mult_ok, "; ".join(mult_detail)))
+    out.append(CheckResult("q_t symmetric under negation", inv_ok, "; ".join(inv_detail)))
     return out
 
 
@@ -271,6 +274,7 @@ def check_distance_cross_validation(ctx: FixtureContext, radius: int = 2) -> Che
     table = space.table(radius)
     size = len(table)
     idxs = range(size) if size <= 80 else range(0, size, max(1, size // 60))
+    kis = [table.ki_matrix(i) for i in range(ctx.rank)]
     ok = True
     detail = ""
     for a in idxs:
@@ -283,7 +287,7 @@ def check_distance_cross_validation(ctx: FixtureContext, radius: int = 2) -> Che
                 break
             for i in range(ctx.rank):
                 ell = res.k_directional[i]
-                enc = table.ki_matrix(i)[a, b]
+                enc = kis[i][a, b]
                 want = SENTINEL if enc == radius + 1 else int(enc)
                 if ell != want:
                     ok = False
@@ -371,18 +375,24 @@ def check_lasota_yorke(ctx: FixtureContext) -> List[CheckResult]:
     iter_ok = True
     power = np.eye(tm.dim, dtype=np.int64)
     denom = 1
+    own = transfer.lipschitz_seminorms(ctx.space, power, denom, 2, theta)
+    detail = ""
     for ell in range(1, 4):
         power = power @ tm.counts
         denom *= tm.m_mu
-        for g in range(tm.dim):
-            image = [Fraction(int(power[h, g]), denom) for h in range(tm.dim)]
-            lhs = transfer.lipschitz_seminorm(ctx.space, image, 2, theta)
-            phi = [Fraction(0)] * tm.dim
-            phi[g] = Fraction(1)
-            rhs = theta**ell * transfer.lipschitz_seminorm(ctx.space, phi, 2, theta) + c_iter
-            if lhs > rhs:
-                iter_ok = False
-    out.append(CheckResult("iterated contraction up to the third power", iter_ok))
+        # an int64 overflow in the product would break the exact row sums
+        if not np.all(power.sum(axis=1) == denom):
+            iter_ok = False
+            detail = f"rows of L^{ell} do not sum to {denom}"
+            break
+        images = transfer.lipschitz_seminorms(ctx.space, power, denom, 2, theta)
+        bad = [g for g, (lhs, phi_norm) in enumerate(zip(images, own))
+               if lhs > theta**ell * phi_norm + c_iter]
+        if bad:
+            iter_ok = False
+            detail = f"L^{ell} too large on indicator {bad[0]}"
+            break
+    out.append(CheckResult("iterated contraction up to the third power", iter_ok, detail))
     return out
 
 

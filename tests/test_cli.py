@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from weylflow import fixtures
 from weylflow.cli import main
 
@@ -74,6 +76,14 @@ def test_koszul_command(tmp_path):
     assert run(["koszul", "k33", "--chi", "1+0j", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["cohomology"] == [1, 1]
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "nan"])
+def test_koszul_rejects_nonpositive_tol_rank(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["koszul", "a2q2", "--chi", "1+0j,1+0j", "--tol-rank", value])
+    assert exc.value.code == 2
+    assert "must be positive" in capsys.readouterr().err
 
 
 def test_ihara_command(tmp_path, capsys):

@@ -130,9 +130,28 @@ def test_seminorm_examples(k33):
     assert transfer.lipschitz_seminorm(space, ind, 1, Fraction(1, 2)) == 2
     scaled = [Fraction(-5, 2) * v for v in ind]
     assert transfer.lipschitz_seminorm(space, scaled, 1, Fraction(1, 2)) == 5
+    # constant on radius-0 classes: only the level-0 spread counts
+    coarse = [Fraction(int(c == 0)) for c in space.table(1).restriction_map(0)]
+    assert transfer.lipschitz_seminorm(space, coarse, 1, Fraction(1, 2)) == 1
+    # numerators beyond int64 stay exact
+    huge = [Fraction(3**50, 7) * v for v in ind]
+    assert transfer.lipschitz_seminorm(space, huge, 1, Fraction(1, 2)) == Fraction(2 * 3**50, 7)
 
 
-def test_seminorm_matches_pairwise_definition(k33):
+def _pairwise_seminorms(kmat, counts, denom, n, theta):
+    """Seminorm of each column of counts/denom straight from the pair definition."""
+    p, q = theta.numerator, theta.denominator
+    kk = np.minimum(kmat, n).astype(np.int64)
+    # |dphi| / theta^k, scaled by p^n to stay in integers; unresolved pairs weigh 0
+    weight = np.where(kmat <= n, q**kk * p ** (n - kk), 0)
+    out = []
+    for col in counts.T:
+        diff = np.abs(col[:, None] - col[None, :])
+        out.append(Fraction(int((diff * weight).max()), denom * p**n))
+    return out
+
+
+def test_seminorm_matches_pairwise_definition(k33, a2):
     import random
 
     space = k33.space
@@ -150,6 +169,17 @@ def test_seminorm_matches_pairwise_definition(k33):
                     brute = max(brute, abs(phi[a] - phi[b]) / theta**kk)
         assert transfer.lipschitz_seminorm(space, phi, 2, theta) == brute
 
+    # every column of an operator matrix at once, against the pair definition
+    for ctx, mu in ((k33, Coweight((1,))), (a2, Coweight((1, 1)))):
+        tm = ctx.tm(mu, 2)
+        kmat = ctx.space.table(2).k_matrix()
+        for theta in (Fraction(1, 2), Fraction(1, 4)):
+            fast = transfer.lipschitz_seminorms(ctx.space, tm.counts, tm.m_mu, 2, theta)
+            assert fast == _pairwise_seminorms(kmat, tm.counts, tm.m_mu, 2, theta)
+            for g in range(0, tm.dim, 37):
+                image = [Fraction(int(c), tm.m_mu) for c in tm.counts[:, g]]
+                assert transfer.lipschitz_seminorm(ctx.space, image, 2, theta) == fast[g]
+
 
 def test_lasota_yorke_k33_radius2(k33):
     rep = transfer.check_lasota_yorke(k33.space, Coweight((1,)), 2, Fraction(1, 2))
@@ -161,6 +191,12 @@ def test_lasota_yorke_a2(a2):
         a2.space, Coweight((1, 1)), 2, Fraction(1, 2), matrix=a2.tm(Coweight((1, 1)), 2)
     )
     assert rep.passed
+    assert rep.max_slack == Fraction(47, 8)
+    rep = transfer.check_lasota_yorke(
+        a2.space, Coweight((1, 1)), 2, Fraction(1, 4), matrix=a2.tm(Coweight((1, 1)), 2)
+    )
+    assert rep.passed and rep.checked == 504
+    assert rep.max_slack == Fraction(47, 4)
 
 
 def test_fn_invariance_k33(k33):

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from weylflow import fixtures
+from weylflow import fixtures, verify
 from weylflow.sectors import SENTINEL
 from weylflow.verify import context_for, run_suite
 
@@ -25,6 +25,21 @@ def test_full_suite_passes(name):
     results = run_suite(name, system, metric_radius=2, edges=edges)
     failures = [r.line() for r in results if not r.passed]
     assert not failures, "\n".join(failures)
+
+
+def test_walk_parameter_details_land_on_their_own_result(a2, monkeypatch):
+    real = verify.translation_parameter
+
+    def skewed(R, q, mu):
+        return real(R, q, mu) + (1 if sum(mu.coords) == 2 else 0)
+
+    monkeypatch.setattr(verify, "translation_parameter", skewed)
+    unique, mult, inv = verify.check_walk_parameters(a2)
+    assert not mult.passed
+    assert "not multiplicative" in mult.detail
+    assert "not multiplicative" not in unique.detail + inv.detail
+    assert not unique.passed and "walks give" in unique.detail
+    assert not inv.passed and "reverse walk" in inv.detail
 
 
 def _enc(k, radius):
