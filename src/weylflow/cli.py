@@ -66,7 +66,7 @@ def cmd_validate(args) -> int:
 
 def cmd_germs(args) -> int:
     system = _load_input(args.input)
-    space = sectors.SectorSpace(system, check=not args.force, threads=args.threads)
+    space = sectors.SectorSpace(system, check=not args.force)
     table = space.table(args.radius)
     _emit(dumps_canonical(sectors.export_germs_json(table)), args.out)
     return 0
@@ -74,7 +74,7 @@ def cmd_germs(args) -> int:
 
 def cmd_transfer(args) -> int:
     system = _load_input(args.input)
-    space = sectors.SectorSpace(system, check=not args.force, threads=args.threads)
+    space = sectors.SectorSpace(system, check=not args.force)
     mu = _parse_mu(args.mu, system.root_system.rank)
     n = args.radius - mu.norm
     if n < 1:
@@ -92,21 +92,17 @@ def cmd_transfer(args) -> int:
         "M_mu": tm.m_mu,
         "dim": tm.dim,
     }
+    # format each distinct count once
+    text = {v: rational_str(Fraction(v, tm.m_mu)) for v in np.unique(tm.counts).tolist()}
+    rows = ([text[v] for v in row.tolist()] for row in tm.counts)
     if args.format == "csv":
         import json
 
-        lines = [json.dumps(header, sort_keys=True)]
-        for h in range(tm.dim):
-            lines.append(
-                ",".join(rational_str(tm.entry(h, g)) for g in range(tm.dim))
-            )
+        lines = [json.dumps(header, sort_keys=True)] + [",".join(row) for row in rows]
         _emit("\n".join(lines) + "\n", args.out)
     else:
         doc = dict(header)
-        doc["entries"] = [
-            [rational_str(tm.entry(h, g)) for g in range(tm.dim)]
-            for h in range(tm.dim)
-        ]
+        doc["entries"] = list(rows)
         _emit(dumps_canonical(doc), args.out)
     return 0
 
@@ -292,8 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
                 f"({', '.join(fixtures.FIXTURES)}), or 'all' for verify",
             )
         sp.add_argument("--out", help="write output to a file instead of stdout")
-        sp.add_argument("--threads", type=int, default=0,
-                        help="cap worker threads (0 = number of cores)")
         sp.add_argument("--force", action="store_true",
                         help="proceed even if the local-building checks fail")
 
@@ -373,6 +367,9 @@ def main(argv=None) -> int:
     except (FileNotFoundError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except transfer.CountingError as exc:  # irregular preimage counts on this input
+        print(f"error: {exc}", file=sys.stderr)
+        return CHECK_ERROR
 
 
 if __name__ == "__main__":

@@ -166,15 +166,6 @@ _SIMPLE_DATA = {
     ),
 }
 
-# Z-bases of the coroot lattice (coefficients are exact ambient vectors below).
-_COROOT_BASIS_COEFFS = {
-    "A1~": [(2,)],        # alpha-dual of the single root
-    "BC1~": [(1,)],       # dual of the divisible root spans everything
-    "A2~": [(1, 0), (0, 1)],
-    "B2~": [(1, 0), (0, 2)],   # beta1 and 2*beta2 in root coefficients
-    "G2~": None,          # computed from the two simple coroots
-}
-
 
 class RootSystem:
     """Exact realization of one irreducible (possibly non-reduced) system.
@@ -203,7 +194,6 @@ class RootSystem:
         self.marks = tuple(int(c) for c in pos_coeffs[hi])
         self.coweights = self._solve_coweights()
         self.coxeter_matrix = self._coxeter_matrix()
-        self._coroot_basis = self._build_coroot_basis()
         self.rotations = self._type_rotations()
         self.good_types = frozenset(
             self.vertex_type(self.coweight_vector(Coweight(c)))
@@ -228,24 +218,6 @@ class RootSystem:
 
     def coroot(self, alpha: Vec) -> Vec:
         return vscale(Fraction(2) / dot(alpha, alpha), alpha)
-
-    def _build_coroot_basis(self):
-        coeffs = _COROOT_BASIS_COEFFS[self.kind]
-        if coeffs is None:  # G2: simple coroots already span
-            return [self.coroot(b) for b in self.simple_roots]
-        if self.kind == "A1~":
-            return [self.coroot(self.simple_roots[0])]
-        if self.kind == "BC1~":
-            return [self.coroot(self.highest_root)]
-        basis = []
-        for cs in coeffs:
-            v = tuple(
-                sum((_fr(c) * self.coroot(b)[k] for c, b in zip(cs, self.simple_roots)),
-                    Fraction(0))
-                for k in range(self.dim)
-            )
-            basis.append(v)
-        return basis
 
     def _affine_generator(self, i: int):
         """Reflection for node i as an affine map (matrix rows, offset)."""
@@ -408,18 +380,6 @@ class RootSystem:
             if not moved:
                 raise ValueError(f"{x} is not a vertex of the arrangement")
         return a.types[a.verts.index(x)]
-
-    def in_coroot_lattice(self, v: Vec) -> bool:
-        basis = self._coroot_basis
-        gram = [[dot(bi, bj) for bj in basis] for bi in basis]
-        rhs = [dot(v, bj) for bj in basis]
-        coeffs = _solve(gram, rhs)
-        if any(c.denominator != 1 for c in coeffs):
-            return False
-        acc = tuple(Fraction(0) for _ in range(self.dim))
-        for c, b in zip(coeffs, basis):
-            acc = vadd(acc, vscale(c, b))
-        return acc == v
 
 
 _ROOT_CACHE = {}

@@ -5,6 +5,20 @@ simplicial morphism from the dominant sector to the radius-n truncation:
 concretely a type rotation together with one chamber per truncation alcove,
 respecting panel adjacencies and injective around every truncation vertex.
 
+A `GermTable` stores its germs as one integer array `rows` of shape
+(N, 1 + alcoves): the rotation index, then the image chamber of each
+truncation alcove (`uint8`, or wider when the chambers or rotations need
+it), with the base class of each germ in `base`.  Rows are in lexicographic
+order, which is the canonical order; radius 0 has no alcoves and is keyed
+by (rotation, base class).  A table grows from its parent one ring alcove
+at a time, with array masks for the panel constraints and vertex-star
+injectivity.  `GermTable.lookup` finds rows exactly by binary search over
+the rows read as byte strings, so a restriction map is the lookup of a row
+prefix and a shift map the lookup of a column gather.  `Germ` objects are
+made only on demand (`germs`, `index`, `position`); `SectorSpace.shift` and
+`SectorSpace.restrict` act on them one at a time and are the independent
+route the maps are tested against.
+
 Two germs at distance theta^k first disagree at a dominant coweight of norm
 k, where "agree at lambda" means the connected component of the base vertex
 inside the face-by-face agreement region reaches lambda.  Faces are compared
@@ -23,6 +37,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -32,8 +47,6 @@ from .rootdata import (
     Coweight,
     RootSystem,
     TruncatedSector,
-    OUTSIDE,
-    WALL,
     embed_shift,
     truncated_sector,
 )
@@ -108,6 +121,33 @@ def _face_id(system, plan_entry, chambers):
     return ("J", J, classes[c])
 
 
+def _face_lookup(system: ChamberSystem, plan_entry) -> np.ndarray:
+    """A face's image id as an array indexed by its anchor alcove's chamber."""
+    _, kind, payload = plan_entry
+    if kind == "C":
+        return np.arange(system.num_chambers)
+    if kind == "B":
+        return np.asarray(system.block_of[payload])
+    return np.asarray(payload[0])
+
+
+def _base_classes(system: ChamberSystem, base_type: int):
+    """(class per chamber, class count) of the base vertex's image of this type."""
+    if system.root_system.rank == 1:
+        return system.block_of[base_type], len(system.residues[base_type])
+    return system.partition(tuple(i for i in system.index_set if i != base_type))
+
+
+def byte_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque byte string per row of an integer array.
+
+    The strings compare like the rows compare lexicographically (the bytes
+    are big-endian), so sorted rows give sorted keys for `np.searchsorted`.
+    """
+    rows = np.ascontiguousarray(rows, dtype=rows.dtype.newbyteorder(">"))
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).reshape(-1)
+
+
 class GermTable:
     """All radius-n germs of one chamber system, canonically ordered."""
 
@@ -115,124 +155,106 @@ class GermTable:
         self.space = space
         self.radius = radius
         self.trunc = space.truncation(radius)
-        self.germs: List[Germ] = []
-        self.index: Dict[tuple, int] = {}
         self._restriction: Dict[int, np.ndarray] = {}
         self._ray_classes: Dict[tuple, np.ndarray] = {}
         self._region_classes: Dict[tuple, np.ndarray] = {}
-        self._build()
+        if radius == 0:
+            self._build_radius_zero()
+        else:
+            self._build()
+        self._keys = byte_keys(self._key_rows(radius))
+        if np.any(self._keys[1:] == self._keys[:-1]):
+            raise AssertionError("duplicate canonical germ keys")
 
     def __len__(self):
-        return len(self.germs)
-
-    def position(self, germ: Germ) -> int:
-        return self.index[germ.canonical_key]
+        return len(self.rows)
 
     # -- construction ----------------------------------------------------
 
+    def _build_radius_zero(self):
+        space = self.space
+        sigma, base = [], []
+        for s, perm in enumerate(space._perms):
+            count = _base_classes(space.system, int(perm[0]))[1]
+            sigma += [s] * count
+            base += range(count)
+        self.rows = np.array(sigma, dtype=space._dtype).reshape(-1, 1)
+        self.base = np.array(base, dtype=space._dtype)
+
     def _build(self):
         space = self.space
-        system = space.system
-        R = space.root_system
-        if self.radius == 0:
-            self._build_radius_zero()
-            return
         parent = space.table(self.radius - 1)
-        trunc = self.trunc
-        start = trunc.alcove_count(self.radius - 1)
-        stop = trunc.alcove_count(self.radius)
-        prop, star_earlier = space._extension_plan(self.radius)
+        perms = space._perms
+        rows = np.zeros((len(parent), 1 + self.trunc.alcove_count()), dtype=space._dtype)
+        rows[:, : parent.rows.shape[1]] = parent.rows
+        base = parent.base
+        for k, prop, star in zip(*space._extension_plan(self.radius)):
+            sig = rows[:, 0]
+            if k == 0:
+                # the first alcove's chamber lies in the parent's base class
+                mask = space._base_cls[perms[sig, 0]] == base[:, None]
+                cand = np.broadcast_to(np.arange(mask.shape[1]), mask.shape)
+            else:
+                if not prop:
+                    raise AssertionError(f"alcove {k} has no placed panel neighbour")
+                (j, lab), *rest = prop
+                # the other chambers of the panel shared with alcove j
+                cand = space._others[perms[sig, lab], rows[:, 1 + j]]
+                mask = cand >= 0
+                for j, lab in rest:
+                    t = perms[sig, lab]
+                    same_block = space._block_of[t[:, None], cand]
+                    mask &= same_block == space._block_of[t, rows[:, 1 + j]][:, None]
+                    mask &= cand != rows[:, 1 + j][:, None]
+            for j in star:
+                mask &= cand != rows[:, 1 + j][:, None]
+            ri, ci = np.nonzero(mask)
+            rows = rows[ri]
+            rows[:, 1 + k] = cand[ri, ci]
+            base = base[ri]
+        order = np.lexsort(rows.T[::-1])
+        self.rows = rows[order]
+        self.base = base[order]
 
-        def extend(parents):
-            out = []
-            for pg in parents:
-                perm = R.rotations[pg.sigma_index].perm
-                assign = list(pg.chambers) + [0] * (stop - start)
-                seeds = self._base_candidates(pg) if self.radius == 1 else None
+    def _key_rows(self, r: int) -> np.ndarray:
+        """Each germ's radius-r lookup key: (rotation, base) at 0, else a row prefix."""
+        if r == 0:
+            return np.column_stack((self.rows[:, 0], self.base))
+        return self.rows[:, : 1 + self.trunc.alcove_count(r)]
 
-                def rec(k):
-                    if k == stop:
-                        out.append(
-                            Germ(self.radius, pg.sigma_index, tuple(assign), pg.base_id)
-                        )
-                        return
-                    if k == 0:
-                        cands = seeds
-                    else:
-                        cands = None
-                        for (j, lab_src) in prop[k]:
-                            blk = system.block_members(perm[lab_src], assign[j])
-                            cs = [c for c in blk if c != assign[j]]
-                            cands = cs if cands is None else [c for c in cands if c in cs]
-                            if not cands:
-                                return
-                    taken = {assign[j] for j in star_earlier[k]}
-                    for c in cands:
-                        if c in taken:
-                            continue
-                        assign[k] = c
-                        rec(k + 1)
+    def lookup(self, query: np.ndarray) -> np.ndarray:
+        """Positions of the query rows in this table; KeyError if one is missing.
 
-                rec(start)
-            return out
+        A query row is a full table row, or (rotation, base class) at radius 0.
+        """
+        query = np.asarray(query)
+        rows = query.astype(self.rows.dtype)
+        if not np.array_equal(rows, query):  # a value the row dtype cannot hold
+            raise KeyError(f"query out of range for radius-{self.radius} rows")
+        keys = byte_keys(rows)
+        pos = np.searchsorted(self._keys, keys)
+        found = pos < len(self._keys)
+        found[found] = self._keys[pos[found]] == keys[found]
+        if not found.all():
+            bad = query[np.flatnonzero(~found)[0]].tolist()
+            raise KeyError(f"{bad} is not a radius-{self.radius} germ")
+        return pos
 
-        germs = []
-        workers = space.threads
-        if workers > 1 and len(parent.germs) > 4 * workers:
-            from concurrent.futures import ThreadPoolExecutor
-
-            chunk = -(-len(parent.germs) // workers)
-            blocks = [
-                parent.germs[i:i + chunk] for i in range(0, len(parent.germs), chunk)
-            ]
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for part in pool.map(extend, blocks):
-                    germs.extend(part)
-        else:
-            germs = extend(parent.germs)
-        germs.sort(key=lambda g: g.canonical_key)
-        self.germs = germs
-        self.index = {g.canonical_key: pos for pos, g in enumerate(germs)}
-        if len(self.index) != len(germs):
-            raise AssertionError("duplicate canonical germ keys")
-
-    def _build_radius_zero(self):
-        R = self.space.root_system
-        germs = []
-        for s, rot in enumerate(R.rotations):
-            base_type = rot.perm[0]
-            ncls = self._base_class_count(base_type)
-            for b in range(ncls):
-                germs.append(Germ(0, s, (), ("base", base_type, b)))
-        germs.sort(key=lambda g: g.canonical_key)
-        self.germs = germs
-        self.index = {g.canonical_key: pos for pos, g in enumerate(germs)}
-
-    def _base_class_count(self, base_type: int) -> int:
-        system = self.space.system
-        if system.root_system.rank == 1:
-            return len(system.residues[base_type])
-        J = tuple(i for i in system.index_set if i != base_type)
-        _, n = system.partition(J)
-        return n
-
-    def _base_class_of(self, base_type: int, chamber: int) -> int:
-        system = self.space.system
-        if system.root_system.rank == 1:
-            return system.block_of[base_type][chamber]
-        J = tuple(i for i in system.index_set if i != base_type)
-        classes, _ = system.partition(J)
-        return classes[chamber]
-
-    def _base_candidates(self, pg: Germ):
-        system = self.space.system
-        base_type = pg.base_id[1]
-        b = pg.base_id[2]
+    @cached_property
+    def germs(self) -> List[Germ]:
+        """The rows as `Germ` objects, made on first use."""
+        rots = self.space.root_system.rotations
         return [
-            c
-            for c in range(system.num_chambers)
-            if self._base_class_of(base_type, c) == b
+            Germ(self.radius, s, tuple(chambers), ("base", rots[s].perm[0], b))
+            for (s, *chambers), b in zip(self.rows.tolist(), self.base.tolist())
         ]
+
+    @cached_property
+    def index(self) -> Dict[tuple, int]:
+        return {g.canonical_key: pos for pos, g in enumerate(self.germs)}
+
+    def position(self, germ: Germ) -> int:
+        return self.index[germ.canonical_key]
 
     # -- restriction and classes -----------------------------------------
 
@@ -242,20 +264,11 @@ class GermTable:
             raise ValueError("can only restrict to a smaller radius")
         if r not in self._restriction:
             if r == self.radius:
-                arr = np.arange(len(self.germs), dtype=np.int64)
+                arr = np.arange(len(self), dtype=np.int64)
             else:
-                target = self.space.table(r)
-                cnt = self.trunc.alcove_count(r) if r >= 1 else 0
-                out = np.empty(len(self.germs), dtype=np.int64)
-                for pos, g in enumerate(self.germs):
-                    rg = _restrict_germ(self, g, r, cnt)
-                    out[pos] = target.index[rg.canonical_key]
-                arr = out
+                arr = self.space.table(r).lookup(self._key_rows(r))
             self._restriction[r] = arr
         return self._restriction[r]
-
-    def germ_base_id(self, g: Germ) -> tuple:
-        return g.base_id
 
     def ray_classes(self, direction: int, ell: int) -> np.ndarray:
         """Class ids by agreement on the hull of {0, ell * w_direction}."""
@@ -277,27 +290,30 @@ class GermTable:
         return self._region_classes[key]
 
     def _classes_for_region(self, bound_vec) -> np.ndarray:
+        """Distinct (rotation, base class, image id of each face in the hull).
+
+        The class labels are arbitrary; callers compare them for equality.
+        """
         system = self.space.system
-        R = self.space.root_system
         faces = self.trunc.faces_within(bound_vec)
-        plans = [_face_plan(system, self.trunc, rot.perm) for rot in R.rotations]
-        seen: Dict[tuple, int] = {}
-        out = np.empty(len(self.germs), dtype=np.int64)
-        for pos, g in enumerate(self.germs):
-            plan = plans[g.sigma_index]
-            # the base id covers the radius-0 case, where no face exists
-            sig = (g.sigma_index, g.base_id) + tuple(
-                _face_id(system, plan[fi], g.chambers) for fi in faces
-            )
-            if sig not in seen:
-                seen[sig] = len(seen)
-            out[pos] = seen[sig]
-        return out
+        sig = self.rows[:, 0]
+        # the base class covers the radius-0 case, where no face exists
+        ids = np.empty((len(self), 2 + len(faces)), dtype=self.rows.dtype)
+        ids[:, 0] = sig
+        ids[:, 1] = self.base
+        for s in np.unique(sig).tolist():
+            plan = self.space._cached_plan(self.radius, s)
+            sel = np.flatnonzero(sig == s)
+            for col, fi in enumerate(faces, start=2):
+                anchor = plan[fi][0]
+                ids[sel, col] = _face_lookup(system, plan[fi])[self.rows[sel, 1 + anchor]]
+        _, inverse = np.unique(ids, axis=0, return_inverse=True)
+        return inverse.reshape(-1)
 
     def k_matrix(self) -> np.ndarray:
         """Pairwise first-disagreement norms; radius+1 encodes the sentinel."""
         n = self.radius
-        size = len(self.germs)
+        size = len(self)
         out = np.full((size, size), n + 1, dtype=np.int16)
         for m in range(n, -1, -1):
             cls = self.restriction_map(m)
@@ -307,7 +323,7 @@ class GermTable:
 
     def ki_matrix(self, direction: int) -> np.ndarray:
         n = self.radius
-        size = len(self.germs)
+        size = len(self)
         out = np.full((size, size), n + 1, dtype=np.int16)
         for ell in range(n, -1, -1):
             cls = self.ray_classes(direction, ell)
@@ -322,23 +338,12 @@ class GermTable:
         return SENTINEL
 
 
-def _restrict_germ(table: GermTable, g: Germ, r: int, count_r: int) -> Germ:
-    if r == 0:
-        return Germ(0, g.sigma_index, (), g.base_id)
-    return Germ(r, g.sigma_index, g.chambers[:count_r], g.base_id)
-
-
 class SectorSpace:
     """Bundles a chamber system with cached truncations and germ tables."""
 
-    def __init__(self, system: ChamberSystem, check: bool = True, threads: int = 0):
+    def __init__(self, system: ChamberSystem, check: bool = True):
         self.system = system
         self.root_system: RootSystem = system.root_system
-        if threads <= 0:
-            import os
-
-            threads = os.cpu_count() or 1
-        self.threads = threads
         if check:
             report = system.validate()
             if not report.passed:
@@ -349,8 +354,24 @@ class SectorSpace:
         self._tables: Dict[int, GermTable] = {}
         self._plans: Dict[int, tuple] = {}
         self._shift_maps: Dict[tuple, np.ndarray] = {}
+        self._shift_data: Dict[tuple, tuple] = {}
         self._face_plans: Dict[tuple, list] = {}
         self._covers: Dict[int, tuple] = {}
+        # per-system lookup arrays for the table builds and maps
+        types = system.index_set
+        n = system.num_chambers
+        self._perms = np.array([rot.perm for rot in self.root_system.rotations])
+        self._dtype = np.min_scalar_type(max(n, len(self._perms)) - 1)
+        self._block_of = np.array([system.block_of[t] for t in types])
+        self._base_cls = np.array([_base_classes(system, t)[0] for t in types])
+        # others[t, c]: the rest of the type-t block of c, ascending, -1 padded
+        width = max(len(b) for t in types for b in system.residues[t]) - 1
+        self._others = np.full((len(types), n, width), -1, dtype=np.int64)
+        for t in types:
+            for block in system.residues[t]:
+                for c in block:
+                    rest = sorted(x for x in block if x != c)
+                    self._others[t, c, : len(rest)] = rest
 
     def truncation(self, radius: int) -> TruncatedSector:
         if radius not in self._truncations:
@@ -373,44 +394,54 @@ class SectorSpace:
         return self._tables[radius]
 
     def _extension_plan(self, radius: int):
-        """Constraint-propagation metadata for alcoves of the radius ring."""
+        """How to place the alcoves of the radius ring, one at a time.
+
+        Returns three aligned lists: the ring alcoves in placement order,
+        their already placed panel neighbours as (alcove, relation label)
+        pairs, and the placed alcoves sharing only a vertex with them (their
+        chambers must differ: vertex-star injectivity).  Each step places an
+        alcove with the most placed panel neighbours, so the partial tables
+        stay small; every constraint is checked once, at its later alcove.
+        """
         if radius not in self._plans:
             trunc = self.truncation(radius)
             stop = trunc.alcove_count(radius)
             rank = self.root_system.rank
-            prop = []
-            star_sets = []
-            vert_stars: Dict[int, List[int]] = {}
+            panels: Dict[int, list] = {k: [] for k in range(stop)}
+            stars: Dict[int, List[int]] = {}
             for k in range(stop):
-                entries = []
-                for (cotype, nb, panel_idx, panel_types) in trunc.adjacency[k]:
-                    if nb in (OUTSIDE, WALL) or nb >= stop or nb >= k:
-                        continue
-                    lab_src = panel_types[0] if rank == 1 else cotype
-                    entries.append((nb, lab_src))
-                prop.append(entries)
-                shared = set()
+                for cotype, nb, _, panel_types in trunc.adjacency[k]:
+                    if 0 <= nb < stop:
+                        panels[k].append((nb, panel_types[0] if rank == 1 else cotype))
                 for v in trunc.alcoves[k].verts:
-                    vi = trunc.vertex_index[v]
-                    for j in vert_stars.get(vi, ()):  # alcoves placed before k
-                        shared.add(j)
-                    vert_stars.setdefault(vi, []).append(k)
-                shared.difference_update(j for j, _ in prop[k])
-                star_sets.append(sorted(shared))
-            self._plans[radius] = (prop, star_sets)
+                    stars.setdefault(trunc.vertex_index[v], []).append(k)
+            placed = set(range(trunc.alcove_count(radius - 1)))
+            rest = list(range(len(placed), stop))
+            plan = ([], [], [])
+            while rest:
+                k = max(rest, key=lambda a: sum(nb in placed for nb, _ in panels[a]))
+                rest.remove(k)
+                prop = [(nb, lab) for nb, lab in panels[k] if nb in placed]
+                shared = {
+                    j for v in trunc.alcoves[k].verts
+                    for j in stars[trunc.vertex_index[v]] if j in placed
+                }
+                shared.difference_update(nb for nb, _ in prop)
+                for part, item in zip(plan, (k, prop, sorted(shared))):
+                    part.append(item)
+                placed.add(k)
+            self._plans[radius] = plan
         return self._plans[radius]
 
     # -- operations -------------------------------------------------------
 
-    def enumerate_germs(self, radius: int) -> GermTable:
-        return self.table(radius)
-
     def restrict(self, g: Germ, r: int) -> Germ:
         if r > g.radius:
             raise ValueError("can only restrict to a smaller radius")
-        table = self.table(g.radius)
-        cnt = table.trunc.alcove_count(r) if r >= 1 else 0
-        return _restrict_germ(table, g, r, cnt)
+        if r == 0:
+            return Germ(0, g.sigma_index, (), g.base_id)
+        count = self.truncation(g.radius).alcove_count(r)
+        return Germ(r, g.sigma_index, g.chambers[:count], g.base_id)
 
     def shift_rotation(self, mu: Coweight):
         return self.root_system.rotation_of(mu)
@@ -421,34 +452,41 @@ class SectorSpace:
             raise ValueError("shift needs a dominant coweight")
         if mu.norm > g.radius:
             raise ValueError("insufficient radius for this shift")
-        new_radius = g.radius - mu.norm
-        R = self.root_system
-        rho = R.rotation_of(mu)
-        sigma = R.rotations[g.sigma_index]
-        new_perm = tuple(sigma.perm[rho.perm[t]] for t in R.index_set)
-        new_sigma = R.rotation_index(new_perm)
-        trunc = self.truncation(g.radius)
-        emb = embed_shift(R, trunc, mu)
-        chambers = tuple(g.chambers[emb[a]] for a in range(len(emb)))
-        if new_radius == 0:
-            base = self._vertex_image_at(g, R.coweight_vector(mu), new_perm)
-            return Germ(0, new_sigma, (), base)
-        out = Germ(new_radius, new_sigma, chambers, self._base_of(new_sigma, chambers))
-        return out
+        sigma_map, emb, at_mu = self._shift_geometry(g.radius, mu)
+        new_sigma = sigma_map[g.sigma_index]
+        if g.radius == mu.norm:
+            return Germ(0, new_sigma, (), self._base_of(new_sigma, g.chambers[at_mu]))
+        chambers = tuple(g.chambers[e] for e in emb)
+        return Germ(g.radius - mu.norm, new_sigma, chambers, self._base_of(new_sigma, chambers[0]))
 
-    def _base_of(self, sigma_index: int, chambers) -> tuple:
+    def _base_of(self, sigma_index: int, chamber: int) -> tuple:
         base_type = self.root_system.rotations[sigma_index].perm[0]
-        b = self.table(1)._base_class_of(base_type, chambers[0]) if chambers else 0
-        return ("base", base_type, b)
+        return ("base", base_type, int(self._base_cls[base_type, chamber]))
 
-    def _vertex_image_at(self, g: Germ, point, new_perm) -> tuple:
-        trunc = self.truncation(g.radius)
-        base_type = new_perm[0]
-        for k, a in enumerate(trunc.alcoves):
-            if point in a.verts:
-                c = g.chambers[k]
-                return ("base", base_type, self.table(1)._base_class_of(base_type, c))
-        raise ValueError("point is not a vertex of the truncation")
+    def _shift_geometry(self, radius: int, mu: Coweight):
+        """(rotation index map, alcove embedding, alcove at mu) of one shift.
+
+        Entry s of the map is the rotation of a shifted germ of rotation s;
+        the embedding is `embed_shift`; the alcove at mu is the first
+        truncation alcove with mu as a vertex, which carries the image of
+        the new base vertex when the shift lands at radius 0 (else None).
+        """
+        key = (radius, tuple(mu.coords))
+        if key not in self._shift_data:
+            R = self.root_system
+            rho = R.rotation_of(mu)
+            sigma_map = [
+                R.rotation_index(tuple(rot.perm[t] for t in rho.perm)) for rot in R.rotations
+            ]
+            trunc = self.truncation(radius)
+            at_mu = None
+            if radius == mu.norm:
+                point = R.coweight_vector(mu)
+                at_mu = next((k for k, a in enumerate(trunc.alcoves) if point in a.verts), None)
+                if at_mu is None:
+                    raise ValueError("point is not a vertex of the truncation")
+            self._shift_data[key] = (sigma_map, embed_shift(R, trunc, mu), at_mu)
+        return self._shift_data[key]
 
     def shift_map(self, radius: int, mu: Coweight) -> np.ndarray:
         """table(radius) -> table(radius - |mu|) position map of the shift."""
@@ -456,25 +494,14 @@ class SectorSpace:
         if key not in self._shift_maps:
             src = self.table(radius)
             dst = self.table(radius - mu.norm)
-            out = np.empty(len(src.germs), dtype=np.int64)
-            R = self.root_system
-            rho = R.rotation_of(mu)
-            emb = embed_shift(R, src.trunc, mu)
-            sigma_map = {}
-            for s, rot in enumerate(R.rotations):
-                perm = tuple(rot.perm[rho.perm[t]] for t in R.index_set)
-                sigma_map[s] = R.rotation_index(perm)
-            for pos, g in enumerate(src.germs):
-                chambers = tuple(g.chambers[e] for e in emb)
-                if dst.radius == 0:
-                    sg = Germ(0, sigma_map[g.sigma_index], (),
-                              self._vertex_image_at(g, R.coweight_vector(mu),
-                                                    R.rotations[sigma_map[g.sigma_index]].perm))
-                else:
-                    sg = Germ(dst.radius, sigma_map[g.sigma_index], chambers,
-                              self._base_of(sigma_map[g.sigma_index], chambers))
-                out[pos] = dst.index[sg.canonical_key]
-            self._shift_maps[key] = out
+            sigma_map, emb, at_mu = self._shift_geometry(radius, mu)
+            sigma = np.asarray(sigma_map)[src.rows[:, 0]]
+            if dst.radius == 0:
+                base = self._base_cls[self._perms[sigma, 0], src.rows[:, 1 + at_mu]]
+                query = np.column_stack((sigma, base))
+            else:
+                query = np.column_stack((sigma, src.rows[:, 1 + np.asarray(emb)]))
+            self._shift_maps[key] = dst.lookup(query)
         return self._shift_maps[key]
 
     # -- the explicit metric ------------------------------------------------
@@ -572,20 +599,6 @@ class SectorSpace:
                     fringe.append(nb)
         return region
 
-    def directional_k(self, g1: Germ, g2: Germ, direction: int) -> Optional[int]:
-        res, _ = self.distance(g1, g2)
-        return res.k_directional[direction]
-
-    def vertex_images(self, g: Germ):
-        """Induced map on truncation vertices: vertex index -> face id."""
-        trunc = self.truncation(g.radius)
-        plan = self._cached_plan(g.radius, g.sigma_index)
-        out = {}
-        for vi in range(len(trunc.vertices)):
-            fi = trunc.face_index[(vi,)]
-            out[vi] = _face_id(self.system, plan[fi], g.chambers)
-        return out
-
 
 def enumerate_germs(system: ChamberSystem, radius: int, check: bool = True) -> GermTable:
     """Convenience wrapper: a fresh table for one-off use."""
@@ -596,9 +609,8 @@ def export_germs_json(table: GermTable) -> dict:
     return {
         "format": "germs/v1",
         "radius": table.radius,
-        "count": len(table.germs),
+        "count": len(table),
         "germs": [
-            {"sigma": g.sigma_index, "chambers": list(g.chambers)}
-            for g in table.germs
+            {"sigma": s, "chambers": chambers} for s, *chambers in table.rows.tolist()
         ],
     }

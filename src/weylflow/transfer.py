@@ -17,7 +17,13 @@ and pairs in the same class contribute nothing.  The kernel works on a whole
 integer matrix at once: for each level m it sorts the rows by their
 radius-(m-1) class, takes the per-class value range of every column with
 integer max/min `reduceat`, and forms one rational spread_m / (denom *
-theta^m) per level and column.
+theta^m) per level and column.  An indicator's own seminorm needs no
+matrix: it follows from the sizes of the classes that contain its germ.
+
+Assembly groups the big germs with array operations: group ids from the
+rows' plug-alcove columns, group sizes from `bincount` and the nonzero
+count vectors from the distinct (group, column) cells, so no dense
+(groups x dim) array is formed.
 """
 
 from __future__ import annotations
@@ -25,12 +31,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .rootdata import Coweight, translation_parameter
-from .sectors import SectorSpace
+from .sectors import SectorSpace, byte_keys
 
 
 @dataclass
@@ -81,15 +87,15 @@ def transfer_matrix(
     for d in depths:
         try:
             return _transfer_matrix_at_depth(space, mu, radius, d)
-        except _CountingDepthError as exc:
+        except CountingError as exc:
             last_error = exc
-    raise RuntimeError(
+    raise CountingError(
         f"preimage counting failed for mu={tuple(mu.coords)} on F_{radius}: {last_error}"
     )
 
 
-class _CountingDepthError(RuntimeError):
-    pass
+class CountingError(RuntimeError):
+    """The preimage counts of a transfer operator came out irregular."""
 
 
 def _transfer_matrix_at_depth(
@@ -111,46 +117,48 @@ def _transfer_matrix_at_depth(
         for k, a in enumerate(big.trunc.alcoves)
         if all(dot(beta, vsub(v, tv)) >= 0 for v in a.verts for beta in R.simple_roots)
     ]
-    dim = len(small.germs)
+    dim = len(small)
 
-    groups: Dict[tuple, np.ndarray] = {}
-    group_row: Dict[tuple, int] = {}
-    for pos, g in enumerate(big.germs):
-        key = (g.sigma_index,) + tuple(g.chambers[k] for k in plug_alcoves)
-        if key not in groups:
-            groups[key] = np.zeros(dim, dtype=np.int64)
-            group_row[key] = int(rows[pos])
-        groups[key][int(cols[pos])] += 1
-
-    totals = {int(vec.sum()) for vec in groups.values()}
-    if len(totals) != 1:
-        raise _CountingDepthError(f"conditioning groups have mixed sizes {sorted(totals)}")
-    total = totals.pop()
+    # group the big germs by (rotation, chambers on the plug alcoves)
+    plug = big.rows[:, [0] + [1 + k for k in plug_alcoves]]
+    _, first, gid = np.unique(byte_keys(plug), return_index=True, return_inverse=True)
+    group_row = rows[first]
+    sizes = np.bincount(gid)
+    if sizes.min() != sizes.max():
+        raise CountingError(
+            f"conditioning groups have mixed sizes {np.unique(sizes).tolist()}"
+        )
+    total = int(sizes[0])
     if total % m_mu != 0:
-        raise _CountingDepthError(
+        raise CountingError(
             f"group size {total} is not a multiple of M_mu={m_mu}"
         )
     lam = total // m_mu
 
+    # the nonzero entries of every group vector, one (group, column) each
+    cells, hits = np.unique(gid * dim + cols, return_counts=True)
+    if np.any(hits % lam != 0):
+        raise CountingError(
+            "group counts are not uniform over the preimage multiplicity"
+        )
+    group, col, value = cells // dim, cells % dim, hits // lam
+    h = group_row[group]
+    # the first group of each class fills its row; every other must equal it
+    classes, leaders = np.unique(group_row, return_index=True)
+    lead = np.zeros(len(first), dtype=bool)
+    lead[leaders] = True
+    sel = lead[group]
     counts = np.zeros((dim, dim), dtype=np.int64)
-    seen_row = np.zeros(dim, dtype=bool)
-    for key, vec in groups.items():
-        if np.any(vec % lam != 0):
-            raise _CountingDepthError(
-                "group counts are not uniform over the preimage multiplicity"
-            )
-        reduced = vec // lam
-        h = group_row[key]
-        if seen_row[h]:
-            if not np.array_equal(counts[h], reduced):
-                raise _CountingDepthError(
-                    f"preimage counts at class {h} depend on the representative"
-                )
-        else:
-            counts[h] = reduced
-            seen_row[h] = True
-    if not np.all(seen_row):
-        raise _CountingDepthError("some classes received no conditioning group")
+    counts[h[sel], col[sel]] = value[sel]
+    row_nnz = np.bincount(h[sel], minlength=dim)
+    group_nnz = np.bincount(group, minlength=len(first))
+    differs = (counts[h, col] != value) | (group_nnz[group] != row_nnz[h])
+    if np.any(differs):
+        raise CountingError(
+            f"preimage counts at class {h[np.argmax(differs)]} depend on the representative"
+        )
+    if len(classes) != dim:
+        raise CountingError("some classes received no conditioning group")
     return TransferMatrix(mu, radius, counts, m_mu)
 
 
@@ -178,15 +186,15 @@ def pi_projection(space: SectorSpace, phi: Sequence, m: int, n: int) -> List:
         raise ValueError("projection goes to a strictly smaller radius")
     big = space.table(m)
     small = space.table(n)
-    if len(phi) != len(big.germs):
+    if len(phi) != len(big):
         raise ValueError("dimension mismatch")
     restr = big.restriction_map(n)
     rep = {}
-    for pos in range(len(big.germs)):
+    for pos in range(len(big)):
         cls = int(restr[pos])
         if cls not in rep:
             rep[cls] = pos
-    return [phi[rep[c]] for c in range(len(small.germs))]
+    return [phi[rep[c]] for c in range(len(small))]
 
 
 def lift_to(space: SectorSpace, phi: Sequence, n: int, m: int) -> List:
@@ -195,7 +203,7 @@ def lift_to(space: SectorSpace, phi: Sequence, n: int, m: int) -> List:
         raise ValueError("lift goes to a larger radius")
     big = space.table(m)
     restr = big.restriction_map(n)
-    return [phi[int(restr[pos])] for pos in range(len(big.germs))]
+    return [phi[int(restr[pos])] for pos in range(len(big))]
 
 
 def sup_norm(phi: Sequence) -> Fraction:
@@ -217,7 +225,7 @@ def lipschitz_seminorms(
     table = space.table(n)
     theta = Fraction(theta)
     counts = np.asarray(counts)
-    if counts.ndim != 2 or counts.shape[0] != len(table.germs):
+    if counts.ndim != 2 or counts.shape[0] != len(table):
         raise ValueError("dimension mismatch")
     spreads = [counts.max(axis=0) - counts.min(axis=0)]
     for m in range(1, n + 1):
@@ -326,35 +334,29 @@ def check_fn_invariance(space: SectorSpace, mu: Coweight, n: int) -> FnInvarianc
     details = []
     tm_small = transfer_matrix(space, mu, n)
     tm_big = transfer_matrix(space, mu, n + 1)
-    big = space.table(n + 1)
-    restr = big.restriction_map(n)
-    dim_small = tm_small.dim
-    # compress columns of the big matrix along restriction fibers
-    col_view = np.zeros((dim_small, tm_big.dim), dtype=np.int64)
-    np.add.at(col_view, restr, tm_big.counts.T)
-    col_view = col_view.T  # shape (big dim, small dim)
-    compression_exact = True
-    for pos in range(tm_big.dim):
-        if not np.array_equal(col_view[pos], tm_small.counts[int(restr[pos])]):
-            compression_exact = False
-            details.append(f"big class {pos}: compressed row differs")
-            break
+    restr = space.table(n + 1).restriction_map(n)
+    # compress columns of the big matrix along restriction fibers; rows are
+    # sorted and restriction keeps a prefix, so each fiber is one column run
+    starts = np.flatnonzero(np.r_[True, restr[1:] != restr[:-1]])
+    if np.array_equal(restr[starts], np.arange(tm_small.dim)):
+        compressed = np.add.reduceat(tm_big.counts, starts, axis=1)
+        bad = np.flatnonzero(np.any(compressed != tm_small.counts[restr], axis=1))
+        if len(bad):
+            details.append(f"big class {bad[0]}: compressed row differs")
+    else:
+        details.append(f"F_{n + 1} classes do not restrict onto F_{n} in order")
+    compression_exact = not details
 
     maps_into_smaller = None
     if mu.strongly_dominant and n >= 2:
-        small = space.table(n)
-        down = small.restriction_map(n - 1)
-        maps_into_smaller = True
-        seen: Dict[int, int] = {}
-        for pos in range(dim_small):
-            cls = int(down[pos])
-            if cls in seen:
-                if not np.array_equal(tm_small.counts[pos], tm_small.counts[seen[cls]]):
-                    maps_into_smaller = False
-                    details.append(
-                        f"rows {seen[cls]} and {pos} differ inside radius-{n-1} class {cls}"
-                    )
-                    break
-            else:
-                seen[cls] = pos
+        down = space.table(n).restriction_map(n - 1)
+        _, first, inverse = np.unique(down, return_index=True, return_inverse=True)
+        rep = first[inverse]  # the first row of each radius-(n-1) class
+        bad = np.flatnonzero(np.any(tm_small.counts != tm_small.counts[rep], axis=1))
+        maps_into_smaller = not len(bad)
+        if not maps_into_smaller:
+            pos = bad[0]
+            details.append(
+                f"rows {rep[pos]} and {pos} differ inside radius-{n-1} class {down[pos]}"
+            )
     return FnInvarianceReport(compression_exact, maps_into_smaller, details)

@@ -373,13 +373,13 @@ def check_lasota_yorke(ctx: FixtureContext) -> List[CheckResult]:
     tm = ctx.tm(mu, 2)
     c_iter = (2 / theta) / (1 - theta)
     iter_ok = True
-    power = np.eye(tm.dim, dtype=np.int64)
-    denom = 1
-    own = transfer.lipschitz_seminorms(ctx.space, power, denom, 2, theta)
+    own = transfer.lipschitz_seminorms(ctx.space, np.eye(tm.dim, dtype=np.int64), 1, 2, theta)
+    power, denom = tm.counts, tm.m_mu
     detail = ""
     for ell in range(1, 4):
-        power = power @ tm.counts
-        denom *= tm.m_mu
+        if ell > 1:
+            power = power @ tm.counts
+            denom *= tm.m_mu
         # an int64 overflow in the product would break the exact row sums
         if not np.all(power.sum(axis=1) == denom):
             iter_ok = False

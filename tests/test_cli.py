@@ -27,6 +27,22 @@ def test_validate_corrupted_fails(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_failed_preimage_counting_exits_cleanly(tmp_path, capsys):
+    # two chambers swapped between residue-1 blocks: the local checks fail,
+    # and with --force the preimage counts come out irregular
+    doc = fixtures.load_fixture("a2q2").to_json_dict()
+    blocks = doc["residues"]["1"]
+    first = blocks.index([0, 14, 16])
+    second = blocks.index([11, 12, 18])
+    blocks[first][0], blocks[second][0] = 11, 0
+    p = tmp_path / "swapped.json"
+    p.write_text(json.dumps(doc))
+    assert run(["transfer", str(p), "--mu", "1,0", "--radius", "2", "--force"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: preimage counting failed") and err.count("\n") == 1
+
+
 def test_missing_file_is_usage_error(capsys):
     assert run(["validate", "no-such-file.json"]) == 2
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from weylflow.rootdata import Coweight
-from weylflow.sectors import SENTINEL
+from weylflow.sectors import SENTINEL, SectorSpace
 
 
 def test_germ_counts_rank1(k33):
@@ -175,3 +175,101 @@ def test_germ_export_schema(k33):
     assert doc["count"] == 36
     assert len(doc["germs"]) == 36
     assert set(doc["germs"][0]) == {"sigma", "chambers"}
+
+
+def test_shift_maps_match_per_germ_shifts(contexts):
+    # the array lookup route against Germ objects shifted one at a time
+    for name, ctx in contexts.items():
+        space = SectorSpace(ctx.system)  # keeps .germs off the shared tables
+        for n in (1, 2, 3):
+            for mu in ctx.generators + [ctx.strong]:
+                if mu.norm > n:
+                    continue
+                dst = space.table(n - mu.norm)
+                want = [dst.position(space.shift(g, mu)) for g in space.table(n).germs]
+                assert space.shift_map(n, mu).tolist() == want, f"{name} n={n} mu={mu.coords}"
+
+
+def test_restriction_maps_match_per_germ_restrictions(contexts):
+    for name, ctx in contexts.items():
+        space = SectorSpace(ctx.system)
+        for n in (1, 2, 3):
+            germs = space.table(n).germs
+            for r in range(n + 1):
+                want = [space.table(r).position(space.restrict(g, r)) for g in germs]
+                assert space.table(n).restriction_map(r).tolist() == want, f"{name} {n}->{r}"
+
+
+def _germ_constraints(space, n):
+    """Per alcove of the radius-n truncation, in truncation order: the earlier
+    panel neighbours as (alcove, relation label), and the earlier alcoves
+    that share only a vertex with it."""
+    trunc = space.truncation(n)
+    rank = space.root_system.rank
+    panels, stars = [], []
+    for k in range(trunc.alcove_count(n)):
+        panels.append([
+            (nb, panel_types[0] if rank == 1 else cotype)
+            for cotype, nb, _, panel_types in trunc.adjacency[k] if 0 <= nb < k
+        ])
+        verts = set(trunc.alcoves[k].verts)
+        stars.append([
+            j for j in range(k)
+            if verts & set(trunc.alcoves[j].verts) and j not in dict(panels[k])
+        ])
+    return panels, stars
+
+
+def test_a2_rows_satisfy_the_extension_constraints(a2):
+    system = a2.system
+    table = a2.space.table(3)
+    panels, stars = _germ_constraints(a2.space, 3)
+    rots = system.root_system.rotations
+    for (sigma, *chambers), base in zip(table.rows.tolist(), table.base.tolist()):
+        perm = rots[sigma].perm
+        assert system.partition((perm[1], perm[2]))[0][chambers[0]] == base
+        for k, c in enumerate(chambers):
+            for j, lab in panels[k]:
+                assert c in system.block_members(perm[lab], chambers[j]) and c != chambers[j]
+            assert all(c != chambers[j] for j in stars[k])
+
+
+def test_rows_match_recursive_enumeration(contexts):
+    # an independent plain-Python enumeration of the germs, alcove by alcove
+    for name, ctx in contexts.items():
+        space, system = ctx.space, ctx.system
+        n = 3 if ctx.rank == 1 else 2
+        panels, stars = _germ_constraints(space, n)
+        rows = []
+
+        def extend(s, perm, assign):
+            k = len(assign)
+            if k == len(panels):
+                rows.append([s] + assign)
+                return
+            for c in range(system.num_chambers):
+                if all(
+                    c in system.block_members(perm[lab], assign[j]) and c != assign[j]
+                    for j, lab in panels[k]
+                ) and all(c != assign[j] for j in stars[k]):
+                    extend(s, perm, assign + [c])
+
+        for s, rot in enumerate(system.root_system.rotations):
+            extend(s, rot.perm, [])
+        assert space.table(n).rows.tolist() == sorted(rows), name
+
+
+def test_lookup_is_exact(a2):
+    table = a2.space.table(2)
+    assert table.lookup(table.rows).tolist() == list(range(len(table)))
+    row = table.rows[:1].copy()
+    row[0, 2] = row[0, 1]  # two panel-adjacent alcoves on one chamber
+    with pytest.raises(KeyError):
+        table.lookup(row)
+    # radius 0 is keyed by (rotation, base class); a2q2 has one base class
+    zero = a2.space.table(0)
+    assert zero.lookup([[2, 0], [0, 0]]).tolist() == [2, 0]
+    with pytest.raises(KeyError):
+        zero.lookup([[1, 1]])
+    with pytest.raises(KeyError):  # would wrap to (0, 0) in uint8
+        zero.lookup([[0, 256]])

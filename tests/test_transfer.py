@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from weylflow import oracles, transfer
 from weylflow.rootdata import Coweight
+from weylflow.sectors import SectorSpace
 
 
 def test_k33_equals_halved_nonbacktracking(k33):
@@ -204,6 +205,42 @@ def test_fn_invariance_k33(k33):
     assert rep.compression_exact
     rep2 = transfer.check_fn_invariance(k33.space, Coweight((1,)), 2)
     assert rep2.passed and rep2.maps_into_smaller
+
+
+def test_fn_invariance_names_first_witnesses(a2, monkeypatch):
+    real = transfer.transfer_matrix
+    h = 1  # shares its radius-1 class with row 0
+
+    def tampered(space, mu, radius, depth=None):
+        tm = real(space, mu, radius, depth)
+        if radius == 2:
+            counts = tm.counts.copy()
+            counts[h] = np.roll(counts[h], 1)
+            tm = transfer.TransferMatrix(tm.mu, tm.radius, counts, tm.m_mu)
+        return tm
+
+    monkeypatch.setattr(transfer, "transfer_matrix", tampered)
+    rep = transfer.check_fn_invariance(a2.space, Coweight((1, 1)), 2)
+    first_big = int(np.flatnonzero(a2.space.table(3).restriction_map(2) == h)[0])
+    assert not rep.compression_exact and rep.maps_into_smaller is False
+    assert rep.details == [
+        f"big class {first_big}: compressed row differs",
+        f"rows 0 and {h} differ inside radius-1 class 0",
+    ]
+
+
+def test_counting_rejects_rows_that_depend_on_the_representative(a2):
+    space = SectorSpace(a2.system)
+    real = space.shift_map
+
+    def swapped(radius, mu):  # two germs trade their shifts
+        smap = real(radius, mu).copy()
+        smap[[0, -1]] = smap[[-1, 0]]
+        return smap
+
+    space.shift_map = swapped
+    with pytest.raises(RuntimeError, match="depend on the representative"):
+        transfer.transfer_matrix(space, Coweight((1, 0)), 1)
 
 
 def test_zero_shift_is_identity_matrix(k33):

@@ -25,6 +25,10 @@ def test_full_suite_passes(name):
     results = run_suite(name, system, metric_radius=2, edges=edges)
     failures = [r.line() for r in results if not r.passed]
     assert not failures, "\n".join(failures)
+    # the suite runs on the row arrays: no large table makes Germ objects
+    tables = context_for(name, system).space._tables
+    assert max(tables) >= 3
+    assert not [n for n, table in tables.items() if n >= 3 and "germs" in vars(table)]
 
 
 def test_walk_parameter_details_land_on_their_own_result(a2, monkeypatch):
