@@ -227,9 +227,6 @@ class ChamberSystem:
             and self.to_json_dict() == other.to_json_dict()
         )
 
-    def __hash__(self):
-        return id(self)
-
 
 def _girth(adj) -> int:
     best = len(adj) + 1

@@ -219,7 +219,8 @@ def cmd_verify(args) -> int:
             edges = [tuple(e) for e in doc["edges"]]
         print(f"== {name} ==")
         radius = args.radius if args.radius is not None else 3
-        results = verify.run_suite(name, system, metric_radius=radius, edges=edges)
+        ctx = verify.FixtureContext(name, system)
+        results = verify.run_suite(ctx, metric_radius=radius, edges=edges)
         for res in results:
             print(res.line())
             all_ok = all_ok and res.passed

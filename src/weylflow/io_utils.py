@@ -7,52 +7,37 @@ with 17 significant digits, and complex numbers appear as [re, im] pairs.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
+
+_PLACEHOLDER = re.compile(r'"@@raw(\d+)@@"')
 
 
 def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _normalize(obj):
-    if isinstance(obj, float):
-        return _Raw(fmt_float(obj))
-    if isinstance(obj, complex):
-        return [_Raw(fmt_float(obj.real)), _Raw(fmt_float(obj.imag))]
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, dict):
-        return {str(k): _normalize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_normalize(v) for v in obj]
-    return obj
-
-
-class _Raw:
-    def __init__(self, text):
-        self.text = text
-
-
 def dumps_canonical(obj) -> str:
-    normalized = _normalize(obj)
-    # encode _Raw markers as bare tokens by a two-pass replacement
-    token_map = {}
+    # json.dumps prints floats by repr, not with 17 digits, so each float
+    # goes in as a placeholder string and its text is spliced in afterwards
+    floats = []
 
-    def strip(o):
-        if isinstance(o, _Raw):
-            key = f"@@raw{len(token_map)}@@"
-            token_map[key] = o.text
-            return key
+    def walk(o):
+        if isinstance(o, float):
+            floats.append(fmt_float(o))
+            return f"@@raw{len(floats) - 1}@@"
+        if isinstance(o, complex):
+            return [walk(o.real), walk(o.imag)]
+        if isinstance(o, Fraction):
+            return f"{o.numerator}/{o.denominator}"
         if isinstance(o, dict):
-            return {k: strip(v) for k, v in o.items()}
-        if isinstance(o, list):
-            return [strip(v) for v in o]
+            return {str(k): walk(v) for k, v in o.items()}
+        if isinstance(o, (list, tuple)):
+            return [walk(v) for v in o]
         return o
 
-    text = json.dumps(strip(normalized), sort_keys=True, indent=1)
-    for key, val in token_map.items():
-        text = text.replace(f'"{key}"', val)
-    return text + "\n"
+    text = json.dumps(walk(obj), sort_keys=True, indent=1)
+    return _PLACEHOLDER.sub(lambda m: floats[int(m.group(1))], text) + "\n"
 
 
 def rational_str(x: Fraction) -> str:

@@ -8,6 +8,9 @@ transfer machinery, so it can certify the rank-1 transfer matrices.  For a
 
 ties the non-backtracking matrix B to the vertex adjacency matrix A; the
 oracle evaluates both sides at sample points and reports the residual.
+`germ_edge_positions` is the only bridge to the germ side: it names the
+directed edge under each radius-1 germ, so that the two matrices can be
+compared entry by entry.
 """
 
 from __future__ import annotations
@@ -40,6 +43,23 @@ def non_backtracking_matrix(edges: Sequence[Tuple[int, int]]):
             if f[1] != u:
                 b[k, pos[f]] = 1
     return b, des
+
+
+def germ_edge_positions(system, table, des) -> np.ndarray:
+    """Position in `des` of the directed edge under each radius-1 germ.
+
+    A rank-1 germ with rotation sigma on the edge (chamber) e runs from the
+    endpoint of type sigma(0) to the endpoint of type sigma(1); the system's
+    vertex ids name both ends.
+    """
+    pos = {e: k for k, e in enumerate(des)}
+    vid = system.vertex_ids
+    perm = np.empty(len(table), dtype=np.int64)
+    for gpos, g in enumerate(table.germs):
+        rot = system.root_system.rotations[g.sigma_index].perm
+        e = g.chambers[0]
+        perm[gpos] = pos[(vid[rot[0]][e], vid[rot[1]][e])]
+    return perm
 
 
 def _check_bipartite_regular(edges):

@@ -498,9 +498,10 @@ def _minimal_walk_data(R: RootSystem, mu: Coweight):
 
 
 def minimal_walk_types(R: RootSystem, mu: Coweight):
-    """Crossing cotypes of one minimal alcove walk to the translated alcove."""
-    if not mu.dominant:
-        raise ValueError("coweight must be dominant")
+    """Crossing cotypes of one minimal alcove walk to the translated alcove.
+
+    Any coweight works; `translation_parameter` requires a dominant one.
+    """
     dist, preds, start, goal = _minimal_walk_data(R, mu)
     labels = []
     cur = goal.key
@@ -559,7 +560,6 @@ class Face(NamedTuple):
     vidx: tuple       # vertex indices, sorted
     types: tuple      # aligned vertex types
     anchor: int       # lowest incident alcove index
-    anchor_pos: tuple  # positions of the face vertices inside the anchor
 
 
 OUTSIDE = -1   # neighbor exists in the sector but not in the truncation
@@ -612,7 +612,6 @@ class TruncatedSector:
         R = self.R
         if self.radius == 0:
             self.alcoves = []
-            self.gallery_dist = []
             self.entry_radius = []
             self.count_at_radius = [0]
             return
@@ -634,7 +633,6 @@ class TruncatedSector:
             key=lambda a: (self._entry_radius(a), dist[a.key], a.barycenter()),
         )
         self.alcoves = order
-        self.gallery_dist = [dist[a.key] for a in order]
         self.entry_radius = [self._entry_radius(a) for a in order]
         self.count_at_radius = [
             sum(1 for r in self.entry_radius if r <= k) for k in range(self.radius + 1)
@@ -645,13 +643,11 @@ class TruncatedSector:
     def _index_vertices(self):
         self.vertex_index = {}
         self.vertices = []
-        self.vertex_types = []
         for a in self.alcoves:
-            for v, t in zip(a.verts, a.types):
+            for v in a.verts:
                 if v not in self.vertex_index:
                     self.vertex_index[v] = len(self.vertices)
                     self.vertices.append(v)
-                    self.vertex_types.append(t)
         self.coweight_vertices = []
         for idx, v in enumerate(self.vertices):
             cw = self.R.coweight_at(v)
@@ -698,7 +694,6 @@ class TruncatedSector:
                             vidx=key,
                             types=tuple(a.types[j] for j in order),
                             anchor=ai,
-                            anchor_pos=tuple(order),
                         )
                     )
         self.faces = faces

@@ -443,9 +443,6 @@ class SectorSpace:
         count = self.truncation(g.radius).alcove_count(r)
         return Germ(r, g.sigma_index, g.chambers[:count], g.base_id)
 
-    def shift_rotation(self, mu: Coweight):
-        return self.root_system.rotation_of(mu)
-
     def shift(self, g: Germ, mu: Coweight) -> Germ:
         """Discard the part of the germ before `mu`: precompose with x + mu."""
         if not mu.dominant:

@@ -17,8 +17,7 @@ and pairs in the same class contribute nothing.  The kernel works on a whole
 integer matrix at once: for each level m it sorts the rows by their
 radius-(m-1) class, takes the per-class value range of every column with
 integer max/min `reduceat`, and forms one rational spread_m / (denom *
-theta^m) per level and column.  An indicator's own seminorm needs no
-matrix: it follows from the sizes of the classes that contain its germ.
+theta^m) per level and column.
 
 Assembly groups the big germs with array operations: group ids from the
 rows' plug-alcove columns, group sizes from `bincount` and the nonzero

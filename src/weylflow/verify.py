@@ -1,8 +1,9 @@
 """Executable invariant suite over the bundled (or user-supplied) systems.
 
-Each check returns a CheckResult; `run_suite` drives all of them for one
-chamber system and is what the CLI `verify` subcommand and the acceptance
-tests call.  Metric checks run exhaustively over germ pairs using the
+Each check returns CheckResults and holds the one implementation of its
+invariant: the acceptance tests call the checks themselves, and
+`run_suite` drives all of them for one system for the CLI `verify`
+subcommand.  Metric checks run exhaustively over germ pairs using the
 class-array encoding of the ultrametric (sentinel = radius + 1), with the
 explicit region-growing distance cross-checked against it on subsamples.
 """
@@ -10,6 +11,7 @@ explicit region-growing distance cross-checked against it on subsamples.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List
@@ -18,7 +20,12 @@ import numpy as np
 
 from . import oracles, spectra, transfer
 from .chamber import ChamberSystem
-from .rootdata import Coweight, translation_parameter
+from .rootdata import (
+    Coweight,
+    all_minimal_walk_products,
+    minimal_walk_types,
+    translation_parameter,
+)
 from .sectors import SENTINEL, SectorSpace
 
 
@@ -43,9 +50,6 @@ class FixtureContext:
         self.space = SectorSpace(system)
         self.rank = system.root_system.rank
         self._tms: Dict[tuple, transfer.TransferMatrix] = {}
-
-    def gen(self, *coords) -> Coweight:
-        return Coweight(tuple(coords))
 
     @property
     def generators(self) -> List[Coweight]:
@@ -72,23 +76,11 @@ class FixtureContext:
         return mats, exact
 
 
-_CONTEXTS: Dict[int, FixtureContext] = {}
-
-
-def context_for(name: str, system: ChamberSystem) -> FixtureContext:
-    key = id(system)
-    if key not in _CONTEXTS:
-        _CONTEXTS[key] = FixtureContext(name, system)
-    return _CONTEXTS[key]
-
-
 # ----------------------------------------------------------------------
 # individual checks
 
 
 def check_walk_parameters(ctx: FixtureContext) -> List[CheckResult]:
-    from .rootdata import all_minimal_walk_products
-
     R = ctx.system.root_system
     q = ctx.system.params
     out = []
@@ -117,7 +109,7 @@ def check_walk_parameters(ctx: FixtureContext) -> List[CheckResult]:
         if sum(cs) == 0:
             continue
         mu = Coweight(cs)
-        back = _walk_product_any(R, q, -mu)
+        back = math.prod(q[label] for label in minimal_walk_types(R, -mu))
         if back != values[cs]:
             inv_ok = False
             inv_detail.append(f"q_t({cs}) = {values[cs]} but reverse walk gives {back}")
@@ -128,20 +120,6 @@ def check_walk_parameters(ctx: FixtureContext) -> List[CheckResult]:
     )
     out.append(CheckResult("q_t multiplicative on dominant sums", mult_ok, "; ".join(mult_detail)))
     out.append(CheckResult("q_t symmetric under negation", inv_ok, "; ".join(inv_detail)))
-    return out
-
-
-def _walk_product_any(R, q, mu: Coweight) -> int:
-    """q-product of a minimal walk to the translate by an arbitrary coweight."""
-    from .rootdata import _minimal_walk_data
-
-    dist, preds, start, goal = _minimal_walk_data(R, mu)
-    out = 1
-    cur = goal.key
-    while cur != start.key:
-        prev, label = preds[cur][0]
-        out *= q[label]
-        cur = prev
     return out
 
 
@@ -305,9 +283,10 @@ def check_transfer_exact(ctx: FixtureContext) -> List[CheckResult]:
     rows_ok = True
     detail = ""
     try:
-        for mu in mus:
-            for n in (1, 2):
-                ctx.tm(mu, n)
+        bad = [(mu, n) for mu in mus for n in (1, 2) if not ctx.tm(mu, n).row_sums_ok()]
+        if bad:
+            rows_ok = False
+            detail = f"first failure at mu={tuple(bad[0][0].coords)}, n={bad[0][1]}"
     except RuntimeError as exc:
         rows_ok = False
         detail = str(exc)
@@ -422,7 +401,7 @@ def check_joint_trivial(ctx: FixtureContext) -> List[CheckResult]:
     res = max(float(np.linalg.norm(m @ ones - ones)) for m in mats)
     joint = spectra.joint_spectrum(mats, exact=exact)
     has_one = any(
-        max(abs(c - 1) for c in j.chi) < 1e-8 for j in joint
+        max(abs(c - 1) for c in j.chi) < 1e-9 for j in joint
     )
     out.append(
         CheckResult(
@@ -432,7 +411,7 @@ def check_joint_trivial(ctx: FixtureContext) -> List[CheckResult]:
         )
     )
     if ctx.rank == 1 and ctx.system.kind == "A1~":
-        has_minus = any(abs(j.chi[0] + 1) < 1e-8 for j in joint)
+        has_minus = any(abs(j.chi[0] + 1) < 1e-9 for j in joint)
         out.append(CheckResult("parity eigenvalue -1 present", has_minus))
     return out
 
@@ -492,13 +471,13 @@ def check_parametrix(ctx: FixtureContext, n_random: int = 20, seed: int = 11) ->
             bs = spectra.parametrix(mats, e, chi)
             res = spectra.parametrix_residual(mats, e, chi, bs)
             worst = max(worst, res)
-            if res > 1e-12 * max(1.0, 4.0 ** sum(e)):
+            if res > 1e-12:
                 ident_ok = False
     for _ in range(5):
         chi = tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(r))
         _, ok = spectra.homotopy_zero_check(mats, chi, tuple(1 for _ in range(r)))
         hom_ok = hom_ok and ok
-    for j in spectra.joint_spectrum(mats)[:4]:
+    for j in spectra.joint_spectrum(mats)[:5]:
         _, ok = spectra.homotopy_zero_check(mats, j.chi, tuple(1 for _ in range(r)))
         hom_ok = hom_ok and ok
     return [
@@ -535,19 +514,9 @@ def check_rank1_oracle(ctx: FixtureContext, edges) -> List[CheckResult]:
         CheckResult("determinant identity residual <= 1e-10", residual <= 1e-10, f"{residual:.2e}")
     )
     tm = ctx.tm(Coweight((1,)), 1)
-    table = ctx.space.table(1)
     b, _ = oracles.non_backtracking_matrix(edges)
-    pos = {e: kk for kk, e in enumerate(des)}
-    vid = ctx.system.vertex_ids
-    perm = np.empty(len(table), dtype=np.int64)
-    for gpos, g in enumerate(table.germs):
-        rot = ctx.system.root_system.rotations[g.sigma_index].perm
-        e = g.chambers[0]
-        tail = vid[rot[0]][e]
-        head = vid[rot[1]][e]
-        perm[gpos] = pos[(tail, head)]
-    bt = b.T
-    match = tm.m_mu == q and np.array_equal(tm.counts, bt[np.ix_(perm, perm)])
+    perm = oracles.germ_edge_positions(ctx.system, ctx.space.table(1), des)
+    match = tm.m_mu == q and np.array_equal(tm.counts, b.T[np.ix_(perm, perm)])
     out.append(CheckResult("transfer matrix equals the halved edge operator", bool(match)))
     mine = np.linalg.eigvals(tm.dense())
     ok = oracles.multiset_close(np.sort_complex(mine), np.sort_complex(vals / q), 1e-8)
@@ -561,9 +530,9 @@ def check_a2_health(ctx: FixtureContext) -> List[CheckResult]:
     dim = len(ctx.space.table(1))
     out.append(CheckResult("dim F_1 = 3 N", dim == 3 * n_ch, f"N={n_ch}, dim={dim}"))
     q = ctx.system.params[0]
-    m1 = ctx.tm(Coweight((1, 0)), 1).m_mu
-    out.append(CheckResult("M_w1 = q^2", m1 == q * q, f"M={m1}"))
     t1 = ctx.tm(Coweight((1, 0)), 1)
+    m1 = t1.m_mu
+    out.append(CheckResult("M_w1 = q^2", m1 == q * q and t1.row_sums_ok(), f"M={m1}"))
     t2 = ctx.tm(Coweight((0, 1)), 1)
     ok1 = np.array_equal(t1.counts @ t2.counts, t2.counts @ t1.counts)
     t1b = ctx.tm(Coweight((1, 0)), 2)
@@ -577,8 +546,8 @@ def check_a2_health(ctx: FixtureContext) -> List[CheckResult]:
 # the full suite
 
 
-def run_suite(name: str, system: ChamberSystem, metric_radius: int = 3, edges=None) -> List[CheckResult]:
-    ctx = context_for(name, system)
+def run_suite(ctx: FixtureContext, metric_radius: int = 3, edges=None) -> List[CheckResult]:
+    system = ctx.system
     results: List[CheckResult] = []
     report = system.validate()
     results.append(CheckResult("local building checks", report.passed, ""))

@@ -1,14 +1,14 @@
 import pytest
 
 from weylflow import fixtures
-from weylflow.verify import context_for
+from weylflow.verify import FixtureContext
 
 
 @pytest.fixture(scope="session")
 def contexts():
     """Shared per-fixture caches so germ tables are built once per run."""
     return {
-        name: context_for(name, fixtures.load_fixture(name))
+        name: FixtureContext(name, fixtures.load_fixture(name))
         for name in fixtures.FIXTURES
     }
 

@@ -150,3 +150,10 @@ def test_unknown_format_rejected(tmp_path):
     p.write_text('{"format": "mystery/v9"}')
     with pytest.raises(ValueError):
         load(str(p))
+
+
+def test_equal_systems_are_unhashable():
+    a, b = fixtures.load_fixture("a2q2"), fixtures.load_fixture("a2q2")
+    assert a is not b and a == b
+    with pytest.raises(TypeError):
+        hash(a)

@@ -1,9 +1,12 @@
 import json
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from weylflow import fixtures
 from weylflow.cli import main
+from weylflow.io_utils import dumps_canonical
 
 
 def run(args):
@@ -141,3 +144,16 @@ def test_verify_subcommand_small(capsys):
     assert run(["verify", "k33", "--radius", "2"]) == 0
     out = capsys.readouterr().out
     assert "[PASS]" in out and "[FAIL]" not in out
+
+
+def test_dumps_canonical_format():
+    doc = {
+        "b": 0.1,
+        10: [complex(0.5, -1 / 3), Fraction(3, -4)],
+        2: (np.float64(2.0), True, None, "s", 7),
+    }
+    assert dumps_canonical(doc) == (
+        '{\n "10": [\n  [\n   0.5,\n   -0.33333333333333331\n  ],\n  "-3/4"\n ],\n'
+        ' "2": [\n  2,\n  true,\n  null,\n  "s",\n  7\n ],\n'
+        ' "b": 0.10000000000000001\n}\n'
+    )

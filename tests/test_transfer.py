@@ -13,14 +13,7 @@ def test_k33_equals_halved_nonbacktracking(k33):
     tm = k33.tm(Coweight((1,)), 1)
     assert tm.m_mu == 2
     b, des = oracles.non_backtracking_matrix([(i, 3 + j) for i in range(3) for j in range(3)])
-    pos = {e: k for k, e in enumerate(des)}
-    table = k33.space.table(1)
-    vid = k33.system.vertex_ids
-    perm = np.empty(len(table), dtype=np.int64)
-    for gpos, g in enumerate(table.germs):
-        rot = k33.system.root_system.rotations[g.sigma_index].perm
-        e = g.chambers[0]
-        perm[gpos] = pos[(vid[rot[0]][e], vid[rot[1]][e])]
+    perm = oracles.germ_edge_positions(k33.system, k33.space.table(1), des)
     assert np.array_equal(tm.counts, b.T[np.ix_(perm, perm)])
     for h in range(tm.dim):
         for g in range(tm.dim):
@@ -73,12 +66,8 @@ def test_apply_parity_flips(k33):
 
 @settings(max_examples=20, deadline=None)
 @given(st.lists(st.fractions(min_value=-3, max_value=3), min_size=18, max_size=18))
-def test_apply_sup_norm_contracts(phi):
-    from weylflow import fixtures
-    from weylflow.verify import context_for
-
-    ctx = context_for("k33", fixtures.load_fixture("k33"))
-    tm = ctx.tm(Coweight((1,)), 1)
+def test_apply_sup_norm_contracts(k33, phi):
+    tm = k33.tm(Coweight((1,)), 1)
     out = transfer.apply(tm, phi)
     assert transfer.sup_norm(out) <= transfer.sup_norm(phi)
 

@@ -6,27 +6,25 @@ explicit region-growing distance, independently of the class arrays used
 by the exhaustive suites.
 """
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from weylflow import fixtures, verify
 from weylflow.sectors import SENTINEL
-from weylflow.verify import context_for, run_suite
+from weylflow.verify import FixtureContext, run_suite
 
 
 @pytest.mark.parametrize("name", fixtures.FIXTURES)
 def test_full_suite_passes(name):
-    system = fixtures.load_fixture(name)
+    ctx = FixtureContext(name, fixtures.load_fixture(name))
     edges = None
-    if system.root_system.rank == 1:
+    if ctx.rank == 1:
         edges = [tuple(e) for e in fixtures.fixture_documents()[name]["edges"]]
-    results = run_suite(name, system, metric_radius=2, edges=edges)
+    results = run_suite(ctx, metric_radius=2, edges=edges)
     failures = [r.line() for r in results if not r.passed]
     assert not failures, "\n".join(failures)
     # the suite runs on the row arrays: no large table makes Germ objects
-    tables = context_for(name, system).space._tables
+    tables = ctx.space._tables
     assert max(tables) >= 3
     assert not [n for n, table in tables.items() if n >= 3 and "germs" in vars(table)]
 
@@ -52,8 +50,8 @@ def _enc(k, radius):
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data(), name=st.sampled_from(["k33", "biregular", "a2q2"]))
-def test_ultrametric_on_sampled_triples(data, name):
-    ctx = context_for(name, fixtures.load_fixture(name))
+def test_ultrametric_on_sampled_triples(contexts, data, name):
+    ctx = contexts[name]
     table = ctx.space.table(2)
     idx = st.integers(0, len(table) - 1)
     a, b, c = (table.germs[data.draw(idx)] for _ in range(3))
@@ -65,8 +63,8 @@ def test_ultrametric_on_sampled_triples(data, name):
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data(), name=st.sampled_from(["q3", "a2q2"]))
-def test_distance_symmetric_and_definite(data, name):
-    ctx = context_for(name, fixtures.load_fixture(name))
+def test_distance_symmetric_and_definite(contexts, data, name):
+    ctx = contexts[name]
     table = ctx.space.table(2)
     idx = st.integers(0, len(table) - 1)
     a = table.germs[data.draw(idx)]
@@ -82,13 +80,12 @@ def test_distance_symmetric_and_definite(data, name):
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
-def test_max_formula_on_sampled_a2_pairs(data):
-    ctx = context_for("a2q2", fixtures.load_fixture("a2q2"))
-    table = ctx.space.table(2)
+def test_max_formula_on_sampled_a2_pairs(a2, data):
+    table = a2.space.table(2)
     idx = st.integers(0, len(table) - 1)
     a = table.germs[data.draw(idx)]
     b = table.germs[data.draw(idx)]
-    res, _ = ctx.space.distance(a, b)
+    res, _ = a2.space.distance(a, b)
     ks = [_enc(k, 2) for k in res.k_directional]
     assert _enc(res.k, 2) == min(min(ks), 3)
 
