@@ -1,8 +1,8 @@
 """Exact rational structure of the transfer family on the triangle quotient.
 
-Matrices are integer counts over a common denominator, so the semigroup
-law, commutation, and the seminorm inequality can be checked with no
-floating point at all.
+Matrices are integer counts over a common denominator, stored as each
+row's list of preimages, so the semigroup law (a gather), commutation and
+the seminorm inequality can be checked with no floating point at all.
 """
 
 from fractions import Fraction
@@ -20,10 +20,11 @@ t2 = transfer.transfer_matrix(space, Coweight((0, 1)), 1)
 t12 = transfer.transfer_matrix(space, Coweight((1, 1)), 1)
 
 print(f"dim F_1 = {t1.dim};  M_(1,0) = {t1.m_mu}, M_(0,1) = {t2.m_mu}, M_(1,1) = {t12.m_mu}")
+p1, p2 = t1.preimages, t2.preimages
 print("semigroup law as integer matrices:",
-      np.array_equal(t1.counts @ t2.counts, t12.counts))
+      np.array_equal(transfer.compose(p1, p2), t12.preimages))
 print("generators commute exactly:",
-      np.array_equal(t1.counts @ t2.counts, t2.counts @ t1.counts))
+      np.array_equal(transfer.compose(p1, p2), transfer.compose(p2, p1)))
 
 ones = [Fraction(1)] * t1.dim
 print("the constant function is fixed:", transfer.apply(t1, ones) == ones)

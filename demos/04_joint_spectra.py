@@ -17,7 +17,7 @@ mats, exact = [], []
 for coords in ((1, 0), (0, 1)):
     tm = transfer.transfer_matrix(space, Coweight(coords), 1)
     mats.append(tm.dense())
-    exact.append((tm.counts, tm.m_mu))
+    exact.append(tm.preimages)
 
 joint = spectra.joint_spectrum(mats, exact=exact)
 print(f"joint eigenvalues of (L_w1, L_w2) on the {mats[0].shape[0]}-dim space F_1:")

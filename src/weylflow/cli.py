@@ -21,6 +21,9 @@ from .rootdata import Coweight
 
 USAGE_ERROR = 2
 CHECK_ERROR = 1
+# `transfer` writes every entry of the matrix: a2q2 on F_3 (1.6e7 cells)
+# still exports, F_4 (1.04e9) does not
+DENSE_EXPORT_CELLS = 10**8
 
 
 def _load_input(token: str) -> chamber.ChamberSystem:
@@ -85,6 +88,12 @@ def cmd_transfer(args) -> int:
             file=sys.stderr,
         )
         return CHECK_ERROR
+    dim = len(space.table(n))
+    if dim * dim > DENSE_EXPORT_CELLS:
+        raise ValueError(
+            f"a dense export of F_{n} has {dim * dim} cells, "
+            f"more than the budget of {DENSE_EXPORT_CELLS}"
+        )
     tm = transfer.transfer_matrix(space, mu, n)
     header = {
         "mu": list(mu.coords),
@@ -92,9 +101,11 @@ def cmd_transfer(args) -> int:
         "M_mu": tm.m_mu,
         "dim": tm.dim,
     }
-    # format each distinct count once
-    text = {v: rational_str(Fraction(v, tm.m_mu)) for v in np.unique(tm.counts).tolist()}
-    rows = ([text[v] for v in row.tolist()] for row in tm.counts)
+    # format each possible count once; each row's counts come from its preimages
+    text = [rational_str(Fraction(v, tm.m_mu)) for v in range(tm.m_mu + 1)]
+    rows = (
+        [text[v] for v in np.bincount(row, minlength=tm.dim).tolist()] for row in tm.preimages
+    )
     if args.format == "csv":
         import json
 
@@ -119,7 +130,7 @@ def _generator_matrices(space, gens=None):
     for mu in gens:
         tm = transfer.transfer_matrix(space, mu, 1)
         mats.append(tm.dense())
-        exact.append((tm.counts, tm.m_mu))
+        exact.append(tm.preimages)
     return gens, mats, exact
 
 
@@ -368,7 +379,7 @@ def main(argv=None) -> int:
     except (FileNotFoundError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except transfer.CountingError as exc:  # irregular preimage counts on this input
+    except transfer.InvariantError as exc:  # an exact operator identity failed on this input
         print(f"error: {exc}", file=sys.stderr)
         return CHECK_ERROR
 

@@ -23,6 +23,7 @@ results.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
 from dataclasses import dataclass
@@ -462,12 +463,14 @@ def _walk_region_test(R: RootSystem, target_vec: Vec):
     return inside
 
 
+@functools.lru_cache(maxsize=256)
 def _minimal_walk_data(R: RootSystem, mu: Coweight):
     """BFS between the base alcove and its translate by `mu`.
 
     Returns (distance map, predecessor lists with crossing labels, start, goal).
     Minimal galleries between the two alcoves stay inside the convex hull of
-    their union, so the search is restricted to that finite box.
+    their union, so the search is restricted to that finite box.  Results are
+    cached (root systems are built once per kind) and callers only read them.
     """
     tv = R.coweight_vector(mu)
     start = R.fundamental_alcove()

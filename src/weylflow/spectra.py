@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
+
+from .transfer import InvariantError, compose
 
 DEFAULT_SEED = 0xC0FFEE
 TOL_RES = 1e-8
@@ -107,16 +109,16 @@ class SpectrumReport:
     mismatches: List[str] = field(default_factory=list)
 
 
-def _check_commuting(int_mats: Sequence[Tuple[np.ndarray, int]]):
-    """Exact commutation of count/denominator pairs via integer products."""
-    for (a, ma), (b, mb) in itertools.combinations(int_mats, 2):
-        if not np.array_equal(a @ b, b @ a):
-            raise ValueError("the operator family does not commute exactly")
+def _check_commuting(preimage_lists: Sequence[np.ndarray]):
+    """Exact commutation of operators given as preimage lists: equal gathers."""
+    for a, b in itertools.combinations(preimage_lists, 2):
+        if not np.array_equal(compose(a, b), compose(b, a)):
+            raise InvariantError("the operator family does not commute exactly")
 
 
 def joint_spectrum(
     mats: Sequence[np.ndarray],
-    exact: Optional[Sequence[Tuple[np.ndarray, int]]] = None,
+    exact: Optional[Sequence[np.ndarray]] = None,
     seed: int = DEFAULT_SEED,
     tol_res: float = TOL_RES,
     tol_merge: float = TOL_MERGE,
@@ -403,7 +405,7 @@ def homotopy_zero_check(
 def taylor_report(
     mats: Sequence[np.ndarray],
     theta: float,
-    exact: Optional[Sequence[Tuple[np.ndarray, int]]] = None,
+    exact: Optional[Sequence[np.ndarray]] = None,
     gate_elements: Optional[Sequence[tuple]] = None,
     extra_characters: Sequence[tuple] = (),
     n_offspectrum: int = 8,

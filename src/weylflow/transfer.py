@@ -2,27 +2,44 @@
 
 F_n is spanned by the indicator functions of radius-n germ classes.  The
 operator for a dominant coweight mu averages a function over the M_mu
-preimages of the shift by mu; on F_n it becomes an exact rational matrix
-whose entries are integer counts divided by M_mu.  The counts are taken
-over radius-(n+|mu|) germs, fibered by (shift, restriction):
+preimages of the shift by mu,
 
-    entry[h][g] = #{G : shift(G, mu) = h and G|_n = g} / M_mu
+    (L_mu phi)(h) = (1 / M_mu) * sum of phi(g) over the preimages g of h,
 
-Row sums must equal M_mu exactly; a violation aborts, since it would mean
-the germ tables are inconsistent with the preimage count.
+and a `TransferMatrix` stores exactly those preimages: `preimages` is an
+int32 array of shape (dim, M_mu) whose row h lists the radius-n classes of
+the preimages of h, sorted and with repetition.  The exact matrix entry is
+
+    entry[h][g] = #{G : shift(G, mu) = h and G|_n = g} / M_mu,
+
+the multiplicity of g in row h over M_mu, so an operator takes dim * M_mu
+integers instead of dim^2 (2 MB rather than 8.3 GB for a2q2 on F_4).  The
+counts are taken over radius-(n+|mu|+depth) germs, fibered by (shift,
+restriction), and assembly checks that every row's counts sum to M_mu
+before it packs them; a violation aborts, since it would mean the germ
+tables are inconsistent with the preimage count.  `dense()` forms the
+float matrix, for the eigensolver on F_1.
+
+Composition is a gather: row h of L_1 L_2 is the union of the rows of L_2
+at the entries of row h of L_1, `sort(P2[P1].reshape(dim, -1))`, so the
+semigroup law and commutation are equalities of sorted integer arrays
+(`compose`).
 
 The Lipschitz seminorm of an F_n function is computed exactly: pairs of
 distinct germ classes always resolve their distance within the truncation,
-and pairs in the same class contribute nothing.  The kernel works on a whole
-integer matrix at once: for each level m it sorts the rows by their
-radius-(m-1) class, takes the per-class value range of every column with
-integer max/min `reduceat`, and forms one rational spread_m / (denom *
-theta^m) per level and column.
+and pairs in the same class contribute nothing.  The kernel takes the
+nonzero (row, column, value) cells of an integer matrix, such as
+`cells(preimages)`.  For each level m it groups the cells by column and
+radius-(m-1) class of the row and takes each group's value range with
+integer max/min `reduceat`; a class with a row the column misses also
+holds that row's 0.  It forms one rational spread_m / (denom * theta^m)
+per level and column.  An indicator's own seminorm needs no kernel: it
+follows from the class sizes (`indicator_seminorms`).
 
 Assembly groups the big germs with array operations: group ids from the
 rows' plug-alcove columns, group sizes from `bincount` and the nonzero
 count vectors from the distinct (group, column) cells, so no dense
-(groups x dim) array is formed.
+(groups x dim) or (dim x dim) array is formed.
 """
 
 from __future__ import annotations
@@ -30,7 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,25 +57,48 @@ from .sectors import SectorSpace, byte_keys
 
 @dataclass
 class TransferMatrix:
-    """Exact matrix of one transfer operator on F_n."""
+    """Exact matrix of one transfer operator on F_n, as preimage lists."""
 
     mu: Coweight
     radius: int
-    counts: np.ndarray  # integer preimage counts, shape (dim, dim)
+    preimages: np.ndarray  # int32 (dim, M_mu): each row's preimage classes, sorted
     m_mu: int
 
     @property
     def dim(self) -> int:
-        return self.counts.shape[0]
-
-    def entry(self, h: int, g: int) -> Fraction:
-        return Fraction(int(self.counts[h, g]), self.m_mu)
+        return self.preimages.shape[0]
 
     def dense(self) -> np.ndarray:
-        return self.counts.astype(np.float64) / self.m_mu
+        """The float matrix counts / M_mu; it has dim^2 cells."""
+        dim = self.dim
+        flat = np.arange(dim).repeat(self.preimages.shape[1]) * dim + self.preimages.ravel()
+        return np.bincount(flat, minlength=dim * dim).reshape(dim, dim) / self.m_mu
 
     def row_sums_ok(self) -> bool:
-        return bool(np.all(self.counts.sum(axis=1) == self.m_mu))
+        """Every row lists M_mu preimages, each a class of F_n."""
+        p = self.preimages
+        return bool(
+            p.ndim == 2 and p.shape[1] == self.m_mu and p.min() >= 0 and p.max() < self.dim
+        )
+
+
+def cells(preimages: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row, column, count) of every nonzero entry of sorted preimage lists.
+
+    The cells come in row-major order, as from `np.nonzero` of the dense
+    count matrix.
+    """
+    dim, width = preimages.shape
+    new = np.ones((dim, width), dtype=bool)
+    new[:, 1:] = preimages[:, 1:] != preimages[:, :-1]
+    starts = np.flatnonzero(new)
+    flat = preimages.reshape(-1)
+    return starts // width, flat[starts].astype(np.int64), np.diff(np.r_[starts, flat.size])
+
+
+def compose(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Preimage lists of the product L_first L_second: a gather, then a row sort."""
+    return np.sort(second[first].reshape(len(first), -1), axis=1)
 
 
 def transfer_matrix(
@@ -93,7 +133,11 @@ def transfer_matrix(
     )
 
 
-class CountingError(RuntimeError):
+class InvariantError(RuntimeError):
+    """An exact identity of the transfer operators failed on this input."""
+
+
+class CountingError(InvariantError):
     """The preimage counts of a transfer operator came out irregular."""
 
 
@@ -134,45 +178,58 @@ def _transfer_matrix_at_depth(
         )
     lam = total // m_mu
 
-    # the nonzero entries of every group vector, one (group, column) each
-    cells, hits = np.unique(gid * dim + cols, return_counts=True)
+    # the nonzero entries of every group vector, one (group, column) each,
+    # sorted by group and then column
+    keys, hits = np.unique(gid * dim + cols, return_counts=True)
     if np.any(hits % lam != 0):
         raise CountingError(
             "group counts are not uniform over the preimage multiplicity"
         )
-    group, col, value = cells // dim, cells % dim, hits // lam
-    h = group_row[group]
-    # the first group of each class fills its row; every other must equal it
+    group, col, value = keys // dim, keys % dim, hits // lam
+    # the first group of each class fills its row; every other must repeat
+    # it cell for cell
     classes, leaders = np.unique(group_row, return_index=True)
-    lead = np.zeros(len(first), dtype=bool)
-    lead[leaders] = True
-    sel = lead[group]
-    counts = np.zeros((dim, dim), dtype=np.int64)
-    counts[h[sel], col[sel]] = value[sel]
-    row_nnz = np.bincount(h[sel], minlength=dim)
-    group_nnz = np.bincount(group, minlength=len(first))
-    differs = (counts[h, col] != value) | (group_nnz[group] != row_nnz[h])
+    leader = leaders[np.searchsorted(classes, group_row)][group]
+    nnz = np.bincount(group)
+    start = np.r_[0, np.cumsum(nnz)[:-1]]
+    same = nnz[leader] == nnz[group]
+    mate = np.where(same, start[leader] + np.arange(len(group)) - start[group], 0)
+    differs = ~same | (col[mate] != col) | (value[mate] != value)
     if np.any(differs):
         raise CountingError(
-            f"preimage counts at class {h[np.argmax(differs)]} depend on the representative"
+            f"preimage counts at class {group_row[group[np.argmax(differs)]]} "
+            "depend on the representative"
         )
     if len(classes) != dim:
         raise CountingError("some classes received no conditioning group")
-    return TransferMatrix(mu, radius, counts, m_mu)
+    sel = leader == group
+    h = group_row[group[sel]]
+    order = np.argsort(h, kind="stable")  # keeps each row's columns ascending
+    packed = _pack(h[order], col[sel][order], value[sel][order], dim, m_mu)
+    return TransferMatrix(mu, radius, packed, m_mu)
+
+
+def _pack(row, col, value, dim: int, m_mu: int) -> np.ndarray:
+    """Preimage lists from the nonzero (row, column, count) cells of one operator.
+
+    The cells come sorted by row and then column.  Each row's counts must sum
+    to M_mu before they fill its slot of the (dim, M_mu) array.
+    """
+    sums = np.bincount(row, weights=value, minlength=dim)
+    bad = np.flatnonzero(sums != m_mu)
+    if len(bad):
+        raise CountingError(
+            f"the counts of row {bad[0]} sum to {int(sums[bad[0]])}, not M_mu={m_mu}"
+        )
+    return np.repeat(col, value).astype(np.int32).reshape(dim, m_mu)
 
 
 def apply(tm: TransferMatrix, phi: Sequence) -> List[Fraction]:
     """Exact matrix-vector product for rational (or integer) vectors."""
     if len(phi) != tm.dim:
         raise ValueError("dimension mismatch")
-    out = []
-    for h in range(tm.dim):
-        acc = Fraction(0)
-        row = tm.counts[h]
-        for g in np.nonzero(row)[0]:
-            acc += Fraction(int(row[g])) * Fraction(phi[int(g)])
-        out.append(acc / tm.m_mu)
-    return out
+    values = np.array([Fraction(x) for x in phi], dtype=object)
+    return [total / tm.m_mu for total in values[tm.preimages].sum(axis=1)]
 
 
 def pi_projection(space: SectorSpace, phi: Sequence, m: int, n: int) -> List:
@@ -205,42 +262,49 @@ def lift_to(space: SectorSpace, phi: Sequence, n: int, m: int) -> List:
     return [phi[int(restr[pos])] for pos in range(len(big))]
 
 
-def sup_norm(phi: Sequence) -> Fraction:
-    return max((abs(Fraction(x)) for x in phi), default=Fraction(0))
-
-
 def lipschitz_seminorms(
-    space: SectorSpace, counts: np.ndarray, denom: int, n: int, theta: Fraction
+    space: SectorSpace, entries: tuple, ncols: int, denom: int, n: int, theta: Fraction
 ) -> List[Fraction]:
-    """Exact Lipschitz seminorm of every column of `counts / denom` on F_n.
+    """Exact Lipschitz seminorm of every column of a sparse matrix / denom on F_n.
 
-    Pairs at first-disagreement norm m contribute |dphi| / theta^m; the
-    largest value range inside one radius-(m-1) class realizes the supremum
-    over those pairs, because any two of its members disagree at norm >= m
-    (level 0 is the whole space).  The ranges come from integer
-    `reduceat` over class-sorted rows, so the only rationals are the
-    (n+1) * columns final quotients spread_m / (denom * theta^m).
+    `entries` holds aligned (row, column, value) arrays with at most one cell
+    per entry; entries without a cell are 0.  Pairs at first-disagreement
+    norm m contribute |dphi| / theta^m; the largest value range inside one
+    radius-(m-1) class realizes the supremum over those pairs, because any
+    two of its members disagree at norm >= m (level 0 is the whole space).
+    The ranges come from integer `reduceat` over the cells grouped by
+    (column, class), so the only rationals are the (n+1) * ncols final
+    quotients spread_m / (denom * theta^m).
     """
     table = space.table(n)
+    dim = len(table)
     theta = Fraction(theta)
-    counts = np.asarray(counts)
-    if counts.ndim != 2 or counts.shape[0] != len(table):
+    row, col, value = (np.asarray(a) for a in entries)
+    if len(row) and (row.min() < 0 or row.max() >= dim):
         raise ValueError("dimension mismatch")
-    spreads = [counts.max(axis=0) - counts.min(axis=0)]
-    for m in range(1, n + 1):
-        cls = table.restriction_map(m - 1)
-        order = np.argsort(cls, kind="stable")
-        ranked = cls[order]
-        starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
-        rows = counts[order]
-        ranges = np.maximum.reduceat(rows, starts, axis=0) - np.minimum.reduceat(
-            rows, starts, axis=0
-        )
-        spreads.append(ranges.max(axis=0))
+    spreads = []
+    for m in range(n + 1):
+        cls = table.restriction_map(m - 1) if m else np.zeros(dim, dtype=np.int64)
+        size = np.bincount(cls)
+        key = col * len(size) + cls[row]
+        order = np.argsort(key, kind="stable")
+        key, vals = key[order], value[order]
+        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        hi = np.maximum.reduceat(vals, starts)
+        lo = np.minimum.reduceat(vals, starts)
+        # a class with a row the column misses also holds that row's 0
+        group = key[starts]
+        missed = np.diff(np.r_[starts, len(key)]) < size[group % len(size)]
+        ranges = np.where(missed, np.maximum(hi, 0) - np.minimum(lo, 0), hi - lo)
+        column = group // len(size)
+        firsts = np.flatnonzero(np.r_[True, column[1:] != column[:-1]])
+        spread = np.zeros(ncols, dtype=vals.dtype)
+        spread[column[firsts]] = np.maximum.reduceat(ranges, firsts)
+        spreads.append(spread)
     scales = [denom * theta**m for m in range(n + 1)]
     return [
         max(Fraction(int(spread[c])) / scale for spread, scale in zip(spreads, scales))
-        for c in range(counts.shape[1])
+        for c in range(ncols)
     ]
 
 
@@ -250,12 +314,32 @@ def lipschitz_seminorm(space: SectorSpace, phi: Sequence, n: int, theta: Fractio
     Clears the denominators of `phi` and runs `lipschitz_seminorms` on the
     resulting integer column (object dtype if it would not fit in int64).
     """
+    if len(phi) != len(space.table(n)):
+        raise ValueError("dimension mismatch")
     vals = [Fraction(x) for x in phi]
     denom = math.lcm(*(v.denominator for v in vals))
     ints = [int(v * denom) for v in vals]
     dtype = np.int64 if all(abs(x) < 2**62 for x in ints) else object
-    column = np.array(ints, dtype=dtype).reshape(-1, 1)
-    return lipschitz_seminorms(space, column, denom, n, theta)[0]
+    rows = np.arange(len(ints))
+    column = (rows, np.zeros_like(rows), np.array(ints, dtype=dtype))
+    return lipschitz_seminorms(space, column, 1, denom, n, theta)[0]
+
+
+def indicator_seminorms(space: SectorSpace, n: int, theta: Fraction) -> List[Fraction]:
+    """Exact seminorm of the indicator of every F_n class, from class sizes.
+
+    An indicator's level-m spread is 1 when the radius-(m-1) class of its
+    germ has another member (at level 0, when F_n has another class) and 0
+    otherwise, so its seminorm is theta^-m at the largest such m.
+    """
+    table = space.table(n)
+    theta = Fraction(theta)
+    level = np.full(len(table), 0 if len(table) > 1 else -1)
+    for m in range(1, n + 1):
+        cls = table.restriction_map(m - 1)
+        level[np.bincount(cls)[cls] > 1] = m
+    values = {m: theta**-m if m >= 0 else Fraction(0) for m in range(-1, n + 1)}
+    return [values[m] for m in level.tolist()]
 
 
 @dataclass
@@ -286,8 +370,8 @@ def check_lasota_yorke(
     tm = matrix if matrix is not None else transfer_matrix(space, mu, n)
     factor = theta if mu.strongly_dominant else Fraction(1)
     c_theta = 2 / theta
-    images = lipschitz_seminorms(space, tm.counts, tm.m_mu, n, theta)
-    own = lipschitz_seminorms(space, np.eye(tm.dim, dtype=np.int64), 1, n, theta)
+    images = lipschitz_seminorms(space, cells(tm.preimages), tm.dim, tm.m_mu, n, theta)
+    own = indicator_seminorms(space, n, theta)
     violations = []
     max_slack = None
     for g, (lhs, phi_norm) in enumerate(zip(images, own)):
@@ -303,8 +387,7 @@ def check_lasota_yorke(
 
 def check_sup_contraction(space: SectorSpace, tm: TransferMatrix) -> bool:
     """Row-stochasticity makes the sup norm non-increasing: check on indicators."""
-    col_max = tm.counts.max(axis=0)
-    return bool(np.all(col_max <= tm.m_mu))
+    return bool(cells(tm.preimages)[2].max() <= tm.m_mu)
 
 
 @dataclass
@@ -334,16 +417,12 @@ def check_fn_invariance(space: SectorSpace, mu: Coweight, n: int) -> FnInvarianc
     tm_small = transfer_matrix(space, mu, n)
     tm_big = transfer_matrix(space, mu, n + 1)
     restr = space.table(n + 1).restriction_map(n)
-    # compress columns of the big matrix along restriction fibers; rows are
-    # sorted and restriction keeps a prefix, so each fiber is one column run
-    starts = np.flatnonzero(np.r_[True, restr[1:] != restr[:-1]])
-    if np.array_equal(restr[starts], np.arange(tm_small.dim)):
-        compressed = np.add.reduceat(tm_big.counts, starts, axis=1)
-        bad = np.flatnonzero(np.any(compressed != tm_small.counts[restr], axis=1))
-        if len(bad):
-            details.append(f"big class {bad[0]}: compressed row differs")
-    else:
-        details.append(f"F_{n + 1} classes do not restrict onto F_{n} in order")
+    # compress the columns of the big matrix along the restriction fibers:
+    # each big row, restricted entry by entry, must be the small row of its class
+    compressed = np.sort(restr[tm_big.preimages], axis=1)
+    bad = np.flatnonzero(np.any(compressed != tm_small.preimages[restr], axis=1))
+    if len(bad):
+        details.append(f"big class {bad[0]}: compressed row differs")
     compression_exact = not details
 
     maps_into_smaller = None
@@ -351,7 +430,8 @@ def check_fn_invariance(space: SectorSpace, mu: Coweight, n: int) -> FnInvarianc
         down = space.table(n).restriction_map(n - 1)
         _, first, inverse = np.unique(down, return_index=True, return_inverse=True)
         rep = first[inverse]  # the first row of each radius-(n-1) class
-        bad = np.flatnonzero(np.any(tm_small.counts != tm_small.counts[rep], axis=1))
+        rows = tm_small.preimages
+        bad = np.flatnonzero(np.any(rows != rows[rep], axis=1))
         maps_into_smaller = not len(bad)
         if not maps_into_smaller:
             pos = bad[0]

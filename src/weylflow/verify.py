@@ -3,9 +3,20 @@
 Each check returns CheckResults and holds the one implementation of its
 invariant: the acceptance tests call the checks themselves, and
 `run_suite` drives all of them for one system for the CLI `verify`
-subcommand.  Metric checks run exhaustively over germ pairs using the
-class-array encoding of the ultrametric (sentinel = radius + 1), with the
-explicit region-growing distance cross-checked against it on subsamples.
+subcommand.
+
+The metric checks hold no pair matrix.  A germ's class labels per level
+(restriction classes for the distance exponent k, ray classes of
+direction i for k_i) are made cumulative, so that k(a, b) > m exactly when
+a and b share their level-m label.  A law "k >= k' on the pairs equal on
+a gate" is then one partition refinement per level, (gate, level of k')
+refines (level of k), tested in O(N log N) by counting the classes of a
+meet.  The direction formula k = min_i k_i holds only on resolved pairs,
+so its violating pairs are counted exactly by inclusion-exclusion, with
+sum |class|^2 pairs equal on a partition.  The dense pair matrices
+(`k_matrix`, `ki_matrix`) remain only for the radius-2 cross-check against
+the explicit region-growing distance.  Operator identities compare sorted
+preimage lists (`transfer.compose`).
 """
 
 from __future__ import annotations
@@ -67,12 +78,12 @@ class FixtureContext:
         return self._tms[key]
 
     def family(self, n: int = 1):
-        """Dense generator matrices on F_n plus their exact integer forms."""
+        """Dense generator matrices on F_n plus their exact preimage lists."""
         mats, exact = [], []
         for g in self.generators:
             tm = self.tm(g, n)
             mats.append(tm.dense())
-            exact.append((tm.counts, tm.m_mu))
+            exact.append(tm.preimages)
         return mats, exact
 
 
@@ -156,18 +167,106 @@ def check_tables(ctx: FixtureContext, max_radius: int = 3) -> List[CheckResult]:
     return out
 
 
+def _meet(*labels: np.ndarray) -> np.ndarray:
+    """Labels 0..k-1 of the common refinement of partitions given by labels."""
+    out = np.zeros(len(labels[0]), dtype=np.int64)
+    for lab in labels:
+        _, out = np.unique(out * (int(lab.max()) + 1) + lab, return_inverse=True)
+    return out.reshape(-1)
+
+
+def _cumulative(levels: List[np.ndarray]) -> List[np.ndarray]:
+    """Entry m labels agreement on every level 0..m."""
+    out = [_meet(levels[0])]
+    for lab in levels[1:]:
+        out.append(_meet(out[-1], lab))
+    return out
+
+
+def _refines(p: np.ndarray, q: np.ndarray) -> bool:
+    """Whether every class of the partition p lies inside one class of q."""
+    return _meet(p, q).max() == _meet(p).max()
+
+
+def _pairs(*labels: np.ndarray) -> int:
+    """Ordered pairs, a = b included, equal on every partition: sum of |class|^2."""
+    sizes = np.bincount(_meet(*labels))
+    return int(np.dot(sizes, sizes))
+
+
+# A list of class labels per level 0..n defines k(a, b): the first level on
+# which a and b differ, or n + 1 if none.  With cumulative labels, k > m
+# exactly when a and b agree on entry m, so an inequality between two such
+# k on the pairs equal on a gate is one partition refinement per level.
+
+
+def _k_at_least(gate, big, small, shift: int = 0) -> bool:
+    """Whether k_big >= k_small + shift on the pairs equal on gate.
+
+    Needs len(small) + shift <= len(big): k_small > m - shift must force
+    k_big > m at every level m.
+    """
+    lower = [gate] * shift + [_meet(gate, c) for c in _cumulative(small)]
+    return all(_refines(p, c) for p, c in zip(lower, _cumulative(big)))
+
+
+def _k_at_most(gate, big, small, shift: int = 0) -> bool:
+    """Whether k_big <= k_small + shift on the pairs equal on gate.
+
+    Needs len(small) + shift == len(big): k_big > m must force
+    k_small > m - shift at every level m.
+    """
+    lower = [gate] * shift + _cumulative(small)
+    return all(_refines(_meet(gate, c), p) for p, c in zip(lower, _cumulative(big)))
+
+
+def _direction_violations(levels, rays) -> int:
+    """Pairs where k and every k_i resolve but k != min_i k_i, counted exactly.
+
+    `levels` gives k and `rays[i]` gives k_i, each with n + 1 levels.  The
+    resolution filter makes this law no refinement, so the count runs by
+    inclusion-exclusion over the directions whose k_i does not resolve,
+    with A[x] labelling k > x - 1 and B[y] labelling min_i k_i > y - 1.
+    """
+    n = len(levels) - 1
+    zero = np.zeros(len(levels[0]), dtype=np.int64)
+    rays = [_cumulative(ray) for ray in rays]
+    A = [zero] + _cumulative(levels)
+    B = [zero] + [_meet(*(ray[m] for ray in rays)) for m in range(n + 1)]
+    violations = 0
+    for dirs in itertools.chain.from_iterable(
+        itertools.combinations(range(len(rays)), r) for r in range(len(rays) + 1)
+    ):
+        f = _meet(zero, *(rays[i][n] for i in dirs))
+        # pairs with k resolved, minus those with k = min_i k_i = j for each j
+        count = _pairs(f) - _pairs(A[n + 1], f)
+        for j in range(n + 1):
+            count -= (
+                _pairs(A[j], B[j], f) - _pairs(A[j + 1], B[j], f)
+                - _pairs(A[j], B[j + 1], f) + _pairs(A[j + 1], B[j + 1], f)
+            )
+        violations += (-1) ** len(dirs) * count
+    return violations
+
+
 def check_metric_suite(ctx: FixtureContext, radius: int = 3) -> List[CheckResult]:
+    """The metric laws as refinements of class partitions, in O(N log N) each.
+
+    k comes from the restriction classes and k_i from the ray classes of
+    direction i; the shift laws compare them with the classes of the shifted
+    pair, read through the shift map.
+    """
     out = []
     space = ctx.space
     table = space.table(radius)
     n = radius
     size = len(table)
-    k = table.k_matrix()
-    sent = n + 1
+    levels = [table.restriction_map(m) for m in range(n + 1)]
 
     # ultrametric triple inequality
     if size <= 150:
-        kk = k.astype(np.int32)
+        # k(a, b) counts the levels on which a and b agree cumulatively
+        kk = sum((c[:, None] == c[None, :]).astype(np.int32) for c in _cumulative(levels))
         ok = True
         for b in range(size):
             m = np.minimum(kk[:, b][:, None], kk[b, :][None, :])
@@ -176,20 +275,13 @@ def check_metric_suite(ctx: FixtureContext, radius: int = 3) -> List[CheckResult
                 break
         out.append(CheckResult(f"ultrametric triple inequality (radius {radius})", ok))
     else:
-        # classes are nested partitions by construction, so the triple
-        # inequality is structural; certify the construction instead
-        ok = True
-        for m in range(n + 1):
-            cls = table.restriction_map(m)
-            prev = table.restriction_map(m - 1) if m >= 1 else None
-            if prev is not None:
-                # same class at level m must imply same class at level m-1
-                seen = {}
-                for pos in range(size):
-                    c = int(cls[pos])
-                    if c in seen and prev[pos] != prev[seen[c]]:
-                        ok = False
-                    seen.setdefault(c, pos)
+        # the triple inequality is structural once the agreement partitions
+        # are nested: a germ's level-(m-1) class is the restriction of its
+        # level-m class
+        ok = all(
+            np.array_equal(levels[m - 1], space.table(m).restriction_map(m - 1)[levels[m]])
+            for m in range(1, n + 1)
+        )
         out.append(
             CheckResult(
                 f"ultrametric triple inequality (radius {radius})",
@@ -198,50 +290,41 @@ def check_metric_suite(ctx: FixtureContext, radius: int = 3) -> List[CheckResult
             )
         )
 
-    # max-over-directions formula
-    kis = [table.ki_matrix(i) for i in range(ctx.rank)]
-    kmin = kis[0]
-    for other in kis[1:]:
-        kmin = np.minimum(kmin, other)
-    resolved = (k <= n)
-    for other in kis:
-        resolved &= other <= n
-    ok = bool(np.all(k[resolved] == kmin[resolved]))
+    rays = [[table.ray_classes(i, ell) for ell in range(n + 1)] for i in range(ctx.rank)]
+    ok = _direction_violations(levels, rays) == 0
     out.append(CheckResult(f"direction formula k = min_i k_i (radius {radius})", ok))
 
-    # shift monotonicity and the strong-dominance inequality
+    # on pairs equal on the hull of {0, mu}: k >= k(shifted pair), and one
+    # more for strongly dominant mu
     mono_ok, key_ok, dir_ok = True, True, True
     for mu in ctx.generators + [ctx.strong]:
         if mu.norm > n:
             continue
         gate = table.region_classes(mu)
-        same = gate[:, None] == gate[None, :]
         smap = space.shift_map(n, mu)
-        ksmall = space.table(n - mu.norm).k_matrix()
-        kshift = ksmall[np.ix_(smap, smap)]
-        if np.any(k[same] < kshift[same]):
-            mono_ok = False
-        if mu.strongly_dominant and np.any(k[same] < kshift[same] + 1):
-            key_ok = False
+        small = space.table(n - mu.norm)
+        shifted = [small.restriction_map(m)[smap] for m in range(n - mu.norm + 1)]
+        mono_ok = mono_ok and _k_at_least(gate, levels, shifted)
+        if mu.strongly_dominant:
+            key_ok = key_ok and _k_at_least(gate, levels, shifted, 1)
     out.append(CheckResult(f"shift monotonicity (radius {radius})", mono_ok))
     out.append(CheckResult(f"strong-dominance key inequality (radius {radius})", key_ok))
 
+    # on pairs equal on the first step of ray i: k_i = k_i(shifted pair) + 1,
+    # and k_j >= k_j(shifted pair) for j != i
     for i, mu in enumerate(ctx.generators):
         gate = table.ray_classes(i, 1)
-        same = gate[:, None] == gate[None, :]
         smap = space.shift_map(n, mu)
         small = space.table(n - 1)
-        ki_small = small.ki_matrix(i)[np.ix_(smap, smap)]
-        ki_big = kis[i]
-        if not np.all(ki_big[same] == np.minimum(ki_small[same] + 1, sent)):
-            dir_ok = False
         for j in range(ctx.rank):
+            shifted = [small.ray_classes(j, ell)[smap] for ell in range(n)]
             if j == i:
-                continue
-            kj_small = small.ki_matrix(j)[np.ix_(smap, smap)]
-            kj_big = kis[j]
-            if not np.all(kj_big[same] >= kj_small[same]):
-                dir_ok = False
+                ok = _k_at_least(gate, rays[j], shifted, 1) and _k_at_most(
+                    gate, rays[j], shifted, 1
+                )
+            else:
+                ok = _k_at_least(gate, rays[j], shifted)
+            dir_ok = dir_ok and ok
     out.append(CheckResult(f"directional shift laws (radius {radius})", dir_ok))
     return out
 
@@ -288,8 +371,12 @@ def check_transfer_exact(ctx: FixtureContext) -> List[CheckResult]:
             rows_ok = False
             detail = f"first failure at mu={tuple(bad[0][0].coords)}, n={bad[0][1]}"
     except RuntimeError as exc:
-        rows_ok = False
-        detail = str(exc)
+        # the other identities need these operators: fail them too
+        return [
+            CheckResult("row sums equal M_mu on F_1 and F_2", False, str(exc)),
+            CheckResult("semigroup and commutation exact", False, "operators not assembled"),
+            CheckResult("sup norm non-expansive", False, "operators not assembled"),
+        ]
     out.append(CheckResult("row sums equal M_mu on F_1 and F_2", rows_ok, detail))
 
     semi_ok = True
@@ -302,10 +389,9 @@ def check_transfer_exact(ctx: FixtureContext) -> List[CheckResult]:
                 tm12 = ctx.tm(m1 + m2, n)
                 if tm12.m_mu != tm1.m_mu * tm2.m_mu:
                     semi_ok = False
-                if not np.array_equal(tm1.counts @ tm2.counts, tm12.counts):
-                    semi_ok = False
-                if not np.array_equal(tm2.counts @ tm1.counts, tm12.counts):
-                    semi_ok = False
+                for a, b in ((tm1, tm2), (tm2, tm1)):
+                    if not np.array_equal(transfer.compose(a.preimages, b.preimages), tm12.preimages):
+                        semi_ok = False
     out.append(CheckResult("semigroup and commutation exact", semi_ok))
 
     sup_ok = all(
@@ -352,19 +438,16 @@ def check_lasota_yorke(ctx: FixtureContext) -> List[CheckResult]:
     tm = ctx.tm(mu, 2)
     c_iter = (2 / theta) / (1 - theta)
     iter_ok = True
-    own = transfer.lipschitz_seminorms(ctx.space, np.eye(tm.dim, dtype=np.int64), 1, 2, theta)
-    power, denom = tm.counts, tm.m_mu
+    own = transfer.indicator_seminorms(ctx.space, 2, theta)
+    power, denom = tm.preimages, tm.m_mu
     detail = ""
     for ell in range(1, 4):
         if ell > 1:
-            power = power @ tm.counts
+            power = transfer.compose(power, tm.preimages)
             denom *= tm.m_mu
-        # an int64 overflow in the product would break the exact row sums
-        if not np.all(power.sum(axis=1) == denom):
-            iter_ok = False
-            detail = f"rows of L^{ell} do not sum to {denom}"
-            break
-        images = transfer.lipschitz_seminorms(ctx.space, power, denom, 2, theta)
+        images = transfer.lipschitz_seminorms(
+            ctx.space, transfer.cells(power), tm.dim, denom, 2, theta
+        )
         bad = [g for g, (lhs, phi_norm) in enumerate(zip(images, own))
                if lhs > theta**ell * phi_norm + c_iter]
         if bad:
@@ -516,7 +599,12 @@ def check_rank1_oracle(ctx: FixtureContext, edges) -> List[CheckResult]:
     tm = ctx.tm(Coweight((1,)), 1)
     b, _ = oracles.non_backtracking_matrix(edges)
     perm = oracles.germ_edge_positions(ctx.system, ctx.space.table(1), des)
-    match = tm.m_mu == q and np.array_equal(tm.counts, b.T[np.ix_(perm, perm)])
+    halved = b.T[np.ix_(perm, perm)]
+    nonzero = np.nonzero(halved)
+    match = tm.m_mu == q and all(
+        np.array_equal(x, y)
+        for x, y in zip(transfer.cells(tm.preimages), nonzero + (halved[nonzero],))
+    )
     out.append(CheckResult("transfer matrix equals the halved edge operator", bool(match)))
     mine = np.linalg.eigvals(tm.dense())
     ok = oracles.multiset_close(np.sort_complex(mine), np.sort_complex(vals / q), 1e-8)
@@ -533,12 +621,12 @@ def check_a2_health(ctx: FixtureContext) -> List[CheckResult]:
     t1 = ctx.tm(Coweight((1, 0)), 1)
     m1 = t1.m_mu
     out.append(CheckResult("M_w1 = q^2", m1 == q * q and t1.row_sums_ok(), f"M={m1}"))
-    t2 = ctx.tm(Coweight((0, 1)), 1)
-    ok1 = np.array_equal(t1.counts @ t2.counts, t2.counts @ t1.counts)
-    t1b = ctx.tm(Coweight((1, 0)), 2)
-    t2b = ctx.tm(Coweight((0, 1)), 2)
-    ok2 = np.array_equal(t1b.counts @ t2b.counts, t2b.counts @ t1b.counts)
-    out.append(CheckResult("generators commute exactly on F_1 and F_2", ok1 and ok2))
+    ok = True
+    for n in (1, 2):
+        p1 = ctx.tm(Coweight((1, 0)), n).preimages
+        p2 = ctx.tm(Coweight((0, 1)), n).preimages
+        ok = ok and np.array_equal(transfer.compose(p1, p2), transfer.compose(p2, p1))
+    out.append(CheckResult("generators commute exactly on F_1 and F_2", ok))
     return out
 
 

@@ -46,6 +46,40 @@ def test_failed_preimage_counting_exits_cleanly(tmp_path, capsys):
     assert err.startswith("error: preimage counting failed") and err.count("\n") == 1
 
 
+def test_noncommuting_family_exits_cleanly(monkeypatch, capsys):
+    from weylflow import transfer
+
+    real = transfer.transfer_matrix
+
+    def tampered(space, mu, radius, depth=None):
+        tm = real(space, mu, radius, depth)
+        if mu.coords == (0, 1):
+            rows = tm.preimages.copy()
+            rows[0] = np.sort((rows[0] + 1) % tm.dim)
+            tm = transfer.TransferMatrix(tm.mu, tm.radius, rows, tm.m_mu)
+        return tm
+
+    monkeypatch.setattr(transfer, "transfer_matrix", tampered)
+    assert run(["spectrum", "a2q2"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: the operator family does not commute exactly\n"
+
+
+def test_transfer_refuses_dense_export_above_the_cell_budget(monkeypatch, capsys):
+    from weylflow import transfer
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the budget must refuse before assembly")
+
+    monkeypatch.setattr(transfer, "transfer_matrix", unreachable)
+    assert run(["transfer", "a2q2", "--mu", "1,1", "--radius", "6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: a dense export of F_4 has 1040449536 cells, more than the budget of 100000000\n"
+    )
+
+
 def test_missing_file_is_usage_error(capsys):
     assert run(["validate", "no-such-file.json"]) == 2
 

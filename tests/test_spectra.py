@@ -3,6 +3,7 @@ import pytest
 
 from weylflow import spectra
 from weylflow.rootdata import Coweight
+from weylflow.transfer import InvariantError
 
 
 def test_eigen_identity():
@@ -80,13 +81,11 @@ def test_joint_spectrum_counts_k33(k33):
 
 
 def test_joint_spectrum_rejects_noncommuting():
-    a = np.array([[0.0, 1.0], [0.0, 0.0]])
-    b = np.array([[1.0, 0.0], [0.0, 2.0]])
-    with pytest.raises(ValueError):
-        spectra.joint_spectrum(
-            [a, b],
-            exact=[(np.array([[0, 1], [0, 0]]), 1), (np.array([[1, 0], [0, 2]]), 1)],
-        )
+    # both rows of a see class 1 and both rows of b class 0: ab and ba differ
+    a = np.array([[0.0, 1.0], [0.0, 1.0]])
+    b = np.array([[1.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(InvariantError, match="does not commute"):
+        spectra.joint_spectrum([a, b], exact=[np.array([[1], [1]]), np.array([[0], [0]])])
 
 
 def test_koszul_far_character_vanishes(a2):

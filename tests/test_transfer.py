@@ -4,9 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylflow import oracles, transfer
+from weylflow import oracles, transfer, verify
 from weylflow.rootdata import Coweight
 from weylflow.sectors import SectorSpace
+
+
+def _counts(tm):
+    """The dense integer count matrix, rebuilt entry by entry from the preimage lists."""
+    counts = np.zeros((tm.dim, tm.dim), dtype=np.int64)
+    for h, row in enumerate(tm.preimages.tolist()):
+        assert row == sorted(row) and len(row) == tm.m_mu
+        for g in row:
+            counts[h, g] += 1
+    return counts
 
 
 def test_k33_equals_halved_nonbacktracking(k33):
@@ -14,10 +24,12 @@ def test_k33_equals_halved_nonbacktracking(k33):
     assert tm.m_mu == 2
     b, des = oracles.non_backtracking_matrix([(i, 3 + j) for i in range(3) for j in range(3)])
     perm = oracles.germ_edge_positions(k33.system, k33.space.table(1), des)
-    assert np.array_equal(tm.counts, b.T[np.ix_(perm, perm)])
+    counts = _counts(tm)
+    assert np.array_equal(counts, b.T[np.ix_(perm, perm)])
+    assert np.array_equal(tm.dense(), counts / 2)
     for h in range(tm.dim):
         for g in range(tm.dim):
-            assert tm.entry(h, g) in (Fraction(0), Fraction(1, 2))
+            assert Fraction(int(counts[h, g]), tm.m_mu) in (Fraction(0), Fraction(1, 2))
 
 
 def test_row_sums_every_fixture(contexts):
@@ -30,7 +42,8 @@ def test_row_sums_every_fixture(contexts):
 def test_semigroup_exact_rank1(k33):
     t1 = k33.tm(Coweight((1,)), 2)
     t2 = k33.tm(Coweight((2,)), 2)
-    assert np.array_equal(t1.counts @ t1.counts, t2.counts)
+    assert np.array_equal(_counts(t1) @ _counts(t1), _counts(t2))
+    assert np.array_equal(transfer.compose(t1.preimages, t1.preimages), t2.preimages)
     assert t2.m_mu == t1.m_mu**2
 
 
@@ -39,14 +52,16 @@ def test_semigroup_exact_a2(a2):
     t2 = a2.tm(Coweight((0, 1)), 1)
     t12 = a2.tm(Coweight((1, 1)), 1)
     assert t12.m_mu == t1.m_mu * t2.m_mu
-    assert np.array_equal(t1.counts @ t2.counts, t12.counts)
-    assert np.array_equal(t2.counts @ t1.counts, t12.counts)
+    c1, c2, c12 = _counts(t1), _counts(t2), _counts(t12)
+    assert np.array_equal(c1 @ c2, c12) and np.array_equal(c2 @ c1, c12)
+    for a, b in ((t1, t2), (t2, t1)):
+        assert np.array_equal(transfer.compose(a.preimages, b.preimages), t12.preimages)
 
 
 def test_counting_depth_independent(a2):
     base = transfer.transfer_matrix(a2.space, Coweight((1, 0)), 1, depth=0)
     deeper = transfer.transfer_matrix(a2.space, Coweight((1, 0)), 1, depth=1)
-    assert np.array_equal(base.counts, deeper.counts)
+    assert np.array_equal(base.preimages, deeper.preimages)
 
 
 def test_apply_constant_is_fixed(contexts):
@@ -69,7 +84,7 @@ def test_apply_parity_flips(k33):
 def test_apply_sup_norm_contracts(k33, phi):
     tm = k33.tm(Coweight((1,)), 1)
     out = transfer.apply(tm, phi)
-    assert transfer.sup_norm(out) <= transfer.sup_norm(phi)
+    assert max(abs(x) for x in out) <= max(abs(x) for x in phi)
 
 
 def test_pi_projection_idempotent(k33):
@@ -162,13 +177,27 @@ def test_seminorm_matches_pairwise_definition(k33, a2):
     # every column of an operator matrix at once, against the pair definition
     for ctx, mu in ((k33, Coweight((1,))), (a2, Coweight((1, 1)))):
         tm = ctx.tm(mu, 2)
+        counts = _counts(tm)
         kmat = ctx.space.table(2).k_matrix()
         for theta in (Fraction(1, 2), Fraction(1, 4)):
-            fast = transfer.lipschitz_seminorms(ctx.space, tm.counts, tm.m_mu, 2, theta)
-            assert fast == _pairwise_seminorms(kmat, tm.counts, tm.m_mu, 2, theta)
+            fast = transfer.lipschitz_seminorms(
+                ctx.space, transfer.cells(tm.preimages), tm.dim, tm.m_mu, 2, theta
+            )
+            assert fast == _pairwise_seminorms(kmat, counts, tm.m_mu, 2, theta)
             for g in range(0, tm.dim, 37):
-                image = [Fraction(int(c), tm.m_mu) for c in tm.counts[:, g]]
+                image = [Fraction(int(c), tm.m_mu) for c in counts[:, g]]
                 assert transfer.lipschitz_seminorm(ctx.space, image, 2, theta) == fast[g]
+
+
+def test_indicator_seminorms_match_identity_columns(contexts):
+    for theta in (Fraction(1, 2), Fraction(1, 4)):
+        for name, ctx in contexts.items():
+            dim = len(ctx.space.table(2))
+            identity = np.arange(dim).reshape(-1, 1)  # preimage lists of the identity
+            columns = transfer.lipschitz_seminorms(
+                ctx.space, transfer.cells(identity), dim, 1, 2, theta
+            )
+            assert transfer.indicator_seminorms(ctx.space, 2, theta) == columns, name
 
 
 def test_lasota_yorke_k33_radius2(k33):
@@ -203,9 +232,9 @@ def test_fn_invariance_names_first_witnesses(a2, monkeypatch):
     def tampered(space, mu, radius, depth=None):
         tm = real(space, mu, radius, depth)
         if radius == 2:
-            counts = tm.counts.copy()
-            counts[h] = np.roll(counts[h], 1)
-            tm = transfer.TransferMatrix(tm.mu, tm.radius, counts, tm.m_mu)
+            rows = tm.preimages.copy()
+            rows[h] = np.sort((rows[h] + 1) % tm.dim)  # the dense row, rolled by one
+            tm = transfer.TransferMatrix(tm.mu, tm.radius, rows, tm.m_mu)
         return tm
 
     monkeypatch.setattr(transfer, "transfer_matrix", tampered)
@@ -216,6 +245,35 @@ def test_fn_invariance_names_first_witnesses(a2, monkeypatch):
         f"big class {first_big}: compressed row differs",
         f"rows 0 and {h} differ inside radius-1 class 0",
     ]
+
+
+def test_row_sums_are_checked_before_packing(k33, monkeypatch):
+    real = transfer._pack
+
+    def tampered(row, col, value, dim, m_mu):  # one assembly count off by one
+        value = value.copy()
+        value[0] += 1
+        return real(row, col, value, dim, m_mu)
+
+    monkeypatch.setattr(transfer, "_pack", tampered)
+    rows = verify.check_transfer_exact(verify.FixtureContext("k33", k33.system))[0]
+    assert rows.name == "row sums equal M_mu on F_1 and F_2" and not rows.passed
+    assert "the counts of row 0 sum to 3, not M_mu=2" in rows.detail
+
+
+def test_f3_assembly_peak_memory(a2):
+    import tracemalloc
+
+    mu = Coweight((1, 1))
+    transfer.transfer_matrix(a2.space, mu, 3)  # builds the tables and maps
+    tracemalloc.start()
+    try:
+        tm = transfer.transfer_matrix(a2.space, mu, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tm.preimages.shape == (4032, 16)
+    assert peak < 48 * 2**20, peak
 
 
 def test_counting_rejects_rows_that_depend_on_the_representative(a2):
@@ -235,7 +293,7 @@ def test_counting_rejects_rows_that_depend_on_the_representative(a2):
 def test_zero_shift_is_identity_matrix(k33):
     tm = k33.tm(Coweight((0,)), 1)
     assert tm.m_mu == 1
-    assert np.array_equal(tm.counts, np.eye(tm.dim, dtype=np.int64))
+    assert np.array_equal(tm.preimages, np.arange(tm.dim).reshape(-1, 1))
 
 
 def test_budget_guard():

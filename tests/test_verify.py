@@ -6,6 +6,7 @@ explicit region-growing distance, independently of the class arrays used
 by the exhaustive suites.
 """
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -20,7 +21,7 @@ def test_full_suite_passes(name):
     edges = None
     if ctx.rank == 1:
         edges = [tuple(e) for e in fixtures.fixture_documents()[name]["edges"]]
-    results = run_suite(ctx, metric_radius=2, edges=edges)
+    results = run_suite(ctx, metric_radius=3, edges=edges)
     failures = [r.line() for r in results if not r.passed]
     assert not failures, "\n".join(failures)
     # the suite runs on the row arrays: no large table makes Germ objects
@@ -42,6 +43,126 @@ def test_walk_parameter_details_land_on_their_own_result(a2, monkeypatch):
     assert "not multiplicative" not in unique.detail + inv.detail
     assert not unique.passed and "walks give" in unique.detail
     assert not inv.passed and "reverse walk" in inv.detail
+
+
+def _dense_metric_laws(ctx, n):
+    """The metric laws on dense pair matrices: the reference for check_metric_suite."""
+    space, table = ctx.space, ctx.space.table(n)
+    k = table.k_matrix().astype(int)
+    ultra = all(np.all(k >= np.minimum(k[:, b][:, None], k[b, :][None, :])) for b in range(len(k)))
+    kis = [table.ki_matrix(i).astype(int) for i in range(ctx.rank)]
+    resolved = (k <= n) & np.all([ki <= n for ki in kis], axis=0)
+    direction = np.all(k[resolved] == np.min(kis, axis=0)[resolved])
+    mono = key = directional = True
+    for mu in ctx.generators + [ctx.strong]:
+        if mu.norm > n:
+            continue
+        gate = table.region_classes(mu)
+        same = gate[:, None] == gate[None, :]
+        smap = space.shift_map(n, mu)
+        kshift = space.table(n - mu.norm).k_matrix().astype(int)[np.ix_(smap, smap)]
+        mono &= np.all(k[same] >= kshift[same])
+        if mu.strongly_dominant:
+            key &= np.all(k[same] >= kshift[same] + 1)
+    for i, mu in enumerate(ctx.generators):
+        gate = table.ray_classes(i, 1)
+        same = gate[:, None] == gate[None, :]
+        smap = space.shift_map(n, mu)
+        for j in range(ctx.rank):
+            small = space.table(n - 1).ki_matrix(j).astype(int)[np.ix_(smap, smap)]
+            if j == i:
+                directional &= np.all(kis[i][same] == np.minimum(small[same] + 1, n + 1))
+            else:
+                directional &= np.all(kis[j][same] >= small[same])
+    return [bool(x) for x in (ultra, direction, mono, key, directional)]
+
+
+def _constant_shift_maps(ctx):
+    real = ctx.space.shift_map
+    ctx.space.shift_map = lambda radius, mu: np.zeros_like(real(radius, mu))
+
+
+def _split_first_ray_class(ctx, n):
+    table = ctx.space.table(n)
+    real = table.ray_classes
+
+    def split(direction, ell):
+        cls = real(direction, ell).copy()
+        if (direction, ell) == (0, 1):
+            cls[0] = cls.max() + 1  # germ 0 alone in a new class
+        return cls
+
+    table.ray_classes = split
+
+
+def _first_difference(levels):
+    """k of every pair from bare class labels: the first level where it differs."""
+    k = np.full((len(levels[0]),) * 2, len(levels))
+    for m in reversed(range(len(levels))):
+        k[levels[m][:, None] != levels[m][None, :]] = m
+    return k
+
+
+def test_law_helpers_match_pair_definitions():
+    # random labels are not nested, so bare labels would give other answers
+    rng = np.random.default_rng(3)
+    seen = set()
+    for _ in range(300):
+        size = int(rng.integers(1, 10))
+
+        def labels(count):
+            return [rng.integers(0, 3, size) for _ in range(count)]
+
+        gate = rng.integers(0, 3, size)
+        same = gate[:, None] == gate[None, :]
+        shift = int(rng.integers(0, 2))
+        small = labels(int(rng.integers(1, 4)))
+        big = labels(len(small) + shift + int(rng.integers(0, 2)))
+        kb, ks = _first_difference(big), _first_difference(small)
+        want = bool(np.all(kb[same] >= ks[same] + shift))
+        assert verify._k_at_least(gate, big, small, shift) == want
+        seen.add(("at least", want))
+        if len(big) == len(small) + shift:
+            want = bool(np.all(kb[same] <= ks[same] + shift))
+            assert verify._k_at_most(gate, big, small, shift) == want
+            seen.add(("at most", want))
+        levels = labels(3)
+        rays = [labels(3) for _ in range(int(rng.integers(1, 3)))]
+        k, kis = _first_difference(levels), [_first_difference(ray) for ray in rays]
+        resolved = (k <= 2) & np.all([ki <= 2 for ki in kis], axis=0)
+        want = int(np.sum(resolved & (k != np.min(kis, axis=0))))
+        assert verify._direction_violations(levels, rays) == want
+        seen.add(("direction", want == 0))
+    assert len(seen) == 6  # every helper met both verdicts
+
+
+@pytest.mark.parametrize("name", fixtures.FIXTURES)
+def test_metric_refinements_match_dense_laws(name):
+    system = fixtures.load_fixture(name)
+    for n in (1, 2):
+        for tamper in (None, _constant_shift_maps, _split_first_ray_class):
+            ctx = FixtureContext(name, system)
+            if tamper is _constant_shift_maps:
+                tamper(ctx)
+            elif tamper is not None:
+                tamper(ctx, n)
+            verdicts = [res.passed for res in verify.check_metric_suite(ctx, radius=n)]
+            assert verdicts == _dense_metric_laws(ctx, n), (n, tamper)
+            if tamper is None:
+                assert all(verdicts)
+
+
+def test_tampered_maps_fail_their_laws():
+    system = fixtures.load_fixture("a2q2")
+    ctx = FixtureContext("a2q2", system)
+    _constant_shift_maps(ctx)
+    lines = {res.name: res.passed for res in verify.check_metric_suite(ctx, radius=2)}
+    assert lines["shift monotonicity (radius 2)"] is False
+    ctx = FixtureContext("a2q2", system)
+    _split_first_ray_class(ctx, 2)
+    lines = {res.name: res.passed for res in verify.check_metric_suite(ctx, radius=2)}
+    assert lines["direction formula k = min_i k_i (radius 2)"] is False
+    assert lines["directional shift laws (radius 2)"] is False
 
 
 def _enc(k, radius):
