@@ -2,6 +2,13 @@
 affine buildings: exact root-system combinatorics, sector-germ enumeration,
 ultrametrics, rational transfer matrices, and Koszul joint spectra."""
 
+import os
+
+# The only float LAPACK work is on small F_1 blocks, which threaded OpenBLAS
+# runs slower; this takes effect if numpy is not imported yet, and a value
+# set in the environment wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .rootdata import (
     Coweight,
     ParameterSystem,

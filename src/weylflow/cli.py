@@ -24,6 +24,9 @@ CHECK_ERROR = 1
 # `transfer` writes every entry of the matrix: a2q2 on F_3 (1.6e7 cells)
 # still exports, F_4 (1.04e9) does not
 DENSE_EXPORT_CELLS = 10**8
+# the largest germ table a command builds on request: a2q2 at radius 6
+# (2,064,384 germs) is built, radius 7 (eight times as many) is refused
+GERM_BUDGET = 2**22
 
 
 def _load_input(token: str) -> chamber.ChamberSystem:
@@ -53,6 +56,16 @@ def _parse_theta(text: str) -> Fraction:
     return theta
 
 
+def _check_germ_budget(space: sectors.SectorSpace, radius: int):
+    """Refuse a germ table predicted above GERM_BUDGET, before it is built."""
+    size = space.predicted_size(radius)
+    if size > GERM_BUDGET:
+        raise ValueError(
+            f"a radius-{radius} germ table would hold {size} germs, "
+            f"more than the budget of {GERM_BUDGET}"
+        )
+
+
 def _emit(text: str, out: str | None):
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -70,6 +83,7 @@ def cmd_validate(args) -> int:
 def cmd_germs(args) -> int:
     system = _load_input(args.input)
     space = sectors.SectorSpace(system, check=not args.force)
+    _check_germ_budget(space, args.radius)
     table = space.table(args.radius)
     _emit(dumps_canonical(sectors.export_germs_json(table)), args.out)
     return 0
@@ -88,6 +102,7 @@ def cmd_transfer(args) -> int:
             file=sys.stderr,
         )
         return CHECK_ERROR
+    _check_germ_budget(space, args.radius)
     dim = len(space.table(n))
     if dim * dim > DENSE_EXPORT_CELLS:
         raise ValueError(
@@ -118,20 +133,15 @@ def cmd_transfer(args) -> int:
     return 0
 
 
-def _generator_matrices(space, gens=None):
-    system = space.system
-    rank = system.root_system.rank
-    if gens is None:
-        gens = [
-            Coweight(tuple(1 if j == i else 0 for j in range(rank)))
-            for i in range(rank)
-        ]
-    mats, exact = [], []
-    for mu in gens:
-        tm = transfer.transfer_matrix(space, mu, 1)
-        mats.append(tm.dense())
-        exact.append(tm.preimages)
-    return gens, mats, exact
+def _generator_family(args, generators: str | None = None):
+    """(generators, dense F_1 matrices, preimage lists) of the input's family.
+
+    The generators are the fundamental coweights unless `generators` names
+    others, as `spectrum --generators` does.
+    """
+    ctx = verify.FixtureContext(args.input, _load_input(args.input), check=not args.force)
+    gens = _parse_generators(generators, ctx.rank) if generators else ctx.generators
+    return (gens,) + ctx.family(1, gens)
 
 
 def _parse_generators(text: str, rank: int):
@@ -148,11 +158,7 @@ def _parse_generators(text: str, rank: int):
 
 
 def cmd_spectrum(args) -> int:
-    system = _load_input(args.input)
-    space = sectors.SectorSpace(system, check=not args.force)
-    rank = system.root_system.rank
-    gens = _parse_generators(args.generators, rank) if args.generators else None
-    gens, mats, exact = _generator_matrices(space, gens)
+    gens, mats, exact = _generator_family(args, args.generators)
     report = spectra.taylor_report(
         mats,
         float(args.theta),
@@ -201,9 +207,7 @@ def _parse_chi(text: str, rank: int):
 
 
 def cmd_koszul(args) -> int:
-    system = _load_input(args.input)
-    space = sectors.SectorSpace(system, check=not args.force)
-    gens, mats, exact = _generator_matrices(space)
+    gens, mats, _ = _generator_family(args)
     chi = _parse_chi(args.chi, len(gens)) if args.chi else tuple(1.0 for _ in gens)
     rec = spectra.koszul_complexes(mats, chi, tol_rank=args.tol_rank)
     doc = {
@@ -221,17 +225,18 @@ def cmd_koszul(args) -> int:
 
 def cmd_verify(args) -> int:
     names = list(fixtures.FIXTURES) if args.input == "all" else [args.input]
+    # every input is loaded and its metric radius budgeted before any output
+    contexts = [verify.FixtureContext(name, _load_input(name)) for name in names]
+    for ctx in contexts:
+        _check_germ_budget(ctx.space, args.radius)
     all_ok = True
-    for name in names:
-        system = _load_input(name)
+    for ctx in contexts:
         edges = None
-        if name in fixtures.FIXTURES and system.root_system.rank == 1:
-            doc = fixtures.fixture_documents()[name]
+        if ctx.name in fixtures.FIXTURES and ctx.rank == 1:
+            doc = fixtures.fixture_documents()[ctx.name]
             edges = [tuple(e) for e in doc["edges"]]
-        print(f"== {name} ==")
-        radius = args.radius if args.radius is not None else 3
-        ctx = verify.FixtureContext(name, system)
-        results = verify.run_suite(ctx, metric_radius=radius, edges=edges)
+        print(f"== {ctx.name} ==")
+        results = verify.run_suite(ctx, metric_radius=args.radius, edges=edges)
         for res in results:
             print(res.line())
             all_ok = all_ok and res.passed
@@ -350,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run the full invariant suite")
     common(sp)
-    sp.add_argument("--radius", type=int, default=None,
+    sp.add_argument("--radius", type=positive_int, default=3,
                     help="metric-suite germ radius (default 3)")
     sp.set_defaults(func=cmd_verify)
 

@@ -357,6 +357,7 @@ class SectorSpace:
         self._shift_data: Dict[tuple, tuple] = {}
         self._face_plans: Dict[tuple, list] = {}
         self._covers: Dict[int, tuple] = {}
+        self._ray_face_lists: Dict[int, List[List[int]]] = {}
         # per-system lookup arrays for the table builds and maps
         types = system.index_set
         n = system.num_chambers
@@ -392,6 +393,17 @@ class SectorSpace:
         if radius not in self._tables:
             self._tables[radius] = GermTable(self, radius)
         return self._tables[radius]
+
+    def predicted_size(self, radius: int) -> int:
+        """|T_1| (|T_2| / |T_1|)^(radius - 1), from the tables up to radius 2 only.
+
+        The bundled systems' tables grow by one fixed factor from radius 1
+        on, so there the prediction is exact.
+        """
+        if radius <= 2:
+            return len(self.table(radius))
+        t1, t2 = len(self.table(1)), len(self.table(2))
+        return int(t1 * Fraction(t2, t1) ** (radius - 1))
 
     def _extension_plan(self, radius: int):
         """How to place the alcoves of the radius ring, one at a time.
@@ -546,23 +558,32 @@ class SectorSpace:
             if fi not in region:
                 k = norm
                 break
-        kdir = []
-        for i in range(R.rank):
-            ki = SENTINEL
-            for ell in range(n + 1):
-                v = R.coweight_vector(
-                    Coweight(tuple(ell if j == i else 0 for j in range(R.rank)))
-                )
-                vidx = trunc.vertex_index.get(v)
-                if vidx is None:
-                    break
-                if trunc.face_index[(vidx,)] not in region:
-                    ki = ell
-                    break
-            kdir.append(ki)
-        result = DistanceResult(k, tuple(kdir), frozenset(region))
+        kdir = tuple(
+            next((ell for ell, fi in enumerate(ray) if fi not in region), SENTINEL)
+            for ray in self._ray_faces(n)
+        )
+        result = DistanceResult(k, kdir, frozenset(region))
         value = theta ** (k if k is not SENTINEL else n)
         return result, value
+
+    def _ray_faces(self, radius: int) -> List[List[int]]:
+        """Per direction i, the face indices of the vertices ell * w_i inside the truncation."""
+        if radius not in self._ray_face_lists:
+            R = self.root_system
+            trunc = self.truncation(radius)
+            rays = []
+            for i in range(R.rank):
+                ray = []
+                for ell in range(radius + 1):
+                    v = R.coweight_vector(
+                        Coweight(tuple(ell if j == i else 0 for j in range(R.rank)))
+                    )
+                    if v not in trunc.vertex_index:
+                        break
+                    ray.append(trunc.face_index[(trunc.vertex_index[v],)])
+                rays.append(ray)
+            self._ray_face_lists[radius] = rays
+        return self._ray_face_lists[radius]
 
     def _cover_relations(self, trunc: TruncatedSector):
         key = trunc.radius

@@ -10,10 +10,16 @@ identity sum_i (A_i - chi_i) B_i(chi) = A_mu - chi(mu).
 Rank decisions use a relative singular-value threshold with an explicit
 ambiguity band; characters with singular values inside the band are
 reported as ambiguous rather than classified.
+
+Cohomology does not depend on theta; only the magnitude gate of
+`taylor_report` does.  `verify` therefore shares one joint spectrum and
+one Koszul record per character among its spectral checks and both
+thetas of the Taylor check.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
@@ -149,6 +155,7 @@ def joint_spectrum(
             max(abs(a - b) for a, b in zip(chi, other)) < tol_merge for other in merged
         ):
             merged.append(chi)
+    scale = max(np.linalg.norm(m, 2) for m in mats)
     out = []
     for chi in merged:
         null_dim, vecs, _ = _stacked_null_space(mats, chi, tol_rank)
@@ -156,7 +163,7 @@ def joint_spectrum(
             continue
         v = vecs[:, 0]
         res = max(float(np.linalg.norm(m @ v - c * v)) for m, c in zip(mats, chi))
-        if res > tol_res * max(np.linalg.norm(m, 2) for m in mats):
+        if res > tol_res * scale:
             continue
         out.append(JointEigenvalue(chi, null_dim, res, v))
     out.sort(key=lambda j: tuple((c.real, c.imag) for c in j.chi))
@@ -413,6 +420,8 @@ def taylor_report(
     tol_res: float = TOL_RES,
     tol_rank: float = TOL_RANK,
     tol_merge: float = TOL_MERGE,
+    joint: Optional[List[JointEigenvalue]] = None,
+    koszul=None,
 ) -> SpectrumReport:
     """Classify characters as joint eigenvalues and by Koszul cohomology.
 
@@ -420,14 +429,20 @@ def taylor_report(
     away from the per-operator spectra, and any user-supplied tuples.  A
     character passing the magnitude gate must be a Taylor member (nonzero
     cohomology) exactly when it matches a joint eigenvalue.
+
+    Only the gate depends on theta.  A caller that classifies for several
+    thetas passes the joint spectrum it holds and `koszul`, a memo of
+    `koszul_complexes` by character, so neither is computed twice.
     """
     mats = [np.asarray(m, dtype=np.complex128) for m in mats]
     r = len(mats)
     if gate_elements is None:
         gate_elements = default_gate_elements(r)
-    joint = joint_spectrum(
-        mats, exact=exact, seed=seed, tol_res=tol_res, tol_merge=tol_merge, tol_rank=tol_rank
-    )
+    if joint is None:
+        joint = joint_spectrum(
+            mats, exact=exact, seed=seed, tol_res=tol_res, tol_merge=tol_merge, tol_rank=tol_rank
+        )
+    koszul = koszul or functools.partial(koszul_complexes, mats, tol_rank=tol_rank)
     per_op = [[val for val, _, _ in eigen(m, tol_res=max(tol_res, 1e-6))] for m in mats]
     rng = np.random.default_rng(seed ^ 0x5EED)
     off = []
@@ -454,7 +469,7 @@ def taylor_report(
     joint_set = [j.chi for j in joint]
     for chi in tested:
         ch = Character(tuple(chi), tuple(gate_elements))
-        rec = koszul_complexes(mats, chi, tol_rank=tol_rank)
+        rec = koszul(chi)
         member = any(h != 0 for h in rec.cohomology)
         report.cohomology[tuple(chi)] = rec.cohomology
         if rec.ambiguous:

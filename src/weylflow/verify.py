@@ -17,6 +17,12 @@ sum |class|^2 pairs equal on a partition.  The dense pair matrices
 (`k_matrix`, `ki_matrix`) remain only for the radius-2 cross-check against
 the explicit region-growing distance.  Operator identities compare sorted
 preimage lists (`transfer.compose`).
+
+The spectral checks on F_1 share their float work through the
+`FixtureContext`: one joint spectrum of the generator family (with the
+exact commutation check) and one Koszul record per character.  The Taylor
+check reads both for its two thetas, since cohomology does not depend on
+theta; only the magnitude gate does.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List
 
 import numpy as np
@@ -53,14 +60,15 @@ class CheckResult:
 
 
 class FixtureContext:
-    """Caches germ tables and transfer matrices for one system."""
+    """Caches germ tables, transfer matrices and F_1 spectral data for one system."""
 
-    def __init__(self, name: str, system: ChamberSystem):
+    def __init__(self, name: str, system: ChamberSystem, check: bool = True):
         self.name = name
         self.system = system
-        self.space = SectorSpace(system)
+        self.space = SectorSpace(system, check=check)
         self.rank = system.root_system.rank
         self._tms: Dict[tuple, transfer.TransferMatrix] = {}
+        self._koszul: Dict[tuple, spectra.KoszulComplexRec] = {}
 
     @property
     def generators(self) -> List[Coweight]:
@@ -77,14 +85,31 @@ class FixtureContext:
             self._tms[key] = transfer.transfer_matrix(self.space, mu, n)
         return self._tms[key]
 
-    def family(self, n: int = 1):
+    def family(self, n: int = 1, gens=None):
         """Dense generator matrices on F_n plus their exact preimage lists."""
         mats, exact = [], []
-        for g in self.generators:
+        for g in gens or self.generators:
             tm = self.tm(g, n)
             mats.append(tm.dense())
             exact.append(tm.preimages)
         return mats, exact
+
+    # The spectral checks share one joint spectrum and one Koszul record per
+    # character of the F_1 generator family.
+
+    @cached_property
+    def f1(self):
+        return self.family(1)
+
+    @cached_property
+    def joint(self) -> List[spectra.JointEigenvalue]:
+        mats, exact = self.f1
+        return spectra.joint_spectrum(mats, exact=exact)
+
+    def koszul(self, chi) -> spectra.KoszulComplexRec:
+        if chi not in self._koszul:
+            self._koszul[chi] = spectra.koszul_complexes(self.f1[0], chi)
+        return self._koszul[chi]
 
 
 # ----------------------------------------------------------------------
@@ -478,11 +503,11 @@ def check_fn_invariance(ctx: FixtureContext) -> List[CheckResult]:
 
 def check_joint_trivial(ctx: FixtureContext) -> List[CheckResult]:
     out = []
-    mats, exact = ctx.family(1)
+    mats, _ = ctx.f1
     dim = mats[0].shape[0]
     ones = np.ones(dim) / np.sqrt(dim)
     res = max(float(np.linalg.norm(m @ ones - ones)) for m in mats)
-    joint = spectra.joint_spectrum(mats, exact=exact)
+    joint = ctx.joint
     has_one = any(
         max(abs(c - 1) for c in j.chi) < 1e-9 for j in joint
     )
@@ -501,13 +526,12 @@ def check_joint_trivial(ctx: FixtureContext) -> List[CheckResult]:
 
 def check_koszul_suite(ctx: FixtureContext, n_random: int = 100, seed: int = 7) -> List[CheckResult]:
     out = []
-    mats, exact = ctx.family(1)
+    mats, _ = ctx.f1
     r = len(mats)
-    dim = mats[0].shape[0]
     rng = np.random.default_rng(seed)
     per_op = [np.linalg.eigvals(m) for m in mats]
 
-    joint = spectra.joint_spectrum(mats, exact=exact)
+    joint = ctx.joint
     chars = [j.chi for j in joint]
     randoms = [
         tuple(complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)) for _ in range(r))
@@ -517,7 +541,7 @@ def check_koszul_suite(ctx: FixtureContext, n_random: int = 100, seed: int = 7) 
     dd_ok, euler_ok, far_ok, dual_ok = True, True, True, True
     scale = max(np.linalg.norm(m, 2) for m in mats) + 1.0
     for chi in chars + randoms:
-        rec = spectra.koszul_complexes(mats, chi)
+        rec = ctx.koszul(chi)
         if rec.max_defect > 1e-10 * scale:
             dd_ok = False
         if sum((-1) ** p * h for p, h in enumerate(rec.cohomology)) != 0:
@@ -534,15 +558,14 @@ def check_koszul_suite(ctx: FixtureContext, n_random: int = 100, seed: int = 7) 
 
     h0_ok = True
     for j in joint:
-        rec = spectra.koszul_complexes(mats, j.chi)
-        if rec.cohomology[0] != j.multiplicity:
+        if ctx.koszul(j.chi).cohomology[0] != j.multiplicity:
             h0_ok = False
     out.append(CheckResult("dim H^0 equals the joint eigenspace dimension", h0_ok))
     return out
 
 
 def check_parametrix(ctx: FixtureContext, n_random: int = 20, seed: int = 11) -> List[CheckResult]:
-    mats, _ = ctx.family(1)
+    mats, _ = ctx.f1
     r = len(mats)
     rng = np.random.default_rng(seed)
     exps = [e for e in itertools.product(range(5), repeat=r) if 0 < sum(e) <= 4]
@@ -560,7 +583,7 @@ def check_parametrix(ctx: FixtureContext, n_random: int = 20, seed: int = 11) ->
         chi = tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(r))
         _, ok = spectra.homotopy_zero_check(mats, chi, tuple(1 for _ in range(r)))
         hom_ok = hom_ok and ok
-    for j in spectra.joint_spectrum(mats)[:5]:
+    for j in ctx.joint[:5]:
         _, ok = spectra.homotopy_zero_check(mats, j.chi, tuple(1 for _ in range(r)))
         hom_ok = hom_ok and ok
     return [
@@ -571,9 +594,9 @@ def check_parametrix(ctx: FixtureContext, n_random: int = 20, seed: int = 11) ->
 
 def check_taylor_main(ctx: FixtureContext) -> List[CheckResult]:
     out = []
-    mats, exact = ctx.family(1)
+    mats, _ = ctx.f1
     for theta in (0.25, 0.5):
-        report = spectra.taylor_report(mats, theta, exact=exact)
+        report = spectra.taylor_report(mats, theta, joint=ctx.joint, koszul=ctx.koszul)
         gate_chars = list(report.taylor)
         joint_set = [j.chi for j in report.joint]
         ok = not report.mismatches

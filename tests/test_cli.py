@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from weylflow import fixtures
+from weylflow import cli, fixtures
 from weylflow.cli import main
 from weylflow.io_utils import dumps_canonical
 
@@ -178,6 +178,54 @@ def test_verify_subcommand_small(capsys):
     assert run(["verify", "k33", "--radius", "2"]) == 0
     out = capsys.readouterr().out
     assert "[PASS]" in out and "[FAIL]" not in out
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_verify_rejects_nonpositive_radius(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "k33", "--radius", value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith("argument --radius: must be >= 1")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["germs", "a2q2", "--radius", "8"],
+        ["transfer", "a2q2", "--mu", "1,0", "--radius", "7"],
+        ["verify", "a2q2", "--radius", "7"],
+    ],
+)
+def test_germ_budget_refuses_before_building(args, monkeypatch, capsys):
+    from weylflow import sectors
+
+    built = []
+    real = sectors.GermTable.__init__
+
+    def recording(self, space, radius):
+        built.append(radius)
+        real(self, space, radius)
+
+    monkeypatch.setattr(sectors.GermTable, "__init__", recording)
+    assert run(args) == 2
+    assert max(built) <= 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    radius = args[-1]
+    assert captured.err == (
+        f"error: a radius-{radius} germ table would hold {4032 * 8 ** (int(radius) - 3)} germs, "
+        "more than the budget of 4194304\n"
+    )
+
+
+def test_germ_size_prediction_is_exact_on_the_fixtures(contexts):
+    for name, ctx in contexts.items():
+        sizes = [len(ctx.space.table(n)) for n in range(5)]
+        assert [ctx.space.predicted_size(n) for n in range(5)] == sizes, name
+    assert contexts["a2q2"].space.predicted_size(6) == 2064384 <= cli.GERM_BUDGET
+    assert contexts["a2q2"].space.predicted_size(7) > cli.GERM_BUDGET
 
 
 def test_dumps_canonical_format():

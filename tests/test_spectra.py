@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -174,3 +179,18 @@ def test_taylor_far_character_not_member(k33):
     report = spectra.taylor_report(mats, 0.5, exact=exact, extra_characters=[(10.0 + 0j,)])
     assert report.taylor[(10.0 + 0j,)] is False
     assert not report.mismatches
+
+
+@pytest.mark.parametrize("user_value", [None, "2"])
+def test_import_defaults_openblas_to_one_thread(user_value):
+    import weylflow
+
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(weylflow.__file__).resolve().parents[1])
+    if user_value is not None:
+        env["OPENBLAS_NUM_THREADS"] = user_value
+    code = "import os, weylflow; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == f"{user_value or 1}\n"

@@ -10,20 +10,38 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from weylflow import fixtures, verify
+from weylflow import fixtures, spectra, verify
 from weylflow.sectors import SENTINEL
 from weylflow.verify import FixtureContext, run_suite
 
 
+def _counting(monkeypatch, module, name):
+    """Record the arguments of every call of module.name."""
+    calls, real = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("name", fixtures.FIXTURES)
-def test_full_suite_passes(name):
+def test_full_suite_passes(name, monkeypatch):
     ctx = FixtureContext(name, fixtures.load_fixture(name))
     edges = None
     if ctx.rank == 1:
         edges = [tuple(e) for e in fixtures.fixture_documents()[name]["edges"]]
+    joint_calls = _counting(monkeypatch, spectra, "joint_spectrum")
+    koszul_calls = _counting(monkeypatch, spectra, "koszul_complexes")
     results = run_suite(ctx, metric_radius=3, edges=edges)
     failures = [r.line() for r in results if not r.passed]
     assert not failures, "\n".join(failures)
+    # the spectral checks share one joint spectrum and one record per character
+    assert len(joint_calls) == 1
+    chars = [chi for _, chi in koszul_calls]
+    assert len(chars) == len(set(chars)) > len(ctx.joint)
     # the suite runs on the row arrays: no large table makes Germ objects
     tables = ctx.space._tables
     assert max(tables) >= 3
@@ -212,8 +230,6 @@ def test_max_formula_on_sampled_a2_pairs(a2, data):
 
 
 def test_k33_gated_eigenvalues_are_members(contexts):
-    from weylflow import spectra
-
     ctx = contexts["k33"]
     mats, exact = ctx.family(1)
     report = spectra.taylor_report(mats, 0.5, exact=exact)
@@ -221,3 +237,71 @@ def test_k33_gated_eigenvalues_are_members(contexts):
         gate = spectra.Character(j.chi, spectra.default_gate_elements(1))
         if gate.passes_gate(0.5):
             assert report.taylor[j.chi] is True
+
+
+def test_shared_joint_spectrum_is_a_fresh_one(contexts):
+    for name, ctx in contexts.items():
+        mats, exact = ctx.family(1)
+        fresh = spectra.joint_spectrum(mats, exact=exact)
+        assert [(j.chi, j.multiplicity, j.residual) for j in ctx.joint] == [
+            (j.chi, j.multiplicity, j.residual) for j in fresh
+        ], name
+        assert all(np.array_equal(a.vector, b.vector) for a, b in zip(ctx.joint, fresh))
+
+
+def test_taylor_check_matches_direct_reports(contexts, monkeypatch):
+    real, shared = spectra.taylor_report, []
+
+    def recording(*args, **kwargs):
+        shared.append(real(*args, **kwargs))
+        return shared[-1]
+
+    monkeypatch.setattr(spectra, "taylor_report", recording)
+    for name, ctx in contexts.items():
+        shared.clear()
+        assert all(res.passed for res in verify.check_taylor_main(ctx))
+        assert [report.theta for report in shared] == [0.25, 0.5]
+        mats, exact = ctx.family(1)
+        for theta, got in zip((0.25, 0.5), shared):
+            want = real(mats, theta, exact=exact)
+            for field in ("taylor", "cohomology", "ambiguous", "mismatches"):
+                assert getattr(got, field) == getattr(want, field), (name, theta, field)
+
+
+def _rays_from_coweight_vertices(trunc, rank):
+    """Per direction i, face indices of the vertices ell * w_i, via the coweight vertex list."""
+    where = {cw.coords: vidx for cw, _, vidx in trunc.coweight_vertices}
+    rays = []
+    for i in range(rank):
+        ray = []
+        for ell in range(trunc.radius + 1):
+            coords = tuple(ell if j == i else 0 for j in range(rank))
+            if coords not in where:
+                break
+            ray.append(trunc.face_index[(where[coords],)])
+        rays.append(ray)
+    return rays
+
+
+def test_cached_ray_faces_match_the_coweight_vertices(contexts):
+    for name, ctx in contexts.items():
+        for n in range(4):
+            want = _rays_from_coweight_vertices(ctx.space.truncation(n), ctx.rank)
+            assert ctx.space._ray_faces(n) == want, (name, n)
+            # radius 0 has no alcoves, so no vertices
+            assert [len(ray) for ray in want] == [n + 1 if n else 0] * ctx.rank
+
+
+@pytest.mark.parametrize("name", ["k33", "a2q2"])
+@pytest.mark.parametrize(
+    "tamper",
+    [lambda ray: ray[:-1], lambda ray: [fi + 1 for fi in ray]],
+    ids=["last-vertex-dropped", "shifted-by-one"],
+)
+def test_tampered_ray_faces_fail_the_distance_cross_check(contexts, monkeypatch, name, tamper):
+    space = contexts[name].space
+    rays = space._ray_faces(2)
+    monkeypatch.setitem(space._ray_face_lists, 2, [tamper(ray) for ray in rays])
+    res = verify.check_distance_cross_validation(contexts[name], radius=2)
+    assert not res.passed
+    assert res.detail.startswith("pair (") and "direction" in res.detail
