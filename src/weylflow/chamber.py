@@ -81,6 +81,8 @@ class ChamberSystem:
         self.residues: Dict[int, List[List[int]]] = {}
         self.block_of: Dict[int, List[int]] = {}
         self.size_flags: List[str] = []
+        if set(residues) != set(self.index_set):
+            raise ValueError(f"{kind} needs one partition for each type {list(self.index_set)}")
         for i in self.index_set:
             blocks = _canonical_partition(residues[i])
             self._check_partition(i, blocks)
@@ -100,6 +102,9 @@ class ChamberSystem:
         self._partitions: Dict[frozenset, Tuple[List[int], int]] = {}
 
     def _check_partition(self, i, blocks):
+        listed = sum(map(len, blocks))
+        if listed != self.num_chambers:
+            raise ValueError(f"type {i}: the blocks list {listed} chambers, not {self.num_chambers}")
         seen = [False] * self.num_chambers
         for b in blocks:
             for c in b:
@@ -350,7 +355,7 @@ def from_triangle_presentation(points: int, lam, triples) -> ChamberSystem:
     if P <= 0 or not triples:
         raise ValueError("empty presentation")
     lam = list(lam)
-    if sorted(lam) != list(range(P)):
+    if len(lam) != P or sorted(lam) != list(range(P)):
         raise ValueError("lambda must be a permutation of the points")
     T = sorted({tuple(int(x) for x in t) for t in triples})
     for t in T:
@@ -397,14 +402,61 @@ def from_triangle_presentation(points: int, lam, triples) -> ChamberSystem:
 # file input and output
 
 
-def _loads(path: str) -> dict:
+def _int_list(value) -> bool:
+    return isinstance(value, list) and all(type(x) is int for x in value)
+
+
+def _require(ok: bool, what: str):
+    """The structural check of a loader: a malformed field is a ValueError."""
+    if not ok:
+        raise ValueError(f"malformed input: {what}")
+
+
+def _check_structure(data: dict, fmt: str):
+    """Check the types of the fields `load` reads, before any is used."""
+    if fmt == CHAMBER_FORMAT:
+        q, residues, vertex_ids = data.get("q"), data.get("residues"), data.get("vertex_ids")
+        _require(isinstance(data.get("root_system"), str), "root_system is not a string")
+        _require(type(data.get("num_chambers")) is int, "num_chambers is not an integer")
+        _require(isinstance(q, dict) and all(type(v) is int for v in q.values()),
+                 "q does not map types to integers")
+        _require(isinstance(residues, dict)
+                 and all(isinstance(bl, list) and all(map(_int_list, bl)) for bl in residues.values()),
+                 "residues do not map types to lists of integer lists")
+        _require(vertex_ids is None
+                 or isinstance(vertex_ids, dict) and all(map(_int_list, vertex_ids.values())),
+                 "vertex_ids do not map types to integer lists")
+    elif fmt == GRAPH_FORMAT:
+        edges = data.get("edges")
+        _require(isinstance(edges, list) and all(_int_list(e) and len(e) == 2 for e in edges),
+                 "edges are not a list of integer pairs")
+    elif fmt == TRIANGLE_FORMAT:
+        _require(type(data.get("points")) is int, "points is not an integer")
+        _require(_int_list(data.get("lambda")), "lambda is not an integer list")
+        triples = data.get("triples")
+        _require(isinstance(triples, list) and all(map(_int_list, triples)),
+                 "triples are not a list of integer lists")
+
+
+def read_document(path: str) -> dict:
+    """The JSON object in `path`, with the fields of its format type-checked.
+
+    Any malformed input raises ValueError (OSError if it cannot be read).
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError("the input JSON is nested too deeply") from None
+    if not isinstance(data, dict):
+        raise ValueError("the input is not a JSON object")
+    _check_structure(data, data.get("format"))
+    return data
 
 
 def load(path: str) -> ChamberSystem:
     """Load a chamber system from any of the supported JSON formats."""
-    data = _loads(path)
+    data = read_document(path)
     fmt = data.get("format")
     if fmt == CHAMBER_FORMAT:
         residues = {int(i): blocks for i, blocks in data["residues"].items()}

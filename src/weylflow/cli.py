@@ -1,14 +1,20 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 on a semantic failure (failed validation or a
-failed check), 2 on usage or I/O errors.  All outputs are deterministic for
-a fixed input and flag set; JSON is emitted with sorted keys and floats at
-17 significant digits.
+failed check), 2 on usage or I/O errors, a reader that closes stdout early
+included.  All outputs are deterministic for a fixed input and flag set;
+JSON is emitted with sorted keys and floats at 17 significant digits.  The
+germ and transfer exports are rendered from their integer arrays and
+written in chunks; the small documents go through `dumps_canonical`.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
+import contextlib
+import itertools
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -16,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import chamber, fixtures, oracles, sectors, spectra, transfer, verify
-from .io_utils import dumps_canonical, rational_str
+from .io_utils import dumps_canonical, rational_str, stream_canonical
 from .rootdata import Coweight
 
 USAGE_ERROR = 2
@@ -27,6 +33,9 @@ DENSE_EXPORT_CELLS = 10**8
 # the largest germ table a command builds on request: a2q2 at radius 6
 # (2,064,384 germs) is built, radius 7 (eight times as many) is refused
 GERM_BUDGET = 2**22
+# larger radii are refused before the prediction, a power with the radius
+# as its exponent, is computed
+MAX_RADIUS = 64
 
 
 def _load_input(token: str) -> chamber.ChamberSystem:
@@ -50,14 +59,19 @@ def _parse_mu(text: str, rank: int) -> Coweight:
 
 
 def _parse_theta(text: str) -> Fraction:
-    theta = Fraction(text)
+    try:
+        theta = Fraction(text)
+    except (ValueError, ZeroDivisionError):  # "x", "1/0"
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
     if not (0 < theta < 1):
-        raise ValueError("--theta must lie strictly between 0 and 1")
+        raise argparse.ArgumentTypeError("must lie strictly between 0 and 1")
     return theta
 
 
 def _check_germ_budget(space: sectors.SectorSpace, radius: int):
     """Refuse a germ table predicted above GERM_BUDGET, before it is built."""
+    if radius > MAX_RADIUS:
+        raise ValueError(f"radius {radius} is above the largest supported radius {MAX_RADIUS}")
     size = space.predicted_size(radius)
     if size > GERM_BUDGET:
         raise ValueError(
@@ -66,11 +80,15 @@ def _check_germ_budget(space: sectors.SectorSpace, radius: int):
         )
 
 
-def _emit(text: str, out: str | None):
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+def _output(out: str | None):
+    """The --out file opened for writing, or stdout (left open on exit)."""
+    return open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout)
+
+
+def _emit(chunks, out: str | None):
+    """Write an iterable of text chunks to --out or stdout."""
+    with _output(out) as fh:
+        fh.writelines(chunks)
 
 
 def cmd_validate(args) -> int:
@@ -85,7 +103,8 @@ def cmd_germs(args) -> int:
     space = sectors.SectorSpace(system, check=not args.force)
     _check_germ_budget(space, args.radius)
     table = space.table(args.radius)
-    _emit(dumps_canonical(sectors.export_germs_json(table)), args.out)
+    with _output(args.out) as fh:
+        sectors.write_germs_json(table, fh)
     return 0
 
 
@@ -116,20 +135,19 @@ def cmd_transfer(args) -> int:
         "M_mu": tm.m_mu,
         "dim": tm.dim,
     }
-    # format each possible count once; each row's counts come from its preimages
+    # format each possible count once; each row's counts come from its
+    # preimages, and the rows are rendered and written one at a time
     text = [rational_str(Fraction(v, tm.m_mu)) for v in range(tm.m_mu + 1)]
-    rows = (
-        [text[v] for v in np.bincount(row, minlength=tm.dim).tolist()] for row in tm.preimages
-    )
+    counts = (np.bincount(row, minlength=tm.dim).tolist() for row in tm.preimages)
     if args.format == "csv":
         import json
 
-        lines = [json.dumps(header, sort_keys=True)] + [",".join(row) for row in rows]
-        _emit("\n".join(lines) + "\n", args.out)
+        rows = (",".join([text[v] for v in c]) + "\n" for c in counts)
+        _emit(itertools.chain([json.dumps(header, sort_keys=True) + "\n"], rows), args.out)
     else:
-        doc = dict(header)
-        doc["entries"] = list(rows)
-        _emit(dumps_canonical(doc), args.out)
+        quoted = [f'   "{t}"' for t in text]
+        rows = ("  [\n" + ",\n".join([quoted[v] for v in c]) + "\n  ]" for c in counts)
+        _emit(stream_canonical(header, "entries", rows), args.out)
     return 0
 
 
@@ -141,6 +159,8 @@ def _generator_family(args, generators: str | None = None):
     """
     ctx = verify.FixtureContext(args.input, _load_input(args.input), check=not args.force)
     gens = _parse_generators(generators, ctx.rank) if generators else ctx.generators
+    # the operator of mu on F_1 reads the germs of radius 1 + |mu|
+    _check_germ_budget(ctx.space, 1 + max(g.norm for g in gens))
     return (gens,) + ctx.family(1, gens)
 
 
@@ -191,7 +211,7 @@ def cmd_spectrum(args) -> int:
             for chi in report.offspectrum
         ],
     }
-    _emit(dumps_canonical(doc), args.out)
+    _emit([dumps_canonical(doc)], args.out)
     if report.mismatches:
         print("Taylor/joint mismatch: " + "; ".join(report.mismatches), file=sys.stderr)
         return CHECK_ERROR
@@ -203,6 +223,8 @@ def _parse_chi(text: str, rank: int):
     vals = tuple(complex(p) for p in parts)
     if len(vals) != rank:
         raise ValueError(f"--chi needs {rank} complex entries")
+    if not all(cmath.isfinite(v) for v in vals):
+        raise ValueError("--chi entries must be finite")
     return vals
 
 
@@ -219,7 +241,7 @@ def cmd_koszul(args) -> int:
         "max_defect": rec.max_defect,
         "ambiguous": rec.ambiguous,
     }
-    _emit(dumps_canonical(doc), args.out)
+    _emit([dumps_canonical(doc)], args.out)
     return 0
 
 
@@ -244,17 +266,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_ihara(args) -> int:
-    path = Path(args.input)
     if args.input in fixtures.FIXTURES:
         doc = fixtures.fixture_documents()[args.input]
     else:
-        import json
-
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = chamber.read_document(args.input)
     if doc.get("format") != chamber.GRAPH_FORMAT:
-        print("ihara needs a graph/v1 input", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("ihara needs a graph/v1 input")
     edges = [tuple(e) for e in doc["edges"]]
     vals, residual, des, q = oracles.ihara_spectrum(edges)
     doc = {
@@ -264,7 +281,7 @@ def cmd_ihara(args) -> int:
         "identity_residual": residual,
         "eigenvalues": [complex(v) for v in vals],
     }
-    _emit(dumps_canonical(doc), args.out)
+    _emit([dumps_canonical(doc)], args.out)
     return 0
 
 
@@ -279,13 +296,13 @@ def cmd_gen_graph(args) -> int:
         print(f"unknown graph kind {args.kind}", file=sys.stderr)
         return USAGE_ERROR
     doc = {"format": chamber.GRAPH_FORMAT, "edges": [list(e) for e in edges]}
-    _emit(dumps_canonical(doc), args.out)
+    _emit([dumps_canonical(doc)], args.out)
     return 0
 
 
 def cmd_gen_a2(args) -> int:
     doc = fixtures.a2_presentation(args.q)
-    _emit(dumps_canonical(doc), args.out)
+    _emit([dumps_canonical(doc)], args.out)
     return 0
 
 
@@ -297,19 +314,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_input=True):
+    def common(sp, with_input=True, out=True, force=True):
+        """Add the arguments shared by subcommands: only those the command honours."""
         if with_input:
             sp.add_argument(
                 "input",
                 help="path to an input file, a bundled fixture name "
                 f"({', '.join(fixtures.FIXTURES)}), or 'all' for verify",
             )
-        sp.add_argument("--out", help="write output to a file instead of stdout")
-        sp.add_argument("--force", action="store_true",
-                        help="proceed even if the local-building checks fail")
+        if out:
+            sp.add_argument("--out", help="write output to a file instead of stdout")
+        if force:
+            sp.add_argument("--force", action="store_true",
+                            help="proceed even if the local-building checks fail")
 
     sp = sub.add_parser("validate", help="run the local-building checks")
-    common(sp)
+    common(sp, out=False, force=False)
     sp.set_defaults(func=cmd_validate)
 
     def positive_int(text):
@@ -354,22 +374,22 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_koszul)
 
     sp = sub.add_parser("verify", help="run the full invariant suite")
-    common(sp)
+    common(sp, out=False, force=False)
     sp.add_argument("--radius", type=positive_int, default=3,
                     help="metric-suite germ radius (default 3)")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("ihara", help="independent edge-operator oracle for graphs")
-    common(sp)
+    common(sp, force=False)
     sp.set_defaults(func=cmd_ihara)
 
     sp = sub.add_parser("gen-graph", help="emit a bundled graph input file")
-    common(sp, with_input=False)
+    common(sp, with_input=False, force=False)
     sp.add_argument("--kind", choices=("k33", "q3", "biregular"), required=True)
     sp.set_defaults(func=cmd_gen_graph)
 
     sp = sub.add_parser("gen-a2", help="emit the bundled triangle presentation")
-    common(sp, with_input=False)
+    common(sp, with_input=False, force=False)
     sp.add_argument("--q", type=int, default=2)
     sp.set_defaults(func=cmd_gen_a2)
 
@@ -379,9 +399,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for name, value in vars(args).items():
+        if isinstance(value, list):  # argparse before 3.12 reads `--mu=--` as []
+            parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     try:
-        return args.func(args)
-    except (FileNotFoundError, ValueError, KeyError) as exc:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout left early (`| head`): stop quietly; stdout
+        # goes to devnull so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: output closed before it was written", file=sys.stderr)
+        return USAGE_ERROR
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except transfer.InvariantError as exc:  # an exact operator identity failed on this input

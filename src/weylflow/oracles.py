@@ -63,6 +63,8 @@ def germ_edge_positions(system, table, des) -> np.ndarray:
 
 
 def _check_bipartite_regular(edges):
+    if not edges:
+        raise ValueError("empty edge list")
     verts = sorted({x for e in edges for x in e})
     nbrs = {v: set() for v in verts}
     for u, v in edges:

@@ -43,6 +43,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .chamber import ChamberSystem
+from .io_utils import stream_canonical
 from .rootdata import (
     Coweight,
     RootSystem,
@@ -623,12 +624,24 @@ def enumerate_germs(system: ChamberSystem, radius: int, check: bool = True) -> G
     return SectorSpace(system, check=check).table(radius)
 
 
-def export_germs_json(table: GermTable) -> dict:
-    return {
-        "format": "germs/v1",
-        "radius": table.radius,
-        "count": len(table),
-        "germs": [
-            {"sigma": s, "chambers": chambers} for s, *chambers in table.rows.tolist()
-        ],
-    }
+def write_germs_json(table: GermTable, fh, chunk_rows: int = 4096):
+    """Write the table as a germs/v1 document, rendered from its rows in chunks.
+
+    The text equals `dumps_canonical` of the document
+    {"format", "radius", "count", "germs": [{"sigma", "chambers"}, ...]},
+    but no per-germ object is made: each chunk of rows is one `%` format of
+    a fixed per-row template over the chunk's integers, chambers first.
+    """
+    width = table.rows.shape[1]
+    chambers = ",\n".join(["    %d"] * (width - 1))
+    row = '  {\n   "chambers": ' + (f"[\n{chambers}\n   ]" if chambers else "[]")
+    row += ',\n   "sigma": %d\n  }'
+    columns = list(range(1, width)) + [0]
+
+    def chunks():
+        for start in range(0, len(table), chunk_rows):
+            block = table.rows[start : start + chunk_rows, columns]
+            yield ",\n".join([row] * len(block)) % tuple(block.ravel().tolist())
+
+    head = {"format": "germs/v1", "radius": table.radius, "count": len(table)}
+    fh.writelines(stream_canonical(head, "germs", chunks()))

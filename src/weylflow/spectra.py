@@ -409,6 +409,11 @@ def homotopy_zero_check(
 # full report
 
 
+def operator_eigenvalues(mats: Sequence[np.ndarray], tol_res: float = TOL_RES):
+    """Each matrix's eigenvalues, in `eigen` order."""
+    return [[val for val, _, _ in eigen(m, tol_res=max(tol_res, 1e-6))] for m in mats]
+
+
 def taylor_report(
     mats: Sequence[np.ndarray],
     theta: float,
@@ -422,6 +427,7 @@ def taylor_report(
     tol_merge: float = TOL_MERGE,
     joint: Optional[List[JointEigenvalue]] = None,
     koszul=None,
+    per_op: Optional[List[List[complex]]] = None,
 ) -> SpectrumReport:
     """Classify characters as joint eigenvalues and by Koszul cohomology.
 
@@ -431,8 +437,9 @@ def taylor_report(
     cohomology) exactly when it matches a joint eigenvalue.
 
     Only the gate depends on theta.  A caller that classifies for several
-    thetas passes the joint spectrum it holds and `koszul`, a memo of
-    `koszul_complexes` by character, so neither is computed twice.
+    thetas passes the joint spectrum it holds, `koszul`, a memo of
+    `koszul_complexes` by character, and `per_op`, the
+    `operator_eigenvalues` of `mats`, so none of them is computed twice.
     """
     mats = [np.asarray(m, dtype=np.complex128) for m in mats]
     r = len(mats)
@@ -443,7 +450,8 @@ def taylor_report(
             mats, exact=exact, seed=seed, tol_res=tol_res, tol_merge=tol_merge, tol_rank=tol_rank
         )
     koszul = koszul or functools.partial(koszul_complexes, mats, tol_rank=tol_rank)
-    per_op = [[val for val, _, _ in eigen(m, tol_res=max(tol_res, 1e-6))] for m in mats]
+    if per_op is None:
+        per_op = operator_eigenvalues(mats, tol_res)
     rng = np.random.default_rng(seed ^ 0x5EED)
     off = []
     guard = 0

@@ -20,9 +20,10 @@ preimage lists (`transfer.compose`).
 
 The spectral checks on F_1 share their float work through the
 `FixtureContext`: one joint spectrum of the generator family (with the
-exact commutation check) and one Koszul record per character.  The Taylor
-check reads both for its two thetas, since cohomology does not depend on
-theta; only the magnitude gate does.
+exact commutation check), one eigenvalue list per generator and one Koszul
+record per character.  The Taylor check reads all three for its two
+thetas, since cohomology does not depend on theta; only the magnitude gate
+does.
 """
 
 from __future__ import annotations
@@ -100,6 +101,11 @@ class FixtureContext:
     @cached_property
     def f1(self):
         return self.family(1)
+
+    @cached_property
+    def eigenvalues(self) -> List[List[complex]]:
+        """Each F_1 generator's eigenvalues."""
+        return spectra.operator_eigenvalues(self.f1[0])
 
     @cached_property
     def joint(self) -> List[spectra.JointEigenvalue]:
@@ -529,7 +535,7 @@ def check_koszul_suite(ctx: FixtureContext, n_random: int = 100, seed: int = 7) 
     mats, _ = ctx.f1
     r = len(mats)
     rng = np.random.default_rng(seed)
-    per_op = [np.linalg.eigvals(m) for m in mats]
+    per_op = ctx.eigenvalues
 
     joint = ctx.joint
     chars = [j.chi for j in joint]
@@ -596,7 +602,9 @@ def check_taylor_main(ctx: FixtureContext) -> List[CheckResult]:
     out = []
     mats, _ = ctx.f1
     for theta in (0.25, 0.5):
-        report = spectra.taylor_report(mats, theta, joint=ctx.joint, koszul=ctx.koszul)
+        report = spectra.taylor_report(
+            mats, theta, joint=ctx.joint, koszul=ctx.koszul, per_op=ctx.eigenvalues
+        )
         gate_chars = list(report.taylor)
         joint_set = [j.chi for j in report.joint]
         ok = not report.mismatches

@@ -1,12 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import weylflow
 from weylflow import cli, fixtures
 from weylflow.cli import main
-from weylflow.io_utils import dumps_canonical
+from weylflow.io_utils import dumps_canonical, rational_str, stream_canonical
 
 
 def run(args):
@@ -238,4 +243,110 @@ def test_dumps_canonical_format():
         '{\n "10": [\n  [\n   0.5,\n   -0.33333333333333331\n  ],\n  "-3/4"\n ],\n'
         ' "2": [\n  2,\n  true,\n  null,\n  "s",\n  7\n ],\n'
         ' "b": 0.10000000000000001\n}\n'
+    )
+
+
+def test_stream_canonical_matches_dumps_canonical():
+    head = {"b": [1, 2], "a": 0.5}
+    items = [{"x": [k, -k]} for k in range(5)]
+    expected = dumps_canonical({**head, "list": items})
+    rendered = [dumps_canonical(item)[:-1].replace("\n", "\n  ") for item in items]
+    chunks = ["  " + ",\n  ".join(rendered[:2]), "  " + ",\n  ".join(rendered[2:])]
+    assert "".join(stream_canonical(head, "list", chunks)) == expected
+    assert "".join(stream_canonical(head, "list", [])) == dumps_canonical({**head, "list": []})
+
+
+def _transfer_document(tm) -> dict:
+    """The transfer JSON document built cell by cell: the reference for the writer."""
+    counts = np.zeros((tm.dim, tm.dim), dtype=np.int64)
+    np.add.at(counts, (np.repeat(np.arange(tm.dim), tm.m_mu), tm.preimages.ravel()), 1)
+    text = [rational_str(Fraction(c, tm.m_mu)) for c in range(tm.m_mu + 1)]
+    return {
+        "mu": list(tm.mu.coords),
+        "radius": tm.radius,
+        "M_mu": tm.m_mu,
+        "dim": tm.dim,
+        "entries": [[text[c] for c in row] for row in counts.tolist()],
+    }
+
+
+def test_transfer_json_writer_matches_the_canonical_dump(contexts, tmp_path):
+    out = tmp_path / "m.json"
+    for name, ctx in contexts.items():
+        for mu in ctx.generators + [ctx.strong]:
+            for n in (1, 2):
+                args = ["transfer", name, "--mu", ",".join(map(str, mu.coords)),
+                        "--radius", str(n + mu.norm), "--out", str(out)]
+                assert run(args) == 0
+                assert out.read_text() == dumps_canonical(_transfer_document(ctx.tm(mu, n)))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["germs", "a2q2", "--radius", "2"],
+        ["transfer", "a2q2", "--mu", "1,0", "--radius", "2"],
+        ["transfer", "a2q2", "--mu", "1,1", "--radius", "3", "--format", "csv"],
+        ["spectrum", "k33"],
+    ],
+)
+def test_stdout_equals_the_out_file(args, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(args + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert run(args) == 0
+    assert capsys.readouterr().out == out.read_text()
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["validate", "k33"], ["--out", "x.txt"]),
+        (["validate", "k33"], ["--force"]),
+        (["verify", "k33"], ["--out", "x.txt"]),
+        (["verify", "k33"], ["--force"]),
+        (["ihara", "q3"], ["--force"]),
+        (["gen-graph", "--kind", "k33"], ["--force"]),
+        (["gen-a2"], ["--force"]),
+    ],
+)
+def test_flags_a_command_ignores_are_rejected(args, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(args + flag)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith("unrecognized arguments: " + " ".join(flag))
+
+
+def _cli_process(*args) -> subprocess.Popen:
+    env = dict(os.environ, PYTHONPATH=str(Path(weylflow.__file__).parents[1]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "weylflow.cli", *args],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+
+
+@pytest.mark.parametrize(
+    "args", [["verify", "k33", "--radius", "1"], ["germs", "a2q2", "--radius", "3"]]
+)
+def test_closed_stdout_exits_cleanly(args):
+    # the reader leaves before any output arrives, as `| head` may
+    proc = _cli_process(*args)
+    proc.stdout.close()
+    err = proc.communicate(timeout=120)[1].decode()
+    assert proc.returncode == 2
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_spectrum_budgets_the_generators_before_building(capsys):
+    assert run(["spectrum", "k33", "--generators", "30"]) == 2
+    assert capsys.readouterr().err == (
+        "error: a radius-31 germ table would hold 19327352832 germs, "
+        "more than the budget of 4194304\n"
+    )
+    assert run(["germs", "k33", "--radius", str(10**12)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: radius {10**12} is above the largest supported radius {cli.MAX_RADIUS}\n"
     )

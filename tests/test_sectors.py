@@ -1,10 +1,14 @@
+import io
+import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from weylflow.io_utils import dumps_canonical
 from weylflow.rootdata import Coweight
-from weylflow.sectors import SENTINEL, SectorSpace
+from weylflow.sectors import SENTINEL, SectorSpace, write_germs_json
 
 
 def test_germ_counts_rank1(k33):
@@ -166,15 +170,70 @@ def test_germ_table_canonical_order(contexts):
             assert keys == sorted(keys)
 
 
-def test_germ_export_schema(k33):
-    from weylflow.sectors import export_germs_json
+def _germs_document(table):
+    """The germs/v1 document as one dict per germ: the reference for the writer."""
+    return {
+        "format": "germs/v1",
+        "radius": table.radius,
+        "count": len(table),
+        "germs": [{"sigma": s, "chambers": chambers} for s, *chambers in table.rows.tolist()],
+    }
 
-    doc = export_germs_json(k33.space.table(2))
+
+def _written(table, **kwargs) -> str:
+    fh = io.StringIO()
+    write_germs_json(table, fh, **kwargs)
+    return fh.getvalue()
+
+
+class _Discard:
+    def write(self, text):
+        pass
+
+    def writelines(self, chunks):
+        for _ in chunks:
+            pass
+
+
+def test_germ_export_schema(k33):
+    doc = json.loads(_written(k33.space.table(2)))
     assert doc["format"] == "germs/v1"
     assert doc["radius"] == 2
     assert doc["count"] == 36
     assert len(doc["germs"]) == 36
     assert set(doc["germs"][0]) == {"sigma", "chambers"}
+
+
+def test_germs_writer_matches_the_canonical_dump(contexts):
+    for name, ctx in contexts.items():
+        for n in (0, 1, 2, 3):
+            table = ctx.space.table(n)
+            expected = dumps_canonical(_germs_document(table))
+            assert _written(table) == expected, (name, n)
+            # several chunks, the last one short
+            assert _written(table, chunk_rows=5) == expected, (name, n)
+
+
+def test_germs_writer_memory_against_the_document_route(a2):
+    # a2q2 radius 4 (32,256 germs): the whole document as dicts and one
+    # string, against chunks rendered from the rows, each into a sink that
+    # keeps nothing
+    table = a2.space.table(4)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        expected = dumps_canonical(_germs_document(table))
+        _Discard().write(expected)
+        document_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        write_germs_json(table, _Discard())
+        stream_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert 4 * stream_peak <= document_peak, (stream_peak, document_peak)
+    assert _written(table) == expected
 
 
 def test_shift_maps_match_per_germ_shifts(contexts):

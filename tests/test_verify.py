@@ -35,11 +35,14 @@ def test_full_suite_passes(name, monkeypatch):
         edges = [tuple(e) for e in fixtures.fixture_documents()[name]["edges"]]
     joint_calls = _counting(monkeypatch, spectra, "joint_spectrum")
     koszul_calls = _counting(monkeypatch, spectra, "koszul_complexes")
+    eigen_calls = _counting(monkeypatch, spectra, "eigen")
     results = run_suite(ctx, metric_radius=3, edges=edges)
     failures = [r.line() for r in results if not r.passed]
     assert not failures, "\n".join(failures)
     # the spectral checks share one joint spectrum and one record per character
     assert len(joint_calls) == 1
+    # one eigensolve for the joint spectrum and one per generator: 3 on a2q2
+    assert len(eigen_calls) == 1 + ctx.rank
     chars = [chi for _, chi in koszul_calls]
     assert len(chars) == len(set(chars)) > len(ctx.joint)
     # the suite runs on the row arrays: no large table makes Germ objects
