@@ -80,14 +80,9 @@ def _check_germ_budget(space: sectors.SectorSpace, radius: int):
         )
 
 
-def _output(out: str | None):
-    """The --out file opened for writing, or stdout (left open on exit)."""
-    return open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout)
-
-
 def _emit(chunks, out: str | None):
-    """Write an iterable of text chunks to --out or stdout."""
-    with _output(out) as fh:
+    """Write an iterable of text chunks to --out or stdout (left open on exit)."""
+    with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
         fh.writelines(chunks)
 
 
@@ -103,8 +98,7 @@ def cmd_germs(args) -> int:
     space = sectors.SectorSpace(system, check=not args.force)
     _check_germ_budget(space, args.radius)
     table = space.table(args.radius)
-    with _output(args.out) as fh:
-        sectors.write_germs_json(table, fh)
+    _emit(sectors.germs_json_chunks(table), args.out)
     return 0
 
 

@@ -38,7 +38,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 
@@ -70,6 +70,8 @@ class Germ:
 
 
 SENTINEL = None  # distance not resolved within the truncation radius
+# rows per text chunk of the germs/v1 export
+_GERM_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -624,13 +626,14 @@ def enumerate_germs(system: ChamberSystem, radius: int, check: bool = True) -> G
     return SectorSpace(system, check=check).table(radius)
 
 
-def write_germs_json(table: GermTable, fh, chunk_rows: int = 4096):
-    """Write the table as a germs/v1 document, rendered from its rows in chunks.
+def germs_json_chunks(table: GermTable) -> Iterator[str]:
+    """The table as a germs/v1 document, in chunks rendered from its rows.
 
     The text equals `dumps_canonical` of the document
     {"format", "radius", "count", "germs": [{"sigma", "chambers"}, ...]},
-    but no per-germ object is made: each chunk of rows is one `%` format of
-    a fixed per-row template over the chunk's integers, chambers first.
+    but no per-germ object is made: each chunk of _GERM_CHUNK_ROWS rows is
+    one `%` format of a fixed per-row template over the chunk's integers,
+    chambers first.
     """
     width = table.rows.shape[1]
     chambers = ",\n".join(["    %d"] * (width - 1))
@@ -639,9 +642,14 @@ def write_germs_json(table: GermTable, fh, chunk_rows: int = 4096):
     columns = list(range(1, width)) + [0]
 
     def chunks():
-        for start in range(0, len(table), chunk_rows):
-            block = table.rows[start : start + chunk_rows, columns]
+        for start in range(0, len(table), _GERM_CHUNK_ROWS):
+            block = table.rows[start : start + _GERM_CHUNK_ROWS, columns]
             yield ",\n".join([row] * len(block)) % tuple(block.ravel().tolist())
 
     head = {"format": "germs/v1", "radius": table.radius, "count": len(table)}
-    fh.writelines(stream_canonical(head, "germs", chunks()))
+    return stream_canonical(head, "germs", chunks())
+
+
+def write_germs_json(table: GermTable, fh):
+    """Write the table as a germs/v1 document to the text file `fh`."""
+    fh.writelines(germs_json_chunks(table))

@@ -271,14 +271,15 @@ def _transfer_document(tm) -> dict:
 
 
 def test_transfer_json_writer_matches_the_canonical_dump(contexts, tmp_path):
+    # the strong coweight: the largest M_mu, so the most distinct entries
     out = tmp_path / "m.json"
     for name, ctx in contexts.items():
-        for mu in ctx.generators + [ctx.strong]:
-            for n in (1, 2):
-                args = ["transfer", name, "--mu", ",".join(map(str, mu.coords)),
-                        "--radius", str(n + mu.norm), "--out", str(out)]
-                assert run(args) == 0
-                assert out.read_text() == dumps_canonical(_transfer_document(ctx.tm(mu, n)))
+        mu = ctx.strong
+        for n in (1, 2):
+            args = ["transfer", name, "--mu", ",".join(map(str, mu.coords)),
+                    "--radius", str(n + mu.norm), "--out", str(out)]
+            assert run(args) == 0
+            assert out.read_text() == dumps_canonical(_transfer_document(ctx.tm(mu, n)))
 
 
 @pytest.mark.parametrize(

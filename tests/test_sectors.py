@@ -6,9 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from weylflow import sectors
 from weylflow.io_utils import dumps_canonical
 from weylflow.rootdata import Coweight
-from weylflow.sectors import SENTINEL, SectorSpace, write_germs_json
+from weylflow.sectors import SENTINEL, SectorSpace, germs_json_chunks, write_germs_json
 
 
 def test_germ_counts_rank1(k33):
@@ -180,19 +181,10 @@ def _germs_document(table):
     }
 
 
-def _written(table, **kwargs) -> str:
+def _written(table) -> str:
     fh = io.StringIO()
-    write_germs_json(table, fh, **kwargs)
+    write_germs_json(table, fh)
     return fh.getvalue()
-
-
-class _Discard:
-    def write(self, text):
-        pass
-
-    def writelines(self, chunks):
-        for _ in chunks:
-            pass
 
 
 def test_germ_export_schema(k33):
@@ -204,31 +196,33 @@ def test_germ_export_schema(k33):
     assert set(doc["germs"][0]) == {"sigma", "chambers"}
 
 
-def test_germs_writer_matches_the_canonical_dump(contexts):
+def test_germs_writer_matches_the_canonical_dump(contexts, monkeypatch):
     for name, ctx in contexts.items():
         for n in (0, 1, 2, 3):
             table = ctx.space.table(n)
             expected = dumps_canonical(_germs_document(table))
             assert _written(table) == expected, (name, n)
             # several chunks, the last one short
-            assert _written(table, chunk_rows=5) == expected, (name, n)
+            with monkeypatch.context() as m:
+                m.setattr(sectors, "_GERM_CHUNK_ROWS", 5)
+                assert _written(table) == expected, (name, n)
 
 
 def test_germs_writer_memory_against_the_document_route(a2):
-    # a2q2 radius 4 (32,256 germs): the whole document as dicts and one
-    # string, against chunks rendered from the rows, each into a sink that
-    # keeps nothing
+    # a2q2 radius 4 (32,256 germs, eight chunks): the whole document as
+    # dicts and one string, against chunks rendered from the rows and
+    # dropped as they come
     table = a2.space.table(4)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
         expected = dumps_canonical(_germs_document(table))
-        _Discard().write(expected)
         document_peak = tracemalloc.get_traced_memory()[1] - base
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        write_germs_json(table, _Discard())
+        for _ in germs_json_chunks(table):
+            pass
         stream_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
