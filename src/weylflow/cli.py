@@ -108,13 +108,11 @@ def cmd_transfer(args) -> int:
     mu = _parse_mu(args.mu, system.root_system.rank)
     n = args.radius - mu.norm
     if n < 1:
-        print(
+        raise ValueError(
             f"germ budget {args.radius} cannot hold the operator for mu={args.mu}: "
             f"building it on F_n consumes germ radius n + {mu.norm}; "
-            f"need --radius >= {mu.norm + 1}",
-            file=sys.stderr,
+            f"need --radius >= {mu.norm + 1}"
         )
-        return CHECK_ERROR
     _check_germ_budget(space, args.radius)
     dim = len(space.table(n))
     if dim * dim > DENSE_EXPORT_CELLS:

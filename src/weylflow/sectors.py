@@ -19,6 +19,13 @@ made only on demand (`germs`, `index`, `position`); `SectorSpace.shift` and
 `SectorSpace.restrict` act on them one at a time and are the independent
 route the maps are tested against.
 
+Every array of a build is in the row dtype or narrower (the padded block
+array in the signed type that holds its -1), so a build step holds the old
+and the new row array, and the final sort one int64 index per germ and a
+sorted copy: the peak is about 2.5 times the stored rows.  A lookup of a
+contiguous query in the row dtype adds only an int64 position, one gathered
+key and a flag per query row.
+
 Two germs at distance theta^k first disagree at a dominant coweight of norm
 k, where "agree at lambda" means the connected component of the base vertex
 inside the face-by-face agreement region reaches lambda.  Faces are compared
@@ -196,7 +203,7 @@ class GermTable:
             if k == 0:
                 # the first alcove's chamber lies in the parent's base class
                 mask = space._base_cls[perms[sig, 0]] == base[:, None]
-                cand = np.broadcast_to(np.arange(mask.shape[1]), mask.shape)
+                cand = np.broadcast_to(np.arange(mask.shape[1], dtype=space._dtype), mask.shape)
             else:
                 if not prop:
                     raise AssertionError(f"alcove {k} has no placed panel neighbour")
@@ -206,15 +213,16 @@ class GermTable:
                 mask = cand >= 0
                 for j, lab in rest:
                     t = perms[sig, lab]
-                    same_block = space._block_of[t[:, None], cand]
-                    mask &= same_block == space._block_of[t, rows[:, 1 + j]][:, None]
+                    block = space._block_of[t, rows[:, 1 + j]]
+                    mask &= space._block_of[t[:, None], cand] == block[:, None]
                     mask &= cand != rows[:, 1 + j][:, None]
             for j in star:
                 mask &= cand != rows[:, 1 + j][:, None]
-            ri, ci = np.nonzero(mask)
-            rows = rows[ri]
-            rows[:, 1 + k] = cand[ri, ci]
-            base = base[ri]
+            counts = np.count_nonzero(mask, axis=1)
+            rows = np.repeat(rows, counts, axis=0)
+            rows[:, 1 + k] = cand[mask]
+            base = np.repeat(base, counts)
+            del sig, cand, mask, counts  # `sig` views the old rows, which go with it
         order = np.lexsort(rows.T[::-1])
         self.rows = rows[order]
         self.base = base[order]
@@ -229,15 +237,23 @@ class GermTable:
         """Positions of the query rows in this table; KeyError if one is missing.
 
         A query row is a full table row, or (rotation, base class) at radius 0.
+        A query in the row dtype is searched as it is; any other is first
+        converted, and refused if a value does not survive the conversion.
         """
         query = np.asarray(query)
-        rows = query.astype(self.rows.dtype)
-        if not np.array_equal(rows, query):  # a value the row dtype cannot hold
-            raise KeyError(f"query out of range for radius-{self.radius} rows")
+        width = self._key_rows(self.radius).shape[1]
+        if query.ndim != 2 or query.shape[1] != width:
+            raise KeyError(f"query of shape {query.shape}, radius-{self.radius} keys have width {width}")
+        rows = query
+        if query.dtype != self.rows.dtype:
+            rows = query.astype(self.rows.dtype)
+            if not np.array_equal(rows, query):  # a value the row dtype cannot hold
+                raise KeyError(f"query out of range for radius-{self.radius} rows")
         keys = byte_keys(rows)
         pos = np.searchsorted(self._keys, keys)
-        found = pos < len(self._keys)
-        found[found] = self._keys[pos[found]] == keys[found]
+        # a row past the last key is clipped onto it and then fails to match
+        np.minimum(pos, len(self._keys) - 1, out=pos)
+        found = self._keys[pos] == keys
         if not found.all():
             bad = query[np.flatnonzero(~found)[0]].tolist()
             raise KeyError(f"{bad} is not a radius-{self.radius} germ")
@@ -364,13 +380,15 @@ class SectorSpace:
         # per-system lookup arrays for the table builds and maps
         types = system.index_set
         n = system.num_chambers
-        self._perms = np.array([rot.perm for rot in self.root_system.rotations])
-        self._dtype = np.min_scalar_type(max(n, len(self._perms)) - 1)
-        self._block_of = np.array([system.block_of[t] for t in types])
-        self._base_cls = np.array([_base_classes(system, t)[0] for t in types])
+        # in the narrowest dtype that holds them, as the rows are
+        rots = self.root_system.rotations
+        self._perms = np.array([rot.perm for rot in rots], dtype=np.min_scalar_type(len(types) - 1))
+        self._dtype = np.min_scalar_type(max(n, len(rots)) - 1)
+        self._block_of = np.array([system.block_of[t] for t in types], dtype=self._dtype)
+        self._base_cls = np.array([_base_classes(system, t)[0] for t in types], dtype=self._dtype)
         # others[t, c]: the rest of the type-t block of c, ascending, -1 padded
         width = max(len(b) for t in types for b in system.residues[t]) - 1
-        self._others = np.full((len(types), n, width), -1, dtype=np.int64)
+        self._others = np.full((len(types), n, width), -1, dtype=np.min_scalar_type(-n))
         for t in types:
             for block in system.residues[t]:
                 for c in block:
@@ -465,7 +483,7 @@ class SectorSpace:
         if mu.norm > g.radius:
             raise ValueError("insufficient radius for this shift")
         sigma_map, emb, at_mu = self._shift_geometry(g.radius, mu)
-        new_sigma = sigma_map[g.sigma_index]
+        new_sigma = int(sigma_map[g.sigma_index])
         if g.radius == mu.norm:
             return Germ(0, new_sigma, (), self._base_of(new_sigma, g.chambers[at_mu]))
         chambers = tuple(g.chambers[e] for e in emb)
@@ -497,6 +515,7 @@ class SectorSpace:
                 at_mu = next((k for k, a in enumerate(trunc.alcoves) if point in a.verts), None)
                 if at_mu is None:
                     raise ValueError("point is not a vertex of the truncation")
+            sigma_map = np.array(sigma_map, dtype=self._dtype)
             self._shift_data[key] = (sigma_map, embed_shift(R, trunc, mu), at_mu)
         return self._shift_data[key]
 
@@ -507,12 +526,12 @@ class SectorSpace:
             src = self.table(radius)
             dst = self.table(radius - mu.norm)
             sigma_map, emb, at_mu = self._shift_geometry(radius, mu)
-            sigma = np.asarray(sigma_map)[src.rows[:, 0]]
+            # the query is built in the row dtype, so the lookup copies nothing
+            cols = [0, 1 + at_mu] if dst.radius == 0 else np.r_[0, 1 + np.asarray(emb)]
+            query = np.take(src.rows, cols, axis=1)  # C order, unlike rows[:, cols]
+            query[:, 0] = sigma_map[query[:, 0]]
             if dst.radius == 0:
-                base = self._base_cls[self._perms[sigma, 0], src.rows[:, 1 + at_mu]]
-                query = np.column_stack((sigma, base))
-            else:
-                query = np.column_stack((sigma, src.rows[:, 1 + np.asarray(emb)]))
+                query[:, 1] = self._base_cls[self._perms[query[:, 0], 0], query[:, 1]]
             self._shift_maps[key] = dst.lookup(query)
         return self._shift_maps[key]
 

@@ -152,7 +152,6 @@ def _transfer_matrix_at_depth(
     small = space.table(radius)
     m_mu = translation_parameter(R, space.system.params, mu)
     shifted = space.shift_map(big_radius, mu)  # radius big_radius - |mu|
-    rows = space.table(big_radius - mu.norm).restriction_map(radius)[shifted]
     cols = big.restriction_map(radius)
     tv = R.coweight_vector(mu)
     plug_alcoves = [
@@ -163,9 +162,10 @@ def _transfer_matrix_at_depth(
     dim = len(small)
 
     # group the big germs by (rotation, chambers on the plug alcoves)
-    plug = big.rows[:, [0] + [1 + k for k in plug_alcoves]]
+    plug = np.take(big.rows, [0] + [1 + k for k in plug_alcoves], axis=1)
     _, first, gid = np.unique(byte_keys(plug), return_index=True, return_inverse=True)
-    group_row = rows[first]
+    # each group's class: the F_radius class of its first germ's shift
+    group_row = space.table(big_radius - mu.norm).restriction_map(radius)[shifted[first]]
     sizes = np.bincount(gid)
     if sizes.min() != sizes.max():
         raise CountingError(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from weylflow import fixtures
@@ -31,3 +33,17 @@ def biregular(contexts):
 @pytest.fixture(scope="session")
 def a2(contexts):
     return contexts["a2q2"]
+
+
+@pytest.fixture(scope="session")
+def traced_peak():
+    """fn -> (fn(), peak bytes traced while it ran), under a fresh tracemalloc."""
+
+    def measure(fn):
+        tracemalloc.start()
+        try:
+            return fn(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return measure

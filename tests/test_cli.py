@@ -108,8 +108,9 @@ def test_transfer_csv_and_budget_guard(tmp_path, capsys):
     assert len(lines) == 1 + 18
     assert set(lines[1].split(",")) <= {"0/1", "1/2"}
     # insufficient budget: the operator would act on F_0
-    assert run(["transfer", "k33", "--mu", "2", "--radius", "2"]) == 1
-    assert "need --radius >=" in capsys.readouterr().err
+    assert run(["transfer", "k33", "--mu", "2", "--radius", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "need --radius >=" in err
 
 
 def test_transfer_rejects_bad_mu(capsys):

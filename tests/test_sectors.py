@@ -1,15 +1,32 @@
 import io
 import json
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from weylflow import sectors
+from weylflow import chamber, sectors
 from weylflow.io_utils import dumps_canonical
 from weylflow.rootdata import Coweight
 from weylflow.sectors import SENTINEL, SectorSpace, germs_json_chunks, write_germs_json
+from weylflow.verify import FixtureContext
+
+
+@pytest.fixture(scope="module")
+def k17_17():
+    """K(17,17): 289 chambers, so its rows are uint16, and its blocks of 17
+    put chambers up to 288 in the build's padded block array."""
+    ctx = FixtureContext("k17_17", chamber.from_bipartite_graph(
+        [(i, 17 + j) for i in range(17) for j in range(17)]
+    ))
+    assert ctx.space.table(1).rows.dtype == np.uint16
+    return ctx
+
+
+@pytest.fixture(scope="module")
+def cases(contexts, k17_17):
+    """(context, largest radius) for the per-germ comparisons."""
+    return [(ctx, 3) for ctx in contexts.values()] + [(k17_17, 2)]
 
 
 def test_germ_counts_rank1(k33):
@@ -208,49 +225,50 @@ def test_germs_writer_matches_the_canonical_dump(contexts, monkeypatch):
                 assert _written(table) == expected, (name, n)
 
 
-def test_germs_writer_memory_against_the_document_route(a2):
+def test_germs_writer_memory_against_the_document_route(a2, traced_peak):
     # a2q2 radius 4 (32,256 germs, eight chunks): the whole document as
     # dicts and one string, against chunks rendered from the rows and
     # dropped as they come
     table = a2.space.table(4)
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        expected = dumps_canonical(_germs_document(table))
-        document_peak = tracemalloc.get_traced_memory()[1] - base
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        for _ in germs_json_chunks(table):
-            pass
-        stream_peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    expected, document_peak = traced_peak(lambda: dumps_canonical(_germs_document(table)))
+    _, stream_peak = traced_peak(lambda: sum(1 for _ in germs_json_chunks(table)))
     assert 4 * stream_peak <= document_peak, (stream_peak, document_peak)
     assert _written(table) == expected
 
 
-def test_shift_maps_match_per_germ_shifts(contexts):
+def test_shift_maps_match_per_germ_shifts(cases):
     # the array lookup route against Germ objects shifted one at a time
-    for name, ctx in contexts.items():
+    for ctx, top in cases:
         space = SectorSpace(ctx.system)  # keeps .germs off the shared tables
-        for n in (1, 2, 3):
+        for n in range(1, top + 1):
             for mu in ctx.generators + [ctx.strong]:
                 if mu.norm > n:
                     continue
                 dst = space.table(n - mu.norm)
                 want = [dst.position(space.shift(g, mu)) for g in space.table(n).germs]
-                assert space.shift_map(n, mu).tolist() == want, f"{name} n={n} mu={mu.coords}"
+                assert space.shift_map(n, mu).tolist() == want, f"{ctx.name} n={n} mu={mu.coords}"
 
 
-def test_restriction_maps_match_per_germ_restrictions(contexts):
-    for name, ctx in contexts.items():
+def test_restriction_maps_match_per_germ_restrictions(cases):
+    for ctx, top in cases:
         space = SectorSpace(ctx.system)
-        for n in (1, 2, 3):
+        for n in range(1, top + 1):
             germs = space.table(n).germs
             for r in range(n + 1):
                 want = [space.table(r).position(space.restrict(g, r)) for g in germs]
-                assert space.table(n).restriction_map(r).tolist() == want, f"{name} {n}->{r}"
+                assert space.table(n).restriction_map(r).tolist() == want, f"{ctx.name} {n}->{r}"
+
+
+def test_table_build_and_shift_query_memory(a2, traced_peak):
+    # a2q2 radius 5: 258,048 germs in a 6.4 MiB row array; the build holds
+    # about two row arrays at once, and the shift query is built in the
+    # row dtype, which the lookup searches without converting it
+    space = SectorSpace(a2.system)
+    table, build_peak = traced_peak(lambda: space.table(5))
+    assert table.rows.nbytes == 258048 * 26
+    assert build_peak <= 20 * 2**20, build_peak
+    _, shift_peak = traced_peak(lambda: space.shift_map(5, Coweight((1, 1))))
+    assert shift_peak <= 16 * 2**20, shift_peak
 
 
 def _germ_constraints(space, n):
@@ -287,11 +305,11 @@ def test_a2_rows_satisfy_the_extension_constraints(a2):
             assert all(c != chambers[j] for j in stars[k])
 
 
-def test_rows_match_recursive_enumeration(contexts):
+def test_rows_match_recursive_enumeration(cases):
     # an independent plain-Python enumeration of the germs, alcove by alcove
-    for name, ctx in contexts.items():
+    for ctx, top in cases:
         space, system = ctx.space, ctx.system
-        n = 3 if ctx.rank == 1 else 2
+        n = top if ctx.rank == 1 else 2
         panels, stars = _germ_constraints(space, n)
         rows = []
 
@@ -309,7 +327,7 @@ def test_rows_match_recursive_enumeration(contexts):
 
         for s, rot in enumerate(system.root_system.rotations):
             extend(s, rot.perm, [])
-        assert space.table(n).rows.tolist() == sorted(rows), name
+        assert space.table(n).rows.tolist() == sorted(rows), ctx.name
 
 
 def test_lookup_is_exact(a2):
@@ -317,8 +335,20 @@ def test_lookup_is_exact(a2):
     assert table.lookup(table.rows).tolist() == list(range(len(table)))
     row = table.rows[:1].copy()
     row[0, 2] = row[0, 1]  # two panel-adjacent alcoves on one chamber
-    with pytest.raises(KeyError):
+    assert row.dtype == table.rows.dtype  # searched as it is
+    with pytest.raises(KeyError, match="is not a radius-2 germ"):
         table.lookup(row)
+    past = table.rows[-1:].copy()
+    past[0, -1] += 1  # sorts after the last key
+    with pytest.raises(KeyError, match="is not a radius-2 germ"):
+        table.lookup(past)
+    negative = table.rows[:1].astype(np.int64)
+    negative[0, 1] = -1
+    with pytest.raises(KeyError, match="out of range"):
+        table.lookup(negative)
+    for query in (table.rows[:, :-1], np.hstack((table.rows, table.rows[:, :1]))):
+        with pytest.raises(KeyError, match=rf"\(504, {query.shape[1]}\).*width 5"):
+            table.lookup(query)
     # radius 0 is keyed by (rotation, base class); a2q2 has one base class
     zero = a2.space.table(0)
     assert zero.lookup([[2, 0], [0, 0]]).tolist() == [2, 0]

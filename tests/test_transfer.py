@@ -261,19 +261,12 @@ def test_row_sums_are_checked_before_packing(k33, monkeypatch):
     assert "the counts of row 0 sum to 3, not M_mu=2" in rows.detail
 
 
-def test_f3_assembly_peak_memory(a2):
-    import tracemalloc
-
+def test_f3_assembly_peak_memory(a2, traced_peak):
     mu = Coweight((1, 1))
     transfer.transfer_matrix(a2.space, mu, 3)  # builds the tables and maps
-    tracemalloc.start()
-    try:
-        tm = transfer.transfer_matrix(a2.space, mu, 3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    tm, peak = traced_peak(lambda: transfer.transfer_matrix(a2.space, mu, 3))
     assert tm.preimages.shape == (4032, 16)
-    assert peak < 48 * 2**20, peak
+    assert peak < 16 * 2**20, peak
 
 
 def test_counting_rejects_rows_that_depend_on_the_representative(a2):
