@@ -1,10 +1,24 @@
-"""Exact rational root-system data for the supported affine types.
+"""Exact root-system data for the supported affine types, in Python ints.
 
 Everything here is combinatorial geometry over the rationals: simple and
 positive roots, fundamental coweights, the affine reflection arrangement,
 alcove walks, truncations of the dominant sector, and the type rotations
-induced by coweight translations.  All coordinates are `fractions.Fraction`,
-so enumeration, wall crossings and walk lengths are exact.
+induced by coweight translations.  It is computed in integers:
+
+- Every point (the coweights, `coweight_vector`, alcove vertices) is an int
+  tuple equal to `RootSystem.scale` = D times its ambient coordinates.  D is
+  the lcm of the denominators of the fundamental alcove's vertices (A1~ 1,
+  BC1~ 2, A2~ 3, B2~ 2, G2~ 6); every vertex of the arrangement lies in
+  (1/D) Z^dim, so the scaled vertices are integers.
+- Roots are the integer vectors of the realization, unscaled.  They act as
+  linear forms, so <alpha, X> is D times the ambient pairing and the wall
+  {<alpha, x> = k} is {<alpha, X> = kD}.
+- Every division is exact: it raises ArithmeticError on a remainder, never
+  rounds.
+- Scaling by D > 0 keeps every order the library relies on: the
+  lexicographic vertex order inside an alcove key, and the truncation order,
+  whose barycenter tie-break becomes the order of vertex sums (the
+  barycenter times the vertex count).
 
 Supported kinds (the exact strings used in file formats and CLI flags):
 
@@ -25,27 +39,20 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-Vec = tuple  # tuple[Fraction, ...]
+Vec = tuple  # tuple[int, ...]
 
 KINDS = ("A1~", "BC1~", "A2~", "B2~", "G2~")
 
 #: Sentinel for an infinite entry of the Coxeter matrix.
 INFINITE = None
 
-_ORDER_CAP = 64  # affine dihedral orders in rank <= 2 never exceed 12
-
-
-def _fr(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def vec(*xs) -> Vec:
-    return tuple(_fr(x) for x in xs)
+# m_ij from the Cartan product a_ij * a_ji = 4 cos^2(pi / m_ij) of two roots
+_COXETER_ORDER = {0: 2, 1: 3, 2: 4, 3: 6, 4: INFINITE}
 
 
 def vadd(a: Vec, b: Vec) -> Vec:
@@ -56,29 +63,15 @@ def vsub(a: Vec, b: Vec) -> Vec:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def vscale(c, a: Vec) -> Vec:
-    c = _fr(c)
-    return tuple(c * x for x in a)
+def dot(a: Vec, b: Vec) -> int:
+    return sum(x * y for x, y in zip(a, b))
 
 
-def dot(a: Vec, b: Vec) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
-
-
-def _solve(rows, rhs):
-    """Solve a small square rational linear system by Gaussian elimination."""
-    n = len(rows)
-    m = [list(row) + [r] for row, r in zip(rows, rhs)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if m[r][col] != 0)
-        m[col], m[piv] = m[piv], m[col]
-        inv = Fraction(1) / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
+def _exact_div(a: int, b: int) -> int:
+    q, r = divmod(a, b)
+    if r:
+        raise ArithmeticError(f"{a} is not a multiple of {b}")
+    return q
 
 
 @dataclass(frozen=True)
@@ -141,12 +134,9 @@ class Alcove(NamedTuple):
     def key(self):
         return self.verts
 
-    def barycenter(self) -> Vec:
-        n = len(self.verts)
-        acc = self.verts[0]
-        for v in self.verts[1:]:
-            acc = vadd(acc, v)
-        return vscale(Fraction(1, n), acc)
+    def vertex_sum(self) -> Vec:
+        """The barycenter times the vertex count: same order, same wall sides."""
+        return tuple(map(sum, zip(*self.verts)))
 
 
 def _make_alcove(pairs) -> Alcove:
@@ -156,13 +146,13 @@ def _make_alcove(pairs) -> Alcove:
 
 _SIMPLE_DATA = {
     # kind -> (ambient dim, simple roots, positive roots as coefficient tuples)
-    "A1~": (1, [vec(1)], [(1,)]),
-    "BC1~": (1, [vec(1)], [(1,), (2,)]),
-    "A2~": (3, [vec(1, -1, 0), vec(0, 1, -1)], [(1, 0), (0, 1), (1, 1)]),
-    "B2~": (2, [vec(1, -1), vec(0, 1)], [(1, 0), (0, 1), (1, 1), (1, 2)]),
+    "A1~": (1, [(1,)], [(1,)]),
+    "BC1~": (1, [(1,)], [(1,), (2,)]),
+    "A2~": (3, [(1, -1, 0), (0, 1, -1)], [(1, 0), (0, 1), (1, 1)]),
+    "B2~": (2, [(1, -1), (0, 1)], [(1, 0), (0, 1), (1, 1), (1, 2)]),
     "G2~": (
         3,
-        [vec(1, -1, 0), vec(-1, 2, -1)],
+        [(1, -1, 0), (-1, 2, -1)],
         [(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)],
     ),
 }
@@ -172,7 +162,8 @@ class RootSystem:
     """Exact realization of one irreducible (possibly non-reduced) system.
 
     The index set is I = {0, ..., rank}; node 0 is the affine node attached
-    through the reflection in the wall {<highest_root, x> = 1}.
+    through the reflection in the wall {<highest_root, x> = 1}.  Points are
+    scaled by `scale` (see the module docstring).
     """
 
     def __init__(self, kind: str):
@@ -185,15 +176,19 @@ class RootSystem:
         self.index_set = tuple(range(self.rank + 1))
         self.simple_roots = list(simples)
         self.positive_roots = [
-            tuple(sum((_fr(c) * b[k] for c, b in zip(cs, simples)), Fraction(0))
-                  for k in range(dim))
+            tuple(sum(c * b[k] for c, b in zip(cs, simples)) for k in range(dim))
             for cs in pos_coeffs
         ]
         self.positive_coeffs = [tuple(cs) for cs in pos_coeffs]
         hi = max(range(len(pos_coeffs)), key=lambda t: sum(pos_coeffs[t]))
         self.highest_root = self.positive_roots[hi]
         self.marks = tuple(int(c) for c in pos_coeffs[hi])
-        self.coweights = self._solve_coweights()
+        self.scale, self.coweights = self._scaled_coweights()
+        # vertices of the fundamental alcove, position t holding type t
+        self._c0 = [(0,) * dim] + [
+            tuple(_exact_div(x, m) for x in w) for w, m in zip(self.coweights, self.marks)
+        ]
+        self._base = _make_alcove([(v, t) for t, v in enumerate(self._c0)])
         self.coxeter_matrix = self._coxeter_matrix()
         self.rotations = self._type_rotations()
         self.good_types = frozenset(
@@ -204,68 +199,31 @@ class RootSystem:
     # ------------------------------------------------------------------
     # construction helpers
 
-    def _solve_coweights(self):
-        gram = [[dot(bi, bj) for bj in self.simple_roots] for bi in self.simple_roots]
-        out = []
-        for i in range(self.rank):
-            rhs = [Fraction(1) if j == i else Fraction(0) for j in range(self.rank)]
-            coeffs = _solve(gram, rhs)
-            w = tuple(
-                sum((c * b[k] for c, b in zip(coeffs, self.simple_roots)), Fraction(0))
-                for k in range(self.dim)
-            )
-            out.append(w)
-        return out
-
-    def coroot(self, alpha: Vec) -> Vec:
-        return vscale(Fraction(2) / dot(alpha, alpha), alpha)
-
-    def _affine_generator(self, i: int):
-        """Reflection for node i as an affine map (matrix rows, offset)."""
-        if i == 0:
-            alpha, k = self.highest_root, Fraction(1)
+    def _scaled_coweights(self):
+        """(D, [D w_i]): the basis dual to the simple roots, times the scale D."""
+        gram = [[dot(a, b) for b in self.simple_roots] for a in self.simple_roots]
+        # w_i = sum_j (gram^-1)_ij alpha_j, and gram^-1 = adj / det in rank <= 2
+        if self.rank == 1:
+            adj, det = [[1]], gram[0][0]
         else:
-            alpha, k = self.simple_roots[i - 1], Fraction(0)
-        av = self.coroot(alpha)
-        rows = []
-        for r in range(self.dim):
-            e = tuple(Fraction(1) if c == r else Fraction(0) for c in range(self.dim))
-            rows.append(tuple(e[c] - av[r] * alpha[c] for c in range(self.dim)))
-        off = vscale(k, av)
-        return tuple(rows), off
-
-    @staticmethod
-    def _compose(f, g):
-        (fa, fb), (ga, gb) = f, g
-        rows = tuple(
-            tuple(sum((fa[r][k] * ga[k][c] for k in range(len(ga))), Fraction(0))
-                  for c in range(len(ga)))
-            for r in range(len(fa))
-        )
-        off = tuple(
-            sum((fa[r][k] * gb[k] for k in range(len(gb))), Fraction(0)) + fb[r]
-            for r in range(len(fa))
-        )
-        return rows, off
+            (a, b), (c, d) = gram
+            adj, det = [[d, -b], [-c, a]], a * d - b * c
+        nums = [
+            tuple(sum(c * s[k] for c, s in zip(row, self.simple_roots)) for k in range(self.dim))
+            for row in adj
+        ]
+        # vertex i of the fundamental alcove is nums[i] / (det * m_i)
+        scale = math.lcm(*(det * m // math.gcd(det * m, *v) for v, m in zip(nums, self.marks)))
+        return scale, [tuple(_exact_div(x * scale, det) for x in v) for v in nums]
 
     def _coxeter_matrix(self):
-        gens = [self._affine_generator(i) for i in self.index_set]
-        n = len(gens)
-        ident_rows = tuple(
-            tuple(Fraction(1) if c == r else Fraction(0) for c in range(self.dim))
-            for r in range(self.dim)
-        )
-        ident = (ident_rows, tuple(Fraction(0) for _ in range(self.dim)))
-        mat = [[1] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                prod = self._compose(gens[i], gens[j])
-                cur, order = prod, 1
-                while cur != ident and order <= _ORDER_CAP:
-                    cur = self._compose(prod, cur)
-                    order += 1
-                m = order if order <= _ORDER_CAP else INFINITE
-                mat[i][j] = mat[j][i] = m
+        # node 0 reflects in a wall orthogonal to the highest root
+        roots = [self.highest_root] + self.simple_roots
+        mat = [[1] * len(roots) for _ in roots]
+        for i, j in itertools.combinations(range(len(roots)), 2):
+            a, b = roots[i], roots[j]
+            cartan = _exact_div(4 * dot(a, b) ** 2, dot(a, a) * dot(b, b))
+            mat[i][j] = mat[j][i] = _COXETER_ORDER[cartan]
         return tuple(tuple(row) for row in mat)
 
     def _small_coweight_coords(self):
@@ -277,7 +235,7 @@ class RootSystem:
         for coords in self._small_coweight_coords():
             mu = Coweight(coords)
             v = self.coweight_vector(mu)
-            perm = tuple(self.vertex_type(vadd(u, v)) for u in self._c0_vertices())
+            perm = tuple(self.vertex_type(vadd(u, v)) for u in self._c0)
             if perm not in seen or sum(coords) < sum(seen[perm]):
                 seen[perm] = coords
         rots = [TypeRotation(p, seen[p]) for p in seen]
@@ -303,52 +261,48 @@ class RootSystem:
     def rotation_of(self, mu: Coweight) -> TypeRotation:
         """The type rotation induced by translation by `mu`."""
         v = self.coweight_vector(mu)
-        perm = tuple(self.vertex_type(vadd(u, v)) for u in self._c0_vertices())
+        perm = tuple(self.vertex_type(vadd(u, v)) for u in self._c0)
         return self.rotations[self.rotation_index(perm)]
 
     # ------------------------------------------------------------------
     # coweights and vertex types
 
     def coweight_vector(self, mu: Coweight) -> Vec:
-        acc = tuple(Fraction(0) for _ in range(self.dim))
-        for a, w in zip(mu.coords, self.coweights):
-            acc = vadd(acc, vscale(a, w))
-        return acc
+        """D times the ambient point of `mu`."""
+        return tuple(
+            sum(a * w[k] for a, w in zip(mu.coords, self.coweights)) for k in range(self.dim)
+        )
 
     def coweight_coords(self, v: Vec):
-        """Coordinates of `v` in the coweight basis (pairings with simples)."""
+        """D times the coordinates of `v` in the coweight basis (pairings with simples)."""
         return tuple(dot(v, b) for b in self.simple_roots)
 
     def coweight_at(self, v: Vec) -> Optional[Coweight]:
         cs = self.coweight_coords(v)
-        if any(c.denominator != 1 for c in cs):
+        if any(c % self.scale for c in cs):
             return None
-        if self.coweight_vector(Coweight(tuple(int(c) for c in cs))) != v:
-            return None
-        return Coweight(tuple(int(c) for c in cs))
-
-    def _c0_vertices(self):
-        """Vertices of the fundamental alcove, position t holding type t."""
-        zero = tuple(Fraction(0) for _ in range(self.dim))
-        out = [zero]
-        for i in range(self.rank):
-            out.append(vscale(Fraction(1, self.marks[i]), self.coweights[i]))
-        return out
+        mu = Coweight(tuple(c // self.scale for c in cs))
+        return mu if self.coweight_vector(mu) == v else None
 
     def fundamental_alcove(self) -> Alcove:
-        vs = self._c0_vertices()
-        return _make_alcove([(vs[t], t) for t in range(self.rank + 1)])
+        return self._base
 
     def wall_through(self, points: Sequence[Vec]):
-        """The arrangement hyperplane (alpha, k) containing all `points`."""
+        """The arrangement hyperplane {<alpha, X> = K} containing all `points`.
+
+        K = <alpha, X> on the wall is D times its integer level.
+        """
         for alpha in self.positive_roots:
             k = dot(alpha, points[0])
-            if k.denominator == 1 and all(dot(alpha, p) == k for p in points[1:]):
+            if k % self.scale == 0 and all(dot(alpha, p) == k for p in points[1:]):
                 return alpha, k
         raise ValueError("points do not span an arrangement wall")
 
-    def reflect_point(self, alpha: Vec, k: Fraction, x: Vec) -> Vec:
-        return vsub(x, vscale(dot(x, alpha) - k, self.coroot(alpha)))
+    def reflect_point(self, alpha: Vec, k: int, x: Vec) -> Vec:
+        """x - (<alpha, x> - K) 2 alpha / <alpha, alpha>, in exact integers."""
+        t = 2 * (dot(alpha, x) - k)
+        norm = dot(alpha, alpha)
+        return tuple(xi - _exact_div(t * ai, norm) for xi, ai in zip(x, alpha))
 
     def neighbor(self, a: Alcove, drop: int) -> Alcove:
         """The alcove across the panel obtained by dropping vertex `drop`."""
@@ -367,18 +321,14 @@ class RootSystem:
             guard += 1
             if guard > 10000:
                 raise RuntimeError("vertex walk did not terminate")
-            bary = a.barycenter()
-            moved = False
-            for drop in range(len(a.verts)):
-                panel = [v for j, v in enumerate(a.verts) if j != drop]
-                alpha, k = self.wall_through(panel)
-                side_a = dot(alpha, bary) - k
-                side_x = dot(alpha, x) - k
-                if side_x * side_a < 0:
+            total, n = a.vertex_sum(), len(a.verts)
+            for drop in range(n):
+                alpha, k = self.wall_through([v for j, v in enumerate(a.verts) if j != drop])
+                # the barycenter total / n lies on the side of <alpha, total> - n K
+                if (dot(alpha, total) - n * k) * (dot(alpha, x) - k) < 0:
                     a = self.neighbor(a, drop)
-                    moved = True
                     break
-            if not moved:
+            else:
                 raise ValueError(f"{x} is not a vertex of the arrangement")
         return a.types[a.verts.index(x)]
 
@@ -442,16 +392,14 @@ class ParameterSystem:
 
 def _walk_region_test(R: RootSystem, target_vec: Vec):
     # minimal galleries stay inside the hull of the two alcoves; the hull is
-    # bounded by arrangement walls, so the caps round outward to integers
+    # bounded by arrangement walls, so the caps round outward to multiples of D
     caps = []
     for alpha in R.positive_roots:
-        r = max(dot(alpha, v) for v in R._c0_vertices())
+        r = max(dot(alpha, v) for v in R._c0)
         t = dot(alpha, target_vec)
-        lo = min(Fraction(0), t)
-        hi = max(Fraction(0), t) + r
-        lo = Fraction(lo.numerator // lo.denominator)  # floor
-        hi = Fraction(-((-hi.numerator) // hi.denominator))  # ceil
-        caps.append((alpha, lo, hi))
+        lo = min(0, t)
+        hi = max(0, t) + r
+        caps.append((alpha, lo - lo % R.scale, hi + (-hi) % R.scale))
 
     def inside(a: Alcove) -> bool:
         return all(
@@ -467,10 +415,11 @@ def _walk_region_test(R: RootSystem, target_vec: Vec):
 def _minimal_walk_data(R: RootSystem, mu: Coweight):
     """BFS between the base alcove and its translate by `mu`.
 
-    Returns (distance map, predecessor lists with crossing labels, start, goal).
-    Minimal galleries between the two alcoves stay inside the convex hull of
-    their union, so the search is restricted to that finite box.  Results are
-    cached (root systems are built once per kind) and callers only read them.
+    Returns (distance map, predecessor lists with crossing labels, start, goal);
+    the distance map lists the alcoves in BFS order.  Minimal galleries
+    between the two alcoves stay inside the convex hull of their union, so
+    the search is restricted to that finite box.  Results are cached (root
+    systems are built once per kind) and callers only read them.
     """
     tv = R.coweight_vector(mu)
     start = R.fundamental_alcove()
@@ -519,24 +468,13 @@ def minimal_walk_types(R: RootSystem, mu: Coweight):
 def all_minimal_walk_products(R: RootSystem, q: ParameterSystem, mu: Coweight):
     """Set of q-products over *all* minimal walks (should be a singleton)."""
     dist, preds, start, goal = _minimal_walk_data(R, mu)
-    cache = {start.key: {1}}
-
-    def products(key):
-        if key not in cache:
-            acc = set()
-            for prev, label in preds[key]:
-                for p in products(prev):
-                    acc.add(p * q[label])
-            cache[key] = acc
-        return cache[key]
-
-    import sys
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, 4 * dist[goal.key] + 100))
-    try:
-        return products(goal.key)
-    finally:
-        sys.setrecursionlimit(old)
+    products = {start.key: {1}}
+    # in BFS order every predecessor, one layer closer, comes first
+    for key in itertools.islice(dist, 1, None):
+        products[key] = {p * q[label] for prev, label in preds[key] for p in products[prev]}
+        if key == goal.key:
+            break
+    return products[goal.key]
 
 
 def translation_parameter(R: RootSystem, q: ParameterSystem, mu: Coweight) -> int:
@@ -575,8 +513,9 @@ class TruncatedSector:
     Y_n is the set of dominant coweights of norm at most n and the hull is
     cut out by the inequalities 0 <= <alpha, x> <= n * max_i <alpha, w_i>
     over positive roots alpha.  Alcoves are ordered by (entry radius,
-    gallery distance from the base alcove, barycenter), which makes the
-    alcove list of a smaller radius a prefix of a larger one.
+    gallery distance from the base alcove, vertex sum), which makes the
+    alcove list of a smaller radius a prefix of a larger one; the vertex sum
+    orders like the barycenter.
     """
 
     def __init__(self, R: RootSystem, radius: int):
@@ -587,20 +526,19 @@ class TruncatedSector:
         self._cstar = [
             max(dot(alpha, w) for w in R.coweights) for alpha in R.positive_roots
         ]
-        self._enumerate()
+        neighbors = self._enumerate()
         self._index_vertices()
-        self._build_adjacency()
+        self._build_adjacency(neighbors)
         self._build_faces()
 
     # -- enumeration ----------------------------------------------------
 
     def _entry_radius(self, a: Alcove) -> int:
-        worst = 0
-        for alpha, c in zip(self.R.positive_roots, self._cstar):
-            top = max(dot(alpha, v) for v in a.verts)
-            need = -(-top.numerator // (top.denominator * c))  # ceil
-            worst = max(worst, int(need))
-        return worst
+        """The least radius whose hull holds `a`."""
+        return max(
+            -(-max(dot(alpha, v) for v in a.verts) // c)  # ceil
+            for alpha, c in zip(self.R.positive_roots, self._cstar)
+        )
 
     def _inside(self, a: Alcove) -> bool:
         for alpha, c in zip(self.R.positive_roots, self._cstar):
@@ -612,34 +550,36 @@ class TruncatedSector:
         return True
 
     def _enumerate(self):
+        """Order the alcoves; return each one's neighbours across its panels."""
         R = self.R
         if self.radius == 0:
             self.alcoves = []
             self.entry_radius = []
             self.count_at_radius = [0]
-            return
+            return {}
         start = R.fundamental_alcove()
         dist = {start.key: 0}
         store = {start.key: start}
+        neighbors = {}
         fringe = deque([start])
         while fringe:
             a = fringe.popleft()
-            for drop in range(len(a.verts)):
-                b = R.neighbor(a, drop)
+            neighbors[a.key] = [R.neighbor(a, drop) for drop in range(len(a.verts))]
+            for b in neighbors[a.key]:
                 if b.key in dist or not self._inside(b):
                     continue
                 dist[b.key] = dist[a.key] + 1
                 store[b.key] = b
                 fringe.append(b)
-        order = sorted(
-            store.values(),
-            key=lambda a: (self._entry_radius(a), dist[a.key], a.barycenter()),
+        entry = {key: self._entry_radius(a) for key, a in store.items()}
+        self.alcoves = sorted(
+            store.values(), key=lambda a: (entry[a.key], dist[a.key], a.vertex_sum())
         )
-        self.alcoves = order
-        self.entry_radius = [self._entry_radius(a) for a in order]
+        self.entry_radius = [entry[a.key] for a in self.alcoves]
         self.count_at_radius = [
             sum(1 for r in self.entry_radius if r <= k) for k in range(self.radius + 1)
         ]
+        return neighbors
 
     # -- vertices and adjacency -----------------------------------------
 
@@ -658,21 +598,20 @@ class TruncatedSector:
                 self.coweight_vertices.append((cw, cw.norm, idx))
         self.coweight_vertices.sort(key=lambda t: (t[1], t[0].coords))
 
-    def _build_adjacency(self):
+    def _build_adjacency(self, neighbors):
         key_to_idx = {a.key: i for i, a in enumerate(self.alcoves)}
         self.adjacency = []
         for a in self.alcoves:
             row = []
-            for drop in range(len(a.verts)):
+            for drop, b in enumerate(neighbors[a.key]):
                 cotype = a.types[drop]
                 panel_idx = tuple(
                     self.vertex_index[v] for j, v in enumerate(a.verts) if j != drop
                 )
                 panel_types = tuple(t for j, t in enumerate(a.types) if j != drop)
-                b = self.R.neighbor(a, drop)
                 if b.key in key_to_idx:
                     nb = key_to_idx[b.key]
-                elif all(dot(beta, b.barycenter()) > 0 for beta in self.R.simple_roots):
+                elif all(dot(beta, b.vertex_sum()) > 0 for beta in self.R.simple_roots):
                     nb = OUTSIDE
                 else:
                     nb = WALL
@@ -701,6 +640,9 @@ class TruncatedSector:
                     )
         self.faces = faces
         self.face_index = seen
+        # the face of the base vertex, where the distance grows its agreement region
+        zero = (0,) * self.R.dim
+        self.base_face = seen[(self.vertex_index[zero],)] if self.alcoves else None
 
     # -- derived data -----------------------------------------------------
 
@@ -748,10 +690,8 @@ def embed_shift(R: RootSystem, trunc: TruncatedSector, mu: Coweight):
         raise ValueError("truncation radius too small for this shift")
     tv = R.coweight_vector(mu)
     key_to_idx = {a.key: i for i, a in enumerate(trunc.alcoves)}
-    out = []
-    for a in trunc.alcoves[: trunc.alcove_count(small_radius)]:
-        shifted = _make_alcove(
-            [(vadd(v, tv), t) for v, t in zip(a.verts, a.types)]
-        )
-        out.append(key_to_idx[shifted.key])
-    return out
+    # a translation keeps the vertex order, so the shifted key needs no sort
+    return [
+        key_to_idx[tuple(vadd(v, tv) for v in a.verts)]
+        for a in trunc.alcoves[: trunc.alcove_count(small_radius)]
+    ]

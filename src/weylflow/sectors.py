@@ -158,6 +158,23 @@ def byte_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).reshape(-1)
 
 
+def _rows_increase(rows: np.ndarray) -> bool:
+    """Whether every row is lexicographically greater than the row before it.
+
+    One pass over the rows in blocks, so the temporaries stay small.
+    """
+    chunk = 1 << 16
+    for start in range(0, len(rows) - 1, chunk):
+        b = rows[start + 1 : start + 1 + chunk]
+        a = rows[start : start + len(b)]
+        diff = a != b
+        first = diff.argmax(axis=1)  # the first differing column, or 0 if none
+        pick = np.arange(len(b))
+        if not (diff[pick, first].all() and (b[pick, first] > a[pick, first]).all()):
+            return False
+    return True
+
+
 class GermTable:
     """All radius-n germs of one chamber system, canonically ordered."""
 
@@ -223,9 +240,10 @@ class GermTable:
             rows[:, 1 + k] = cand[mask]
             base = np.repeat(base, counts)
             del sig, cand, mask, counts  # `sig` views the old rows, which go with it
-        order = np.lexsort(rows.T[::-1])
-        self.rows = rows[order]
-        self.base = base[order]
+        if not _rows_increase(rows):
+            order = np.lexsort(rows.T[::-1])
+            rows, base = rows[order], base[order]
+        self.rows, self.base = rows, base
 
     def _key_rows(self, r: int) -> np.ndarray:
         """Each germ's radius-r lookup key: (rotation, base) at 0, else a row prefix."""
@@ -624,8 +642,7 @@ class SectorSpace:
         return self._covers[key]
 
     def _component_of_base(self, trunc: TruncatedSector, agree: List[bool]):
-        zero = tuple(Fraction(0) for _ in range(self.root_system.dim))
-        base_face = trunc.face_index[(trunc.vertex_index[zero],)]
+        base_face = trunc.base_face
         if not agree[base_face]:
             return set()
         subs, sups = self._cover_relations(trunc)

@@ -51,7 +51,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .rootdata import Coweight, translation_parameter
+from .rootdata import Coweight, dot, translation_parameter, vsub
 from .sectors import SectorSpace, byte_keys
 
 
@@ -144,8 +144,6 @@ class CountingError(InvariantError):
 def _transfer_matrix_at_depth(
     space: SectorSpace, mu: Coweight, radius: int, depth: int
 ) -> TransferMatrix:
-    from .rootdata import dot, vsub
-
     R = space.root_system
     big_radius = radius + mu.norm + depth
     big = space.table(big_radius)

@@ -1,3 +1,6 @@
+import itertools
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,13 +24,219 @@ from weylflow.rootdata import (
 
 ALL_KINDS = ("A1~", "BC1~", "A2~", "B2~", "G2~")
 
+# Captured from the Fraction implementation that the integer geometry replaced.
+# kind -> (Coxeter matrix, marks, rotations as (perm, rep), good types)
+GOLDEN_DATA = {
+    "A1~": (((1, None), (None, 1)), (1,), [((0, 1), (0,)), ((1, 0), (1,))], {0, 1}),
+    "BC1~": (((1, None), (None, 1)), (2,), [((0, 1), (0,))], {0}),
+    "A2~": (
+        ((1, 3, 3), (3, 1, 3), (3, 3, 1)),
+        (1, 1),
+        [((0, 1, 2), (0, 0)), ((1, 2, 0), (1, 0)), ((2, 0, 1), (0, 1))],
+        {0, 1, 2},
+    ),
+    "B2~": (
+        ((1, 2, 4), (2, 1, 4), (4, 4, 1)), (1, 2), [((0, 1, 2), (0, 0)), ((1, 0, 2), (1, 0))], {0, 1}
+    ),
+    "G2~": (((1, 2, 3), (2, 1, 6), (3, 6, 1)), (3, 2), [((0, 1, 2), (0, 0))], {0}),
+}
+
+# kind -> the radius-3 truncation's alcove keys in order, one alcove a line,
+# its vertices in ambient coordinates
+GOLDEN_KEYS = {
+    "A1~": """
+        0 1
+        1 2
+        2 3
+    """,
+    "BC1~": """
+        0 1/2
+        1/2 1
+        1 3/2
+        3/2 2
+        2 5/2
+        5/2 3
+    """,
+    "A2~": """
+        0,0,0 1/3,1/3,-2/3 2/3,-1/3,-1/3
+        1/3,1/3,-2/3 2/3,-1/3,-1/3 1,0,-1
+        1/3,1/3,-2/3 2/3,2/3,-4/3 1,0,-1
+        2/3,-1/3,-1/3 1,0,-1 4/3,-2/3,-2/3
+        2/3,2/3,-4/3 1,0,-1 4/3,1/3,-5/3
+        1,0,-1 4/3,-2/3,-2/3 5/3,-1/3,-4/3
+        2/3,2/3,-4/3 1,1,-2 4/3,1/3,-5/3
+        1,0,-1 4/3,1/3,-5/3 5/3,-1/3,-4/3
+        4/3,-2/3,-2/3 5/3,-1/3,-4/3 2,-1,-1
+    """,
+    "B2~": """
+        0,0 1/2,1/2 1,0
+        1/2,1/2 1,0 1,1
+        1,0 1,1 3/2,1/2
+        1,0 3/2,1/2 2,0
+        1,1 3/2,1/2 2,1
+        1,1 3/2,3/2 2,1
+        3/2,1/2 2,0 2,1
+        3/2,3/2 2,1 2,2
+        2,0 2,1 5/2,1/2
+        2,1 2,2 5/2,3/2
+        2,0 5/2,1/2 3,0
+        2,1 5/2,1/2 3,1
+        2,1 5/2,3/2 3,1
+        2,2 5/2,3/2 3,2
+        5/2,1/2 3,0 3,1
+        2,2 5/2,5/2 3,2
+        5/2,3/2 3,1 3,2
+        5/2,5/2 3,2 3,3
+    """,
+    "G2~": """
+        0,0,0 1/6,1/6,-1/3 1/3,0,-1/3
+        1/6,1/6,-1/3 1/3,0,-1/3 1/3,1/3,-2/3
+        1/3,0,-1/3 1/3,1/3,-2/3 1/2,0,-1/2
+        1/3,1/3,-2/3 1/2,0,-1/2 2/3,0,-2/3
+        1/3,1/3,-2/3 2/3,0,-2/3 2/3,1/6,-5/6
+        2/3,0,-2/3 2/3,1/6,-5/6 1,0,-1
+        1/3,1/3,-2/3 2/3,1/6,-5/6 2/3,1/3,-1
+        1/3,1/3,-2/3 1/2,1/2,-1 2/3,1/3,-1
+        2/3,1/6,-5/6 2/3,1/3,-1 1,0,-1
+        1/2,1/2,-1 2/3,1/3,-1 2/3,2/3,-4/3
+        2/3,1/3,-1 5/6,1/3,-7/6 1,0,-1
+        2/3,1/3,-1 2/3,2/3,-4/3 5/6,1/3,-7/6
+        5/6,1/3,-7/6 1,0,-1 1,1/3,-4/3
+        2/3,2/3,-4/3 5/6,1/3,-7/6 1,1/3,-4/3
+        1,0,-1 1,1/3,-4/3 7/6,1/6,-4/3
+        2/3,2/3,-4/3 1,1/3,-4/3 1,1/2,-3/2
+        1,0,-1 7/6,1/6,-4/3 4/3,0,-4/3
+        1,1/3,-4/3 7/6,1/6,-4/3 4/3,1/3,-5/3
+        1,1/3,-4/3 1,1/2,-3/2 4/3,1/3,-5/3
+        7/6,1/6,-4/3 4/3,0,-4/3 4/3,1/3,-5/3
+        4/3,0,-4/3 4/3,1/3,-5/3 3/2,0,-3/2
+        4/3,1/3,-5/3 3/2,0,-3/2 5/3,0,-5/3
+        4/3,1/3,-5/3 5/3,0,-5/3 5/3,1/6,-11/6
+        5/3,0,-5/3 5/3,1/6,-11/6 2,0,-2
+        2/3,2/3,-4/3 1,1/2,-3/2 1,2/3,-5/3
+        2/3,2/3,-4/3 5/6,5/6,-5/3 1,2/3,-5/3
+        1,1/2,-3/2 1,2/3,-5/3 4/3,1/3,-5/3
+        5/6,5/6,-5/3 1,2/3,-5/3 1,1,-2
+        1,2/3,-5/3 7/6,2/3,-11/6 4/3,1/3,-5/3
+        1,2/3,-5/3 1,1,-2 7/6,2/3,-11/6
+        7/6,2/3,-11/6 4/3,1/3,-5/3 4/3,2/3,-2
+        1,1,-2 7/6,2/3,-11/6 4/3,2/3,-2
+        4/3,1/3,-5/3 4/3,2/3,-2 3/2,1/2,-2
+        4/3,1/3,-5/3 5/3,1/6,-11/6 5/3,1/3,-2
+        1,1,-2 4/3,2/3,-2 4/3,5/6,-13/6
+        4/3,1/3,-5/3 3/2,1/2,-2 5/3,1/3,-2
+        4/3,2/3,-2 3/2,1/2,-2 5/3,2/3,-7/3
+        5/3,1/6,-11/6 5/3,1/3,-2 2,0,-2
+        4/3,2/3,-2 4/3,5/6,-13/6 5/3,2/3,-7/3
+        3/2,1/2,-2 5/3,1/3,-2 5/3,2/3,-7/3
+        5/3,1/3,-2 11/6,1/3,-13/6 2,0,-2
+        5/3,1/3,-2 5/3,2/3,-7/3 11/6,1/3,-13/6
+        11/6,1/3,-13/6 2,0,-2 2,1/3,-7/3
+        5/3,2/3,-7/3 11/6,1/3,-13/6 2,1/3,-7/3
+        2,0,-2 2,1/3,-7/3 13/6,1/6,-7/3
+        5/3,2/3,-7/3 2,1/3,-7/3 2,1/2,-5/2
+        2,0,-2 13/6,1/6,-7/3 7/3,0,-7/3
+        2,1/3,-7/3 13/6,1/6,-7/3 7/3,1/3,-8/3
+        2,1/3,-7/3 2,1/2,-5/2 7/3,1/3,-8/3
+        13/6,1/6,-7/3 7/3,0,-7/3 7/3,1/3,-8/3
+        7/3,0,-7/3 7/3,1/3,-8/3 5/2,0,-5/2
+        7/3,1/3,-8/3 5/2,0,-5/2 8/3,0,-8/3
+        7/3,1/3,-8/3 8/3,0,-8/3 8/3,1/6,-17/6
+        8/3,0,-8/3 8/3,1/6,-17/6 3,0,-3
+    """,
+}
+
+# parameters per kind, and per dominant coweight of norm <= 4 the crossing
+# cotypes of the minimal walk with its translation parameter
+GOLDEN_Q = {
+    "A1~": {0: 2, 1: 2}, "BC1~": {0: 2, 1: 1}, "A2~": 2, "B2~": {0: 2, 1: 2, 2: 3}, "G2~": {0: 2, 1: 3, 2: 2}
+}
+GOLDEN_WALKS = {
+    "A1~": {
+        (0,): ("", 1),
+        (1,): ("0", 2),
+        (2,): ("01", 4),
+        (3,): ("010", 8),
+        (4,): ("0101", 16),
+    },
+    "BC1~": {
+        (0,): ("", 1),
+        (1,): ("01", 2),
+        (2,): ("0101", 4),
+        (3,): ("010101", 8),
+        (4,): ("01010101", 16),
+    },
+    "A2~": {
+        (0, 0): ("", 1),
+        (0, 1): ("01", 4),
+        (0, 2): ("0120", 16),
+        (0, 3): ("012012", 64),
+        (0, 4): ("01201201", 256),
+        (1, 0): ("02", 4),
+        (1, 1): ("0212", 16),
+        (1, 2): ("021201", 64),
+        (1, 3): ("02120120", 256),
+        (2, 0): ("0210", 16),
+        (2, 1): ("021020", 64),
+        (2, 2): ("02102012", 256),
+        (3, 0): ("021021", 64),
+        (3, 1): ("02102101", 256),
+        (4, 0): ("02102102", 256),
+    },
+    "B2~": {
+        (0, 0): ("", 1),
+        (0, 1): ("0212", 36),
+        (0, 2): ("02120212", 1296),
+        (0, 3): ("021202120212", 46656),
+        (0, 4): ("0212021202120212", 1679616),
+        (1, 0): ("020", 12),
+        (1, 1): ("0210202", 432),
+        (1, 2): ("02102021202", 15552),
+        (1, 3): ("021020212021202", 559872),
+        (2, 0): ("021021", 144),
+        (2, 1): ("0210201212", 5184),
+        (2, 2): ("02102012120212", 186624),
+        (3, 0): ("021020120", 1728),
+        (3, 1): ("0210201210202", 62208),
+        (4, 0): ("021020121021", 20736),
+    },
+    "G2~": {
+        (0, 0): ("", 1),
+        (0, 1): ("021212", 144),
+        (0, 2): ("021201210212", 20736),
+        (0, 3): ("021201212021210212", 2985984),
+        (0, 4): ("021201212021212021210212", 429981696),
+        (1, 0): ("0212012121", 5184),
+        (1, 1): ("0212012120121212", 746496),
+        (1, 2): ("0212012120121201210212", 107495424),
+        (1, 3): ("0212012120121201212021210212", 15479341056),
+        (2, 0): ("02120121201212012121", 26873856),
+        (2, 1): ("02120121201212012120121212", 3869835264),
+        (2, 2): ("02120121201212012120121201210212", 557256278016),
+        (3, 0): ("021201212012120121201212012121", 139314069504),
+        (3, 1): ("021201212012120121201212012120121212", 20061226008576),
+        (4, 0): ("0212012120121201212012120121201212012121", 722204136308736),
+    },
+}
+
+# all minimal walk products of the G2~ coweights of norm 6 under GOLDEN_Q
+GOLDEN_G2_NORM6 = {
+    (0, 6): {8916100448256},
+    (1, 5): {320979616137216},
+    (2, 4): {11555266180939776},
+    (3, 3): {415989582513831936},
+    (4, 2): {14975624970497949696},
+    (5, 1): {539122498937926189056},
+    (6, 0): {19408409961765342806016},
+}
+
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_coweight_duality_exact(kind):
     R = build_root_system(kind)
     for i, w in enumerate(R.coweights):
         for j, b in enumerate(R.simple_roots):
-            assert dot(w, b) == (1 if i == j else 0)
+            assert dot(w, b) == (R.scale if i == j else 0)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -206,7 +415,7 @@ def test_embed_shift_examples():
     emb = embed_shift(A1, t2, Coweight((1,)))
     assert len(emb) == 1
     image = t2.alcoves[emb[0]]
-    assert image.verts == ((Fraction(1),), (Fraction(2),))
+    assert image.verts == ((1 * A1.scale,), (2 * A1.scale,))
 
     assert embed_shift(A1, t2, Coweight((0,))) == [0, 1]
 
@@ -227,3 +436,95 @@ def test_embed_shift_examples():
 def test_good_types_match_rotation_orbit_of_zero(kind):
     R = build_root_system(kind)
     assert R.good_types == frozenset(r.perm[0] for r in R.rotations)
+
+
+def _ambient(R, v):
+    return tuple(Fraction(x, R.scale) for x in v)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_root_data_matches_the_fraction_goldens(kind):
+    R = build_root_system(kind)
+    cox, marks, rots, good = GOLDEN_DATA[kind]
+    assert R.coxeter_matrix == cox
+    assert R.marks == marks
+    assert [(r.perm, r.rep) for r in R.rotations] == rots
+    assert R.good_types == good
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_truncation_keys_match_the_fraction_goldens(kind):
+    R = build_root_system(kind)
+    want = [
+        tuple(tuple(Fraction(x) for x in v.split(",")) for v in line.split())
+        for line in GOLDEN_KEYS[kind].strip().splitlines()
+    ]
+    t = truncated_sector(R, 3)
+    assert [tuple(_ambient(R, v) for v in a.key) for a in t.alcoves] == want
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_walks_match_the_fraction_goldens(kind):
+    R = build_root_system(kind)
+    q = ParameterSystem(R, GOLDEN_Q[kind])
+    for cs, (types, param) in GOLDEN_WALKS[kind].items():
+        mu = Coweight(cs)
+        assert "".join(map(str, minimal_walk_types(R, mu))) == types, cs
+        assert translation_parameter(R, q, mu) == param, cs
+
+
+def test_walk_products_need_no_deep_recursion(monkeypatch):
+    G2 = build_root_system("G2~")
+    q = ParameterSystem(G2, GOLDEN_Q["G2~"])
+    limit = sys.getrecursionlimit()
+
+    def refuse(n):
+        raise AssertionError("the walk products changed the recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    for cs, want in GOLDEN_G2_NORM6.items():
+        assert all_minimal_walk_products(G2, q, Coweight(cs)) == want, cs
+        assert sys.getrecursionlimit() == limit
+
+
+def _pair(a, x):
+    return sum(ai * xi for ai, xi in zip(a, x))
+
+
+def _fraction_neighbor(R, alcove, drop):
+    """The alcove across a panel, reflected in ambient Fraction coordinates."""
+    pts = [_ambient(R, v) for v in alcove.verts]
+    panel = pts[:drop] + pts[drop + 1 :]
+    alpha, k = next(
+        (alpha, _pair(alpha, panel[0]))
+        for alpha in R.positive_roots
+        if _pair(alpha, panel[0]).denominator == 1
+        and all(_pair(alpha, p) == _pair(alpha, panel[0]) for p in panel)
+    )
+    c = (_pair(alpha, pts[drop]) - k) * 2 / _pair(alpha, alpha)
+    return sorted(panel + [tuple(x - c * a for x, a in zip(pts[drop], alpha))])
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_integer_reflections_match_fraction_reflections(kind):
+    R = build_root_system(kind)
+    rng = random.Random(kind)
+    a = R.fundamental_alcove()
+    for _ in range(300):  # a random gallery through the arrangement
+        drop = rng.randrange(len(a.verts))
+        b = R.neighbor(a, drop)
+        assert [_ambient(R, v) for v in b.verts] == _fraction_neighbor(R, a, drop)
+        a = b
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_points_are_scaled_ints(kind):
+    R = build_root_system(kind)
+    t = truncated_sector(R, 3)
+    for v in itertools.chain(t.vertices, R.coweights, R.positive_roots):
+        assert all(type(x) is int for x in v), v
+    # the scale is the least one that makes the fundamental alcove integral
+    c0 = R.fundamental_alcove().verts
+    assert all(
+        any(x % p for v in c0 for x in v) for p in range(2, R.scale + 1) if R.scale % p == 0
+    )

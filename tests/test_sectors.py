@@ -186,6 +186,26 @@ def test_germ_table_canonical_order(contexts):
             germs = ctx.space.table(n).germs
             keys = [g.canonical_key for g in germs]
             assert keys == sorted(keys)
+        for n in (1, 2, 3):
+            rows = ctx.space.table(n).rows
+            assert np.array_equal(np.lexsort(rows.T[::-1]), np.arange(len(rows))), (ctx.name, n)
+
+
+def test_rows_increase_check():
+    rows = np.array([[0, 1, 2], [0, 2, 0], [1, 0, 0]], dtype=np.uint8)
+    assert sectors._rows_increase(rows) and sectors._rows_increase(rows[:1])
+    assert not sectors._rows_increase(rows[::-1])
+    assert not sectors._rows_increase(rows[[0, 1, 1, 2]])  # two equal rows
+
+
+def test_duplicate_germ_rows_still_raise(contexts):
+    space = SectorSpace(contexts["k33"].system)
+    parent = space.table(1)
+    # a repeated parent row repeats each of its extensions
+    parent.rows = np.concatenate([parent.rows, parent.rows[-1:]])
+    parent.base = np.concatenate([parent.base, parent.base[-1:]])
+    with pytest.raises(AssertionError, match="duplicate canonical germ keys"):
+        space.table(2)
 
 
 def _germs_document(table):
