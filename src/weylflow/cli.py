@@ -2,10 +2,11 @@
 
 Exit codes: 0 on success, 1 on a semantic failure (failed validation or a
 failed check), 2 on usage or I/O errors, a reader that closes stdout early
-included.  All outputs are deterministic for a fixed input and flag set;
-JSON is emitted with sorted keys and floats at 17 significant digits.  The
-germ and transfer exports are rendered from their integer arrays and
-written in chunks; the small documents go through `dumps_canonical`.
+and running out of memory included.  All outputs are deterministic for a
+fixed input and flag set; JSON is emitted with sorted keys and floats at
+17 significant digits.  The germ and transfer exports are rendered from
+their integer arrays and written in chunks; the small documents go through
+`dumps_canonical`.
 """
 
 from __future__ import annotations
@@ -406,6 +407,9 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except MemoryError as exc:  # numpy's _ArrayMemoryError included
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return USAGE_ERROR
     except transfer.InvariantError as exc:  # an exact operator identity failed on this input
         print(f"error: {exc}", file=sys.stderr)

@@ -158,6 +158,21 @@ def byte_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).reshape(-1)
 
 
+def _row_labels(ids: np.ndarray) -> np.ndarray:
+    """Rank of each row among the distinct rows, in lexicographic order.
+
+    The labels of `np.unique(ids, axis=0, return_inverse=True)`, from one
+    lexsort and a cumulative sum over the boundaries between distinct rows.
+    """
+    order = np.lexsort(ids.T[::-1])
+    ranked = ids[order]
+    new = np.ones(len(ids), dtype=np.int64)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    labels = np.empty(len(ids), dtype=np.int64)
+    labels[order] = np.cumsum(new) - 1
+    return labels
+
+
 def _rows_increase(rows: np.ndarray) -> bool:
     """Whether every row is lexicographically greater than the row before it.
 
@@ -338,14 +353,13 @@ class GermTable:
         ids = np.empty((len(self), 2 + len(faces)), dtype=self.rows.dtype)
         ids[:, 0] = sig
         ids[:, 1] = self.base
-        for s in np.unique(sig).tolist():
+        for s in np.flatnonzero(np.bincount(sig)).tolist():
             plan = self.space._cached_plan(self.radius, s)
             sel = np.flatnonzero(sig == s)
             for col, fi in enumerate(faces, start=2):
                 anchor = plan[fi][0]
                 ids[sel, col] = _face_lookup(system, plan[fi])[self.rows[sel, 1 + anchor]]
-        _, inverse = np.unique(ids, axis=0, return_inverse=True)
-        return inverse.reshape(-1)
+        return _row_labels(ids)
 
     def k_matrix(self) -> np.ndarray:
         """Pairwise first-disagreement norms; radius+1 encodes the sentinel."""
@@ -395,6 +409,10 @@ class SectorSpace:
         self._face_plans: Dict[tuple, list] = {}
         self._covers: Dict[int, tuple] = {}
         self._ray_face_lists: Dict[int, List[List[int]]] = {}
+        # the region-growing distance's per-germ face ids and per-rotation-pair masks
+        self._germ_face_ids: Dict[Germ, np.ndarray] = {}
+        self._interned: Dict[tuple, int] = {}
+        self._type_masks: Dict[tuple, np.ndarray] = {}
         # per-system lookup arrays for the table builds and maps
         types = system.index_set
         n = system.num_chambers
@@ -563,6 +581,28 @@ class SectorSpace:
             self._face_plans[key] = _face_plan(self.system, trunc, perm)
         return self._face_plans[key]
 
+    def _face_ids(self, g: Germ) -> np.ndarray:
+        """The `_face_id` of each truncation face under g, each id interned as an int."""
+        if g not in self._germ_face_ids:
+            plan = self._cached_plan(g.radius, g.sigma_index)
+            ids = [_face_id(self.system, entry, g.chambers) for entry in plan]
+            self._germ_face_ids[g] = np.array(
+                [self._interned.setdefault(i, len(self._interned)) for i in ids]
+            )
+        return self._germ_face_ids[g]
+
+    def _types_agree(self, radius: int, s1: int, s2: int) -> np.ndarray:
+        """Per truncation face, whether rotations s1 and s2 give it the same image types."""
+        key = (radius, s1, s2)
+        if key not in self._type_masks:
+            rots = self.root_system.rotations
+            perm1, perm2 = rots[s1].perm, rots[s2].perm
+            self._type_masks[key] = np.array(
+                [all(perm1[t] == perm2[t] for t in f.types) for f in self.truncation(radius).faces],
+                dtype=bool,
+            )
+        return self._type_masks[key]
+
     def distance(self, g1: Germ, g2: Germ, theta: Fraction = Fraction(1, 2)):
         """Region-growing distance between two germs of equal radius.
 
@@ -573,24 +613,9 @@ class SectorSpace:
         if g1.radius != g2.radius:
             raise ValueError("germs must have the same radius")
         n = g1.radius
-        system = self.system
-        R = self.root_system
         trunc = self.truncation(n)
-        perm1 = R.rotations[g1.sigma_index].perm
-        perm2 = R.rotations[g2.sigma_index].perm
-        plan1 = self._cached_plan(n, g1.sigma_index)
-        plan2 = self._cached_plan(n, g2.sigma_index)
-
-        agree = []
-        for fi, f in enumerate(trunc.faces):
-            if any(perm1[t] != perm2[t] for t in f.types):
-                agree.append(False)
-                continue
-            agree.append(
-                _face_id(system, plan1[fi], g1.chambers)
-                == _face_id(system, plan2[fi], g2.chambers)
-            )
-
+        types = self._types_agree(n, g1.sigma_index, g2.sigma_index)
+        agree = (types & (self._face_ids(g1) == self._face_ids(g2))).tolist()
         region = self._component_of_base(trunc, agree)
         k = SENTINEL
         for cw, norm, vidx in trunc.coweight_vertices:
@@ -603,8 +628,7 @@ class SectorSpace:
             for ray in self._ray_faces(n)
         )
         result = DistanceResult(k, kdir, frozenset(region))
-        value = theta ** (k if k is not SENTINEL else n)
-        return result, value
+        return result, theta ** (k if k is not SENTINEL else n)
 
     def _ray_faces(self, radius: int) -> List[List[int]]:
         """Per direction i, the face indices of the vertices ell * w_i inside the truncation."""

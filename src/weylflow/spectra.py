@@ -15,12 +15,21 @@ Cohomology does not depend on theta; only the magnitude gate of
 `taylor_report` does.  `verify` therefore shares one joint spectrum and
 one Koszul record per character among its spectral checks and both
 thetas of the Taylor check.
+
+`parametrix` and `parametrix_residual` take one character or a stack of
+characters.  A stack shares one table of generator powers
+(`matrix_powers`) and gives each character the blocks it would get alone,
+bit for bit; the worst residual of a stack is a pruned maximum
+(`worst_norm`), which takes an SVD only of blocks whose Frobenius norm
+can beat the running maximum.  `homotopy_zero_check` reads kernel and
+image of each cochain differential off one SVD.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -313,46 +322,89 @@ def koszul_complexes(
 # parametrix and homotopy
 
 
-def parametrix(mats: Sequence[np.ndarray], exponents: Sequence[int], chi: Sequence[complex]):
+def matrix_powers(mats: Sequence[np.ndarray], top: int):
+    """[A_i^0, ..., A_i^top] for each generator, as `np.linalg.matrix_power` forms them."""
+    return [
+        [np.linalg.matrix_power(np.asarray(m, dtype=np.complex128), k) for k in range(top + 1)]
+        for m in mats
+    ]
+
+
+def _characters(chi):
+    """(stack of character tuples, whether chi was a single character)."""
+    if len(chi) and np.ndim(chi) == 1:
+        return [tuple(chi)], True
+    return [tuple(c) for c in chi], False
+
+
+def _scalars(values) -> np.ndarray:
+    """One complex per character, as a (k, 1, 1) array that scales a stack of blocks."""
+    return np.array(values, dtype=np.complex128).reshape(-1, 1, 1)
+
+
+def parametrix(mats: Sequence[np.ndarray], exponents: Sequence[int], chi, powers=None):
     """Telescoping solution of the ideal-membership identity.
 
     Returns B_1..B_r with sum_i (A_i - chi_i) B_i = prod A_i^{l_i} - prod chi_i^{l_i},
     using prod x - prod b = sum_i (prod_{j<i} x_j)(x_i^{l_i} - b_i^{l_i})(prod_{j>i} b_j)
     and the geometric factorization of x^l - b^l.
+
+    `chi` is one character or a stack of k characters; for a stack each B_i
+    is a (k, d, d) array.  Each character's blocks come out bitwise as they
+    would alone: the matrix products are per character and the powers of
+    chi are Python complex arithmetic.  `powers` is a `matrix_powers`
+    table of the family, which a caller can share across exponents.
     """
-    mats = [np.asarray(m, dtype=np.complex128) for m in mats]
-    d = mats[0].shape[0]
-    eye = np.eye(d, dtype=np.complex128)
+    stack, single = _characters(chi)
+    if powers is None:
+        powers = matrix_powers(mats, max(exponents))
+    d = powers[0][0].shape[0]
     out = []
-    for i, (a, li, bi) in enumerate(zip(mats, exponents, chi)):
-        geom = np.zeros((d, d), dtype=np.complex128)
-        power = eye.copy()
-        for mpow in range(li):
-            geom += power * (bi ** (li - 1 - mpow))
-            power = power @ a
-        prefix = eye.copy()
-        for j in range(i):
-            prefix = prefix @ np.linalg.matrix_power(mats[j], exponents[j])
-        suffix = 1 + 0j
-        for j in range(i + 1, len(mats)):
-            suffix *= chi[j] ** exponents[j]
-        out.append(prefix @ geom * suffix)
-    return out
+    prefix = None  # prod_{j<i} A_j^{l_j}
+    for i, li in enumerate(exponents):
+        geom = np.zeros((len(stack), d, d), dtype=np.complex128)
+        for m in range(li):
+            geom += powers[i][m] * _scalars([c[i] ** (li - 1 - m) for c in stack])
+        suffix = [math.prod((c[j] ** exponents[j] for j in range(i + 1, len(c))), start=1 + 0j)
+                  for c in stack]
+        out.append((geom if prefix is None else prefix @ geom) * _scalars(suffix))
+        prefix = powers[i][li] if prefix is None else prefix @ powers[i][li]
+    return [b[0] for b in out] if single else out
 
 
-def parametrix_residual(mats, exponents, chi, bs) -> float:
+def worst_norm(blocks: np.ndarray, floor: float = 0.0) -> float:
+    """max(floor, largest 2-norm of the (k, d, d) blocks), exactly.
+
+    Since ||R||_2 <= ||R||_F, a block whose Frobenius norm cannot beat the
+    running maximum gets no SVD; the factor 1 + 1e-8 covers the rounding of
+    both norms, so pruning never drops a block that would raise it.
+    """
+    worst = floor
+    for block, fro in zip(blocks, np.linalg.norm(blocks, axis=(1, 2)).tolist()):
+        if fro * (1 + 1e-8) > worst:
+            worst = max(worst, float(np.linalg.norm(block, 2)))
+    return worst
+
+
+def parametrix_residual(mats, exponents, chi, bs, floor: float = 0.0, powers=None) -> float:
+    """Largest ||sum_i (A_i - chi_i) B_i - (prod A_i^{l_i} - prod chi_i^{l_i})||_2.
+
+    `chi` and `bs` are one character and its B_i, or a stack of characters
+    and the stacked B_i of `parametrix`; the result is the maximum over the
+    stack and `floor` (see `worst_norm`).
+    """
+    stack, single = _characters(chi)
     mats = [np.asarray(m, dtype=np.complex128) for m in mats]
-    d = mats[0].shape[0]
-    lhs = np.zeros((d, d), dtype=np.complex128)
-    for a, c, b in zip(mats, chi, bs):
-        lhs += (a - c * np.eye(d)) @ b
-    target = np.eye(d, dtype=np.complex128)
-    scalar = 1 + 0j
-    for a, l in zip(mats, exponents):
-        target = target @ np.linalg.matrix_power(a, l)
-    for c, l in zip(chi, exponents):
-        scalar *= c ** l
-    return float(np.linalg.norm(lhs - (target - scalar * np.eye(d)), 2))
+    if powers is None:
+        powers = matrix_powers(mats, max(exponents))
+    eye = np.eye(mats[0].shape[0], dtype=np.complex128)
+    lhs = np.zeros((len(stack),) + eye.shape, dtype=np.complex128)
+    for i, (a, b) in enumerate(zip(mats, bs)):
+        lhs += (a - _scalars([c[i] for c in stack]) * eye) @ (np.asarray(b)[None] if single else b)
+    target = functools.reduce(np.matmul, [p[l] for p, l in zip(powers, exponents)])
+    scalar = [math.prod((v ** l for v, l in zip(c, exponents)), start=1 + 0j) for c in stack]
+    lhs -= target - _scalars(scalar) * eye
+    return worst_norm(lhs, floor)
 
 
 def homotopy_zero_check(
@@ -377,29 +429,27 @@ def homotopy_zero_check(
         f += (a - c * np.eye(d)) @ b
     scale = max(float(np.linalg.norm(f, 2)), 1.0)
     co = koszul_cochain(mats, chi)
+    # one SVD per differential serves as kernel at p and as image at p + 1
+    kernels, images = [], []
+    for mat in co:
+        # LAPACK is faster on tall matrices: for a wide M, factor M^H = V S U^H;
+        # a tall M needs no more of U than its first columns
+        tall = mat.shape[0] >= mat.shape[1]
+        x, s, yh = np.linalg.svd(mat if tall else mat.conj().T, full_matrices=not tall)
+        u, v = (x, yh.conj().T) if tall else (yh.conj().T, x)
+        smax = s[0] if len(s) and s[0] > 0 else 1.0
+        rank = int(np.sum(s > tol_rank * smax * max(mat.shape)))
+        kernels.append(v[:, rank:])
+        images.append(u[:, :rank])
+    kernels.append(np.eye(len(_wedge_basis(r, r)) * d, dtype=np.complex128))
     worst = 0.0
     for p in range(r + 1):
-        blocks = len(_wedge_basis(r, p))
-        big_f = np.kron(np.eye(blocks), f)
-        if p < r:
-            mat = co[p]
-            u, s, vh = np.linalg.svd(mat)
-            smax = s[0] if len(s) and s[0] > 0 else 1.0
-            thresh = tol_rank * smax * max(mat.shape)
-            rank = int(np.sum(s > thresh))
-            kernel = vh.conj().T[:, rank:]
-        else:
-            kernel = np.eye(blocks * d, dtype=np.complex128)
+        kernel = kernels[p]
         if kernel.shape[1] == 0:
             continue
-        moved = big_f @ kernel
+        moved = np.kron(np.eye(len(_wedge_basis(r, p))), f) @ kernel
         if p >= 1:
-            prev = co[p - 1]
-            u, s, vh = np.linalg.svd(prev)
-            smax = s[0] if len(s) and s[0] > 0 else 1.0
-            thresh = tol_rank * smax * max(prev.shape)
-            rank = int(np.sum(s > thresh))
-            img = u[:, :rank]
+            img = images[p - 1]
             moved = moved - img @ (img.conj().T @ moved)
         worst = max(worst, float(np.linalg.norm(moved, 2)))
     return worst, worst <= tol * scale

@@ -32,9 +32,10 @@ nonzero (row, column, value) cells of an integer matrix, such as
 `cells(preimages)`.  For each level m it groups the cells by column and
 radius-(m-1) class of the row and takes each group's value range with
 integer max/min `reduceat`; a class with a row the column misses also
-holds that row's 0.  It forms one rational spread_m / (denom * theta^m)
-per level and column.  An indicator's own seminorm needs no kernel: it
-follows from the class sizes (`indicator_seminorms`).
+holds that row's 0.  Each column's maximum of spread_m / (denom * theta^m)
+over the levels is taken in integers over a common denominator, so it forms
+one rational per column.  An indicator's own seminorm needs no kernel: it
+follows from the class sizes (`indicator_levels`).
 
 Assembly groups the big germs with array operations: group ids from the
 rows' plug-alcove columns, group sizes from `bincount` and the nonzero
@@ -260,23 +261,16 @@ def lift_to(space: SectorSpace, phi: Sequence, n: int, m: int) -> List:
     return [phi[int(restr[pos])] for pos in range(len(big))]
 
 
-def lipschitz_seminorms(
-    space: SectorSpace, entries: tuple, ncols: int, denom: int, n: int, theta: Fraction
-) -> List[Fraction]:
-    """Exact Lipschitz seminorm of every column of a sparse matrix / denom on F_n.
+def _level_spreads(space: SectorSpace, entries: tuple, ncols: int, n: int) -> np.ndarray:
+    """(n + 1, ncols) integers: per level m and column, the largest value range
+    inside one radius-(m-1) class (level 0: the whole space), in the values' dtype.
 
-    `entries` holds aligned (row, column, value) arrays with at most one cell
-    per entry; entries without a cell are 0.  Pairs at first-disagreement
-    norm m contribute |dphi| / theta^m; the largest value range inside one
-    radius-(m-1) class realizes the supremum over those pairs, because any
-    two of its members disagree at norm >= m (level 0 is the whole space).
     The ranges come from integer `reduceat` over the cells grouped by
-    (column, class), so the only rationals are the (n+1) * ncols final
-    quotients spread_m / (denom * theta^m).
+    (column, class); a class with a row the column misses also holds that
+    row's 0.
     """
     table = space.table(n)
     dim = len(table)
-    theta = Fraction(theta)
     row, col, value = (np.asarray(a) for a in entries)
     if len(row) and (row.min() < 0 or row.max() >= dim):
         raise ValueError("dimension mismatch")
@@ -290,7 +284,6 @@ def lipschitz_seminorms(
         starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
         hi = np.maximum.reduceat(vals, starts)
         lo = np.minimum.reduceat(vals, starts)
-        # a class with a row the column misses also holds that row's 0
         group = key[starts]
         missed = np.diff(np.r_[starts, len(key)]) < size[group % len(size)]
         ranges = np.where(missed, np.maximum(hi, 0) - np.minimum(lo, 0), hi - lo)
@@ -299,11 +292,34 @@ def lipschitz_seminorms(
         spread = np.zeros(ncols, dtype=vals.dtype)
         spread[column[firsts]] = np.maximum.reduceat(ranges, firsts)
         spreads.append(spread)
-    scales = [denom * theta**m for m in range(n + 1)]
-    return [
-        max(Fraction(int(spread[c])) / scale for spread, scale in zip(spreads, scales))
-        for c in range(ncols)
-    ]
+    return np.array(spreads)
+
+
+def lipschitz_seminorms(
+    space: SectorSpace, entries: tuple, ncols: int, denom: int, n: int, theta: Fraction
+) -> List[Fraction]:
+    """Exact Lipschitz seminorm of every column of a sparse matrix / denom on F_n.
+
+    `entries` holds aligned (row, column, value) arrays with at most one cell
+    per entry; entries without a cell are 0.  Pairs at first-disagreement
+    norm m contribute |dphi| / theta^m; the largest value range inside one
+    radius-(m-1) class realizes the supremum over those pairs, because any
+    two of its members disagree at norm >= m (`_level_spreads`).  With
+    theta = num/den, spread_m / (denom theta^m) is spread_m den^m num^(n-m)
+    over the common denominator denom num^n, so each column's maximum over
+    the levels is taken in integers (Python ints where int64 could
+    overflow) and the only rationals are the ncols results.
+    """
+    theta = Fraction(theta)
+    if theta <= 0:
+        raise ValueError("theta must be positive")
+    spreads = _level_spreads(space, entries, ncols, n)
+    num, den = theta.numerator, theta.denominator
+    weights = [den**m * num ** (n - m) for m in range(n + 1)]
+    if spreads.dtype != object and max(int(spreads.max(initial=0)), 1) * max(weights) >= 2**63:
+        spreads = spreads.astype(object)
+    best = (spreads * np.array(weights, dtype=spreads.dtype)[:, None]).max(axis=0)
+    return [Fraction(v, denom * num**n) for v in best.tolist()]
 
 
 def lipschitz_seminorm(space: SectorSpace, phi: Sequence, n: int, theta: Fraction) -> Fraction:
@@ -323,21 +339,30 @@ def lipschitz_seminorm(space: SectorSpace, phi: Sequence, n: int, theta: Fractio
     return lipschitz_seminorms(space, column, 1, denom, n, theta)[0]
 
 
-def indicator_seminorms(space: SectorSpace, n: int, theta: Fraction) -> List[Fraction]:
-    """Exact seminorm of the indicator of every F_n class, from class sizes.
+def indicator_levels(space: SectorSpace, n: int) -> List[int]:
+    """Per F_n class, the level m that sets its indicator's seminorm theta^-m.
 
     An indicator's level-m spread is 1 when the radius-(m-1) class of its
     germ has another member (at level 0, when F_n has another class) and 0
-    otherwise, so its seminorm is theta^-m at the largest such m.
+    otherwise; the level is the largest such m, or -1 (seminorm 0) if none.
     """
     table = space.table(n)
-    theta = Fraction(theta)
     level = np.full(len(table), 0 if len(table) > 1 else -1)
     for m in range(1, n + 1):
         cls = table.restriction_map(m - 1)
         level[np.bincount(cls)[cls] > 1] = m
-    values = {m: theta**-m if m >= 0 else Fraction(0) for m in range(-1, n + 1)}
-    return [values[m] for m in level.tolist()]
+    return level.tolist()
+
+
+def level_seminorms(theta: Fraction, n: int) -> dict:
+    """An indicator's seminorm at each level: theta^-m at m = 0..n, 0 at -1."""
+    return {m: Fraction(theta) ** -m if m >= 0 else Fraction(0) for m in range(-1, n + 1)}
+
+
+def indicator_seminorms(space: SectorSpace, n: int, theta: Fraction) -> List[Fraction]:
+    """Exact seminorm of the indicator of every F_n class, from class sizes."""
+    values = level_seminorms(theta, n)
+    return [values[m] for m in indicator_levels(space, n)]
 
 
 @dataclass
@@ -369,18 +394,16 @@ def check_lasota_yorke(
     factor = theta if mu.strongly_dominant else Fraction(1)
     c_theta = 2 / theta
     images = lipschitz_seminorms(space, cells(tm.preimages), tm.dim, tm.m_mu, n, theta)
-    own = indicator_seminorms(space, n, theta)
-    violations = []
-    max_slack = None
-    for g, (lhs, phi_norm) in enumerate(zip(images, own)):
-        # an indicator has sup norm 1
-        rhs = factor * phi_norm + c_theta
-        if lhs > rhs:
-            violations.append(f"indicator {g}: |L phi| = {lhs} > {rhs}")
-        slack = rhs - lhs
-        if max_slack is None or slack < max_slack:
-            max_slack = slack
-    return InequalityReport(tm.dim, violations, max_slack)
+    levels = indicator_levels(space, n)
+    # an indicator has sup norm 1, and its own seminorm is set by its level
+    bound = {m: factor * v + c_theta for m, v in level_seminorms(theta, n).items()}
+    violations = [
+        f"indicator {g}: |L phi| = {lhs} > {bound[m]}"
+        for g, (lhs, m) in enumerate(zip(images, levels))
+        if lhs > bound[m]
+    ]
+    slack = min((bound[m] - lhs for lhs, m in zip(images, levels)), default=None)
+    return InequalityReport(tm.dim, violations, slack)
 
 
 def check_sup_contraction(space: SectorSpace, tm: TransferMatrix) -> bool:

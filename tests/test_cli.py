@@ -85,6 +85,26 @@ def test_transfer_refuses_dense_export_above_the_cell_budget(monkeypatch, capsys
     )
 
 
+def _array_memory_error():
+    """numpy's MemoryError subclass, made without allocating anything."""
+    from numpy._core._exceptions import _ArrayMemoryError
+
+    return _ArrayMemoryError((2**40,), np.dtype(np.float64))
+
+
+@pytest.mark.parametrize("exc", [MemoryError(), _array_memory_error()], ids=["bare", "numpy"])
+def test_memory_error_exits_with_one_line(exc, monkeypatch, capsys):
+    def exhausted(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_germs", exhausted)
+    assert run(["germs", "k33", "--radius", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: out of memory") and captured.err.count("\n") == 1
+    assert isinstance(exc, MemoryError) and str(exc) in captured.err
+
+
 def test_missing_file_is_usage_error(capsys):
     assert run(["validate", "no-such-file.json"]) == 2
 

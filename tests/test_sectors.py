@@ -162,6 +162,22 @@ def test_a2_direction_split_witness(a2):
     assert res.k_directional[0] is SENTINEL or res.k_directional[0] > 1
 
 
+def test_region_growing_distance_reads_no_class_array(contexts, monkeypatch):
+    # the explicit route stays independent of the face lookups the class arrays use
+    def refused(*args):
+        raise AssertionError("the region-growing distance used _face_lookup")
+
+    monkeypatch.setattr(sectors, "_face_lookup", refused)
+    ctx = contexts["a2q2"]
+    space = SectorSpace(ctx.system)
+    germs = space.table(2).germs[::50]
+    want = ctx.space.table(2)
+    for a in germs:
+        for b in germs:
+            res, _ = space.distance(a, b)
+            assert res.k == want.k_between(want.position(a), want.position(b))
+
+
 def test_ultrametric_exhaustive_small(k33, biregular):
     for ctx in (k33, biregular):
         k = ctx.space.table(2).k_matrix().astype(int)
@@ -196,6 +212,34 @@ def test_rows_increase_check():
     assert sectors._rows_increase(rows) and sectors._rows_increase(rows[:1])
     assert not sectors._rows_increase(rows[::-1])
     assert not sectors._rows_increase(rows[[0, 1, 1, 2]])  # two equal rows
+
+
+def test_class_labels_match_unique_rows(contexts, monkeypatch):
+    # every fixture and level of the ray and region classes, radius 0 included
+    seen, real = [], sectors._row_labels
+
+    def recorded(ids):
+        labels = real(ids)
+        seen.append((ids.copy(), labels))
+        return labels
+
+    monkeypatch.setattr(sectors, "_row_labels", recorded)
+    for ctx in contexts.values():
+        space = SectorSpace(ctx.system)  # fresh, so no class array is cached
+        for n in range(3):
+            table = space.table(n)
+            for i in range(ctx.rank):
+                for ell in range(n + 1):
+                    table.ray_classes(i, ell)
+            for mu in ctx.generators + [ctx.strong]:
+                if mu.norm <= n:
+                    table.region_classes(mu)
+    assert seen
+    one_row = np.array([[2, 0, 5]], dtype=np.uint8)
+    ties = np.array([[1, 2], [0, 9], [1, 2], [0, 9], [0, 3]], dtype=np.uint16)
+    for ids in [one_row, ties] + [ids for ids, _ in seen]:
+        want = np.unique(ids, axis=0, return_inverse=True)[1].reshape(-1)
+        assert np.array_equal(real(ids), want)
 
 
 def test_duplicate_germ_rows_still_raise(contexts):

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -144,6 +145,88 @@ def test_parametrix_residual_random_exponents(a2):
         for exps in ((2, 1), (3, 1), (2, 2), (4, 0)):
             bs = spectra.parametrix(mats, exps, chi)
             assert spectra.parametrix_residual(mats, exps, chi, bs) < 1e-12
+
+
+def test_stacked_parametrix_equals_single_characters_bitwise(a2):
+    # every exponent of check_parametrix, on the a2q2 F_1 family
+    mats, _ = a2.f1
+    rng = np.random.default_rng(11)
+    chis = [tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2)) for _ in range(4)]
+    powers = spectra.matrix_powers(mats, 4)
+    for e in itertools.product(range(5), repeat=2):
+        if not 0 < sum(e) <= 4:
+            continue
+        stacked = spectra.parametrix(mats, e, chis, powers=powers)
+        singles = [spectra.parametrix(mats, e, chi) for chi in chis]
+        for k, single in enumerate(singles):
+            for b_stack, b_one in zip(stacked, single):
+                assert b_stack[k].tobytes() == b_one.tobytes(), (e, k)
+        worst = spectra.parametrix_residual(mats, e, chis, stacked, powers=powers)
+        assert worst == max(
+            spectra.parametrix_residual(mats, e, chi, single) for chi, single in zip(chis, singles)
+        )
+
+
+def _count_spectral_norms(monkeypatch):
+    calls, real = [], np.linalg.norm
+
+    def counted(x, ord=None, axis=None, keepdims=False):
+        if ord == 2:
+            calls.append(x.shape)
+        return real(x, ord=ord, axis=axis, keepdims=keepdims)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    return calls
+
+
+def test_pruned_worst_norm_equals_the_full_maximum(monkeypatch):
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        k, d = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+        blocks = rng.normal(size=(k, d, d)) + 1j * rng.normal(size=(k, d, d))
+        if rng.random() < 0.5:  # rank one: the 2-norm equals the Frobenius norm
+            u = rng.normal(size=(k, d, 1)) + 1j * rng.normal(size=(k, d, 1))
+            blocks = u @ u.conj().transpose(0, 2, 1)
+        blocks *= 10.0 ** rng.integers(-17, 3, size=(k, 1, 1))
+        blocks[rng.random(k) < 0.3] = 0
+        if k > 1 and rng.random() < 0.5:
+            blocks[-1] = blocks[0]  # a tie
+        full = max([0.0] + [float(np.linalg.norm(b, 2)) for b in blocks])
+        floor = float(rng.choice([0.0, full / 2, full, 2 * full]))
+        assert spectra.worst_norm(blocks) == full
+        assert spectra.worst_norm(blocks, floor) == max(floor, full)
+    # rounding can put a computed 2-norm above the computed Frobenius norm
+    # (rank one: they are equal in exact arithmetic); such a block still counts
+    over = 0
+    for _ in range(100):
+        u = rng.normal(size=(5, 1)) + 1j * rng.normal(size=(5, 1))
+        block = u @ u.conj().T
+        fro, two = float(np.linalg.norm(block)), float(np.linalg.norm(block, 2))
+        assert spectra.worst_norm(block[None], floor=fro) == max(fro, two)
+        over += two > fro
+    assert over
+    # the pruning itself: after the largest block, small and zero blocks take no SVD
+    big = np.diag([3.0, 0.0]).astype(complex)
+    blocks = np.array([big, big / 10, np.zeros((2, 2)), big / 5])
+    calls = _count_spectral_norms(monkeypatch)
+    assert spectra.worst_norm(blocks) == 3.0
+    assert len(calls) == 1
+    assert spectra.worst_norm(np.zeros((3, 2, 2))) == 0.0 and len(calls) == 1
+
+
+def test_homotopy_takes_one_svd_per_differential(a2, monkeypatch):
+    mats, _ = a2.f1
+    chi = a2.joint[0].chi
+    calls, real = [], np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        if kwargs.get("compute_uv", True):
+            calls.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    _, ok = spectra.homotopy_zero_check(mats, chi, (1, 1))
+    assert ok and len(calls) == 2  # r = 2 cochain differentials
 
 
 def test_homotopy_zero_on_and_off_spectrum(k33):

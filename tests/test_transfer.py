@@ -189,6 +189,31 @@ def test_seminorm_matches_pairwise_definition(k33, a2):
                 assert transfer.lipschitz_seminorm(ctx.space, image, 2, theta) == fast[g]
 
 
+def _fraction_maxima(spreads, denom, n, theta):
+    """Each column's max over the levels of spread_m / (denom theta^m), one Fraction each."""
+    return [
+        max(Fraction(int(spreads[m][c])) / (denom * theta**m) for m in range(n + 1))
+        for c in range(spreads.shape[1])
+    ]
+
+
+def test_integer_seminorm_maxima_match_the_fraction_route(contexts):
+    for theta in (Fraction(1, 2), Fraction(1, 4), Fraction(2, 3)):
+        for name, ctx in contexts.items():
+            mu = ctx.strong if ctx.rank > 1 else Coweight((1,))
+            tm = ctx.tm(mu, 2)
+            entries = transfer.cells(tm.preimages)
+            spreads = transfer._level_spreads(ctx.space, entries, tm.dim, 2)
+            want = _fraction_maxima(spreads, tm.m_mu, 2, theta)
+            assert transfer.lipschitz_seminorms(ctx.space, entries, tm.dim, tm.m_mu, 2, theta) == want
+            # values near 2^62 take the Python-int route where int64 would overflow
+            row, col, value = entries
+            huge = (row, col, value.astype(np.int64) << (62 - int(value.max()).bit_length()))
+            spreads = transfer._level_spreads(ctx.space, huge, tm.dim, 2)
+            want = _fraction_maxima(spreads, tm.m_mu, 2, theta)
+            assert transfer.lipschitz_seminorms(ctx.space, huge, tm.dim, tm.m_mu, 2, theta) == want, name
+
+
 def test_indicator_seminorms_match_identity_columns(contexts):
     for theta in (Fraction(1, 2), Fraction(1, 4)):
         for name, ctx in contexts.items():

@@ -124,6 +124,15 @@ def _first_difference(levels):
     return k
 
 
+def test_meet_labels_are_the_lexicographic_ranks_of_the_label_tuples():
+    rng = np.random.default_rng(8)
+    # labels up to 2^40 overflow a mixed-radix int64 key: the meet relabels between digits
+    for size, top, count in ((1, 1, 1), (50, 3, 2), (400, 400, 4), (400, 2**40, 3)):
+        labels = [rng.integers(0, top, size) for _ in range(count)]
+        want = np.unique(np.column_stack(labels), axis=0, return_inverse=True)[1].reshape(-1)
+        assert np.array_equal(verify._meet(*labels), want)
+
+
 def test_law_helpers_match_pair_definitions():
     # random labels are not nested, so bare labels would give other answers
     rng = np.random.default_rng(3)
