@@ -409,10 +409,9 @@ class SectorSpace:
         self._face_plans: Dict[tuple, list] = {}
         self._covers: Dict[int, tuple] = {}
         self._ray_face_lists: Dict[int, List[List[int]]] = {}
-        # the region-growing distance's per-germ face ids and per-rotation-pair masks
+        # the region-growing distance's face ids per germ, interned as ints
         self._germ_face_ids: Dict[Germ, np.ndarray] = {}
         self._interned: Dict[tuple, int] = {}
-        self._type_masks: Dict[tuple, np.ndarray] = {}
         # per-system lookup arrays for the table builds and maps
         types = system.index_set
         n = system.num_chambers
@@ -582,26 +581,20 @@ class SectorSpace:
         return self._face_plans[key]
 
     def _face_ids(self, g: Germ) -> np.ndarray:
-        """The `_face_id` of each truncation face under g, each id interned as an int."""
+        """Per truncation face, an int that two germs share exactly when they
+        agree there: the same image type at each vertex type and the same `_face_id`."""
         if g not in self._germ_face_ids:
+            perm = self.root_system.rotations[g.sigma_index].perm
+            faces = self.truncation(g.radius).faces
             plan = self._cached_plan(g.radius, g.sigma_index)
-            ids = [_face_id(self.system, entry, g.chambers) for entry in plan]
+            keys = [
+                (tuple(perm[t] for t in f.types), _face_id(self.system, entry, g.chambers))
+                for f, entry in zip(faces, plan)
+            ]
             self._germ_face_ids[g] = np.array(
-                [self._interned.setdefault(i, len(self._interned)) for i in ids]
+                [self._interned.setdefault(k, len(self._interned)) for k in keys]
             )
         return self._germ_face_ids[g]
-
-    def _types_agree(self, radius: int, s1: int, s2: int) -> np.ndarray:
-        """Per truncation face, whether rotations s1 and s2 give it the same image types."""
-        key = (radius, s1, s2)
-        if key not in self._type_masks:
-            rots = self.root_system.rotations
-            perm1, perm2 = rots[s1].perm, rots[s2].perm
-            self._type_masks[key] = np.array(
-                [all(perm1[t] == perm2[t] for t in f.types) for f in self.truncation(radius).faces],
-                dtype=bool,
-            )
-        return self._type_masks[key]
 
     def distance(self, g1: Germ, g2: Germ, theta: Fraction = Fraction(1, 2)):
         """Region-growing distance between two germs of equal radius.
@@ -614,8 +607,7 @@ class SectorSpace:
             raise ValueError("germs must have the same radius")
         n = g1.radius
         trunc = self.truncation(n)
-        types = self._types_agree(n, g1.sigma_index, g2.sigma_index)
-        agree = (types & (self._face_ids(g1) == self._face_ids(g2))).tolist()
+        agree = (self._face_ids(g1) == self._face_ids(g2)).tolist()
         region = self._component_of_base(trunc, agree)
         k = SENTINEL
         for cw, norm, vidx in trunc.coweight_vertices:

@@ -359,12 +359,6 @@ def level_seminorms(theta: Fraction, n: int) -> dict:
     return {m: Fraction(theta) ** -m if m >= 0 else Fraction(0) for m in range(-1, n + 1)}
 
 
-def indicator_seminorms(space: SectorSpace, n: int, theta: Fraction) -> List[Fraction]:
-    """Exact seminorm of the indicator of every F_n class, from class sizes."""
-    values = level_seminorms(theta, n)
-    return [values[m] for m in indicator_levels(space, n)]
-
-
 @dataclass
 class InequalityReport:
     checked: int

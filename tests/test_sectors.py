@@ -162,6 +162,27 @@ def test_a2_direction_split_witness(a2):
     assert res.k_directional[0] is SENTINEL or res.k_directional[0] > 1
 
 
+def test_face_ids_agree_exactly_where_the_faces_agree(contexts):
+    # the original per-face test: same image type at each vertex type, same face id
+    for ctx in contexts.values():
+        space, system = ctx.space, ctx.system
+        faces = space.truncation(2).faces
+        rots = system.root_system.rotations
+        germs = space.table(2).germs[::7]
+        for a in germs[:12]:
+            for b in germs:
+                pa, pb = rots[a.sigma_index].perm, rots[b.sigma_index].perm
+                plan_a = space._cached_plan(2, a.sigma_index)
+                plan_b = space._cached_plan(2, b.sigma_index)
+                want = [
+                    all(pa[t] == pb[t] for t in f.types)
+                    and sectors._face_id(system, plan_a[fi], a.chambers)
+                    == sectors._face_id(system, plan_b[fi], b.chambers)
+                    for fi, f in enumerate(faces)
+                ]
+                assert (space._face_ids(a) == space._face_ids(b)).tolist() == want
+
+
 def test_region_growing_distance_reads_no_class_array(contexts, monkeypatch):
     # the explicit route stays independent of the face lookups the class arrays use
     def refused(*args):
