@@ -250,7 +250,8 @@ def koszul_chain(mats: Sequence[np.ndarray], chi: Sequence[complex]):
 def _rank(mat: np.ndarray, tol_rank: float):
     if mat.size == 0:
         return 0, False
-    s = np.linalg.svd(mat, compute_uv=False)
+    # M and M^T share their singular values; LAPACK is faster on the tall one
+    s = np.linalg.svd(mat if mat.shape[0] >= mat.shape[1] else mat.T, compute_uv=False)
     smax = s[0] if s[0] > 0 else 1.0
     thresh = tol_rank * smax * max(mat.shape)
     rank = int(np.sum(s > thresh))
