@@ -32,11 +32,9 @@ from .chamber import (
 from .sectors import Germ, GermTable, SectorSpace, enumerate_germs
 from .transfer import (
     TransferMatrix,
-    apply,
     check_fn_invariance,
     check_lasota_yorke,
     lipschitz_seminorm,
-    pi_projection,
     transfer_matrix,
 )
 from .spectra import (
@@ -73,11 +71,9 @@ __all__ = [
     "SectorSpace",
     "enumerate_germs",
     "TransferMatrix",
-    "apply",
     "check_fn_invariance",
     "check_lasota_yorke",
     "lipschitz_seminorm",
-    "pi_projection",
     "transfer_matrix",
     "Character",
     "eigen",

@@ -23,8 +23,9 @@ Every array of a build is in the row dtype or narrower (the padded block
 array in the signed type that holds its -1), so a build step holds the old
 and the new row array, and the final sort one int64 index per germ and a
 sorted copy: the peak is about 2.5 times the stored rows.  A lookup of a
-contiguous query in the row dtype adds only an int64 position, one gathered
-key and a flag per query row.
+query in the row dtype adds an int64 position per query row; it searches
+the query a block of rows at a time, so its keys, gathered keys and flags
+take one block.
 
 Two germs at distance theta^k first disagree at a dominant coweight of norm
 k, where "agree at lambda" means the connected component of the base vertex
@@ -79,6 +80,8 @@ class Germ:
 SENTINEL = None  # distance not resolved within the truncation radius
 # rows per text chunk of the germs/v1 export
 _GERM_CHUNK_ROWS = 4096
+# rows per block of `row_groups` and `GermTable.lookup`
+_BLOCK_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -158,19 +161,30 @@ def byte_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).reshape(-1)
 
 
-def _row_labels(ids: np.ndarray) -> np.ndarray:
-    """Rank of each row among the distinct rows, in lexicographic order.
+def row_groups(rows: np.ndarray):
+    """(first, labels) of the distinct rows of an unsigned integer array.
 
-    The labels of `np.unique(ids, axis=0, return_inverse=True)`, from one
-    lexsort and a cumulative sum over the boundaries between distinct rows.
+    `labels` ranks each row among the distinct rows in lexicographic order
+    and `first[label]` is the first row with that label, as
+    `np.unique(byte_keys(rows), return_index=True, return_inverse=True)`
+    gives them.  One stable lexsort orders the rows; neighbouring sorted
+    rows are compared a block at a time, so no sorted copy of the rows and
+    no key array is made.
     """
-    order = np.lexsort(ids.T[::-1])
-    ranked = ids[order]
-    new = np.ones(len(ids), dtype=np.int64)
-    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    labels = np.empty(len(ids), dtype=np.int64)
-    labels[order] = np.cumsum(new) - 1
-    return labels
+    order = np.lexsort(rows.T[::-1])
+    new = np.ones(len(rows), dtype=bool)
+    for start in range(1, len(rows), _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, len(rows))
+        new[start:stop] = (rows[order[start - 1 : stop - 1]] != rows[order[start:stop]]).any(axis=1)
+    ranks = np.cumsum(new) - 1
+    labels = np.empty(len(rows), dtype=np.int64)
+    labels[order] = ranks
+    return order[new], labels
+
+
+def _row_labels(ids: np.ndarray) -> np.ndarray:
+    """Rank of each row among the distinct rows, in lexicographic order."""
+    return row_groups(ids)[1]
 
 
 def _rows_increase(rows: np.ndarray) -> bool:
@@ -282,14 +296,17 @@ class GermTable:
             rows = query.astype(self.rows.dtype)
             if not np.array_equal(rows, query):  # a value the row dtype cannot hold
                 raise KeyError(f"query out of range for radius-{self.radius} rows")
-        keys = byte_keys(rows)
-        pos = np.searchsorted(self._keys, keys)
-        # a row past the last key is clipped onto it and then fails to match
-        np.minimum(pos, len(self._keys) - 1, out=pos)
-        found = self._keys[pos] == keys
-        if not found.all():
-            bad = query[np.flatnonzero(~found)[0]].tolist()
-            raise KeyError(f"{bad} is not a radius-{self.radius} germ")
+        pos = np.empty(len(rows), dtype=np.intp)
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            keys = byte_keys(rows[start : start + _BLOCK_ROWS])
+            part = pos[start : start + len(keys)]
+            part[:] = np.searchsorted(self._keys, keys)
+            # a row past the last key is clipped onto it and then fails to match
+            np.minimum(part, len(self._keys) - 1, out=part)
+            found = self._keys[part] == keys
+            if not found.all():
+                bad = query[start + np.flatnonzero(~found)[0]].tolist()
+                raise KeyError(f"{bad} is not a radius-{self.radius} germ")
         return pos
 
     @cached_property
@@ -449,6 +466,14 @@ class SectorSpace:
         if radius not in self._tables:
             self._tables[radius] = GermTable(self, radius)
         return self._tables[radius]
+
+    def release_above(self, radius: int):
+        """Drop the tables above `radius`, with their restriction maps, and the
+        shift maps out of them; a later request builds them again."""
+        for r in [r for r in self._tables if r > radius]:
+            del self._tables[r]
+        for key in [key for key in self._shift_maps if key[0] > radius]:
+            del self._shift_maps[key]
 
     def predicted_size(self, radius: int) -> int:
         """|T_1| (|T_2| / |T_1|)^(radius - 1), from the tables up to radius 2 only.
@@ -701,7 +726,3 @@ def germs_json_chunks(table: GermTable) -> Iterator[str]:
     head = {"format": "germs/v1", "radius": table.radius, "count": len(table)}
     return stream_canonical(head, "germs", chunks())
 
-
-def write_germs_json(table: GermTable, fh):
-    """Write the table as a germs/v1 document to the text file `fh`."""
-    fh.writelines(germs_json_chunks(table))

@@ -37,10 +37,11 @@ over the levels is taken in integers over a common denominator, so it forms
 one rational per column.  An indicator's own seminorm needs no kernel: it
 follows from the class sizes (`indicator_levels`).
 
-Assembly groups the big germs with array operations: group ids from the
-rows' plug-alcove columns, group sizes from `bincount` and the nonzero
-count vectors from the distinct (group, column) cells, so no dense
-(groups x dim) or (dim x dim) array is formed.
+Assembly groups the big germs with array operations: group ids from one
+lexsort of the rows' plug-alcove columns (`row_groups`), group sizes from
+`bincount` and the nonzero count vectors from the distinct (group, column)
+cells, sorted in place, so no dense (groups x dim) or (dim x dim) array and
+no byte-key copy of the rows is formed.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .rootdata import Coweight, dot, translation_parameter, vsub
-from .sectors import SectorSpace, byte_keys
+from .sectors import SectorSpace, row_groups
 
 
 @dataclass
@@ -150,8 +151,6 @@ def _transfer_matrix_at_depth(
     big = space.table(big_radius)
     small = space.table(radius)
     m_mu = translation_parameter(R, space.system.params, mu)
-    shifted = space.shift_map(big_radius, mu)  # radius big_radius - |mu|
-    cols = big.restriction_map(radius)
     tv = R.coweight_vector(mu)
     plug_alcoves = [
         k
@@ -162,9 +161,12 @@ def _transfer_matrix_at_depth(
 
     # group the big germs by (rotation, chambers on the plug alcoves)
     plug = np.take(big.rows, [0] + [1 + k for k in plug_alcoves], axis=1)
-    _, first, gid = np.unique(byte_keys(plug), return_index=True, return_inverse=True)
-    # each group's class: the F_radius class of its first germ's shift
-    group_row = space.table(big_radius - mu.norm).restriction_map(radius)[shifted[first]]
+    first, gid = row_groups(plug)
+    del plug
+    # each group's class: the F_radius class of its first germ's shift; the
+    # maps are read after the grouping, so their lookups do not add to its peak
+    shifted = space.shift_map(big_radius, mu)[first]  # radius big_radius - |mu|
+    group_row = space.table(big_radius - mu.norm).restriction_map(radius)[shifted]
     sizes = np.bincount(gid)
     if sizes.min() != sizes.max():
         raise CountingError(
@@ -179,12 +181,19 @@ def _transfer_matrix_at_depth(
 
     # the nonzero entries of every group vector, one (group, column) each,
     # sorted by group and then column
-    keys, hits = np.unique(gid * dim + cols, return_counts=True)
+    cell = gid  # taken over in place: the group ids are not read again
+    cell *= dim
+    cell += big.restriction_map(radius)
+    cell.sort()
+    starts = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
+    keys, hits = cell[starts], np.diff(np.r_[starts, len(cell)])
+    del gid, cell, starts
     if np.any(hits % lam != 0):
         raise CountingError(
             "group counts are not uniform over the preimage multiplicity"
         )
     group, col, value = keys // dim, keys % dim, hits // lam
+    del keys, hits
     # the first group of each class fills its row; every other must repeat
     # it cell for cell
     classes, leaders = np.unique(group_row, return_index=True)
@@ -199,6 +208,7 @@ def _transfer_matrix_at_depth(
             f"preimage counts at class {group_row[group[np.argmax(differs)]]} "
             "depend on the representative"
         )
+    del same, mate, differs
     if len(classes) != dim:
         raise CountingError("some classes received no conditioning group")
     sel = leader == group
@@ -221,44 +231,6 @@ def _pack(row, col, value, dim: int, m_mu: int) -> np.ndarray:
             f"the counts of row {bad[0]} sum to {int(sums[bad[0]])}, not M_mu={m_mu}"
         )
     return np.repeat(col, value).astype(np.int32).reshape(dim, m_mu)
-
-
-def apply(tm: TransferMatrix, phi: Sequence) -> List[Fraction]:
-    """Exact matrix-vector product for rational (or integer) vectors."""
-    if len(phi) != tm.dim:
-        raise ValueError("dimension mismatch")
-    values = np.array([Fraction(x) for x in phi], dtype=object)
-    return [total / tm.m_mu for total in values[tm.preimages].sum(axis=1)]
-
-
-def pi_projection(space: SectorSpace, phi: Sequence, m: int, n: int) -> List:
-    """Project an F_m vector to F_n by sampling canonical representatives.
-
-    The value on a radius-n class is the value of `phi` at the smallest
-    radius-m class restricting to it.
-    """
-    if n >= m:
-        raise ValueError("projection goes to a strictly smaller radius")
-    big = space.table(m)
-    small = space.table(n)
-    if len(phi) != len(big):
-        raise ValueError("dimension mismatch")
-    restr = big.restriction_map(n)
-    rep = {}
-    for pos in range(len(big)):
-        cls = int(restr[pos])
-        if cls not in rep:
-            rep[cls] = pos
-    return [phi[rep[c]] for c in range(len(small))]
-
-
-def lift_to(space: SectorSpace, phi: Sequence, n: int, m: int) -> List:
-    """View an F_n vector inside F_m (constant on restriction fibers)."""
-    if m < n:
-        raise ValueError("lift goes to a larger radius")
-    big = space.table(m)
-    restr = big.restriction_map(n)
-    return [phi[int(restr[pos])] for pos in range(len(big))]
 
 
 def _level_spreads(space: SectorSpace, entries: tuple, ncols: int, n: int) -> np.ndarray:
@@ -419,7 +391,10 @@ class FnInvarianceReport:
         return ok
 
 
-def check_fn_invariance(space: SectorSpace, mu: Coweight, n: int) -> FnInvarianceReport:
+def check_fn_invariance(
+    space: SectorSpace, mu: Coweight, n: int,
+    small: Optional[TransferMatrix] = None, big: Optional[TransferMatrix] = None,
+) -> FnInvarianceReport:
     """Consistency of the matrices across radii.
 
     (a) The radius-(n+1) matrix, compressed through the restriction maps,
@@ -427,10 +402,11 @@ def check_fn_invariance(space: SectorSpace, mu: Coweight, n: int) -> FnInvarianc
     (b) For strongly dominant mu and n >= 2, rows belonging to germs with a
         common radius-(n-1) restriction must be identical after the column
         compression, i.e. the operator maps F_n into F_{n-1}.
+    `small` and `big` are the operators on F_n and F_(n+1), if assembled.
     """
     details = []
-    tm_small = transfer_matrix(space, mu, n)
-    tm_big = transfer_matrix(space, mu, n + 1)
+    tm_small = small if small is not None else transfer_matrix(space, mu, n)
+    tm_big = big if big is not None else transfer_matrix(space, mu, n + 1)
     restr = space.table(n + 1).restriction_map(n)
     # compress the columns of the big matrix along the restriction fibers:
     # each big row, restricted entry by entry, must be the small row of its class

@@ -1,4 +1,3 @@
-import io
 import json
 from fractions import Fraction
 
@@ -8,7 +7,7 @@ import pytest
 from weylflow import chamber, sectors
 from weylflow.io_utils import dumps_canonical
 from weylflow.rootdata import Coweight
-from weylflow.sectors import SENTINEL, SectorSpace, germs_json_chunks, write_germs_json
+from weylflow.sectors import SENTINEL, SectorSpace, germs_json_chunks
 from weylflow.verify import FixtureContext
 
 
@@ -263,6 +262,28 @@ def test_class_labels_match_unique_rows(contexts, monkeypatch):
         assert np.array_equal(real(ids), want)
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+def test_row_groups_match_unique_byte_keys(dtype):
+    rng = np.random.default_rng(3)
+    top = np.iinfo(dtype).max
+    distinct = np.unique(rng.integers(0, top, size=(300, 3)), axis=0)
+    cases = {
+        "one row": rng.integers(0, top, size=(1, 4)),
+        "all equal": np.repeat(rng.integers(0, top, size=(1, 5)), 70_000, axis=0),
+        "all distinct": distinct[rng.permutation(len(distinct))],
+        # repeats spread over several comparison blocks
+        "mixed": rng.integers(0, 3, size=(150_000, 4)) * (top // 2),
+    }
+    for name, rows in cases.items():
+        rows = rows.astype(dtype)
+        first, labels = sectors.row_groups(rows)
+        _, want_first, want_labels = np.unique(
+            sectors.byte_keys(rows), return_index=True, return_inverse=True
+        )
+        assert np.array_equal(first, want_first), name
+        assert np.array_equal(labels, want_labels.reshape(-1)), name
+
+
 def test_duplicate_germ_rows_still_raise(contexts):
     space = SectorSpace(contexts["k33"].system)
     parent = space.table(1)
@@ -284,9 +305,7 @@ def _germs_document(table):
 
 
 def _written(table) -> str:
-    fh = io.StringIO()
-    write_germs_json(table, fh)
-    return fh.getvalue()
+    return "".join(germs_json_chunks(table))
 
 
 def test_germ_export_schema(k33):

@@ -65,61 +65,42 @@ def test_counting_depth_independent(a2):
 
 
 def test_apply_constant_is_fixed(contexts):
+    # row-stochasticity: every row lists M_mu preimages
     for ctx in contexts.values():
         tm = ctx.tm(ctx.generators[0], 1)
-        ones = [Fraction(1)] * tm.dim
-        assert transfer.apply(tm, ones) == ones
+        ones = np.ones(tm.dim, dtype=np.int64)
+        assert np.array_equal(ones[tm.preimages].sum(axis=1), tm.m_mu * ones)
 
 
 def test_apply_parity_flips(k33):
     tm = k33.tm(Coweight((1,)), 1)
     table = k33.space.table(1)
     rots = k33.system.root_system.rotations
-    phi = [Fraction(1 if rots[g.sigma_index].perm[0] == 0 else -1) for g in table.germs]
-    assert transfer.apply(tm, phi) == [-x for x in phi]
+    phi = np.array([1 if rots[g.sigma_index].perm[0] == 0 else -1 for g in table.germs])
+    assert np.array_equal(phi[tm.preimages].sum(axis=1), -tm.m_mu * phi)
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.lists(st.fractions(min_value=-3, max_value=3), min_size=18, max_size=18))
 def test_apply_sup_norm_contracts(k33, phi):
     tm = k33.tm(Coweight((1,)), 1)
-    out = transfer.apply(tm, phi)
+    out = np.array(phi, dtype=object)[tm.preimages].sum(axis=1) / tm.m_mu  # Fractions
     assert max(abs(x) for x in out) <= max(abs(x) for x in phi)
 
 
-def test_pi_projection_idempotent(k33):
-    space = k33.space
-    phi2 = [Fraction(k % 5, 3) for k in range(len(space.table(2)))]
-    lifted = transfer.lift_to(space, transfer.pi_projection(space, phi2, 2, 1), 1, 2)
-    assert transfer.pi_projection(space, lifted, 2, 1) == transfer.pi_projection(
-        space, phi2, 2, 1
-    )
-    # a function already constant on radius-1 classes projects to itself
-    phi1 = [Fraction(k % 7) for k in range(len(space.table(1)))]
-    assert transfer.pi_projection(space, transfer.lift_to(space, phi1, 1, 2), 2, 1) == phi1
-
-
-def test_pi_projection_indicator(k33):
-    space = k33.space
-    t2 = space.table(2)
-    for target in range(0, len(t2), 7):
-        phi = [Fraction(0)] * len(t2)
-        phi[target] = Fraction(1)
-        proj = transfer.pi_projection(space, phi, 2, 1)
-        cls = int(t2.restriction_map(1)[target])
-        assert all(v in (Fraction(0), Fraction(1)) for v in proj)
-        assert all(v == 0 for k, v in enumerate(proj) if k != cls)
-
-
 def test_pi_projection_contracts_seminorm(k33):
+    # the projection to F_1 samples each radius-1 class at its first germ
+    # and reads the sample back on F_2
     import random
 
     space = k33.space
+    restr = space.table(2).restriction_map(1)
+    first = np.unique(restr, return_index=True)[1]
     rng = random.Random(5)
     theta = Fraction(1, 2)
     for _ in range(10):
         phi = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(len(space.table(2)))]
-        proj = transfer.lift_to(space, transfer.pi_projection(space, phi, 2, 1), 1, 2)
+        proj = [phi[first[c]] for c in restr]
         assert transfer.lipschitz_seminorm(space, proj, 2, theta) <= transfer.lipschitz_seminorm(
             space, phi, 2, theta
         )
@@ -294,6 +275,18 @@ def test_f3_assembly_peak_memory(a2, traced_peak):
     tm, peak = traced_peak(lambda: transfer.transfer_matrix(a2.space, mu, 3))
     assert tm.preimages.shape == (4032, 16)
     assert peak < 16 * 2**20, peak
+
+
+def test_f3_assembly_peak_over_built_tables(a2, traced_peak):
+    # tables up to radius 5 built, no map yet, as in `verify`: the plug
+    # grouping and the (group, column) cells are sorted without key copies;
+    # 9.5 MiB measured, 17.6 MiB with `np.unique` for both
+    space = SectorSpace(a2.system)
+    for radius in range(6):
+        space.table(radius)
+    tm, peak = traced_peak(lambda: transfer.transfer_matrix(space, Coweight((1, 1)), 3))
+    assert tm.preimages.shape == (4032, 16)
+    assert peak < 12 * 2**20, peak
 
 
 def test_counting_rejects_rows_that_depend_on_the_representative(a2):

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from weylflow import fixtures, spectra, verify
-from weylflow.sectors import SENTINEL
+from weylflow import cli, fixtures, sectors, spectra, transfer, verify
+from weylflow.sectors import SENTINEL, byte_keys
 from weylflow.verify import FixtureContext, run_suite
 
 
@@ -27,8 +27,29 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
+def _counting_builds(monkeypatch):
+    """Record (id of the SectorSpace, radius) for every germ table built."""
+    builds, real = [], sectors.GermTable.__init__
+
+    def init(self, space, radius):
+        builds.append((id(space), radius))
+        real(self, space, radius)
+
+    monkeypatch.setattr(sectors.GermTable, "__init__", init)
+    return builds
+
+
+def _assert_lean_after_suite(ctx, builds, metric_radius):
+    """Each table was built once, and none above the metric radius is kept."""
+    radii = sorted(r for space, r in builds if space == id(ctx.space))
+    assert radii == list(range(len(radii))) and radii[-1] > metric_radius, radii
+    assert max(ctx.space._tables) == metric_radius
+    assert all(radius <= metric_radius for radius, _ in ctx.space._shift_maps)
+
+
 @pytest.mark.parametrize("name", fixtures.FIXTURES)
 def test_full_suite_passes(name, monkeypatch):
+    builds = _counting_builds(monkeypatch)
     ctx = FixtureContext(name, fixtures.load_fixture(name))
     edges = None
     if ctx.rank == 1:
@@ -47,8 +68,40 @@ def test_full_suite_passes(name, monkeypatch):
     assert len(chars) == len(set(chars)) > len(ctx.joint)
     # the suite runs on the row arrays: no large table makes Germ objects
     tables = ctx.space._tables
-    assert max(tables) >= 3
     assert not [n for n, table in tables.items() if n >= 3 and "germs" in vars(table)]
+    _assert_lean_after_suite(ctx, builds, 3)
+
+
+def test_verify_all_assembles_each_operator_once(monkeypatch, capsys):
+    # the CLI path: every context is made and budgeted before the first suite
+    builds = _counting_builds(monkeypatch)
+    suites = _counting(monkeypatch, verify, "run_suite")
+    assemblies = _counting(monkeypatch, transfer, "transfer_matrix")
+    plugs, real_groups = [], transfer.row_groups
+
+    def checked_groups(rows):
+        first, labels = real_groups(rows)
+        _, want_first, want_labels = np.unique(
+            byte_keys(rows), return_index=True, return_inverse=True
+        )
+        plugs.append(
+            (rows.shape, np.array_equal(first, want_first)
+             and np.array_equal(labels, want_labels.reshape(-1)))
+        )
+        return first, labels
+
+    monkeypatch.setattr(transfer, "row_groups", checked_groups)
+    assert cli.main(["verify", "all", "--radius", "3"]) == 0
+    assert "[FAIL]" not in capsys.readouterr().out
+    assert [ctx.name for ctx, *_ in suites] == list(fixtures.FIXTURES)
+    for ctx, *_ in suites:
+        _assert_lean_after_suite(ctx, builds, 3)
+    keys = [(id(space), tuple(mu.coords), n) for space, mu, n, *_ in assemblies]
+    assert len(keys) == len(set(keys))
+    # one plug grouping per assembly, each equal to the np.unique grouping;
+    # a2q2's operator on F_3 groups the 258,048 radius-5 germs
+    assert len(plugs) == len(keys) and all(same for _, same in plugs)
+    assert (258048, 10) in [shape for shape, _ in plugs]
 
 
 def test_walk_parameter_details_land_on_their_own_result(a2, monkeypatch):
