@@ -230,7 +230,7 @@ def cmd_koszul(args) -> int:
         "chi": [complex(c) for c in rec.chi],
         "space_dims": list(rec.cochain_dims),
         "cohomology": list(rec.cohomology),
-        "homology": list(rec.homology),
+        "homology": None if rec.homology is None else list(rec.homology),
         "max_defect": rec.max_defect,
         "ambiguous": rec.ambiguous,
     }

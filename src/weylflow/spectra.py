@@ -7,9 +7,11 @@ values of the stacked system; Koszul cochain and chain complexes give the
 cohomological picture, with parametrices realizing the Nullstellensatz
 identity sum_i (A_i - chi_i) B_i(chi) = A_mu - chi(mu).
 
-Rank decisions use a relative singular-value threshold with an explicit
-ambiguity band; characters with singular values inside the band are
-reported as ambiguous rather than classified.
+Every rank decision is one rule (`_rank_rule`): a relative singular-value
+threshold with an explicit ambiguity band; characters with singular values
+inside the band are reported as ambiguous rather than classified.  Only
+the cochain differentials get rank SVDs: the chain complex, built on its
+own, must be their Hodge conjugate bit for bit, so dim H_p = dim H^(r-p).
 
 Cohomology does not depend on theta; only the magnitude gate of
 `taylor_report` does.  `verify` therefore shares one joint spectrum and
@@ -79,7 +81,7 @@ class Character:
     """Values of a multiplicative character on the generator family."""
 
     values: tuple  # complex, one per generator
-    gate_elements: tuple = ()  # coweight coordinate tuples used by the gate
+    gate_elements: tuple  # coweight coordinate tuples used by the gate
 
     def value_at(self, coords) -> complex:
         out = 1 + 0j
@@ -88,8 +90,6 @@ class Character:
         return out
 
     def magnitude(self) -> float:
-        if not self.gate_elements:
-            return max(abs(v) for v in self.values)
         return max(abs(self.value_at(k)) for k in self.gate_elements)
 
     def passes_gate(self, theta: float) -> bool:
@@ -167,7 +167,7 @@ def joint_spectrum(
     scale = max(np.linalg.norm(m, 2) for m in mats)
     out = []
     for chi in merged:
-        null_dim, vecs, _ = _stacked_null_space(mats, chi, tol_rank)
+        null_dim, vecs = _stacked_null_space(mats, chi, tol_rank)
         if null_dim == 0:
             continue
         v = vecs[:, 0]
@@ -182,15 +182,17 @@ def joint_spectrum(
 def _stacked_null_space(mats, chi, tol_rank):
     dim = mats[0].shape[0]
     stacked = np.vstack([m - c * np.eye(dim) for m, c in zip(mats, chi)])
-    u, s, vh = np.linalg.svd(stacked)
-    smax = s[0] if len(s) and s[0] > 0 else 1.0
-    thresh = tol_rank * smax * dim
-    null_dim = int(np.sum(s <= thresh))
-    band = (np.sum((s > thresh) & (s < thresh * AMBIGUITY_BAND)) > 0) or (
-        np.sum((s <= thresh) & (s > thresh / AMBIGUITY_BAND)) > 0
-    )
-    vecs = vh.conj().T[:, dim - null_dim:] if null_dim else np.zeros((dim, 0))
-    return null_dim, vecs, bool(band)
+    _, s, vh = np.linalg.svd(stacked)
+    null_dim = dim - _rank_rule(s, dim, tol_rank)[0]
+    return null_dim, vh.conj().T[:, dim - null_dim:]
+
+
+def _rank_rule(s: np.ndarray, size: int, tol_rank: float):
+    """(rank, ambiguous) from descending singular values: the count above tol_rank * s_max * size,
+    and whether any value lies within a factor AMBIGUITY_BAND of that threshold."""
+    thresh = tol_rank * (s[0] if len(s) and s[0] > 0 else 1.0) * size
+    band = np.any((s > thresh / AMBIGUITY_BAND) & (s < thresh * AMBIGUITY_BAND))
+    return int(np.sum(s > thresh)), bool(band)
 
 
 # ----------------------------------------------------------------------
@@ -248,18 +250,34 @@ def koszul_chain(mats: Sequence[np.ndarray], chi: Sequence[complex]):
 
 
 def _rank(mat: np.ndarray, tol_rank: float):
-    if mat.size == 0:
-        return 0, False
     # M and M^T share their singular values; LAPACK is faster on the tall one
     s = np.linalg.svd(mat if mat.shape[0] >= mat.shape[1] else mat.T, compute_uv=False)
-    smax = s[0] if s[0] > 0 else 1.0
-    thresh = tol_rank * smax * max(mat.shape)
-    rank = int(np.sum(s > thresh))
-    band = bool(
-        np.any((s > thresh) & (s < thresh * AMBIGUITY_BAND))
-        or np.any((s <= thresh) & (s > thresh / AMBIGUITY_BAND))
-    )
-    return rank, band
+    return _rank_rule(s, max(mat.shape), tol_rank)
+
+
+def hodge_conjugate(d: np.ndarray, r: int, p: int) -> np.ndarray:
+    """The chain differential that the Hodge star makes of the cochain d_p.
+
+    Block (T, U) of the result, the boundary from degree r - p to r - p - 1,
+    is sgn(T^c T) * sgn(U^c U) * (-1)^p times block (T^c, U^c) of d_p, where
+    sgn(S T) is the sign of the permutation that sorts S followed by T.
+    Complements list the wedge basis in reverse, hence the reversed blocks.
+    """
+    def signs(k):
+        comps = [(tuple(x for x in range(r) if x not in t), t) for t in _wedge_basis(r, k)]
+        return np.array([(-1) ** sum(a > b for a in c for b in t) for c, t in comps])
+
+    rows, cols = signs(r - p - 1), signs(r - p)
+    blocks = d.reshape(len(rows), -1, len(cols), d.shape[1] // len(cols))[::-1, :, ::-1]
+    return (blocks * ((-1) ** p * rows[:, None, None, None] * cols[:, None])).reshape(d.shape)
+
+
+def chain_mismatch(co: Sequence[np.ndarray], ch: Sequence[np.ndarray]) -> Optional[int]:
+    """Least q for which the chain boundary ch[q - 1] is not, bit for bit, the
+    `hodge_conjugate` of the cochain differential d_(r-q); None if there is none."""
+    r = len(co)
+    return next((q for q in range(1, r + 1)
+                 if not np.array_equal(ch[q - 1], hodge_conjugate(co[r - q], r, r - q))), None)
 
 
 @dataclass
@@ -269,8 +287,8 @@ class KoszulComplexRec:
     chi: tuple
     cochain_dims: tuple       # dimensions of the cochain spaces
     cohomology: tuple         # dim H^p for p = 0..r
-    homology: tuple           # dim H_p for p = 0..r
-    max_defect: float         # largest ||delta o delta|| over both complexes
+    homology: Optional[tuple]  # dim H_p = dim H^(r-p); None if the Hodge identity fails
+    max_defect: float         # largest ||delta o delta|| over both complexes' products
     ambiguous: bool
     tol_rank: float
 
@@ -278,6 +296,7 @@ class KoszulComplexRec:
 def koszul_complexes(
     mats: Sequence[np.ndarray], chi: Sequence[complex], tol_rank: float = TOL_RANK
 ) -> KoszulComplexRec:
+    """Cohomology from rank SVDs of the r cochain differentials; homology if the Hodge identity holds."""
     mats = [np.asarray(m, dtype=np.complex128) for m in mats]
     r = len(mats)
     d = mats[0].shape[0]
@@ -285,38 +304,14 @@ def koszul_complexes(
     ch = koszul_chain(mats, chi)
     dims = tuple(len(_wedge_basis(r, p)) * d for p in range(r + 1))
 
-    defect = 0.0
-    for a, b in zip(co, co[1:]):
-        defect = max(defect, float(np.linalg.norm(b @ a, 2)))
-    for a, b in zip(ch, ch[1:]):
-        defect = max(defect, float(np.linalg.norm(a @ b, 2)))
+    products = [b @ a for a, b in zip(co, co[1:])] + [a @ b for a, b in zip(ch, ch[1:])]
+    defect = max((float(np.linalg.norm(m, 2)) for m in products), default=0.0)
 
-    ambiguous = False
-    ranks_co = []
-    for mat in co:
-        rk, band = _rank(mat, tol_rank)
-        ranks_co.append(rk)
-        ambiguous = ambiguous or band
-    coh = []
-    for p in range(r + 1):
-        incoming = ranks_co[p - 1] if p >= 1 else 0
-        outgoing = ranks_co[p] if p < r else 0
-        coh.append(dims[p] - outgoing - incoming)
-
-    ranks_ch = []
-    for mat in ch:
-        rk, band = _rank(mat, tol_rank)
-        ranks_ch.append(rk)
-        ambiguous = ambiguous or band
-    hom = []
-    for p in range(r + 1):
-        outgoing = ranks_ch[p - 1] if p >= 1 else 0   # boundary leaving degree p
-        incoming = ranks_ch[p] if p < r else 0        # boundary arriving from p+1
-        hom.append(dims[p] - outgoing - incoming)
-
-    return KoszulComplexRec(
-        tuple(chi), dims, tuple(coh), tuple(hom), defect, ambiguous, tol_rank
-    )
+    ranks, bands = zip(*(_rank(mat, tol_rank) for mat in co))
+    padded = (0,) + ranks + (0,)  # padded[p] = rank d_(p-1), padded[p + 1] = rank d_p
+    coh = tuple(dims[p] - padded[p] - padded[p + 1] for p in range(r + 1))
+    hom = coh[::-1] if chain_mismatch(co, ch) is None else None
+    return KoszulComplexRec(tuple(chi), dims, coh, hom, defect, any(bands), tol_rank)
 
 
 # ----------------------------------------------------------------------
@@ -438,8 +433,7 @@ def homotopy_zero_check(
         tall = mat.shape[0] >= mat.shape[1]
         x, s, yh = np.linalg.svd(mat if tall else mat.conj().T, full_matrices=not tall)
         u, v = (x, yh.conj().T) if tall else (yh.conj().T, x)
-        smax = s[0] if len(s) and s[0] > 0 else 1.0
-        rank = int(np.sum(s > tol_rank * smax * max(mat.shape)))
+        rank = _rank_rule(s, max(mat.shape), tol_rank)[0]
         kernels.append(v[:, rank:])
         images.append(u[:, :rank])
     kernels.append(np.eye(len(_wedge_basis(r, r)) * d, dtype=np.complex128))
@@ -469,9 +463,7 @@ def taylor_report(
     mats: Sequence[np.ndarray],
     theta: float,
     exact: Optional[Sequence[np.ndarray]] = None,
-    gate_elements: Optional[Sequence[tuple]] = None,
     extra_characters: Sequence[tuple] = (),
-    n_offspectrum: int = 8,
     seed: int = DEFAULT_SEED,
     tol_res: float = TOL_RES,
     tol_rank: float = TOL_RANK,
@@ -482,10 +474,11 @@ def taylor_report(
 ) -> SpectrumReport:
     """Classify characters as joint eigenvalues and by Koszul cohomology.
 
-    Tested characters are the computed joint eigenvalues, random samples
-    away from the per-operator spectra, and any user-supplied tuples.  A
-    character passing the magnitude gate must be a Taylor member (nonzero
-    cohomology) exactly when it matches a joint eigenvalue.
+    Tested characters are the computed joint eigenvalues, eight random
+    samples away from the per-operator spectra, and any user-supplied
+    tuples.  A character passing the magnitude gate on the
+    `default_gate_elements` must be a Taylor member (nonzero cohomology)
+    exactly when it matches a joint eigenvalue.
 
     Only the gate depends on theta.  A caller that classifies for several
     thetas passes the joint spectrum it holds, `koszul`, a memo of
@@ -494,8 +487,6 @@ def taylor_report(
     """
     mats = [np.asarray(m, dtype=np.complex128) for m in mats]
     r = len(mats)
-    if gate_elements is None:
-        gate_elements = default_gate_elements(r)
     if joint is None:
         joint = joint_spectrum(
             mats, exact=exact, seed=seed, tol_res=tol_res, tol_merge=tol_merge, tol_rank=tol_rank
@@ -506,7 +497,7 @@ def taylor_report(
     rng = np.random.default_rng(seed ^ 0x5EED)
     off = []
     guard = 0
-    while len(off) < n_offspectrum and guard < 100 * n_offspectrum:
+    while len(off) < 8 and guard < 800:
         guard += 1
         cand = tuple(
             complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(r)
@@ -527,7 +518,7 @@ def taylor_report(
     tested = [j.chi for j in joint] + list(off) + [tuple(c) for c in extra_characters]
     joint_set = [j.chi for j in joint]
     for chi in tested:
-        ch = Character(tuple(chi), tuple(gate_elements))
+        ch = Character(tuple(chi), default_gate_elements(r))
         rec = koszul(chi)
         member = any(h != 0 for h in rec.cohomology)
         report.cohomology[tuple(chi)] = rec.cohomology

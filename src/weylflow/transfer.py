@@ -99,8 +99,10 @@ def cells(preimages: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def compose(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Preimage lists of the product L_first L_second: a gather, then a row sort."""
-    return np.sort(second[first].reshape(len(first), -1), axis=1)
+    """Preimage lists of the product L_first L_second: a gather, then a row sort in place."""
+    g = second[first].reshape(len(first), -1)
+    g.sort(axis=1)
+    return g
 
 
 def transfer_matrix(

@@ -557,7 +557,8 @@ def check_koszul_suite(ctx: FixtureContext, n_random: int = 100, seed: int = 7) 
         for _ in range(n_random)
     ]
 
-    dd_ok, euler_ok, far_ok, dual_ok = True, True, True, True
+    dd_ok, euler_ok, far_ok = True, True, True
+    dual_bad = []  # characters whose chain complex is not the Hodge conjugate of the cochain one
     scale = max(np.linalg.norm(m, 2) for m in mats) + 1.0
     for chi in chars + randoms:
         rec = ctx.koszul(chi)
@@ -566,14 +567,19 @@ def check_koszul_suite(ctx: FixtureContext, n_random: int = 100, seed: int = 7) 
         if sum((-1) ** p * h for p, h in enumerate(rec.cohomology)) != 0:
             euler_ok = False
         if rec.homology != tuple(rec.cohomology[r - p] for p in range(r + 1)):
-            dual_ok = False
+            dual_bad.append(chi)
         far = max(min(abs(c - v) for v in vals) for c, vals in zip(chi, per_op))
         if far > 1e-3 and any(h != 0 for h in rec.cohomology):
             far_ok = False
     out.append(CheckResult("Koszul differentials square to zero", dd_ok))
     out.append(CheckResult("Euler characteristic of cohomology vanishes", euler_ok))
     out.append(CheckResult("cohomology vanishes away from the spectra", far_ok))
-    out.append(CheckResult("chain/cochain duality dim H_p = dim H^(r-p)", dual_ok))
+    dual_detail = ""
+    if dual_bad:
+        chi = dual_bad[0]
+        q = spectra.chain_mismatch(spectra.koszul_cochain(mats, chi), spectra.koszul_chain(mats, chi))
+        dual_detail = f"{len(dual_bad)} characters, first chi={chi} at chain degree {q}"
+    out.append(CheckResult("chain/cochain duality dim H_p = dim H^(r-p)", not dual_bad, dual_detail))
 
     h0_ok = True
     for j in joint:

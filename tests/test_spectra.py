@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from weylflow import spectra
+from weylflow import spectra, verify
 from weylflow.rootdata import Coweight
 from weylflow.transfer import InvariantError
 
@@ -115,6 +115,91 @@ def test_koszul_euler_characteristic_always_zero(a2):
         chi = tuple(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(2))
         rec = spectra.koszul_complexes(mats, chi)
         assert sum((-1) ** p * h for p, h in enumerate(rec.cohomology)) == 0
+
+
+def _conjugate_by_the_formula(d, r, p):
+    """Block (T, U) = sgn(T^c T) sgn(U^c U) (-1)^p block (T^c, U^c) of d_p, block by block."""
+
+    def sign(seq):  # of the permutation that sorts seq, by counting its inversions
+        return (-1) ** sum(a > b for a, b in itertools.combinations(seq, 2))
+
+    def comp(t):
+        return tuple(x for x in range(r) if x not in t)
+
+    rows = list(itertools.combinations(range(r), r - p - 1))
+    cols = list(itertools.combinations(range(r), r - p))
+    src_rows = list(itertools.combinations(range(r), p + 1))
+    src_cols = list(itertools.combinations(range(r), p))
+    n = d.shape[1] // len(cols)
+    out = np.zeros_like(d)
+    for i, t in enumerate(rows):
+        for j, u in enumerate(cols):
+            ti, uj = src_rows.index(comp(t)), src_cols.index(comp(u))
+            sgn = sign(comp(t) + t) * sign(comp(u) + u) * (-1) ** p
+            out[i * n:(i + 1) * n, j * n:(j + 1) * n] = sgn * d[ti * n:(ti + 1) * n, uj * n:(uj + 1) * n]
+    return out
+
+
+@pytest.mark.parametrize("r", [3, 4])
+def test_chain_is_the_hodge_conjugate_of_the_cochain(r):
+    # any matrices will do: the identity does not need a commuting family
+    rng = np.random.default_rng(r)
+    for _ in range(3):
+        d = int(rng.integers(1, 4))
+        mats = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(r)]
+        chi = tuple(complex(rng.normal(), rng.normal()) for _ in range(r))
+        co, ch = spectra.koszul_cochain(mats, chi), spectra.koszul_chain(mats, chi)
+        for p in range(r):
+            want = _conjugate_by_the_formula(co[p], r, p)
+            assert np.array_equal(ch[r - p - 1], want)
+            assert np.array_equal(spectra.hodge_conjugate(co[p], r, p), want)
+        assert spectra.chain_mismatch(co, ch) is None
+        rec = spectra.koszul_complexes(mats, chi)
+        assert rec.homology == rec.cohomology[::-1]
+
+
+def test_chain_svd_route_reproduces_the_record(contexts):
+    # the chain rank SVDs that koszul_complexes no longer takes, on every suite character
+    for name, ctx in contexts.items():
+        verify.check_koszul_suite(ctx)
+        mats, _ = ctx.f1
+        r = len(mats)
+        for chi, rec in ctx._koszul.items():
+            ranks, bands = zip(*(spectra._rank(m, spectra.TOL_RANK) for m in spectra.koszul_chain(mats, chi)))
+            padded = (0,) + ranks + (0,)  # padded[p] = rank of the boundary leaving degree p
+            homology = tuple(rec.cochain_dims[p] - padded[p] - padded[p + 1] for p in range(r + 1))
+            assert homology == rec.homology, (name, chi)
+            assert rec.ambiguous or not any(bands), (name, chi)
+
+
+def _counting_svds(monkeypatch):
+    """List that collects the shape of every np.linalg.svd call from now on.
+
+    The 2-norms of `np.linalg.norm` take numpy's internal SVD and do not count.
+    """
+    calls, real = [], np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def test_koszul_complexes_takes_r_rank_svds(a2, monkeypatch):
+    mats, _ = a2.f1
+    calls = _counting_svds(monkeypatch)
+    rec = spectra.koszul_complexes(mats, a2.joint[0].chi)
+    assert len(calls) == 2 and rec.homology == rec.cohomology[::-1]
+
+
+def test_koszul_suite_svd_budget(a2, monkeypatch):
+    assert a2.joint and a2.eigenvalues  # shared data, computed before counting
+    monkeypatch.setattr(a2, "_koszul", {})
+    calls = _counting_svds(monkeypatch)
+    assert all(res.passed for res in verify.check_koszul_suite(a2))
+    assert len(a2._koszul) >= 100 and len(calls) <= 2 * len(a2._koszul)
 
 
 def test_parametrix_single_operator_square():

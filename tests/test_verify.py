@@ -6,6 +6,8 @@ explicit region-growing distance, independently of the class arrays used
 by the exhaustive suites.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -370,3 +372,42 @@ def test_tampered_ray_faces_fail_the_distance_cross_check(contexts, monkeypatch,
     res = verify.check_distance_cross_validation(contexts[name], radius=2)
     assert not res.passed
     assert res.detail.startswith("pair (") and "direction" in res.detail
+
+
+def _flip_last_chain_differential(monkeypatch):
+    """Make `koszul_chain` return its top boundary negated: ranks and d o d stay as they were."""
+    real = spectra.koszul_chain
+
+    def flipped(mats, chi):
+        out = real(mats, chi)
+        return out[:-1] + [-out[-1]]
+
+    monkeypatch.setattr(spectra, "koszul_chain", flipped)
+
+
+@pytest.mark.parametrize("name", ["k33", "a2q2"])
+def test_chain_sign_flip_fails_the_duality_line(contexts, monkeypatch, name):
+    ctx = contexts[name]
+    mats, _ = ctx.f1
+    assert ctx.joint  # shared data, computed before the mutation
+    monkeypatch.setattr(ctx, "_koszul", {})
+    _flip_last_chain_differential(monkeypatch)
+    results = {res.name: res for res in verify.check_koszul_suite(ctx)}
+    dual = results["chain/cochain duality dim H_p = dim H^(r-p)"]
+    first = ctx.joint[0].chi
+    assert not dual.passed
+    assert dual.detail == f"{len(ctx._koszul)} characters, first chi={first} at chain degree {ctx.rank}"
+    assert results["Koszul differentials square to zero"].passed
+    rec = spectra.koszul_complexes(mats, first)
+    assert rec.homology is None
+    # the chain rank SVDs of the old route cannot see the flip
+    ranks = [spectra._rank(m, spectra.TOL_RANK)[0] for m in spectra.koszul_chain(mats, first)]
+    cochain_ranks = [spectra._rank(m, spectra.TOL_RANK)[0] for m in spectra.koszul_cochain(mats, first)]
+    assert ranks == cochain_ranks[::-1]
+
+
+def test_koszul_command_writes_null_homology_when_the_identity_fails(monkeypatch, capsys):
+    _flip_last_chain_differential(monkeypatch)
+    assert cli.main(["koszul", "k33", "--chi", "1+0j"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["homology"] is None and doc["cohomology"] == [1, 1]
