@@ -1,7 +1,12 @@
 """Shift dynamics and transfer-operator spectra on compact quotients of
 affine buildings: exact root-system combinatorics, sector-germ enumeration,
-ultrametrics, rational transfer matrices, and Koszul joint spectra."""
+ultrametrics, rational transfer matrices, and Koszul joint spectra.
 
+The names below are re-exported from their modules on first use (PEP 562),
+so `import weylflow` loads neither numpy nor a module that no caller needs.
+"""
+
+import importlib
 import os
 
 # The only float LAPACK work is on small F_1 blocks, which threaded OpenBLAS
@@ -9,78 +14,37 @@ import os
 # set in the environment wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .rootdata import (
-    Coweight,
-    ParameterSystem,
-    RootSystem,
-    build_root_system,
-    coweight_norm,
-    embed_shift,
-    translation_parameter,
-    truncated_sector,
-    type_rotations,
-)
-from .chamber import (
-    ChamberSystem,
-    ValidationReport,
-    from_bipartite_graph,
-    from_triangle_presentation,
-    load,
-    save,
-    validate,
-)
-from .sectors import Germ, GermTable, SectorSpace, enumerate_germs
-from .transfer import (
-    TransferMatrix,
-    check_fn_invariance,
-    check_lasota_yorke,
-    lipschitz_seminorm,
-    transfer_matrix,
-)
-from .spectra import (
-    Character,
-    eigen,
-    homotopy_zero_check,
-    joint_spectrum,
-    koszul_complexes,
-    parametrix,
-    taylor_report,
-)
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "Coweight",
-    "ParameterSystem",
-    "RootSystem",
-    "build_root_system",
-    "coweight_norm",
-    "embed_shift",
-    "translation_parameter",
-    "truncated_sector",
-    "type_rotations",
-    "ChamberSystem",
-    "ValidationReport",
-    "from_bipartite_graph",
-    "from_triangle_presentation",
-    "load",
-    "save",
-    "validate",
-    "Germ",
-    "GermTable",
-    "SectorSpace",
-    "enumerate_germs",
-    "TransferMatrix",
-    "check_fn_invariance",
-    "check_lasota_yorke",
-    "lipschitz_seminorm",
-    "transfer_matrix",
-    "Character",
-    "eigen",
-    "homotopy_zero_check",
-    "joint_spectrum",
-    "koszul_complexes",
-    "parametrix",
-    "taylor_report",
-    "__version__",
-]
+_EXPORTS = {
+    "rootdata": (
+        "Coweight", "ParameterSystem", "RootSystem", "build_root_system", "coweight_norm",
+        "embed_shift", "translation_parameter", "truncated_sector", "type_rotations",
+    ),
+    "chamber": (
+        "ChamberSystem", "ValidationReport", "from_bipartite_graph",
+        "from_triangle_presentation", "load", "save", "validate",
+    ),
+    "sectors": ("Germ", "GermTable", "SectorSpace", "enumerate_germs"),
+    "transfer": (
+        "TransferMatrix", "check_fn_invariance", "check_lasota_yorke", "lipschitz_seminorm",
+        "transfer_matrix",
+    ),
+    "spectra": (
+        "Character", "eigen", "homotopy_zero_check", "joint_spectrum", "koszul_complexes",
+        "parametrix", "taylor_report",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

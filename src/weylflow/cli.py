@@ -14,17 +14,40 @@ from __future__ import annotations
 import argparse
 import cmath
 import contextlib
+import importlib.util
 import itertools
 import os
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
-from . import chamber, fixtures, oracles, sectors, spectra, transfer, verify
+from . import chamber, fixtures
 from .io_utils import dumps_canonical, rational_str, stream_canonical
 from .rootdata import Coweight
+
+
+def _lazy(name: str):
+    """weylflow.<name>, executed when one of its attributes is first read.
+
+    The `importlib.util.LazyLoader` recipe: the module object is in
+    sys.modules and on the package from the start, as after a normal import,
+    so `validate` loads neither numpy nor a module it does not run.
+    """
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+oracles, sectors, spectra, transfer, verify = map(
+    _lazy, ("oracles", "sectors", "spectra", "transfer", "verify")
+)
 
 USAGE_ERROR = 2
 CHECK_ERROR = 1
@@ -104,6 +127,8 @@ def cmd_germs(args) -> int:
 
 
 def cmd_transfer(args) -> int:
+    import numpy as np
+
     system = _load_input(args.input)
     space = sectors.SectorSpace(system, check=not args.force)
     mu = _parse_mu(args.mu, system.root_system.rank)
@@ -170,16 +195,18 @@ def _parse_generators(text: str, rank: int):
     return gens
 
 
+def _given(args, *names) -> dict:
+    """The options among `names` given on the command line; the others keep spectra's defaults."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def cmd_spectrum(args) -> int:
     gens, mats, exact = _generator_family(args, args.generators)
     report = spectra.taylor_report(
         mats,
         float(args.theta),
         exact=exact,
-        seed=args.seed,
-        tol_res=args.tol_res,
-        tol_rank=args.tol_rank,
-        tol_merge=args.tol_merge,
+        **_given(args, "seed", "tol_res", "tol_rank", "tol_merge"),
     )
     doc = {
         "format": "spectrum/v1",
@@ -224,7 +251,7 @@ def _parse_chi(text: str, rank: int):
 def cmd_koszul(args) -> int:
     gens, mats, _ = _generator_family(args)
     chi = _parse_chi(args.chi, len(gens)) if args.chi else tuple(1.0 for _ in gens)
-    rec = spectra.koszul_complexes(mats, chi, tol_rank=args.tol_rank)
+    rec = spectra.koszul_complexes(mats, chi, **_given(args, "tol_rank"))
     doc = {
         "format": "koszul/v1",
         "chi": [complex(c) for c in rec.chi],
@@ -353,17 +380,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("spectrum", help="joint spectra and Taylor classification on F_1")
     common(sp)
     sp.add_argument("--theta", type=_parse_theta, default=Fraction(1, 2))
-    sp.add_argument("--seed", type=lambda s: int(s, 0), default=spectra.DEFAULT_SEED)
-    sp.add_argument("--tol-res", type=positive_float, default=spectra.TOL_RES)
-    sp.add_argument("--tol-rank", type=positive_float, default=spectra.TOL_RANK)
-    sp.add_argument("--tol-merge", type=positive_float, default=spectra.TOL_MERGE)
+    sp.add_argument("--seed", type=lambda s: int(s, 0))
+    sp.add_argument("--tol-res", type=positive_float)
+    sp.add_argument("--tol-rank", type=positive_float)
+    sp.add_argument("--tol-merge", type=positive_float)
     sp.add_argument("--generators", help="semicolon-separated coweights, e.g. '1,0;0,1'")
     sp.set_defaults(func=cmd_spectrum)
 
     sp = sub.add_parser("koszul", help="Koszul cohomology of one character")
     common(sp)
     sp.add_argument("--chi", help="complex values per generator, e.g. '1+0j,0.5j'")
-    sp.add_argument("--tol-rank", type=positive_float, default=spectra.TOL_RANK)
+    sp.add_argument("--tol-rank", type=positive_float)
     sp.set_defaults(func=cmd_koszul)
 
     sp = sub.add_parser("verify", help="run the full invariant suite")

@@ -113,10 +113,8 @@ class JointEigenvalue:
 @dataclass
 class SpectrumReport:
     theta: float
-    generators: List[tuple]
     dim: int
     joint: List[JointEigenvalue]
-    per_operator: List[List[complex]]
     taylor: Dict[tuple, bool] = field(default_factory=dict)
     cohomology: Dict[tuple, tuple] = field(default_factory=dict)
     ambiguous: List[tuple] = field(default_factory=list)
@@ -290,7 +288,6 @@ class KoszulComplexRec:
     homology: Optional[tuple]  # dim H_p = dim H^(r-p); None if the Hodge identity fails
     max_defect: float         # largest ||delta o delta|| over both complexes' products
     ambiguous: bool
-    tol_rank: float
 
 
 def koszul_complexes(
@@ -311,7 +308,7 @@ def koszul_complexes(
     padded = (0,) + ranks + (0,)  # padded[p] = rank d_(p-1), padded[p + 1] = rank d_p
     coh = tuple(dims[p] - padded[p] - padded[p + 1] for p in range(r + 1))
     hom = coh[::-1] if chain_mismatch(co, ch) is None else None
-    return KoszulComplexRec(tuple(chi), dims, coh, hom, defect, any(bands), tol_rank)
+    return KoszulComplexRec(tuple(chi), dims, coh, hom, defect, any(bands))
 
 
 # ----------------------------------------------------------------------
@@ -507,14 +504,7 @@ def taylor_report(
         ]
         if max(dists) > 1e-2:
             off.append(cand)
-    report = SpectrumReport(
-        theta=float(theta),
-        generators=[],
-        dim=mats[0].shape[0],
-        joint=joint,
-        per_operator=per_op,
-    )
-    report.offspectrum = off
+    report = SpectrumReport(theta=float(theta), dim=mats[0].shape[0], joint=joint, offspectrum=off)
     tested = [j.chi for j in joint] + list(off) + [tuple(c) for c in extra_characters]
     joint_set = [j.chi for j in joint]
     for chi in tested:

@@ -2,11 +2,16 @@
 
 `bench/tracing.py` reports a function it cannot find as absent and its
 metrics as 0, so a rename would silently zero a per-layer metric.  These
-tests read its tables, without changing it, and resolve every path.
+tests read its tables, without changing it, and resolve every path, and
+run it on two small commands to see that the layers they call are traced.
 """
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,3 +46,31 @@ def test_traced_function_exists(module, path):
 @pytest.mark.parametrize("name", tracing.VERIFY_CHECKS)
 def test_traced_verify_check_exists(name):
     assert callable(_resolve("verify", name))
+
+
+@pytest.mark.parametrize(
+    "args, layers",
+    [
+        (["transfer", "k33", "--mu", "1", "--radius", "2"], {"transfer.transfer_matrix"}),
+        (["verify", "k33", "--radius", "1"],
+         {"transfer.transfer_matrix", "spectra.koszul_complexes"}),
+    ],
+    ids=["transfer", "verify"],
+)
+def test_a_traced_command_records_the_layers_it_runs(args, layers, tmp_path):
+    # the tracer patches the modules that `import weylflow.cli` put in
+    # sys.modules; a module that cli imported only inside a handler would
+    # run unpatched, and its layers would read 0 without any error
+    spans_path = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=str(TRACING.parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(TRACING), str(spans_path), *args],
+        capture_output=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    doc = json.loads(spans_path.read_text())
+    assert doc["absent"] == []
+    seen = {span[0] for span in doc["spans"]}
+    assert layers <= seen
+    if args[0] == "verify":
+        assert any(layer.startswith("verify.check_") for layer in seen)

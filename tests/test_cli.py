@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import weylflow
-from weylflow import cli, fixtures
+from weylflow import cli, fixtures, spectra
 from weylflow.cli import main
 from weylflow.io_utils import dumps_canonical, rational_str, stream_canonical
 
@@ -163,6 +163,27 @@ def test_koszul_rejects_nonpositive_tol_rank(value, capsys):
         run(["koszul", "a2q2", "--chi", "1+0j,1+0j", "--tol-rank", value])
     assert exc.value.code == 2
     assert "must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, explicit, other",
+    [
+        (["spectrum", "k33"],
+         ["--seed", hex(spectra.DEFAULT_SEED), "--tol-res", repr(spectra.TOL_RES),
+          "--tol-rank", repr(spectra.TOL_RANK), "--tol-merge", repr(spectra.TOL_MERGE)],
+         ["--seed", "1"]),
+        (["koszul", "a2q2"], ["--tol-rank", repr(spectra.TOL_RANK)], ["--tol-rank", "0.5"]),
+    ],
+)
+def test_omitted_spectral_options_take_the_spectra_defaults(args, explicit, other, capsys):
+    # the parser leaves these options unset, so that building it loads no
+    # spectra; the command then uses spectra's constants, and a given value wins
+    assert run(args) == 0
+    default = capsys.readouterr().out
+    assert run(args + explicit) == 0
+    assert capsys.readouterr().out == default
+    assert run(args + other) == 0
+    assert capsys.readouterr().out != default
 
 
 def test_ihara_command(tmp_path, capsys):
