@@ -12,9 +12,12 @@ it), with the base class of each germ in `base`.  Rows are in lexicographic
 order, which is the canonical order; radius 0 has no alcoves and is keyed
 by (rotation, base class).  A table grows from its parent one ring alcove
 at a time, with array masks for the panel constraints and vertex-star
-injectivity.  `GermTable.lookup` finds rows exactly by binary search over
-the rows read as byte strings, so a restriction map is the lookup of a row
-prefix and a shift map the lookup of a column gather.  `Germ` objects are
+injectivity (`SectorSpace.extend_rows`, which extends any slice of parent
+rows, so a caller can walk a larger radius one rotation block at a time).
+`GermTable.lookup` finds rows exactly by binary search over the rows read
+as byte strings, so a restriction map is the lookup of a row prefix and a
+shift map the lookup of a column gather (`SectorSpace.shift_positions`,
+which takes any rows of the source radius).  `Germ` objects are
 made only on demand (`germs`, `index`, `position`); `SectorSpace.shift` and
 `SectorSpace.restrict` act on them one at a time and are the independent
 route the maps are tested against.
@@ -238,37 +241,8 @@ class GermTable:
         self.base = np.array(base, dtype=space._dtype)
 
     def _build(self):
-        space = self.space
-        parent = space.table(self.radius - 1)
-        perms = space._perms
-        rows = np.zeros((len(parent), 1 + self.trunc.alcove_count()), dtype=space._dtype)
-        rows[:, : parent.rows.shape[1]] = parent.rows
-        base = parent.base
-        for k, prop, star in zip(*space._extension_plan(self.radius)):
-            sig = rows[:, 0]
-            if k == 0:
-                # the first alcove's chamber lies in the parent's base class
-                mask = space._base_cls[perms[sig, 0]] == base[:, None]
-                cand = np.broadcast_to(np.arange(mask.shape[1], dtype=space._dtype), mask.shape)
-            else:
-                if not prop:
-                    raise AssertionError(f"alcove {k} has no placed panel neighbour")
-                (j, lab), *rest = prop
-                # the other chambers of the panel shared with alcove j
-                cand = space._others[perms[sig, lab], rows[:, 1 + j]]
-                mask = cand >= 0
-                for j, lab in rest:
-                    t = perms[sig, lab]
-                    block = space._block_of[t, rows[:, 1 + j]]
-                    mask &= space._block_of[t[:, None], cand] == block[:, None]
-                    mask &= cand != rows[:, 1 + j][:, None]
-            for j in star:
-                mask &= cand != rows[:, 1 + j][:, None]
-            counts = np.count_nonzero(mask, axis=1)
-            rows = np.repeat(rows, counts, axis=0)
-            rows[:, 1 + k] = cand[mask]
-            base = np.repeat(base, counts)
-            del sig, cand, mask, counts  # `sig` views the old rows, which go with it
+        parent = self.space.table(self.radius - 1)
+        rows, base = self.space.extend_rows(parent.rows, parent.base, self.radius)
         if not _rows_increase(rows):
             order = np.lexsort(rows.T[::-1])
             rows, base = rows[order], base[order]
@@ -469,7 +443,9 @@ class SectorSpace:
 
     def release_above(self, radius: int):
         """Drop the tables above `radius`, with their restriction maps, and the
-        shift maps out of them; a later request builds them again."""
+        shift maps out of them; a later request builds them again.  The
+        transfer assembly walks its largest radius in blocks and builds only
+        the tables below it, so those are what this frees."""
         for r in [r for r in self._tables if r > radius]:
             del self._tables[r]
         for key in [key for key in self._shift_maps if key[0] > radius]:
@@ -485,6 +461,44 @@ class SectorSpace:
             return len(self.table(radius))
         t1, t2 = len(self.table(1)), len(self.table(2))
         return int(t1 * Fraction(t2, t1) ** (radius - 1))
+
+    def extend_rows(self, parent: np.ndarray, base: np.ndarray, radius: int):
+        """(rows, base) of every radius-`radius` germ extending the given
+        radius-(radius - 1) rows and their base classes, one ring alcove at a time.
+
+        The parent rows may be any slice of their table.  The extensions of
+        each parent row follow one another in the parent order, but need not
+        be in lexicographic order among themselves.
+        """
+        perms = self._perms
+        rows = np.zeros((len(parent), 1 + self.truncation(radius).alcove_count()), dtype=self._dtype)
+        rows[:, : parent.shape[1]] = parent
+        for k, prop, star in zip(*self._extension_plan(radius)):
+            sig = rows[:, 0]
+            if k == 0:
+                # the first alcove's chamber lies in the parent's base class
+                mask = self._base_cls[perms[sig, 0]] == base[:, None]
+                cand = np.broadcast_to(np.arange(mask.shape[1], dtype=self._dtype), mask.shape)
+            else:
+                if not prop:
+                    raise AssertionError(f"alcove {k} has no placed panel neighbour")
+                (j, lab), *rest = prop
+                # the other chambers of the panel shared with alcove j
+                cand = self._others[perms[sig, lab], rows[:, 1 + j]]
+                mask = cand >= 0
+                for j, lab in rest:
+                    t = perms[sig, lab]
+                    block = self._block_of[t, rows[:, 1 + j]]
+                    mask &= self._block_of[t[:, None], cand] == block[:, None]
+                    mask &= cand != rows[:, 1 + j][:, None]
+            for j in star:
+                mask &= cand != rows[:, 1 + j][:, None]
+            counts = np.count_nonzero(mask, axis=1)
+            rows = np.repeat(rows, counts, axis=0)
+            rows[:, 1 + k] = cand[mask]
+            base = np.repeat(base, counts)
+            del sig, cand, mask, counts  # `sig` views the old rows, which go with it
+        return rows, base
 
     def _extension_plan(self, radius: int):
         """How to place the alcoves of the radius ring, one at a time.
@@ -583,17 +597,23 @@ class SectorSpace:
         """table(radius) -> table(radius - |mu|) position map of the shift."""
         key = (radius, tuple(mu.coords))
         if key not in self._shift_maps:
-            src = self.table(radius)
-            dst = self.table(radius - mu.norm)
-            sigma_map, emb, at_mu = self._shift_geometry(radius, mu)
-            # the query is built in the row dtype, so the lookup copies nothing
-            cols = [0, 1 + at_mu] if dst.radius == 0 else np.r_[0, 1 + np.asarray(emb)]
-            query = np.take(src.rows, cols, axis=1)  # C order, unlike rows[:, cols]
-            query[:, 0] = sigma_map[query[:, 0]]
-            if dst.radius == 0:
-                query[:, 1] = self._base_cls[self._perms[query[:, 0], 0], query[:, 1]]
-            self._shift_maps[key] = dst.lookup(query)
+            self._shift_maps[key] = self.shift_positions(self.table(radius).rows, radius, mu)
         return self._shift_maps[key]
+
+    def shift_positions(self, rows: np.ndarray, radius: int, mu: Coweight) -> np.ndarray:
+        """Positions in table(radius - |mu|) of the shifts of radius-`radius` germ rows.
+
+        The rows need not come from a built table of that radius.
+        """
+        dst = self.table(radius - mu.norm)
+        sigma_map, emb, at_mu = self._shift_geometry(radius, mu)
+        # the query is built in the row dtype, so the lookup copies nothing
+        cols = [0, 1 + at_mu] if dst.radius == 0 else np.r_[0, 1 + np.asarray(emb)]
+        query = np.take(rows, cols, axis=1)  # C order, unlike rows[:, cols]
+        query[:, 0] = sigma_map[query[:, 0]]
+        if dst.radius == 0:
+            query[:, 1] = self._base_cls[self._perms[query[:, 0], 0], query[:, 1]]
+        return dst.lookup(query)
 
     # -- the explicit metric ------------------------------------------------
 

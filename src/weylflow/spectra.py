@@ -180,7 +180,7 @@ def joint_spectrum(
 def _stacked_null_space(mats, chi, tol_rank):
     dim = mats[0].shape[0]
     stacked = np.vstack([m - c * np.eye(dim) for m, c in zip(mats, chi)])
-    _, s, vh = np.linalg.svd(stacked)
+    _, s, vh = np.linalg.svd(stacked, full_matrices=False)
     null_dim = dim - _rank_rule(s, dim, tol_rank)[0]
     return null_dim, vh.conj().T[:, dim - null_dim:]
 

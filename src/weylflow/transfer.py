@@ -15,7 +15,7 @@ the preimages of h, sorted and with repetition.  The exact matrix entry is
 the multiplicity of g in row h over M_mu, so an operator takes dim * M_mu
 integers instead of dim^2 (2 MB rather than 8.3 GB for a2q2 on F_4).  The
 counts are taken over radius-(n+|mu|+depth) germs, fibered by (shift,
-restriction), and assembly checks that every row's counts sum to M_mu
+restriction), and assembly checks that every group's counts sum to M_mu
 before it packs them; a violation aborts, since it would mean the germ
 tables are inconsistent with the preimage count.  `dense()` forms the
 float matrix, for the eigensolver on F_1.
@@ -37,10 +37,18 @@ over the levels is taken in integers over a common denominator, so it forms
 one rational per column.  An indicator's own seminorm needs no kernel: it
 follows from the class sizes (`indicator_levels`).
 
-Assembly groups the big germs with array operations: group ids from one
-lexsort of the rows' plug-alcove columns (`row_groups`), group sizes from
-`bincount` and the nonzero count vectors from the distinct (group, column)
-cells, sorted in place, so no dense (groups x dim) or (dim x dim) array and
+Assembly never holds the radius-(n+|mu|+depth) table whole.  Its germs
+are made one rotation block at a time, by extending the block of the
+parent table with that rotation (`SectorSpace.extend_rows`); the rotation
+is in every plug key, so no conditioning group spans two blocks.  In a
+block, group ids come from one lexsort of the rows' plug-alcove columns
+(`row_groups`), only each group's first germ is shifted
+(`SectorSpace.shift_positions`), the rows are restricted to F_n by prefix
+lookup, and the nonzero count vectors come from the distinct (group,
+column) cells, sorted in place, and are packed one row per group.  The
+first group of each class sets that class's row of the (dim, M_mu) result,
+and every later group, in any block, must repeat it.  So the peak is one
+block and its temporaries: no dense (groups x dim) or (dim x dim) array and
 no byte-key copy of the rows is formed.
 """
 
@@ -150,89 +158,91 @@ def _transfer_matrix_at_depth(
 ) -> TransferMatrix:
     R = space.root_system
     big_radius = radius + mu.norm + depth
-    big = space.table(big_radius)
+    trunc = space.truncation(big_radius)
+    parent = space.table(big_radius - 1)
     small = space.table(radius)
     m_mu = translation_parameter(R, space.system.params, mu)
     tv = R.coweight_vector(mu)
-    plug_alcoves = [
-        k
-        for k, a in enumerate(big.trunc.alcoves)
+    plug = [0] + [
+        1 + k
+        for k, a in enumerate(trunc.alcoves)
         if all(dot(beta, vsub(v, tv)) >= 0 for v in a.verts for beta in R.simple_roots)
     ]
     dim = len(small)
+    # maps the shift of a group's first germ to its F_radius class
+    shifted_class = space.table(big_radius - mu.norm).restriction_map(radius)
+    # each class's preimage list, set by its first conditioning group
+    preimages = np.zeros((dim, m_mu), dtype=np.int32)
+    seen = np.zeros(dim, dtype=bool)
+    sizes = set()  # the conditioning group sizes met so far
 
-    # group the big germs by (rotation, chambers on the plug alcoves)
-    plug = np.take(big.rows, [0] + [1 + k for k in plug_alcoves], axis=1)
-    first, gid = row_groups(plug)
-    del plug
-    # each group's class: the F_radius class of its first germ's shift; the
-    # maps are read after the grouping, so their lookups do not add to its peak
-    shifted = space.shift_map(big_radius, mu)[first]  # radius big_radius - |mu|
-    group_row = space.table(big_radius - mu.norm).restriction_map(radius)[shifted]
-    sizes = np.bincount(gid)
-    if sizes.min() != sizes.max():
-        raise CountingError(
-            f"conditioning groups have mixed sizes {np.unique(sizes).tolist()}"
-        )
-    total = int(sizes[0])
-    if total % m_mu != 0:
-        raise CountingError(
-            f"group size {total} is not a multiple of M_mu={m_mu}"
-        )
-    lam = total // m_mu
+    # the big germs one rotation block at a time: the parent rows are sorted,
+    # so each rotation is one block of them, and the rotation is in every
+    # plug key, so no conditioning group spans two blocks
+    sig = parent.rows[:, 0]
+    bounds = np.r_[0, np.flatnonzero(sig[1:] != sig[:-1]) + 1, len(sig)].tolist()
+    del sig
+    for start, stop in zip(bounds, bounds[1:]):
+        rows = space.extend_rows(parent.rows[start:stop], parent.base[start:stop], big_radius)[0]
+        # group the block by (rotation, chambers on the plug alcoves)
+        first, gid = row_groups(np.take(rows, plug, axis=1))
+        # each group's class: the F_radius class of its first germ's shift
+        group_row = shifted_class[space.shift_positions(rows[first], big_radius, mu)]
+        restricted = small.lookup(rows[:, : small.rows.shape[1]])
+        del rows, first
+        counts = np.bincount(gid)
+        sizes.update((int(counts.min()), int(counts.max())))
+        if len(sizes) > 1:
+            raise CountingError(f"conditioning groups have mixed sizes {sorted(sizes)}")
+        (total,) = sizes
+        if total % m_mu != 0:
+            raise CountingError(f"group size {total} is not a multiple of M_mu={m_mu}")
+        lam = total // m_mu
 
-    # the nonzero entries of every group vector, one (group, column) each,
-    # sorted by group and then column
-    cell = gid  # taken over in place: the group ids are not read again
-    cell *= dim
-    cell += big.restriction_map(radius)
-    cell.sort()
-    starts = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
-    keys, hits = cell[starts], np.diff(np.r_[starts, len(cell)])
-    del gid, cell, starts
-    if np.any(hits % lam != 0):
-        raise CountingError(
-            "group counts are not uniform over the preimage multiplicity"
-        )
-    group, col, value = keys // dim, keys % dim, hits // lam
-    del keys, hits
-    # the first group of each class fills its row; every other must repeat
-    # it cell for cell
-    classes, leaders = np.unique(group_row, return_index=True)
-    leader = leaders[np.searchsorted(classes, group_row)][group]
-    nnz = np.bincount(group)
-    start = np.r_[0, np.cumsum(nnz)[:-1]]
-    same = nnz[leader] == nnz[group]
-    mate = np.where(same, start[leader] + np.arange(len(group)) - start[group], 0)
-    differs = ~same | (col[mate] != col) | (value[mate] != value)
-    if np.any(differs):
-        raise CountingError(
-            f"preimage counts at class {group_row[group[np.argmax(differs)]]} "
-            "depend on the representative"
-        )
-    del same, mate, differs
-    if len(classes) != dim:
+        # the nonzero entries of every group vector, one (group, column) each,
+        # sorted by group and then column
+        cell = gid  # taken over in place: the group ids are not read again
+        cell *= dim
+        cell += restricted
+        del gid, restricted
+        cell.sort()
+        starts = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
+        keys, hits = cell[starts], np.diff(np.r_[starts, len(cell)])
+        del cell, starts
+        if np.any(hits % lam != 0):
+            raise CountingError("group counts are not uniform over the preimage multiplicity")
+        packed = _pack(keys // dim, keys % dim, hits // lam, len(group_row), m_mu)
+        del keys, hits
+        # the first group of each class sets its row; every other group, in
+        # this block or a later one, must repeat it
+        classes, leaders = np.unique(group_row, return_index=True)
+        new = ~seen[classes]
+        preimages[classes[new]] = packed[leaders[new]]
+        seen[classes] = True
+        differs = np.any(packed != preimages[group_row], axis=1)
+        if np.any(differs):
+            raise CountingError(
+                f"preimage counts at class {group_row[np.argmax(differs)]} "
+                "depend on the representative"
+            )
+    if not seen.all():
         raise CountingError("some classes received no conditioning group")
-    sel = leader == group
-    h = group_row[group[sel]]
-    order = np.argsort(h, kind="stable")  # keeps each row's columns ascending
-    packed = _pack(h[order], col[sel][order], value[sel][order], dim, m_mu)
-    return TransferMatrix(mu, radius, packed, m_mu)
+    return TransferMatrix(mu, radius, preimages, m_mu)
 
 
-def _pack(row, col, value, dim: int, m_mu: int) -> np.ndarray:
-    """Preimage lists from the nonzero (row, column, count) cells of one operator.
+def _pack(row, col, value, rows: int, m_mu: int) -> np.ndarray:
+    """Preimage lists from the nonzero (row, column, count) cells of `rows` rows.
 
     The cells come sorted by row and then column.  Each row's counts must sum
-    to M_mu before they fill its slot of the (dim, M_mu) array.
+    to M_mu before they fill its slot of the (rows, M_mu) array.
     """
-    sums = np.bincount(row, weights=value, minlength=dim)
+    sums = np.bincount(row, weights=value, minlength=rows)
     bad = np.flatnonzero(sums != m_mu)
     if len(bad):
         raise CountingError(
             f"the counts of row {bad[0]} sum to {int(sums[bad[0]])}, not M_mu={m_mu}"
         )
-    return np.repeat(col, value).astype(np.int32).reshape(dim, m_mu)
+    return np.repeat(col, value).astype(np.int32).reshape(rows, m_mu)
 
 
 def _level_spreads(space: SectorSpace, entries: tuple, ncols: int, n: int) -> np.ndarray:

@@ -481,14 +481,19 @@ def check_lasota_yorke(ctx: FixtureContext) -> List[CheckResult]:
     c_iter = (2 / theta) / (1 - theta)
     iter_ok = True
     levels = transfer.indicator_levels(ctx.space, 2)
-    power, denom = tm.preimages, tm.m_mu
+    # L^l as its exact count matrix over M_mu^l: row h of L^l is the sum of
+    # the rows of L^(l-1) at the preimages of h; a row of L^3 sums to M_mu^3
+    dtype = np.int32 if tm.m_mu**3 < 2**31 else np.int64
+    power, denom = np.eye(tm.dim, dtype=dtype), 1
     detail = ""
     for ell in range(1, 4):
-        if ell > 1:
-            power = transfer.compose(power, tm.preimages)
-            denom *= tm.m_mu
+        step = np.zeros_like(power)
+        for pre in tm.preimages.T:
+            step += power[pre]
+        power, denom = step, denom * tm.m_mu
+        row, col = np.nonzero(power)
         images = transfer.lipschitz_seminorms(
-            ctx.space, transfer.cells(power), tm.dim, denom, 2, theta
+            ctx.space, (row, col, power[row, col].astype(np.int64)), tm.dim, denom, 2, theta
         )
         bound = {m: theta**ell * v + c_iter for m, v in transfer.level_seminorms(theta, 2).items()}
         bad = [g for g, (lhs, m) in enumerate(zip(images, levels)) if lhs > bound[m]]
@@ -508,7 +513,7 @@ def check_fn_invariance(ctx: FixtureContext) -> List[CheckResult]:
         for mu in ctx.generators + ([ctx.strong] if ctx.strong.norm > 1 else [])
     ]
     # the F_3 operator is read only here, so it is not cached: an array kept
-    # past this check would stay on top of the freed radius-5 data, and the
+    # past this check would stay on top of the freed assembly data, and the
     # allocator could not return that memory after `release_above`
     reps.append(transfer.check_fn_invariance(ctx.space, ctx.strong, 2, ctx.tm(ctx.strong, 2)))
     comp_ok = all(rep.compression_exact for rep in reps)
@@ -700,8 +705,10 @@ def run_suite(ctx: FixtureContext, metric_radius: int = 3, edges=None) -> List[C
     results += check_transfer_exact(ctx)
     results += check_lasota_yorke(ctx)
     results += check_fn_invariance(ctx)
-    # the last reader of the larger tables: the spectral checks read only the
-    # F_1 family and the cached operators
+    # the last reader of the tables above the metric radius (the F_3
+    # assembly's parent table; its own radius is walked one rotation block at
+    # a time and never built whole): the spectral checks read only the F_1
+    # family and the cached operators
     ctx.space.release_above(metric_radius)
     results += check_joint_trivial(ctx)
     results += check_koszul_suite(ctx)

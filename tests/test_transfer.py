@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -269,36 +270,102 @@ def test_row_sums_are_checked_before_packing(k33, monkeypatch):
     assert "the counts of row 0 sum to 3, not M_mu=2" in rows.detail
 
 
+# (fixture, mu, n) -> (dim, M_mu, SHA-256 of the int32 preimage array),
+# recorded when each assembly still held its largest germ table whole
+PREIMAGE_SHA256 = {
+    ("k33", (1,), 1): (18, 2, "880161157a8ea7d0a3c219dd2d755dcd00206e2b4b2cebed91fd60fb49b75241"),
+    ("k33", (1,), 2): (36, 2, "0a307c6a4e5b604e3f7a241608447170afe600eaadd117dde8bfa1bb35dccddc"),
+    ("k33", (1,), 3): (72, 2, "7cdc92f1ae055252316e8894675df5ced0539821fdd3d39399f04e72b0510aac"),
+    ("k33", (2,), 1): (18, 4, "1af1634ece90c3994f81d582e92d2cb02dbf50d1a32a6857274b58d502ec052b"),
+    ("k33", (2,), 2): (36, 4, "c678969465cf941cb8551063065c826d79958776825f8f5f11057545d56b525d"),
+    ("k33", (2,), 3): (72, 4, "f0e5fa5657423c70c1829ccfbf6e44a46dadceb817d0e4c15a3b471cf137cc77"),
+    ("q3", (1,), 1): (24, 2, "06498d28ee655515a21eccd474f680e11f85599f60002bb6822e6da1fa6b36a1"),
+    ("q3", (1,), 2): (48, 2, "64d39f1a0b80a5b376f6eea420ecada5980ec24101928e43b9610f66cb1f471a"),
+    ("q3", (1,), 3): (96, 2, "8c322f8a9cccfe86c89df86448f6fc12dd67b13e9f780aa999505deee429090d"),
+    ("q3", (2,), 1): (24, 4, "c68e77f9247b06a6e428b05d8d4936fe3ad395b6c5c6f51a380c8c6a4102072d"),
+    ("q3", (2,), 2): (48, 4, "4336aa7084d7052f7fac16e12227c6c95f7e260493affbcaf4b86c66d01c20ef"),
+    ("q3", (2,), 3): (96, 4, "048d7092de4bfd7e8ecff7bb34d4ff4e053b4f9e752c6202b7d7ad10d8c2c059"),
+    ("biregular", (1,), 1): (12, 2, "4407fcbda8d0bb05ad348dc5c180e857ba81836a04f3b2178b92b91a5e64eb6e"),
+    ("biregular", (1,), 2): (24, 2, "6b290099359b938adf884607f52fa07ed009674ba07af24c80eabd31bd479e38"),
+    ("biregular", (1,), 3): (48, 2, "5ea179861358fa8e9473ceb1432d34fbd59a389dd220a504df2a2f0352c88ea2"),
+    ("biregular", (2,), 1): (12, 4, "b2e72ca15b7ab4a9b6334d4b0fee264f38d744da4071aef13ce429e7d58c371a"),
+    ("biregular", (2,), 2): (24, 4, "b8a9cb4adead2552a61506a7cfff80cb7d6892cf0693171d1866f4fb5acbbb35"),
+    ("biregular", (2,), 3): (48, 4, "cf3bf3963c197b65dc56819caa79b5a3585879b1b1807fa7ce49fcc61b23cf3f"),
+    ("a2q2", (0, 1), 1): (63, 4, "98aad9b4908702667c4a964374af4535322594c146bd37a7783d3d24c82446f3"),
+    ("a2q2", (0, 1), 2): (504, 4, "b7fe9db6d8a415b4d91e44b638d755abfb682010a4130788537ba7f38dae0aa5"),
+    ("a2q2", (0, 1), 3): (4032, 4, "982cf719088394444fdbd9536e668df5d2ff6048de2de0d1ae853a960720364e"),
+    ("a2q2", (1, 0), 1): (63, 4, "4f143c3c405eecf681a3fe7f1faefaeb72d1677586d111f4cded9a61f947e415"),
+    ("a2q2", (1, 0), 2): (504, 4, "b53199b9b348dc79717337f09605762d6e5085e9675d927e16d73c8646fec4c9"),
+    ("a2q2", (1, 0), 3): (4032, 4, "19a23757ea0b8e20558f2770d6095a9ae6494642effb10a06475af425bddde53"),
+    ("a2q2", (0, 2), 1): (63, 16, "4aa63d558632deee76b41eca61dc326952facbee43e05f5503bb7593a818027f"),
+    ("a2q2", (0, 2), 2): (504, 16, "8ce4f07180c7617cb05376ac4bd68c0671259256be3d9b8cc3e388247569e1b7"),
+    ("a2q2", (0, 2), 3): (4032, 16, "88c593d16a70ce72362f31e639a44fc6d8a82bcb7a77e49781da436d59242ff2"),
+    ("a2q2", (1, 1), 1): (63, 16, "cfec3729d9979d60ec7b94e287fbae992eefb884f24b1f0b215471a8d3b81447"),
+    ("a2q2", (1, 1), 2): (504, 16, "f0945d68a866cca1fc7dfe1013e6a466c44092381fb668fa61ed7d43d6b38855"),
+    ("a2q2", (1, 1), 3): (4032, 16, "872f43ffebe9904c6912c87d77bfaa2d973012507adf9dc09a9a17116d272b2c"),
+    ("a2q2", (2, 0), 1): (63, 16, "004eb8c201f18f676d3336970f296aa8639939a26662cd5f7977a38d7ed3dd20"),
+    ("a2q2", (2, 0), 2): (504, 16, "43ae7ee2a3a55a5084ceb727966562c1dfc1de47faf43004f46018df5f4c2bf1"),
+    ("a2q2", (2, 0), 3): (4032, 16, "4fdd17c79271c99964a54d975f77022650264967b8c193dcac36847d46a7263e"),
+}
+
+
+def test_preimages_match_the_recorded_hashes(contexts):
+    seen = set()
+    for name, ctx in contexts.items():
+        for coords in verify._dominant_coords(ctx.rank, 2):
+            for n in (1, 2, 3):
+                tm = transfer.transfer_matrix(ctx.space, Coweight(coords), n)
+                p = tm.preimages
+                got = (*p.shape, hashlib.sha256(p.tobytes()).hexdigest())
+                assert got == PREIMAGE_SHA256[name, coords, n], (name, coords, n)
+                seen.add((name, coords, n))
+    assert seen == set(PREIMAGE_SHA256)
+
+
 def test_f3_assembly_peak_memory(a2, traced_peak):
     mu = Coweight((1, 1))
     transfer.transfer_matrix(a2.space, mu, 3)  # builds the tables and maps
     tm, peak = traced_peak(lambda: transfer.transfer_matrix(a2.space, mu, 3))
     assert tm.preimages.shape == (4032, 16)
-    assert peak < 16 * 2**20, peak
+    assert peak < 8 * 2**20, peak
 
 
 def test_f3_assembly_peak_over_built_tables(a2, traced_peak):
-    # tables up to radius 5 built, no map yet, as in `verify`: the plug
-    # grouping and the (group, column) cells are sorted without key copies;
-    # 9.5 MiB measured, 17.6 MiB with `np.unique` for both
+    # tables up to radius 4 built, no map yet, as in `verify`: the radius-5
+    # germs are walked one rotation block at a time; 6.0 MiB measured, 9.5
+    # MiB when the radius-5 table was grouped whole
     space = SectorSpace(a2.system)
-    for radius in range(6):
+    for radius in range(5):
         space.table(radius)
     tm, peak = traced_peak(lambda: transfer.transfer_matrix(space, Coweight((1, 1)), 3))
     assert tm.preimages.shape == (4032, 16)
-    assert peak < 12 * 2**20, peak
+    assert peak < 8 * 2**20, peak
+
+
+def test_f4_assembly_peak_over_built_tables(a2, traced_peak):
+    # three blocks of 688,128 radius-6 germs; 55 MiB measured, 158 MiB when
+    # the radius-6 table (73 MiB of rows) was built whole
+    space = SectorSpace(a2.system)
+    for radius in range(6):
+        space.table(radius)
+    tm, peak = traced_peak(lambda: transfer.transfer_matrix(space, Coweight((1, 1)), 4))
+    assert 6 not in space._tables
+    assert tm.preimages.shape == (32256, 16)
+    digest = hashlib.sha256(tm.preimages.tobytes()).hexdigest()
+    assert digest == "38cbdac3bf0af6a8013795582e46c3aa9f73dec7f70c92706ba123b8344134e0"
+    assert peak < 64 * 2**20, peak
 
 
 def test_counting_rejects_rows_that_depend_on_the_representative(a2):
     space = SectorSpace(a2.system)
-    real = space.shift_map
+    real = space.shift_positions
 
-    def swapped(radius, mu):  # two germs trade their shifts
-        smap = real(radius, mu).copy()
-        smap[[0, -1]] = smap[[-1, 0]]
-        return smap
+    def copied(rows, radius, mu):  # a block's first group takes the shift of its last
+        pos = real(rows, radius, mu)
+        pos[0] = pos[-1]
+        return pos
 
-    space.shift_map = swapped
+    space.shift_positions = copied
     with pytest.raises(RuntimeError, match="depend on the representative"):
         transfer.transfer_matrix(space, Coweight((1, 0)), 1)
 
