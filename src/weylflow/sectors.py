@@ -83,7 +83,7 @@ class Germ:
 SENTINEL = None  # distance not resolved within the truncation radius
 # rows per text chunk of the germs/v1 export
 _GERM_CHUNK_ROWS = 4096
-# rows per block of `row_groups` and `GermTable.lookup`
+# rows per block of `row_groups`, `_rows_increase` and `GermTable.lookup`
 _BLOCK_ROWS = 1 << 16
 
 
@@ -185,19 +185,13 @@ def row_groups(rows: np.ndarray):
     return order[new], labels
 
 
-def _row_labels(ids: np.ndarray) -> np.ndarray:
-    """Rank of each row among the distinct rows, in lexicographic order."""
-    return row_groups(ids)[1]
-
-
 def _rows_increase(rows: np.ndarray) -> bool:
     """Whether every row is lexicographically greater than the row before it.
 
     One pass over the rows in blocks, so the temporaries stay small.
     """
-    chunk = 1 << 16
-    for start in range(0, len(rows) - 1, chunk):
-        b = rows[start + 1 : start + 1 + chunk]
+    for start in range(0, len(rows) - 1, _BLOCK_ROWS):
+        b = rows[start + 1 : start + 1 + _BLOCK_ROWS]
         a = rows[start : start + len(b)]
         diff = a != b
         first = diff.argmax(axis=1)  # the first differing column, or 0 if none
@@ -350,7 +344,7 @@ class GermTable:
             for col, fi in enumerate(faces, start=2):
                 anchor = plan[fi][0]
                 ids[sel, col] = _face_lookup(system, plan[fi])[self.rows[sel, 1 + anchor]]
-        return _row_labels(ids)
+        return row_groups(ids)[1]
 
     def k_matrix(self) -> np.ndarray:
         """Pairwise first-disagreement norms; radius+1 encodes the sentinel."""
@@ -395,7 +389,6 @@ class SectorSpace:
         self._truncations: Dict[int, TruncatedSector] = {}
         self._tables: Dict[int, GermTable] = {}
         self._plans: Dict[int, tuple] = {}
-        self._shift_maps: Dict[tuple, np.ndarray] = {}
         self._shift_data: Dict[tuple, tuple] = {}
         self._face_plans: Dict[tuple, list] = {}
         self._covers: Dict[int, tuple] = {}
@@ -442,14 +435,12 @@ class SectorSpace:
         return self._tables[radius]
 
     def release_above(self, radius: int):
-        """Drop the tables above `radius`, with their restriction maps, and the
-        shift maps out of them; a later request builds them again.  The
-        transfer assembly walks its largest radius in blocks and builds only
-        the tables below it, so those are what this frees."""
+        """Drop the tables above `radius`, with their restriction maps; a later
+        request builds them again.  The transfer assembly walks its largest
+        radius in blocks and builds only the tables below it, so those are
+        what this frees."""
         for r in [r for r in self._tables if r > radius]:
             del self._tables[r]
-        for key in [key for key in self._shift_maps if key[0] > radius]:
-            del self._shift_maps[key]
 
     def predicted_size(self, radius: int) -> int:
         """|T_1| (|T_2| / |T_1|)^(radius - 1), from the tables up to radius 2 only.
@@ -595,10 +586,7 @@ class SectorSpace:
 
     def shift_map(self, radius: int, mu: Coweight) -> np.ndarray:
         """table(radius) -> table(radius - |mu|) position map of the shift."""
-        key = (radius, tuple(mu.coords))
-        if key not in self._shift_maps:
-            self._shift_maps[key] = self.shift_positions(self.table(radius).rows, radius, mu)
-        return self._shift_maps[key]
+        return self.shift_positions(self.table(radius).rows, radius, mu)
 
     def shift_positions(self, rows: np.ndarray, radius: int, mu: Coweight) -> np.ndarray:
         """Positions in table(radius - |mu|) of the shifts of radius-`radius` germ rows.

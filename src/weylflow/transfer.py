@@ -14,7 +14,7 @@ the preimages of h, sorted and with repetition.  The exact matrix entry is
 
 the multiplicity of g in row h over M_mu, so an operator takes dim * M_mu
 integers instead of dim^2 (2 MB rather than 8.3 GB for a2q2 on F_4).  The
-counts are taken over radius-(n+|mu|+depth) germs, fibered by (shift,
+counts are taken over radius-(n+|mu|) germs, fibered by (shift,
 restriction), and assembly checks that every group's counts sum to M_mu
 before it packs them; a violation aborts, since it would mean the germ
 tables are inconsistent with the preimage count.  `dense()` forms the
@@ -37,7 +37,7 @@ over the levels is taken in integers over a common denominator, so it forms
 one rational per column.  An indicator's own seminorm needs no kernel: it
 follows from the class sizes (`indicator_levels`).
 
-Assembly never holds the radius-(n+|mu|+depth) table whole.  Its germs
+Assembly never holds the radius-(n+|mu|) table whole.  Its germs
 are made one rotation block at a time, by extending the block of the
 parent table with that rotation (`SectorSpace.extend_rows`); the rotation
 is in every plug key, so no conditioning group spans two blocks.  In a
@@ -113,36 +113,31 @@ def compose(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     return g
 
 
-def transfer_matrix(
-    space: SectorSpace, mu: Coweight, radius: int, depth: Optional[int] = None
-) -> TransferMatrix:
+def transfer_matrix(space: SectorSpace, mu: Coweight, radius: int) -> TransferMatrix:
     """Assemble the transfer matrix for `mu` on F_radius.
 
     A preimage of a sector is pinned on the whole translated sector, so
-    inside a radius-N truncation (N = radius + |mu| + depth) it is pinned on
-    the intersection with mu + S_0.  The radius-N germs are grouped by that
+    inside the radius-N truncation (N = radius + |mu|) it is pinned on the
+    intersection with mu + S_0.  The radius-N germs are grouped by that
     restriction; each group is a finite disjoint union of preimage-germ sets
     of individual sectors, and every such set carries the same count vector
     because the operator respects the radius-`radius` classes.  The group
     totals must therefore be a single multiple lambda * M_mu across all
     groups, with every group vector divisible by lambda; the preimage counts
-    are the quotients.  Any gate failure escalates the depth and ultimately
-    aborts, since it would falsify the counting model.
+    are the quotients.  Radius N is exact: a preimage of a radius-`radius`
+    germ, and its own class, are fixed by the radius-N germs.  So a gate
+    failure aborts, since it would falsify the counting model.
     """
     if radius < 1:
         raise ValueError("transfer matrices need radius >= 1")
     if not mu.dominant:
         raise ValueError("transfer operators are indexed by dominant coweights")
-    depths = (depth,) if depth is not None else (0, 1, 2)
-    last_error = None
-    for d in depths:
-        try:
-            return _transfer_matrix_at_depth(space, mu, radius, d)
-        except CountingError as exc:
-            last_error = exc
-    raise CountingError(
-        f"preimage counting failed for mu={tuple(mu.coords)} on F_{radius}: {last_error}"
-    )
+    try:
+        return _assemble(space, mu, radius)
+    except CountingError as exc:
+        raise CountingError(
+            f"preimage counting failed for mu={tuple(mu.coords)} on F_{radius}: {exc}"
+        ) from exc
 
 
 class InvariantError(RuntimeError):
@@ -153,11 +148,9 @@ class CountingError(InvariantError):
     """The preimage counts of a transfer operator came out irregular."""
 
 
-def _transfer_matrix_at_depth(
-    space: SectorSpace, mu: Coweight, radius: int, depth: int
-) -> TransferMatrix:
+def _assemble(space: SectorSpace, mu: Coweight, radius: int) -> TransferMatrix:
     R = space.root_system
-    big_radius = radius + mu.norm + depth
+    big_radius = radius + mu.norm
     trunc = space.truncation(big_radius)
     parent = space.table(big_radius - 1)
     small = space.table(radius)
@@ -354,6 +347,29 @@ class InequalityReport:
         return not self.violations
 
 
+def check_indicator_bound(
+    space: SectorSpace, entries: tuple, dim: int, denom: int, n: int,
+    theta: Fraction, factor: Fraction, constant: Fraction,
+) -> InequalityReport:
+    """Check |L phi| <= factor * |phi| + constant on every indicator phi of F_n.
+
+    L is the count matrix over `denom` with the (row, column, value) cells
+    `entries`; its column g is L applied to the indicator of class g, which
+    has sup norm 1 and the seminorm of its level.  Slack is the smallest
+    margin observed.
+    """
+    images = lipschitz_seminorms(space, entries, dim, denom, n, theta)
+    levels = indicator_levels(space, n)
+    bound = {m: factor * v + constant for m, v in level_seminorms(theta, n).items()}
+    violations = [
+        f"indicator {g}: |L phi| = {lhs} > {bound[m]}"
+        for g, (lhs, m) in enumerate(zip(images, levels))
+        if lhs > bound[m]
+    ]
+    slack = min((bound[m] - lhs for lhs, m in zip(images, levels)), default=None)
+    return InequalityReport(dim, violations, slack)
+
+
 def check_lasota_yorke(
     space: SectorSpace,
     mu: Coweight,
@@ -365,26 +381,17 @@ def check_lasota_yorke(
 
     For strongly dominant mu the bound is theta * |phi| + (2/theta) * |phi|_oo,
     and for merely dominant mu the non-expansive variant |phi| + C |phi|_oo
-    with the same constant.  Slack is the smallest margin observed.
+    with the same constant.
     """
     theta = Fraction(theta)
     tm = matrix if matrix is not None else transfer_matrix(space, mu, n)
     factor = theta if mu.strongly_dominant else Fraction(1)
-    c_theta = 2 / theta
-    images = lipschitz_seminorms(space, cells(tm.preimages), tm.dim, tm.m_mu, n, theta)
-    levels = indicator_levels(space, n)
-    # an indicator has sup norm 1, and its own seminorm is set by its level
-    bound = {m: factor * v + c_theta for m, v in level_seminorms(theta, n).items()}
-    violations = [
-        f"indicator {g}: |L phi| = {lhs} > {bound[m]}"
-        for g, (lhs, m) in enumerate(zip(images, levels))
-        if lhs > bound[m]
-    ]
-    slack = min((bound[m] - lhs for lhs, m in zip(images, levels)), default=None)
-    return InequalityReport(tm.dim, violations, slack)
+    return check_indicator_bound(
+        space, cells(tm.preimages), tm.dim, tm.m_mu, n, theta, factor, 2 / theta
+    )
 
 
-def check_sup_contraction(space: SectorSpace, tm: TransferMatrix) -> bool:
+def check_sup_contraction(tm: TransferMatrix) -> bool:
     """Row-stochasticity makes the sup norm non-increasing: check on indicators."""
     return bool(cells(tm.preimages)[2].max() <= tm.m_mu)
 

@@ -437,7 +437,7 @@ def check_transfer_exact(ctx: FixtureContext) -> List[CheckResult]:
     out.append(CheckResult("semigroup and commutation exact", semi_ok))
 
     sup_ok = all(
-        transfer.check_sup_contraction(ctx.space, ctx.tm(mu, n))
+        transfer.check_sup_contraction(ctx.tm(mu, n))
         for mu in mus
         for n in (1, 2)
     )
@@ -480,7 +480,6 @@ def check_lasota_yorke(ctx: FixtureContext) -> List[CheckResult]:
     tm = ctx.tm(mu, 2)
     c_iter = (2 / theta) / (1 - theta)
     iter_ok = True
-    levels = transfer.indicator_levels(ctx.space, 2)
     # L^l as its exact count matrix over M_mu^l: row h of L^l is the sum of
     # the rows of L^(l-1) at the preimages of h; a row of L^3 sums to M_mu^3
     dtype = np.int32 if tm.m_mu**3 < 2**31 else np.int64
@@ -492,14 +491,13 @@ def check_lasota_yorke(ctx: FixtureContext) -> List[CheckResult]:
             step += power[pre]
         power, denom = step, denom * tm.m_mu
         row, col = np.nonzero(power)
-        images = transfer.lipschitz_seminorms(
-            ctx.space, (row, col, power[row, col].astype(np.int64)), tm.dim, denom, 2, theta
+        rep = transfer.check_indicator_bound(
+            ctx.space, (row, col, power[row, col].astype(np.int64)), tm.dim, denom, 2,
+            theta, theta**ell, c_iter,
         )
-        bound = {m: theta**ell * v + c_iter for m, v in transfer.level_seminorms(theta, 2).items()}
-        bad = [g for g, (lhs, m) in enumerate(zip(images, levels)) if lhs > bound[m]]
-        if bad:
+        if not rep.passed:
             iter_ok = False
-            detail = f"L^{ell} too large on indicator {bad[0]}"
+            detail = f"L^{ell} too large on {rep.violations[0]}"
             break
     out.append(CheckResult("iterated contraction up to the third power", iter_ok, detail))
     return out

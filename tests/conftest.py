@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import pytest
@@ -33,6 +34,20 @@ def biregular(contexts):
 @pytest.fixture(scope="session")
 def a2(contexts):
     return contexts["a2q2"]
+
+
+@pytest.fixture(scope="session")
+def swapped_a2q2(tmp_path_factory):
+    """Path of a2q2 with two chambers swapped between residue-1 blocks: the
+    local checks fail, and the preimage counts come out irregular."""
+    doc = fixtures.load_fixture("a2q2").to_json_dict()
+    blocks = doc["residues"]["1"]
+    first = blocks.index([0, 14, 16])
+    second = blocks.index([11, 12, 18])
+    blocks[first][0], blocks[second][0] = 11, 0
+    path = tmp_path_factory.mktemp("swapped") / "swapped.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
 
 
 @pytest.fixture(scope="session")

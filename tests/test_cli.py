@@ -35,17 +35,9 @@ def test_validate_corrupted_fails(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-def test_failed_preimage_counting_exits_cleanly(tmp_path, capsys):
-    # two chambers swapped between residue-1 blocks: the local checks fail,
-    # and with --force the preimage counts come out irregular
-    doc = fixtures.load_fixture("a2q2").to_json_dict()
-    blocks = doc["residues"]["1"]
-    first = blocks.index([0, 14, 16])
-    second = blocks.index([11, 12, 18])
-    blocks[first][0], blocks[second][0] = 11, 0
-    p = tmp_path / "swapped.json"
-    p.write_text(json.dumps(doc))
-    assert run(["transfer", str(p), "--mu", "1,0", "--radius", "2", "--force"]) == 1
+def test_failed_preimage_counting_exits_cleanly(swapped_a2q2, capsys):
+    # with --force the local checks are skipped and the counting gates fail
+    assert run(["transfer", swapped_a2q2, "--mu", "1,0", "--radius", "2", "--force"]) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("error: preimage counting failed") and err.count("\n") == 1
@@ -56,8 +48,8 @@ def test_noncommuting_family_exits_cleanly(monkeypatch, capsys):
 
     real = transfer.transfer_matrix
 
-    def tampered(space, mu, radius, depth=None):
-        tm = real(space, mu, radius, depth)
+    def tampered(space, mu, radius):
+        tm = real(space, mu, radius)
         if mu.coords == (0, 1):
             rows = tm.preimages.copy()
             rows[0] = np.sort((rows[0] + 1) % tm.dim)

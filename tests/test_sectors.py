@@ -236,14 +236,14 @@ def test_rows_increase_check():
 
 def test_class_labels_match_unique_rows(contexts, monkeypatch):
     # every fixture and level of the ray and region classes, radius 0 included
-    seen, real = [], sectors._row_labels
+    seen, real = [], sectors.row_groups
 
     def recorded(ids):
-        labels = real(ids)
-        seen.append((ids.copy(), labels))
-        return labels
+        groups = real(ids)
+        seen.append((ids.copy(), groups[1]))
+        return groups
 
-    monkeypatch.setattr(sectors, "_row_labels", recorded)
+    monkeypatch.setattr(sectors, "row_groups", recorded)
     for ctx in contexts.values():
         space = SectorSpace(ctx.system)  # fresh, so no class array is cached
         for n in range(3):
@@ -259,7 +259,7 @@ def test_class_labels_match_unique_rows(contexts, monkeypatch):
     ties = np.array([[1, 2], [0, 9], [1, 2], [0, 9], [0, 3]], dtype=np.uint16)
     for ids in [one_row, ties] + [ids for ids, _ in seen]:
         want = np.unique(ids, axis=0, return_inverse=True)[1].reshape(-1)
-        assert np.array_equal(real(ids), want)
+        assert np.array_equal(real(ids)[1], want)
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])

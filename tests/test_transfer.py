@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylflow import oracles, transfer, verify
+from weylflow import chamber, oracles, transfer, verify
 from weylflow.rootdata import Coweight
 from weylflow.sectors import SectorSpace
 
@@ -59,10 +59,19 @@ def test_semigroup_exact_a2(a2):
         assert np.array_equal(transfer.compose(a.preimages, b.preimages), t12.preimages)
 
 
-def test_counting_depth_independent(a2):
-    base = transfer.transfer_matrix(a2.space, Coweight((1, 0)), 1, depth=0)
-    deeper = transfer.transfer_matrix(a2.space, Coweight((1, 0)), 1, depth=1)
-    assert np.array_equal(base.preimages, deeper.preimages)
+def test_failed_counting_is_not_retried(swapped_a2q2):
+    # radius + |mu| = 6 is walked in blocks of the radius-5 table; the first
+    # failing gate aborts there, with its own witness, and no deeper table
+    # is built
+    space = SectorSpace(chamber.load(swapped_a2q2), check=False)
+    mu, radius = Coweight((2, 2)), 2
+    with pytest.raises(transfer.CountingError) as exc:
+        transfer.transfer_matrix(space, mu, radius)
+    assert str(exc.value) == (
+        "preimage counting failed for mu=(2, 2) on F_2: "
+        "conditioning groups have mixed sizes [30, 1028]"
+    )
+    assert max(space._tables) <= radius + mu.norm - 1
 
 
 def test_apply_constant_is_fixed(contexts):
@@ -238,8 +247,8 @@ def test_fn_invariance_names_first_witnesses(a2, monkeypatch):
     real = transfer.transfer_matrix
     h = 1  # shares its radius-1 class with row 0
 
-    def tampered(space, mu, radius, depth=None):
-        tm = real(space, mu, radius, depth)
+    def tampered(space, mu, radius):
+        tm = real(space, mu, radius)
         if radius == 2:
             rows = tm.preimages.copy()
             rows[h] = np.sort((rows[h] + 1) % tm.dim)  # the dense row, rolled by one

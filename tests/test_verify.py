@@ -48,7 +48,6 @@ def _assert_lean_after_suite(ctx, builds, metric_radius):
     assert radii == list(range(len(radii))), radii
     assert metric_radius <= radii[-1] <= metric_radius + 1, radii
     assert max(ctx.space._tables) == metric_radius
-    assert all(radius <= metric_radius for radius, _ in ctx.space._shift_maps)
 
 
 @pytest.mark.parametrize("name", fixtures.FIXTURES)
@@ -252,6 +251,23 @@ def test_tampered_maps_fail_their_laws():
     lines = {res.name: res.passed for res in verify.check_metric_suite(ctx, radius=2)}
     assert lines["direction formula k = min_i k_i (radius 2)"] is False
     assert lines["directional shift laws (radius 2)"] is False
+
+
+def test_iterated_contraction_names_the_failing_power(a2, monkeypatch):
+    # a mutant seminorm kernel that pushes every column of L^2 over its bound
+    m_mu = a2.tm(a2.strong, 2).m_mu
+    real = transfer.lipschitz_seminorms
+
+    def inflated(space, entries, ncols, denom, n, theta):
+        columns = real(space, entries, ncols, denom, n, theta)
+        return [v + 100 for v in columns] if denom == m_mu**2 else columns
+
+    monkeypatch.setattr(transfer, "lipschitz_seminorms", inflated)
+    lines = {res.name: res for res in verify.check_lasota_yorke(a2)}
+    iterated = lines.pop("iterated contraction up to the third power")
+    assert not iterated.passed
+    assert iterated.detail.startswith("L^2 too large on indicator 0: |L phi| = "), iterated.detail
+    assert all(res.passed for res in lines.values())
 
 
 def _enc(k, radius):
