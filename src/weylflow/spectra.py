@@ -5,7 +5,8 @@ set) is converted to dense complex matrices.  Joint eigenvalues are found
 from a seeded random linear combination and certified through the singular
 values of the stacked system; Koszul cochain and chain complexes give the
 cohomological picture, with parametrices realizing the Nullstellensatz
-identity sum_i (A_i - chi_i) B_i(chi) = A_mu - chi(mu).
+identity sum_i (A_i - chi_i) B_i(chi) = A_mu - chi(mu).  Seeded draws come
+from `pcg64.PCG64`, numpy's `default_rng` stream without numpy.random.
 
 Every rank decision is one rule (`_rank_rule`): a relative singular-value
 threshold with an explicit ambiguity band; characters with singular values
@@ -37,6 +38,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from .pcg64 import PCG64
 from .transfer import InvariantError, compose
 
 DEFAULT_SEED = 0xC0FFEE
@@ -139,16 +141,16 @@ def joint_spectrum(
 ) -> List[JointEigenvalue]:
     """Joint eigenvalues of a commuting family of dense matrices.
 
-    Candidates come from the eigenvectors of a random (seeded) complex
-    combination; each candidate tuple is certified by the null space of the
-    stacked matrix [A_i - chi_i], and candidates closer than tol_merge are
-    merged.
+    Candidates come from the eigenvectors of a random complex combination,
+    with phases drawn from `PCG64(seed)` (the `default_rng(seed)` stream);
+    each candidate tuple is certified by the null space of the stacked
+    matrix [A_i - chi_i], and candidates closer than tol_merge are merged.
     """
     mats = [np.asarray(m, dtype=np.complex128) for m in mats]
     dim = mats[0].shape[0]
     if exact is not None:
         _check_commuting(exact)
-    rng = np.random.default_rng(seed)
+    rng = PCG64(seed)
     phases = rng.uniform(0.0, 2 * np.pi, size=len(mats))
     combo = sum(np.exp(1j * p) * m for p, m in zip(phases, mats))
     pairs = eigen(combo, tol_res=max(tol_res, 1e-6))
@@ -491,7 +493,7 @@ def taylor_report(
     koszul = koszul or functools.partial(koszul_complexes, mats, tol_rank=tol_rank)
     if per_op is None:
         per_op = operator_eigenvalues(mats, tol_res)
-    rng = np.random.default_rng(seed ^ 0x5EED)
+    rng = PCG64(seed ^ 0x5EED)
     off = []
     guard = 0
     while len(off) < 8 and guard < 800:

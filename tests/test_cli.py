@@ -142,6 +142,12 @@ def test_spectrum_deterministic_and_schema(tmp_path):
     assert any(abs(j["chi"][0][0] - 1.0) < 1e-9 for j in doc["joint"])
 
 
+def test_negative_seed_is_a_usage_error(capsys):
+    assert run(["spectrum", "a2q2", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: expected non-negative integer\n"
+
+
 def test_koszul_command(tmp_path):
     out = tmp_path / "k.json"
     assert run(["koszul", "k33", "--chi", "1+0j", "--out", str(out)]) == 0

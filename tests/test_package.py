@@ -52,6 +52,16 @@ def test_validate_imports_no_numpy(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "args", [["verify", "k33", "--radius", "2"], ["spectrum", "k33"], ["ihara", "k33"]]
+)
+def test_sampling_commands_never_execute_numpy_random(args, tmp_path):
+    # the sample characters come from weylflow's own PCG64 stream
+    executed = _executed(tmp_path, *args)
+    assert {"numpy", "weylflow.pcg64"} <= executed
+    assert not any(name == "numpy.random" or name.startswith("numpy.random.") for name in executed)
+
+
+@pytest.mark.parametrize(
     "args",
     [["germs", "a2q2", "--radius", "2"], ["transfer", "k33", "--mu", "1", "--radius", "2"]],
 )

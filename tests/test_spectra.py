@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from weylflow import spectra, verify
+from weylflow.pcg64 import PCG64
 from weylflow.rootdata import Coweight
 from weylflow.transfer import InvariantError
 
@@ -347,6 +348,34 @@ def test_taylor_far_character_not_member(k33):
     report = spectra.taylor_report(mats, 0.5, exact=exact, extra_characters=[(10.0 + 0j,)])
     assert report.taylor[(10.0 + 0j,)] is False
     assert not report.mismatches
+
+
+# every caller's seed, and seeds of two, three, four and five 32-bit words
+@pytest.mark.parametrize("seed", [
+    0, 7, 11, 12345, 0xC0FFEE, 0xC0FFEE ^ 0x5EED, 2**32 + 5, 2**70 + 3, 2**97 + 12345, 2**130 + 7,
+])
+def test_pcg64_stream_equals_numpy_default_rng(seed):
+    ours, theirs = PCG64(seed), np.random.default_rng(seed)
+    # scalar draws interleaved as the sample characters take them, then a
+    # `size=` draw as joint_spectrum takes its phases
+    for low, high in [(-1.5, 1.5), (-1, 1), (-2, 2), (-0.4, 0.4)] * 10:
+        assert ours.uniform(low, high).hex() == float(theirs.uniform(low, high)).hex()
+    drawn = ours.uniform(0.0, 2 * np.pi, size=5)
+    assert [x.hex() for x in drawn] == [float(x).hex() for x in theirs.uniform(0.0, 2 * np.pi, size=5)]
+
+
+def test_pcg64_stream_is_pinned():
+    # the first Koszul sample coordinates of `verify`, whatever numpy does later
+    rng = PCG64(7)
+    assert [rng.uniform(-1.5, 1.5).hex() for _ in range(4)] == [
+        "0x1.804b13f756bf8p-2", "0x1.310f69360d734p+0", "0x1.a774063d7841cp-1", "-0x1.a614edf8ff834p-1",
+    ]
+
+
+def test_pcg64_rejects_a_negative_seed_as_numpy_does():
+    for make in (PCG64, np.random.default_rng):
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            make(-1)
 
 
 @pytest.mark.parametrize("user_value", [None, "2"])
