@@ -32,7 +32,7 @@ print("\neigenvalues of the normalized operator:")
 for v in vals:
     print(f"  {v.real:+.6f} {v.imag:+.6f}i")
 
-oracle_vals, residual, _, q = oracles.ihara_spectrum(fixtures.k33_edges())
+oracle_vals, residual, _, q = oracles.ihara_spectrum(fixtures.document("k33")["edges"])
 print(f"\nindependent oracle (edge matrix built from the graph, divided by q={q}):")
 print("  determinant identity residual:", f"{residual:.2e}")
 print("  spectra agree within 1e-8:",

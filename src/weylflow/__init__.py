@@ -25,7 +25,7 @@ _EXPORTS = {
         "ChamberSystem", "ValidationReport", "from_bipartite_graph",
         "from_triangle_presentation", "load", "save", "validate",
     ),
-    "sectors": ("Germ", "GermTable", "SectorSpace", "enumerate_germs"),
+    "sectors": ("Germ", "GermTable", "SectorSpace"),
     "transfer": (
         "TransferMatrix", "check_fn_invariance", "check_lasota_yorke", "lipschitz_seminorm",
         "transfer_matrix",

@@ -454,9 +454,8 @@ def read_document(path: str) -> dict:
     return data
 
 
-def load(path: str) -> ChamberSystem:
-    """Load a chamber system from any of the supported JSON formats."""
-    data = read_document(path)
+def from_document(data: dict) -> ChamberSystem:
+    """The chamber system of a document that `read_document` returned."""
     fmt = data.get("format")
     if fmt == CHAMBER_FORMAT:
         residues = {int(i): blocks for i, blocks in data["residues"].items()}
@@ -472,6 +471,11 @@ def load(path: str) -> ChamberSystem:
     if fmt == TRIANGLE_FORMAT:
         return from_triangle_presentation(data["points"], data["lambda"], data["triples"])
     raise ValueError(f"unknown file format: {fmt!r}")
+
+
+def load(path: str) -> ChamberSystem:
+    """Load a chamber system from any of the supported JSON formats."""
+    return from_document(read_document(path))
 
 
 def save(system: ChamberSystem, path: str) -> None:

@@ -7,6 +7,10 @@ fixed input and flag set; JSON is emitted with sorted keys and floats at
 17 significant digits.  The germ and transfer exports are rendered from
 their integer arrays and written in chunks; the small documents go through
 `dumps_canonical`.
+
+An input is a bundled fixture name, whose JSON document `fixtures.document`
+reads, or a path to a document.  `verify` reads each document once and
+hands the edges of every graph/v1 input to the rank-1 oracle.
 """
 
 from __future__ import annotations
@@ -62,13 +66,24 @@ GERM_BUDGET = 2**22
 MAX_RADIUS = 64
 
 
+def _input_file(token: str) -> str:
+    if not Path(token).exists():
+        raise FileNotFoundError(f"no such input: {token}")
+    return token
+
+
+def _read_input(token: str) -> dict:
+    """The JSON document of a bundled fixture name or of an input file."""
+    if token in fixtures.FIXTURES:
+        return fixtures.document(token)
+    return chamber.read_document(_input_file(token))
+
+
 def _load_input(token: str) -> chamber.ChamberSystem:
+    # a file goes through chamber.load, which the benchmark's tracer times
     if token in fixtures.FIXTURES:
         return fixtures.load_fixture(token)
-    path = Path(token)
-    if not path.exists():
-        raise FileNotFoundError(f"no such input: {token}")
-    return chamber.load(str(path))
+    return chamber.load(_input_file(token))
 
 
 def _parse_mu(text: str, rank: int) -> Coweight:
@@ -267,16 +282,17 @@ def cmd_koszul(args) -> int:
 
 def cmd_verify(args) -> int:
     names = list(fixtures.FIXTURES) if args.input == "all" else [args.input]
-    # every input is loaded and its metric radius budgeted before any output
-    contexts = [verify.FixtureContext(name, _load_input(name)) for name in names]
-    for ctx in contexts:
+    # every input is read once, loaded and its metric radius budgeted before
+    # any output; the rank-1 oracle gets a graph's raw edges, not the system
+    inputs = []
+    for name in names:
+        doc = _read_input(name)
+        ctx = verify.FixtureContext(name, chamber.from_document(doc))
+        inputs.append((ctx, doc["edges"] if doc["format"] == chamber.GRAPH_FORMAT else None))
+    for ctx, _ in inputs:
         _check_germ_budget(ctx.space, args.radius)
     all_ok = True
-    for ctx in contexts:
-        edges = None
-        if ctx.name in fixtures.FIXTURES and ctx.rank == 1:
-            doc = fixtures.fixture_documents()[ctx.name]
-            edges = [tuple(e) for e in doc["edges"]]
+    for ctx, edges in inputs:
         print(f"== {ctx.name} ==")
         results = verify.run_suite(ctx, metric_radius=args.radius, edges=edges)
         for res in results:
@@ -286,14 +302,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_ihara(args) -> int:
-    if args.input in fixtures.FIXTURES:
-        doc = fixtures.fixture_documents()[args.input]
-    else:
-        doc = chamber.read_document(args.input)
+    doc = _read_input(args.input)
     if doc.get("format") != chamber.GRAPH_FORMAT:
         raise ValueError("ihara needs a graph/v1 input")
-    edges = [tuple(e) for e in doc["edges"]]
-    vals, residual, des, q = oracles.ihara_spectrum(edges)
+    vals, residual, des, q = oracles.ihara_spectrum(doc["edges"])
     doc = {
         "format": "ihara/v1",
         "directed_edges": len(des),
@@ -306,23 +318,14 @@ def cmd_ihara(args) -> int:
 
 
 def cmd_gen_graph(args) -> int:
-    if args.kind == "k33":
-        edges = fixtures.k33_edges()
-    elif args.kind == "q3":
-        edges = fixtures.q3_edges()
-    elif args.kind == "biregular":
-        edges = fixtures.biregular_edges()
-    else:
-        print(f"unknown graph kind {args.kind}", file=sys.stderr)
-        return USAGE_ERROR
-    doc = {"format": chamber.GRAPH_FORMAT, "edges": [list(e) for e in edges]}
-    _emit([dumps_canonical(doc)], args.out)
+    _emit([dumps_canonical(fixtures.document(args.kind))], args.out)
     return 0
 
 
 def cmd_gen_a2(args) -> int:
-    doc = fixtures.a2_presentation(args.q)
-    _emit([dumps_canonical(doc)], args.out)
+    if args.q != 2:
+        raise ValueError("only the order-2 presentation is bundled")
+    _emit([dumps_canonical(fixtures.document("a2q2"))], args.out)
     return 0
 
 

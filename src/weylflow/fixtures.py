@@ -1,82 +1,26 @@
 """Bundled example systems and fixture-file resolution.
 
-Four systems ship with the package: the complete bipartite graph K33 and
-the cube graph Q3 (both 3-regular, so homogeneous rank 1), a (3,2)-biregular
-graph obtained by subdividing every edge of K4, and an order-2 triangle
-presentation over seven symbols whose triples are the cyclic rotations of
+Four systems ship with the package, one JSON document each: the complete
+bipartite graph K33 and the cube graph Q3 (both 3-regular, so homogeneous
+rank 1), a (3,2)-biregular graph obtained by subdividing every edge of K4,
+and the order-2 triangle presentation of Cartwright-Mantero-Steger-Zappa
+over seven symbols, whose triples are the cyclic rotations of
 (x, x+1, x+3) mod 7.
 
-The directory holding the JSON files can be overridden with the
-WEYLFLOW_FIXTURES environment variable.
+The documents are the only source of the fixtures: every command that
+takes a fixture name reads its file through `document`, and `gen-graph`
+and `gen-a2` print it.  The directory holding the files can be
+overridden with the WEYLFLOW_FIXTURES environment variable.
 """
 
 from __future__ import annotations
 
-import itertools
-import json
 import os
 from pathlib import Path
-from typing import Dict, List, Tuple
 
 from . import chamber
 
 FIXTURES = ("k33", "q3", "biregular", "a2q2")
-
-RANK1_FIXTURES = ("k33", "q3", "biregular")
-
-
-def k33_edges() -> List[Tuple[int, int]]:
-    return [(i, 3 + j) for i in range(3) for j in range(3)]
-
-
-def q3_edges() -> List[Tuple[int, int]]:
-    out = []
-    for v in range(8):
-        for bit in range(3):
-            w = v ^ (1 << bit)
-            if v < w:
-                out.append((v, w))
-    return out
-
-
-def biregular_edges() -> List[Tuple[int, int]]:
-    """Edge subdivision of K4: degree 3 on originals, 2 on midpoints."""
-    pairs = list(itertools.combinations(range(4), 2))
-    out = []
-    for k, (u, v) in enumerate(pairs):
-        mid = 4 + k
-        out.append((u, mid))
-        out.append((v, mid))
-    return out
-
-
-def a2_presentation(q: int = 2) -> Dict:
-    """Triangle presentation with triples (x, x+1, x+3) mod 7 for q = 2."""
-    if q != 2:
-        raise ValueError("only the order-2 presentation is bundled")
-    p = 7
-    triples = []
-    for x in range(p):
-        base = (x, (x + 1) % p, (x + 3) % p)
-        for r in range(3):
-            triples.append(tuple(base[(r + s) % 3] for s in range(3)))
-    triples = sorted(set(triples))
-    lam = [(x + 1) % p for x in range(p)]
-    return {"format": chamber.TRIANGLE_FORMAT, "points": p, "lambda": lam,
-            "triples": [list(t) for t in triples]}
-
-
-def _graph_doc(edges) -> Dict:
-    return {"format": chamber.GRAPH_FORMAT, "edges": [list(e) for e in edges]}
-
-
-def fixture_documents() -> Dict[str, Dict]:
-    return {
-        "k33": _graph_doc(k33_edges()),
-        "q3": _graph_doc(q3_edges()),
-        "biregular": _graph_doc(biregular_edges()),
-        "a2q2": a2_presentation(2),
-    }
 
 
 def fixture_dir() -> Path:
@@ -92,23 +36,10 @@ def fixture_path(name: str) -> Path:
     return fixture_dir() / f"{name}.json"
 
 
+def document(name: str) -> dict:
+    """The fixture's JSON document, read from `fixture_dir()`."""
+    return chamber.read_document(str(fixture_path(name)))
+
+
 def load_fixture(name: str) -> chamber.ChamberSystem:
-    path = fixture_path(name)
-    if path.exists():
-        return chamber.load(str(path))
-    doc = fixture_documents()[name]
-    if doc["format"] == chamber.GRAPH_FORMAT:
-        return chamber.from_bipartite_graph(doc["edges"])
-    return chamber.from_triangle_presentation(doc["points"], doc["lambda"], doc["triples"])
-
-
-def write_fixture_files(target: Path) -> List[Path]:
-    target.mkdir(parents=True, exist_ok=True)
-    out = []
-    for name, doc in fixture_documents().items():
-        p = target / f"{name}.json"
-        with open(p, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        out.append(p)
-    return out
+    return chamber.from_document(document(name))

@@ -10,7 +10,8 @@ ties the non-backtracking matrix B to the vertex adjacency matrix A; the
 oracle evaluates both sides at sample points and reports the residual.
 `germ_edge_positions` is the only bridge to the germ side: it names the
 directed edge under each radius-1 germ, so that the two matrices can be
-compared entry by entry.
+compared entry by entry.  `verify` feeds the oracle the edge list of each
+graph/v1 input document, bundled or not.
 """
 
 from __future__ import annotations

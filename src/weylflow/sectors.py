@@ -209,7 +209,6 @@ class GermTable:
         self.radius = radius
         self.trunc = space.truncation(radius)
         self._restriction: Dict[int, np.ndarray] = {}
-        self._ray_classes: Dict[tuple, np.ndarray] = {}
         self._region_classes: Dict[tuple, np.ndarray] = {}
         if radius == 0:
             self._build_radius_zero()
@@ -309,14 +308,8 @@ class GermTable:
 
     def ray_classes(self, direction: int, ell: int) -> np.ndarray:
         """Class ids by agreement on the hull of {0, ell * w_direction}."""
-        key = (direction, ell)
-        if key not in self._ray_classes:
-            R = self.space.root_system
-            vecb = R.coweight_vector(
-                Coweight(tuple(ell if i == direction else 0 for i in range(R.rank)))
-            )
-            self._ray_classes[key] = self._classes_for_region(vecb)
-        return self._ray_classes[key]
+        rank = self.space.root_system.rank
+        return self.region_classes(Coweight(tuple(ell if i == direction else 0 for i in range(rank))))
 
     def region_classes(self, mu: Coweight) -> np.ndarray:
         """Class ids by agreement on the hull of {0, mu}."""
@@ -348,23 +341,18 @@ class GermTable:
 
     def k_matrix(self) -> np.ndarray:
         """Pairwise first-disagreement norms; radius+1 encodes the sentinel."""
-        n = self.radius
-        size = len(self)
-        out = np.full((size, size), n + 1, dtype=np.int16)
-        for m in range(n, -1, -1):
-            cls = self.restriction_map(m)
-            diff = cls[:, None] != cls[None, :]
-            out[diff] = m
-        return out
+        return self._first_disagreement(self.restriction_map)
 
     def ki_matrix(self, direction: int) -> np.ndarray:
+        return self._first_disagreement(lambda ell: self.ray_classes(direction, ell))
+
+    def _first_disagreement(self, classes) -> np.ndarray:
+        """The least level m <= radius at which classes(m) differ, per pair; else radius+1."""
         n = self.radius
-        size = len(self)
-        out = np.full((size, size), n + 1, dtype=np.int16)
-        for ell in range(n, -1, -1):
-            cls = self.ray_classes(direction, ell)
-            diff = cls[:, None] != cls[None, :]
-            out[diff] = ell
+        out = np.full((len(self), len(self)), n + 1, dtype=np.int16)
+        for m in range(n, -1, -1):
+            cls = classes(m)
+            out[cls[:, None] != cls[None, :]] = m
         return out
 
     def k_between(self, a: int, b: int) -> Optional[int]:
@@ -704,11 +692,6 @@ class SectorSpace:
                     region.add(nb)
                     fringe.append(nb)
         return region
-
-
-def enumerate_germs(system: ChamberSystem, radius: int, check: bool = True) -> GermTable:
-    """Convenience wrapper: a fresh table for one-off use."""
-    return SectorSpace(system, check=check).table(radius)
 
 
 def germs_json_chunks(table: GermTable) -> Iterator[str]:

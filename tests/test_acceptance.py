@@ -28,7 +28,7 @@ def test_criterion_1_rank1_oracle(k33):
     start = time.time()
     tm = k33.tm(Coweight((1,)), 1)
     assert tm.dim == 18 and tm.m_mu == 2
-    _passes(k33, verify.check_rank1_oracle(k33, fixtures.k33_edges()))
+    _passes(k33, verify.check_rank1_oracle(k33, fixtures.document("k33")["edges"]))
     got = np.linalg.eigvals(tm.dense())
     assert oracles.multiset_close(got, oracles.k33_expected_normalized(), 1e-8)
     elapsed = time.time() - start

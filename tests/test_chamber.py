@@ -70,7 +70,7 @@ def test_k33_roundtrip(tmp_path):
 
 
 def test_from_bipartite_graph_k33():
-    system = from_bipartite_graph(fixtures.k33_edges())
+    system = from_bipartite_graph(fixtures.document("k33")["edges"])
     assert system.kind == "A1~"
     assert system.num_chambers == 9
     assert system.params.as_dict() == {0: 2, 1: 2}
@@ -80,14 +80,14 @@ def test_from_bipartite_graph_k33():
 
 
 def test_from_bipartite_graph_cube():
-    system = from_bipartite_graph(fixtures.q3_edges())
+    system = from_bipartite_graph(fixtures.document("q3")["edges"])
     assert system.kind == "A1~"
     assert system.num_chambers == 12
     assert system.params.as_dict() == {0: 2, 1: 2}
 
 
 def test_from_bipartite_graph_biregular():
-    system = from_bipartite_graph(fixtures.biregular_edges())
+    system = from_bipartite_graph(fixtures.document("biregular")["edges"])
     assert system.kind == "BC1~"
     assert system.params.as_dict() == {0: 2, 1: 1}
 
@@ -103,7 +103,10 @@ def test_odd_cycle_rejected():
 
 
 def test_triangle_presentation_bundled():
-    doc = fixtures.a2_presentation(2)
+    doc = fixtures.document("a2q2")
+    # the triples are the cyclic rotations of (x, x+1, x+3) mod 7
+    base = [(x, (x + 1) % 7, (x + 3) % 7) for x in range(7)]
+    assert sorted(map(tuple, doc["triples"])) == sorted(t[r:] + t[:r] for t in base for r in range(3))
     system = from_triangle_presentation(doc["points"], doc["lambda"], doc["triples"])
     assert system.kind == "A2~"
     assert system.num_chambers == 21
@@ -111,7 +114,7 @@ def test_triangle_presentation_bundled():
 
 
 def test_triangle_presentation_missing_triple():
-    doc = fixtures.a2_presentation(2)
+    doc = fixtures.document("a2q2")
     with pytest.raises(ValueError):
         from_triangle_presentation(doc["points"], doc["lambda"], doc["triples"][1:])
 

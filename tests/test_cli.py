@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import weylflow
-from weylflow import cli, fixtures, spectra
+from weylflow import chamber, cli, fixtures, spectra
 from weylflow.cli import main
 from weylflow.io_utils import dumps_canonical, rational_str, stream_canonical
 
@@ -98,7 +98,9 @@ def test_memory_error_exits_with_one_line(exc, monkeypatch, capsys):
 
 
 def test_missing_file_is_usage_error(capsys):
-    assert run(["validate", "no-such-file.json"]) == 2
+    for command in ("validate", "ihara", "verify"):
+        assert run([command, "no-such-file.json"]) == 2
+        assert capsys.readouterr().err == "error: no such input: no-such-file.json\n"
 
 
 def test_germs_output_deterministic(tmp_path):
@@ -211,12 +213,88 @@ def test_gen_commands_roundtrip(tmp_path):
     assert load(str(a)).num_chambers == 21
 
 
+BUNDLED = Path(fixtures.__file__).resolve().parent / "fixtures"
+ORACLE_LINES = (
+    "[PASS] determinant identity residual <= 1e-10",
+    "[PASS] transfer matrix equals the halved edge operator",
+    "[PASS] spectrum matches the edge-operator oracle",
+)
+
+
+def _oracle_lines(out: str):
+    return [line for line in out.splitlines() if line.startswith(ORACLE_LINES)]
+
+
 def test_fixture_dir_override(tmp_path, monkeypatch):
     monkeypatch.setenv("WEYLFLOW_FIXTURES", str(tmp_path))
-    fixtures.write_fixture_files(tmp_path)
+    for name in fixtures.FIXTURES:
+        (tmp_path / f"{name}.json").write_bytes((BUNDLED / f"{name}.json").read_bytes())
     assert fixtures.fixture_path("k33") == tmp_path / "k33.json"
     system = fixtures.load_fixture("k33")
     assert system.num_chambers == 9
+
+
+def test_every_command_reads_the_overridden_fixture(tmp_path, monkeypatch, capsys):
+    # k33.json holds Q3's graph: the system, the oracle's edges and ihara all see Q3
+    monkeypatch.setenv("WEYLFLOW_FIXTURES", str(tmp_path))
+    (tmp_path / "k33.json").write_bytes((BUNDLED / "q3.json").read_bytes())
+    validated, real = [], chamber.ChamberSystem.validate
+
+    def spy(system):
+        validated.append(system.num_chambers)
+        return real(system)
+
+    monkeypatch.setattr(chamber.ChamberSystem, "validate", spy)
+    assert run(["validate", "k33"]) == 0
+    assert validated == [12]  # Q3's edges; K33 has 9
+    capsys.readouterr()
+    assert run(["ihara", "k33"]) == 0
+    assert json.loads(capsys.readouterr().out)["directed_edges"] == 24
+    assert run(["verify", "k33", "--radius", "2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and "[FAIL]" not in captured.out
+    assert "[PASS] germ tables built: sizes [8, 24, 48]" in captured.out
+    assert len(_oracle_lines(captured.out)) == 3
+    assert run(["gen-graph", "--kind", "k33"]) == 0
+    assert capsys.readouterr().out == (BUNDLED / "q3.json").read_text()
+
+
+def test_a_missing_fixture_file_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("WEYLFLOW_FIXTURES", str(tmp_path))
+    assert run(["validate", "k33"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [(["gen-graph", "--kind", kind], kind) for kind in ("k33", "q3", "biregular")]
+    + [(["gen-a2"], "a2q2")],
+)
+def test_gen_commands_print_the_bundled_document(args, name, capsys):
+    assert run(args) == 0
+    assert capsys.readouterr().out == dumps_canonical(fixtures.document(name))
+
+
+def test_gen_a2_refuses_other_orders(capsys):
+    assert run(["gen-a2", "--q", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: only the order-2 presentation is bundled\n"
+
+
+def test_verify_runs_the_oracle_on_any_graph_file(tmp_path, capsys):
+    graph = tmp_path / "graph.json"
+    graph.write_bytes((BUNDLED / "k33.json").read_bytes())
+    assert run(["verify", str(graph), "--radius", "2"]) == 0
+    assert len(_oracle_lines(capsys.readouterr().out)) == 3
+    # a chamber-system/v1 export of the same graph holds no edges
+    system = tmp_path / "system.json"
+    system.write_text(json.dumps(fixtures.load_fixture("k33").to_json_dict()))
+    assert run(["verify", str(system), "--radius", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "[FAIL]" not in out and _oracle_lines(out) == []
 
 
 def test_verify_subcommand_small(capsys):

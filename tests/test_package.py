@@ -10,11 +10,12 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 import pytest
 
 import weylflow
+from weylflow import fixtures
 
 SRC = Path(weylflow.__file__).parents[1]
 
@@ -98,3 +99,16 @@ def test_a_lazily_bound_module_is_the_imported_module():
         "assert t.TransferMatrix is weylflow.TransferMatrix\n"
     ))
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_every_fixture_file_ships_with_the_package():
+    # the JSON documents are the fixtures' only source: a file left out of
+    # the package's data would make its name unusable
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    pyproject = tomllib.loads((SRC.parent / "pyproject.toml").read_text())
+    patterns = pyproject["tool"]["setuptools"]["package-data"]["weylflow"]
+    package = Path(weylflow.__file__).parent
+    for name in fixtures.FIXTURES:
+        relative = PurePosixPath("fixtures", f"{name}.json")
+        assert (package / relative).is_file(), relative
+        assert any(relative.match(pattern) for pattern in patterns), relative

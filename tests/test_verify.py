@@ -56,7 +56,7 @@ def test_full_suite_passes(name, monkeypatch):
     ctx = FixtureContext(name, fixtures.load_fixture(name))
     edges = None
     if ctx.rank == 1:
-        edges = [tuple(e) for e in fixtures.fixture_documents()[name]["edges"]]
+        edges = [tuple(e) for e in fixtures.document(name)["edges"]]
     joint_calls = _counting(monkeypatch, spectra, "joint_spectrum")
     koszul_calls = _counting(monkeypatch, spectra, "koszul_complexes")
     eigen_calls = _counting(monkeypatch, spectra, "eigen")
