@@ -12,8 +12,8 @@ it), with the base class of each germ in `base`.  Rows are in lexicographic
 order, which is the canonical order; radius 0 has no alcoves and is keyed
 by (rotation, base class).  A table grows from its parent one ring alcove
 at a time, with array masks for the panel constraints and vertex-star
-injectivity (`SectorSpace.extend_rows`, which extends any slice of parent
-rows, so a caller can walk a larger radius one rotation block at a time).
+injectivity (`SectorSpace.extend_rows`, which extends any subset of parent
+rows, so a caller can walk a larger radius one piece at a time).
 `GermTable.lookup` finds rows exactly by binary search over the rows read
 as byte strings, so a restriction map is the lookup of a row prefix and a
 shift map the lookup of a column gather (`SectorSpace.shift_positions`,
@@ -425,7 +425,7 @@ class SectorSpace:
     def release_above(self, radius: int):
         """Drop the tables above `radius`, with their restriction maps; a later
         request builds them again.  The transfer assembly walks its largest
-        radius in blocks and builds only the tables below it, so those are
+        radius in pieces and builds only the tables below it, so those are
         what this frees."""
         for r in [r for r in self._tables if r > radius]:
             del self._tables[r]
@@ -445,9 +445,9 @@ class SectorSpace:
         """(rows, base) of every radius-`radius` germ extending the given
         radius-(radius - 1) rows and their base classes, one ring alcove at a time.
 
-        The parent rows may be any slice of their table.  The extensions of
-        each parent row follow one another in the parent order, but need not
-        be in lexicographic order among themselves.
+        The parent rows may be any subset of their table, in any order.  The
+        extensions of each parent row follow one another in the given order,
+        but need not be in lexicographic order among themselves.
         """
         perms = self._perms
         rows = np.zeros((len(parent), 1 + self.truncation(radius).alcove_count()), dtype=self._dtype)

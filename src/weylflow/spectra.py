@@ -170,7 +170,7 @@ def joint_spectrum(
         null_dim, vecs = _stacked_null_space(mats, chi, tol_rank)
         if null_dim == 0:
             continue
-        v = vecs[:, 0]
+        v = vecs[:, 0].copy()  # a view would pin the whole SVD factor
         res = max(float(np.linalg.norm(m @ v - c * v)) for m, c in zip(mats, chi))
         if res > tol_res * scale:
             continue
@@ -184,7 +184,7 @@ def _stacked_null_space(mats, chi, tol_rank):
     stacked = np.vstack([m - c * np.eye(dim) for m, c in zip(mats, chi)])
     _, s, vh = np.linalg.svd(stacked, full_matrices=False)
     null_dim = dim - _rank_rule(s, dim, tol_rank)[0]
-    return null_dim, vh.conj().T[:, dim - null_dim:]
+    return null_dim, vh[dim - null_dim:].conj().T
 
 
 def _rank_rule(s: np.ndarray, size: int, tol_rank: float):

@@ -37,18 +37,20 @@ over the levels is taken in integers over a common denominator, so it forms
 one rational per column.  An indicator's own seminorm needs no kernel: it
 follows from the class sizes (`indicator_levels`).
 
-Assembly never holds the radius-(n+|mu|) table whole.  Its germs
-are made one rotation block at a time, by extending the block of the
-parent table with that rotation (`SectorSpace.extend_rows`); the rotation
-is in every plug key, so no conditioning group spans two blocks.  In a
-block, group ids come from one lexsort of the rows' plug-alcove columns
-(`row_groups`), only each group's first germ is shifted
+Assembly never holds the radius-(n+|mu|) table whole.  Its germs are made
+one piece of the parent table at a time (`SectorSpace.extend_rows`): each
+rotation block of the parent rows is cut between its keys on the plug
+columns the parent already carries, into pieces that extend to at most
+`_BLOCK_ROWS` rows unless one key alone holds more (`_pieces`).  Those
+columns and the rotation are in every plug key, so no conditioning group
+spans two pieces.  In a piece, group ids come from one lexsort of the rows'
+plug-alcove columns (`row_groups`), only each group's first germ is shifted
 (`SectorSpace.shift_positions`), the rows are restricted to F_n by prefix
 lookup, and the nonzero count vectors come from the distinct (group,
 column) cells, sorted in place, and are packed one row per group.  The
 first group of each class sets that class's row of the (dim, M_mu) result,
-and every later group, in any block, must repeat it.  So the peak is one
-block and its temporaries: no dense (groups x dim) or (dim x dim) array and
+and every later group, in any piece, must repeat it.  So the peak is one
+piece and its temporaries: no dense (groups x dim) or (dim x dim) array and
 no byte-key copy of the rows is formed.
 """
 
@@ -62,7 +64,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .rootdata import Coweight, dot, translation_parameter, vsub
-from .sectors import SectorSpace, row_groups
+from .sectors import _BLOCK_ROWS, SectorSpace, row_groups
 
 
 @dataclass
@@ -169,15 +171,13 @@ def _assemble(space: SectorSpace, mu: Coweight, radius: int) -> TransferMatrix:
     seen = np.zeros(dim, dtype=bool)
     sizes = set()  # the conditioning group sizes met so far
 
-    # the big germs one rotation block at a time: the parent rows are sorted,
-    # so each rotation is one block of them, and the rotation is in every
-    # plug key, so no conditioning group spans two blocks
-    sig = parent.rows[:, 0]
-    bounds = np.r_[0, np.flatnonzero(sig[1:] != sig[:-1]) + 1, len(sig)].tolist()
-    del sig
-    for start, stop in zip(bounds, bounds[1:]):
-        rows = space.extend_rows(parent.rows[start:stop], parent.base[start:stop], big_radius)[0]
-        # group the block by (rotation, chambers on the plug alcoves)
+    # the big germs one piece at a time: a piece holds whole conditioning
+    # groups and, at the parent table's own growth, at most _BLOCK_ROWS germs
+    held = [c for c in plug[1:] if c < parent.rows.shape[1]]
+    grow = -(-len(parent) // len(space.table(big_radius - 2))) if held else 1
+    for piece in _pieces(parent.rows, held, max(1, _BLOCK_ROWS // grow)):
+        rows = space.extend_rows(parent.rows[piece], parent.base[piece], big_radius)[0]
+        # group the piece by (rotation, chambers on the plug alcoves)
         first, gid = row_groups(np.take(rows, plug, axis=1))
         # each group's class: the F_radius class of its first germ's shift
         group_row = shifted_class[space.shift_positions(rows[first], big_radius, mu)]
@@ -207,7 +207,7 @@ def _assemble(space: SectorSpace, mu: Coweight, radius: int) -> TransferMatrix:
         packed = _pack(keys // dim, keys % dim, hits // lam, len(group_row), m_mu)
         del keys, hits
         # the first group of each class sets its row; every other group, in
-        # this block or a later one, must repeat it
+        # this piece or a later one, must repeat it
         classes, leaders = np.unique(group_row, return_index=True)
         new = ~seen[classes]
         preimages[classes[new]] = packed[leaders[new]]
@@ -221,6 +221,33 @@ def _assemble(space: SectorSpace, mu: Coweight, radius: int) -> TransferMatrix:
     if not seen.all():
         raise CountingError("some classes received no conditioning group")
     return TransferMatrix(mu, radius, preimages, m_mu)
+
+
+def _pieces(rows: np.ndarray, cols: List[int], budget: int):
+    """Pieces of sorted table rows, as slices or position arrays, that keep
+    every key on (rotation, `cols`) whole.  A rotation block with no `cols`
+    or of at most `budget` rows is one piece; a larger one is sorted on
+    `cols` and cut between keys into near-equal pieces of at most `budget`
+    rows, unless one key alone holds more."""
+    sig = rows[:, 0]
+    bounds = np.r_[0, np.flatnonzero(sig[1:] != sig[:-1]) + 1, len(sig)].tolist()
+    for start, stop in zip(bounds, bounds[1:]):
+        if not cols or stop - start <= budget:
+            yield slice(start, stop)
+            continue
+        keys = rows[start:stop, cols]
+        order = np.lexsort(keys.T[::-1])
+        keys = keys[order]
+        cuts = np.r_[0, np.flatnonzero((keys[1:] != keys[:-1]).any(axis=1)) + 1, len(keys)]
+        del keys
+        order += start
+        size = -(-len(order) // -(-len(order) // budget))  # near-equal, as few as fit
+        lo = 0
+        while lo < len(order):
+            i = np.searchsorted(cuts, lo + size, side="right") - 1
+            hi = int(cuts[i] if cuts[i] > lo else cuts[i + 1])
+            yield order[lo:hi]
+            lo = hi
 
 
 def _pack(row, col, value, rows: int, m_mu: int) -> np.ndarray:
@@ -348,17 +375,16 @@ class InequalityReport:
 
 
 def check_indicator_bound(
-    space: SectorSpace, entries: tuple, dim: int, denom: int, n: int,
+    space: SectorSpace, images: List[Fraction], n: int,
     theta: Fraction, factor: Fraction, constant: Fraction,
 ) -> InequalityReport:
     """Check |L phi| <= factor * |phi| + constant on every indicator phi of F_n.
 
-    L is the count matrix over `denom` with the (row, column, value) cells
-    `entries`; its column g is L applied to the indicator of class g, which
-    has sup norm 1 and the seminorm of its level.  Slack is the smallest
-    margin observed.
+    `images` holds the seminorm of each column g of L, which is L applied to
+    the indicator of class g (`lipschitz_seminorms`); the indicator has sup
+    norm 1 and the seminorm of its level.  Slack is the smallest margin
+    observed.
     """
-    images = lipschitz_seminorms(space, entries, dim, denom, n, theta)
     levels = indicator_levels(space, n)
     bound = {m: factor * v + constant for m, v in level_seminorms(theta, n).items()}
     violations = [
@@ -367,7 +393,7 @@ def check_indicator_bound(
         if lhs > bound[m]
     ]
     slack = min((bound[m] - lhs for lhs, m in zip(images, levels)), default=None)
-    return InequalityReport(dim, violations, slack)
+    return InequalityReport(len(images), violations, slack)
 
 
 def check_lasota_yorke(
@@ -386,9 +412,8 @@ def check_lasota_yorke(
     theta = Fraction(theta)
     tm = matrix if matrix is not None else transfer_matrix(space, mu, n)
     factor = theta if mu.strongly_dominant else Fraction(1)
-    return check_indicator_bound(
-        space, cells(tm.preimages), tm.dim, tm.m_mu, n, theta, factor, 2 / theta
-    )
+    images = lipschitz_seminorms(space, cells(tm.preimages), tm.dim, tm.m_mu, n, theta)
+    return check_indicator_bound(space, images, n, theta, factor, 2 / theta)
 
 
 def check_sup_contraction(tm: TransferMatrix) -> bool:

@@ -64,6 +64,12 @@ def test_joint_spectrum_trivial_character(contexts):
         assert spread < 1e-8  # the eigenvector is the constant one
 
 
+def test_joint_eigenvectors_own_their_data(a2):
+    # a view would keep the whole SVD factor of its stacked null space alive
+    # for as long as the context keeps the joint spectrum
+    assert a2.joint and all(j.vector.base is None for j in a2.joint)
+
+
 def test_joint_spectrum_parity(k33, q3):
     for ctx in (k33, q3):
         mats, exact = ctx.family(1)

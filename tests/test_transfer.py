@@ -60,16 +60,16 @@ def test_semigroup_exact_a2(a2):
 
 
 def test_failed_counting_is_not_retried(swapped_a2q2):
-    # radius + |mu| = 6 is walked in blocks of the radius-5 table; the first
-    # failing gate aborts there, with its own witness, and no deeper table
-    # is built
+    # radius + |mu| = 6 is walked in pieces of the radius-5 table; the first
+    # failing gate aborts there, with its own piece's witness, and no deeper
+    # table is built
     space = SectorSpace(chamber.load(swapped_a2q2), check=False)
     mu, radius = Coweight((2, 2)), 2
     with pytest.raises(transfer.CountingError) as exc:
         transfer.transfer_matrix(space, mu, radius)
     assert str(exc.value) == (
         "preimage counting failed for mu=(2, 2) on F_2: "
-        "conditioning groups have mixed sizes [30, 1028]"
+        "conditioning groups have mixed sizes [32, 1028]"
     )
     assert max(space._tables) <= radius + mu.norm - 1
 
@@ -331,29 +331,93 @@ def test_preimages_match_the_recorded_hashes(contexts):
     assert seen == set(PREIMAGE_SHA256)
 
 
+def _recorded_pieces(monkeypatch, cut=None):
+    """Record each assembly's pieces as (parent rows, plug columns, budget,
+    piece positions); `cut` replaces the plug columns the pieces are cut on."""
+    calls, real = [], transfer._pieces
+
+    def recorded(rows, cols, budget):
+        calls.append((rows, cols, budget, []))
+        for piece in real(rows, cols if cut is None else cut, budget):
+            calls[-1][3].append(np.arange(len(rows))[piece])
+            yield piece
+
+    monkeypatch.setattr(transfer, "_pieces", recorded)
+    return calls
+
+
+def test_preimages_match_the_recorded_hashes_in_small_pieces(contexts, monkeypatch):
+    # a budget of 16 big rows cuts a2q2's blocks down to single plug keys
+    monkeypatch.setattr(transfer, "_BLOCK_ROWS", 16)
+    calls, counts = _recorded_pieces(monkeypatch), {}
+    for name in ("a2q2", "k33"):
+        ctx = contexts[name]
+        for coords in verify._dominant_coords(ctx.rank, 2):
+            for n in (1, 2, 3):
+                del calls[:]
+                p = transfer.transfer_matrix(ctx.space, Coweight(coords), n).preimages
+                got = (*p.shape, hashlib.sha256(p.tobytes()).hexdigest())
+                assert got == PREIMAGE_SHA256[name, coords, n], (name, coords, n)
+                ((rows, cols, budget, pieces),) = calls
+                # the pieces partition the parent rows, each within the
+                # budget or one plug key
+                assert np.array_equal(np.sort(np.concatenate(pieces)), np.arange(len(rows)))
+                for at in pieces:
+                    keys = rows[at][:, [0, *cols]]
+                    assert len(at) <= budget or np.all(keys == keys[0]), (name, coords, n)
+                counts[name, coords, n] = len(pieces)
+    # L_(1,1) on F_3 walks the 32,256 radius-4 rows of a2q2 in 504 pieces, one
+    # plug key each; L_2 on F_3 walks k33's two blocks of 72 in 18 pieces of 8
+    assert counts["a2q2", (1, 1), 3] == 504 and counts["k33", (2,), 3] == 18
+
+
+def test_pieces_cut_on_a_non_plug_column_fail_the_counting(a2, monkeypatch):
+    # the first alcove is in no plug key: cutting on its chamber splits
+    # conditioning groups between pieces
+    _recorded_pieces(monkeypatch, cut=[1])
+    with pytest.raises(transfer.CountingError, match="mixed sizes"):
+        transfer.transfer_matrix(a2.space, Coweight((1, 1)), 3)
+
+
+def test_rank1_f1_keeps_its_rotation_blocks_whole(k33, monkeypatch):
+    # the radius-1 parent of L_1 on F_1 holds no plug column, so even a
+    # budget of one row leaves each rotation block whole
+    monkeypatch.setattr(transfer, "_BLOCK_ROWS", 1)
+    calls = _recorded_pieces(monkeypatch)
+    tm = transfer.transfer_matrix(k33.space, Coweight((1,)), 1)
+    assert tm.preimages.shape == (18, 2)
+    ((rows, cols, _, pieces),) = calls
+    assert cols == []
+    sig = rows[:, 0]
+    assert [at.tolist() for at in pieces] == [np.flatnonzero(sig == s).tolist() for s in (0, 1)]
+
+
 def test_f3_assembly_peak_memory(a2, traced_peak):
     mu = Coweight((1, 1))
     transfer.transfer_matrix(a2.space, mu, 3)  # builds the tables and maps
     tm, peak = traced_peak(lambda: transfer.transfer_matrix(a2.space, mu, 3))
     assert tm.preimages.shape == (4032, 16)
-    assert peak < 8 * 2**20, peak
+    # 3.5 MiB measured in pieces, 6.0 MiB by whole rotation blocks
+    assert peak < 5 * 2**20, peak
 
 
 def test_f3_assembly_peak_over_built_tables(a2, traced_peak):
     # tables up to radius 4 built, no map yet, as in `verify`: the radius-5
-    # germs are walked one rotation block at a time; 6.0 MiB measured, 9.5
-    # MiB when the radius-5 table was grouped whole
+    # germs are walked in six pieces of about 43,000; 3.6 MiB measured, 6.0
+    # MiB by whole rotation blocks and 9.5 MiB when the radius-5 table was
+    # grouped whole
     space = SectorSpace(a2.system)
     for radius in range(5):
         space.table(radius)
     tm, peak = traced_peak(lambda: transfer.transfer_matrix(space, Coweight((1, 1)), 3))
     assert tm.preimages.shape == (4032, 16)
-    assert peak < 8 * 2**20, peak
+    assert peak < 5 * 2**20, peak
 
 
 def test_f4_assembly_peak_over_built_tables(a2, traced_peak):
-    # three blocks of 688,128 radius-6 germs; 55 MiB measured, 158 MiB when
-    # the radius-6 table (73 MiB of rows) was built whole
+    # the 2,064,384 radius-6 germs in pieces of at most 65,536; 9.9 MiB
+    # measured, 55 MiB by three whole rotation blocks and 158 MiB when the
+    # radius-6 table (73 MiB of rows) was built whole
     space = SectorSpace(a2.system)
     for radius in range(6):
         space.table(radius)
@@ -362,7 +426,7 @@ def test_f4_assembly_peak_over_built_tables(a2, traced_peak):
     assert tm.preimages.shape == (32256, 16)
     digest = hashlib.sha256(tm.preimages.tobytes()).hexdigest()
     assert digest == "38cbdac3bf0af6a8013795582e46c3aa9f73dec7f70c92706ba123b8344134e0"
-    assert peak < 64 * 2**20, peak
+    assert peak < 16 * 2**20, peak
 
 
 def test_counting_rejects_rows_that_depend_on_the_representative(a2):

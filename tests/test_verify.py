@@ -80,19 +80,35 @@ def test_verify_all_assembles_each_operator_once(monkeypatch, capsys):
     builds = _counting_builds(monkeypatch)
     suites = _counting(monkeypatch, verify, "run_suite")
     assemblies = _counting(monkeypatch, transfer, "transfer_matrix")
-    plugs, real_groups = [], transfer.row_groups
+    # per plug grouping: (assembly, big rows, whether its piece is one plug key)
+    plugs, real_groups, real_pieces = [], transfer.row_groups, transfer._pieces
+    piece_is_one_key = []
+
+    def checked_pieces(rows, cols, budget):
+        # the pieces partition the parent rows, each inside one rotation
+        # block and within the budget or a single plug key
+        covered = np.zeros(len(rows), dtype=np.int64)
+        for piece in real_pieces(rows, cols, budget):
+            at = np.arange(len(rows))[piece]
+            covered[at] += 1
+            keys = rows[at][:, [0, *cols]]
+            assert np.all(keys[:, 0] == keys[0, 0])
+            piece_is_one_key.append(bool(np.all(keys == keys[0])))
+            assert len(at) <= budget or piece_is_one_key[-1]
+            yield piece
+        assert np.all(covered == 1)
 
     def checked_groups(rows):
         first, labels = real_groups(rows)
         _, want_first, want_labels = np.unique(
             byte_keys(rows), return_index=True, return_inverse=True
         )
-        plugs.append(
-            (rows.shape, np.array_equal(first, want_first)
-             and np.array_equal(labels, want_labels.reshape(-1)))
-        )
+        assert np.array_equal(first, want_first)
+        assert np.array_equal(labels, want_labels.reshape(-1))
+        plugs.append((len(assemblies) - 1, len(rows), piece_is_one_key[-1]))
         return first, labels
 
+    monkeypatch.setattr(transfer, "_pieces", checked_pieces)
     monkeypatch.setattr(transfer, "row_groups", checked_groups)
     assert cli.main(["verify", "all", "--radius", "3"]) == 0
     assert "[FAIL]" not in capsys.readouterr().out
@@ -101,12 +117,19 @@ def test_verify_all_assembles_each_operator_once(monkeypatch, capsys):
         _assert_lean_after_suite(ctx, builds, 3)
     keys = [(id(space), tuple(mu.coords), n) for space, mu, n, *_ in assemblies]
     assert len(keys) == len(set(keys))
-    # one plug grouping per rotation block of each assembly, each equal to
-    # the np.unique grouping; a2q2's operator on F_3 groups the 258,048
-    # radius-5 germs in three blocks
-    blocks = sum(len(space.root_system.rotations) for space, *_ in assemblies)
-    assert len(plugs) == blocks and all(same for _, same in plugs)
-    assert [shape for shape, _ in plugs].count((86016, 10)) == 3
+    # one plug grouping per piece, each equal to the np.unique grouping and
+    # within _BLOCK_ROWS big rows or a single plug key; the pieces of an
+    # assembly cover its radius-(n + |mu|) germs
+    assert all(size <= sectors._BLOCK_ROWS or one for _, size, one in plugs)
+    names = {id(ctx.space): ctx.name for ctx, *_ in suites}
+    pieces = {}
+    for i, (space, mu, n, *_) in enumerate(assemblies):
+        sizes = [size for a, size, _ in plugs if a == i]
+        assert sum(sizes) == space.predicted_size(n + mu.norm)
+        pieces[names[id(space)], tuple(mu.coords), n] = sizes
+    # a2q2's operator on F_3 cuts each of its three rotation blocks of 86,016
+    # radius-5 germs in two
+    assert pieces["a2q2", (1, 1), 3] == [43008] * 6
 
 
 def test_walk_parameter_details_land_on_their_own_result(a2, monkeypatch):
@@ -268,6 +291,17 @@ def test_iterated_contraction_names_the_failing_power(a2, monkeypatch):
     assert not iterated.passed
     assert iterated.detail.startswith("L^2 too large on indicator 0: |L phi| = "), iterated.detail
     assert all(res.passed for res in lines.values())
+
+
+def test_lasota_yorke_peak_memory(a2, traced_peak):
+    # the operators on F_2 are assembled first; L^3 then reaches the seminorm
+    # kernel a column block at a time: 3.2 MiB measured, 6.2 MiB with its
+    # 84,672 nonzero cells at once
+    for mu in {a2.strong, *a2.generators}:
+        a2.tm(mu, 2)
+    results, peak = traced_peak(lambda: verify.check_lasota_yorke(a2))
+    assert all(res.passed for res in results)
+    assert peak < 4.5 * 2**20, peak
 
 
 def _enc(k, radius):
