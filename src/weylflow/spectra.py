@@ -19,13 +19,14 @@ Cohomology does not depend on theta; only the magnitude gate of
 one Koszul record per character among its spectral checks and both
 thetas of the Taylor check.
 
-`parametrix` and `parametrix_residual` take one character or a stack of
-characters.  A stack shares one table of generator powers
-(`matrix_powers`) and gives each character the blocks it would get alone,
-bit for bit; the worst residual of a stack is a pruned maximum
-(`worst_norm`), which takes an SVD only of blocks whose Frobenius norm
-can beat the running maximum.  `homotopy_zero_check` reads kernel and
-image of each cochain differential off one SVD.
+`parametrix` and `parametrix_residual` take one character at a time, so
+a caller holds one character's d x d blocks; a table of generator powers
+(`matrix_powers`) can be shared across characters and exponents.  The
+worst residual over many characters is a pruned running maximum
+(`worst_norm`), which takes an SVD only of a block whose Frobenius norm
+can beat it.  `homotopy_zero_check` reads kernel and image of each
+cochain differential off one SVD, and applies the homotopy to each d-row
+block of a kernel instead of forming it on the whole cochain space.
 """
 
 from __future__ import annotations
@@ -325,18 +326,6 @@ def matrix_powers(mats: Sequence[np.ndarray], top: int):
     ]
 
 
-def _characters(chi):
-    """(stack of character tuples, whether chi was a single character)."""
-    if len(chi) and np.ndim(chi) == 1:
-        return [tuple(chi)], True
-    return [tuple(c) for c in chi], False
-
-
-def _scalars(values) -> np.ndarray:
-    """One complex per character, as a (k, 1, 1) array that scales a stack of blocks."""
-    return np.array(values, dtype=np.complex128).reshape(-1, 1, 1)
-
-
 def parametrix(mats: Sequence[np.ndarray], exponents: Sequence[int], chi, powers=None):
     """Telescoping solution of the ideal-membership identity.
 
@@ -344,27 +333,23 @@ def parametrix(mats: Sequence[np.ndarray], exponents: Sequence[int], chi, powers
     using prod x - prod b = sum_i (prod_{j<i} x_j)(x_i^{l_i} - b_i^{l_i})(prod_{j>i} b_j)
     and the geometric factorization of x^l - b^l.
 
-    `chi` is one character or a stack of k characters; for a stack each B_i
-    is a (k, d, d) array.  Each character's blocks come out bitwise as they
-    would alone: the matrix products are per character and the powers of
-    chi are Python complex arithmetic.  `powers` is a `matrix_powers`
-    table of the family, which a caller can share across exponents.
+    `chi` is one character; the powers of chi are Python complex
+    arithmetic.  `powers` is a `matrix_powers` table of the family, which a
+    caller can share across characters and exponents.
     """
-    stack, single = _characters(chi)
     if powers is None:
         powers = matrix_powers(mats, max(exponents))
     d = powers[0][0].shape[0]
     out = []
     prefix = None  # prod_{j<i} A_j^{l_j}
     for i, li in enumerate(exponents):
-        geom = np.zeros((len(stack), d, d), dtype=np.complex128)
+        geom = np.zeros((d, d), dtype=np.complex128)
         for m in range(li):
-            geom += powers[i][m] * _scalars([c[i] ** (li - 1 - m) for c in stack])
-        suffix = [math.prod((c[j] ** exponents[j] for j in range(i + 1, len(c))), start=1 + 0j)
-                  for c in stack]
-        out.append((geom if prefix is None else prefix @ geom) * _scalars(suffix))
+            geom += powers[i][m] * chi[i] ** (li - 1 - m)
+        suffix = math.prod((chi[j] ** exponents[j] for j in range(i + 1, len(chi))), start=1 + 0j)
+        out.append((geom if prefix is None else prefix @ geom) * suffix)
         prefix = powers[i][li] if prefix is None else prefix @ powers[i][li]
-    return [b[0] for b in out] if single else out
+    return out
 
 
 def worst_norm(blocks: np.ndarray, floor: float = 0.0) -> float:
@@ -382,24 +367,24 @@ def worst_norm(blocks: np.ndarray, floor: float = 0.0) -> float:
 
 
 def parametrix_residual(mats, exponents, chi, bs, floor: float = 0.0, powers=None) -> float:
-    """Largest ||sum_i (A_i - chi_i) B_i - (prod A_i^{l_i} - prod chi_i^{l_i})||_2.
+    """max(floor, ||sum_i (A_i - chi_i) B_i - (prod A_i^{l_i} - prod chi_i^{l_i})||_2).
 
-    `chi` and `bs` are one character and its B_i, or a stack of characters
-    and the stacked B_i of `parametrix`; the result is the maximum over the
-    stack and `floor` (see `worst_norm`).
+    `chi` is one character and `bs` its B_i from `parametrix`; a caller
+    that passes the running maximum as `floor` gets the maximum over many
+    characters, with an SVD only where one can raise it (see `worst_norm`).
     """
-    stack, single = _characters(chi)
     mats = [np.asarray(m, dtype=np.complex128) for m in mats]
     if powers is None:
         powers = matrix_powers(mats, max(exponents))
     eye = np.eye(mats[0].shape[0], dtype=np.complex128)
-    lhs = np.zeros((len(stack),) + eye.shape, dtype=np.complex128)
-    for i, (a, b) in enumerate(zip(mats, bs)):
-        lhs += (a - _scalars([c[i] for c in stack]) * eye) @ (np.asarray(b)[None] if single else b)
-    target = functools.reduce(np.matmul, [p[l] for p, l in zip(powers, exponents)])
-    scalar = [math.prod((v ** l for v, l in zip(c, exponents)), start=1 + 0j) for c in stack]
-    lhs -= target - _scalars(scalar) * eye
-    return worst_norm(lhs, floor)
+    lhs = np.zeros_like(eye)
+    for a, c, b in zip(mats, chi, bs):
+        lhs += (a - c * eye) @ b
+    # a zero exponent contributes the identity, which needs no product
+    target = functools.reduce(np.matmul, [p[l] for p, l in zip(powers, exponents) if l] or [eye])
+    scalar = math.prod((v ** l for v, l in zip(chi, exponents)), start=1 + 0j)
+    lhs -= target - scalar * eye
+    return worst_norm(lhs[None], floor)
 
 
 def homotopy_zero_check(
@@ -422,17 +407,21 @@ def homotopy_zero_check(
     f = np.zeros((d, d), dtype=np.complex128)
     for a, c, b in zip(mats, chi, bs):
         f += (a - c * np.eye(d)) @ b
+    del bs
     scale = max(float(np.linalg.norm(f, 2)), 1.0)
     co = koszul_cochain(mats, chi)
-    # one SVD per differential serves as kernel at p and as image at p + 1
+    # one SVD per differential serves as kernel at p and as image at p + 1;
+    # a differential is dropped once it is factored
     kernels, images = [], []
-    for mat in co:
+    while co:
+        mat = co.pop(0)
         # LAPACK is faster on tall matrices: for a wide M, factor M^H = V S U^H;
         # a tall M needs no more of U than its first columns
-        tall = mat.shape[0] >= mat.shape[1]
+        tall, size = mat.shape[0] >= mat.shape[1], max(mat.shape)
         x, s, yh = np.linalg.svd(mat if tall else mat.conj().T, full_matrices=not tall)
+        del mat
         u, v = (x, yh.conj().T) if tall else (yh.conj().T, x)
-        rank = _rank_rule(s, max(mat.shape), tol_rank)[0]
+        rank = _rank_rule(s, size, tol_rank)[0]
         kernels.append(v[:, rank:])
         images.append(u[:, :rank])
     kernels.append(np.eye(len(_wedge_basis(r, r)) * d, dtype=np.complex128))
@@ -441,7 +430,8 @@ def homotopy_zero_check(
         kernel = kernels[p]
         if kernel.shape[1] == 0:
             continue
-        moved = np.kron(np.eye(len(_wedge_basis(r, p))), f) @ kernel
+        # the homotopy acts as f on each d-row block of the degree-p cochains
+        moved = (f @ kernel.reshape(-1, d, kernel.shape[1])).reshape(kernel.shape)
         if p >= 1:
             img = images[p - 1]
             moved = moved - img @ (img.conj().T @ moved)

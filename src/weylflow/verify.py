@@ -482,27 +482,28 @@ def check_lasota_yorke(ctx: FixtureContext) -> List[CheckResult]:
     c_iter = (2 / theta) / (1 - theta)
     iter_ok = True
     # L^l as its exact count matrix over M_mu^l: row h of L^l is the sum of
-    # the rows of L^(l-1) at the preimages of h; a row of L^3 sums to M_mu^3
+    # the rows of L^(l-1) at the preimages of h; a row of L^3 sums to M_mu^3.
+    # A column of L^l reads only that column of L^(l-1), and its seminorm
+    # only itself, so each block of at most _BLOCK_ROWS cells of L^1..L^3
+    # grows from the same columns of the identity
     dtype = np.int32 if tm.m_mu**3 < 2**31 else np.int64
-    power, denom = np.eye(tm.dim, dtype=dtype), 1
     width = max(1, _BLOCK_ROWS // tm.dim)
-    detail = ""
-    for ell in range(1, 4):
-        step = np.zeros_like(power)
-        for pre in tm.preimages.T:
-            step += power[pre]
-        power, denom = step, denom * tm.m_mu
-        # a column's seminorm reads only that column: the kernel takes L^l a
-        # block of at most _BLOCK_ROWS cells at a time
-        images = []
-        for lo in range(0, tm.dim, width):
-            block = power[:, lo : lo + width]
+    images = [[] for _ in range(3)]  # column seminorms of L^1..L^3
+    for lo in range(0, tm.dim, width):
+        block = np.eye(tm.dim, min(width, tm.dim - lo), -lo, dtype=dtype)
+        for ell in range(1, 4):
+            step = np.zeros_like(block)
+            for pre in tm.preimages.T:
+                step += block[pre]
+            block = step
             row, col = np.nonzero(block)
-            images += transfer.lipschitz_seminorms(
+            images[ell - 1] += transfer.lipschitz_seminorms(
                 ctx.space, (row, col, block[row, col].astype(np.int64)), block.shape[1],
-                denom, 2, theta,
+                tm.m_mu**ell, 2, theta,
             )
-        rep = transfer.check_indicator_bound(ctx.space, images, 2, theta, theta**ell, c_iter)
+    detail = ""
+    for ell, columns in enumerate(images, 1):
+        rep = transfer.check_indicator_bound(ctx.space, columns, 2, theta, theta**ell, c_iter)
         if not rep.passed:
             iter_ok = False
             detail = f"L^{ell} too large on {rep.violations[0]}"
@@ -609,14 +610,17 @@ def check_parametrix(ctx: FixtureContext, n_random: int = 20, seed: int = 11) ->
         tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(r))
         for _ in range(n_random)
     ]
-    # one pass per exponent over a stack of characters, sharing the powers;
-    # stacks of 5 keep each (5, d, d) block array of F_1 in cache (0.3 MiB at d = 63)
+    # one character at a time, sharing the generator powers; neither the
+    # powers nor any B_i outlive the loop, since the homotopy checks below
+    # do not read them
     powers = spectra.matrix_powers(mats, 4)
     worst = 0.0
-    for stack in (chis[s:s + 5] for s in range(0, len(chis), 5)):
+    for chi in chis:
         for e in exps:
-            bs = spectra.parametrix(mats, e, stack, powers=powers)
-            worst = spectra.parametrix_residual(mats, e, stack, bs, floor=worst, powers=powers)
+            bs = spectra.parametrix(mats, e, chi, powers=powers)
+            worst = spectra.parametrix_residual(mats, e, chi, bs, floor=worst, powers=powers)
+            del bs
+    del powers
     ident_ok = worst <= 1e-12
     hom_ok = True
     for _ in range(5):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -239,24 +240,21 @@ def test_parametrix_residual_random_exponents(a2):
             assert spectra.parametrix_residual(mats, exps, chi, bs) < 1e-12
 
 
-def test_stacked_parametrix_equals_single_characters_bitwise(a2):
-    # every exponent of check_parametrix, on the a2q2 F_1 family
+def test_parametrix_worst_residual_is_pinned(a2):
+    # check_parametrix's grid: 20 PCG64(11) characters, every exponent of
+    # total degree 1..4, one character at a time over a shared power table
+    assert "worst residual 7.03e-16" in verify.check_parametrix(a2)[0].line()
     mats, _ = a2.f1
-    rng = np.random.default_rng(11)
-    chis = [tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2)) for _ in range(4)]
+    rng = PCG64(11)
+    chis = [tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2)) for _ in range(20)]
     powers = spectra.matrix_powers(mats, 4)
-    for e in itertools.product(range(5), repeat=2):
-        if not 0 < sum(e) <= 4:
-            continue
-        stacked = spectra.parametrix(mats, e, chis, powers=powers)
-        singles = [spectra.parametrix(mats, e, chi) for chi in chis]
-        for k, single in enumerate(singles):
-            for b_stack, b_one in zip(stacked, single):
-                assert b_stack[k].tobytes() == b_one.tobytes(), (e, k)
-        worst = spectra.parametrix_residual(mats, e, chis, stacked, powers=powers)
-        assert worst == max(
-            spectra.parametrix_residual(mats, e, chi, single) for chi, single in zip(chis, singles)
-        )
+    worst = 0.0
+    for chi in chis:
+        for e in itertools.product(range(5), repeat=2):
+            if 0 < sum(e) <= 4:
+                bs = spectra.parametrix(mats, e, chi, powers=powers)
+                worst = spectra.parametrix_residual(mats, e, chi, bs, floor=worst, powers=powers)
+    assert worst == float.fromhex("0x1.94fce63b37207p-51")
 
 
 def _count_spectral_norms(monkeypatch):
@@ -319,6 +317,46 @@ def test_homotopy_takes_one_svd_per_differential(a2, monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted)
     _, ok = spectra.homotopy_zero_check(mats, chi, (1, 1))
     assert ok and len(calls) == 2  # r = 2 cochain differentials
+
+
+def _homotopy_by_kron(mats, chi, exponents):
+    # the homotopy as kron(I, f) on each whole cochain space; the kernels and
+    # images come from the same SVDs as in homotopy_zero_check, since at
+    # residuals near rounding another basis moves the worst norm by about 1%
+    d, r = mats[0].shape[0], len(mats)
+    bs = spectra.parametrix(mats, exponents, chi)
+    f = sum((a - c * np.eye(d)) @ b for a, c, b in zip(mats, chi, bs))
+    kernels, images = [], []
+    for m in spectra.koszul_cochain(mats, chi):
+        tall = m.shape[0] >= m.shape[1]
+        x, s, yh = np.linalg.svd(m if tall else m.conj().T, full_matrices=not tall)
+        u, v = (x, yh.conj().T) if tall else (yh.conj().T, x)
+        rank = spectra._rank_rule(s, max(m.shape), spectra.TOL_RANK)[0]
+        kernels.append(v[:, rank:])
+        images.append(u[:, :rank])
+    kernels.append(np.eye(d))
+    worst = 0.0
+    for p, kernel in enumerate(kernels):
+        if kernel.shape[1] == 0:
+            continue
+        moved = np.kron(np.eye(math.comb(r, p)), f) @ kernel
+        if p >= 1:
+            moved = moved - images[p - 1] @ (images[p - 1].conj().T @ moved)
+        worst = max(worst, float(np.linalg.norm(moved, 2)))
+    return worst, worst <= 1e-8 * max(float(np.linalg.norm(f, 2)), 1.0)
+
+
+def test_homotopy_matches_the_kronecker_form(a2):
+    mats, _ = a2.f1
+    rng = PCG64(23)
+    chis = [j.chi for j in a2.joint[:5]] + [
+        tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2)) for _ in range(5)
+    ]
+    for chi in chis:
+        worst, ok = spectra.homotopy_zero_check(mats, chi, (1, 1))
+        want, want_ok = _homotopy_by_kron(mats, chi, (1, 1))
+        assert worst == pytest.approx(want, rel=1e-13, abs=0.0), chi
+        assert ok == want_ok, chi
 
 
 def test_homotopy_zero_on_and_off_spectrum(k33):

@@ -294,14 +294,30 @@ def test_iterated_contraction_names_the_failing_power(a2, monkeypatch):
 
 
 def test_lasota_yorke_peak_memory(a2, traced_peak):
-    # the operators on F_2 are assembled first; L^3 then reaches the seminorm
-    # kernel a column block at a time: 3.2 MiB measured, 6.2 MiB with its
-    # 84,672 nonzero cells at once
+    # the operators on F_2 are assembled first; each column block of L^1..L^3
+    # then grows from the same block of the identity: 1.8 MiB measured, 3.2
+    # MiB with dense 504 x 504 powers, 6.2 MiB with the 84,672 nonzero cells
+    # of L^3 at once
     for mu in {a2.strong, *a2.generators}:
         a2.tm(mu, 2)
     results, peak = traced_peak(lambda: verify.check_lasota_yorke(a2))
     assert all(res.passed for res in results)
-    assert peak < 4.5 * 2**20, peak
+    assert peak < 2.5 * 2**20, peak
+
+
+@pytest.mark.parametrize(
+    "check, bound",
+    # 1.23, 1.24 and 1.25 MiB measured; check_parametrix took 2.87 MiB on
+    # stacks of five characters
+    [("check_koszul_suite", 1.5), ("check_parametrix", 1.75), ("check_taylor_main", 1.5)],
+)
+def test_spectral_check_peak_memory(a2, traced_peak, monkeypatch, check, bound):
+    # the shared F_1 data is built first; every Koszul record is computed afresh
+    assert a2.f1 and a2.joint and a2.eigenvalues
+    monkeypatch.setattr(a2, "_koszul", {})
+    results, peak = traced_peak(lambda: getattr(verify, check)(a2))
+    assert all(res.passed for res in results)
+    assert peak < bound * 2**20, peak
 
 
 def _enc(k, radius):
