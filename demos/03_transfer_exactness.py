@@ -27,11 +27,12 @@ print("generators commute exactly:",
       np.array_equal(transfer.compose(p1, p2), transfer.compose(p2, p1)))
 
 theta = Fraction(1, 2)
-rep = transfer.check_lasota_yorke(space, Coweight((1, 1)), 2, theta)
+s2, s3 = (transfer.transfer_matrix(space, Coweight((1, 1)), n) for n in (2, 3))
+rep = transfer.check_lasota_yorke(space, s2, theta)
 print(f"\nseminorm contraction on all {rep.checked} indicators of F_2 at theta = {theta}:")
 print("  passed:", rep.passed, "  smallest slack:", rep.max_slack)
 
-inv = transfer.check_fn_invariance(space, Coweight((1, 1)), 2)
+inv = transfer.check_fn_invariance(space, s2, s3)
 print("matrices consistent across radii:", inv.compression_exact)
 print("strongly dominant shift maps F_2 into F_1:", inv.maps_into_smaller)
 

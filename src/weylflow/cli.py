@@ -292,7 +292,8 @@ def cmd_verify(args) -> int:
     for ctx, _ in inputs:
         _check_germ_budget(ctx.space, args.radius)
     all_ok = True
-    for ctx, edges in inputs:
+    while inputs:  # each context, with its tables and operators, goes once its suite has run
+        ctx, edges = inputs.pop(0)
         print(f"== {ctx.name} ==")
         results = verify.run_suite(ctx, metric_radius=args.radius, edges=edges)
         for res in results:

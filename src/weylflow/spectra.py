@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .pcg64 import PCG64
-from .transfer import InvariantError, compose
+from .transfer import InvariantError, commute
 
 DEFAULT_SEED = 0xC0FFEE
 TOL_RES = 1e-8
@@ -128,7 +128,7 @@ class SpectrumReport:
 def _check_commuting(preimage_lists: Sequence[np.ndarray]):
     """Exact commutation of operators given as preimage lists: equal gathers."""
     for a, b in itertools.combinations(preimage_lists, 2):
-        if not np.array_equal(compose(a, b), compose(b, a)):
+        if not commute(a, b):
             raise InvariantError("the operator family does not commute exactly")
 
 
@@ -366,6 +366,15 @@ def worst_norm(blocks: np.ndarray, floor: float = 0.0) -> float:
     return worst
 
 
+def _ideal_sum(mats, chi, bs) -> np.ndarray:
+    """sum_i (A_i - chi_i) B_i over complex matrices, the left side of the parametrix identity."""
+    eye = np.eye(mats[0].shape[0], dtype=np.complex128)
+    out = np.zeros_like(eye)
+    for a, c, b in zip(mats, chi, bs):
+        out += (a - c * eye) @ b
+    return out
+
+
 def parametrix_residual(mats, exponents, chi, bs, floor: float = 0.0, powers=None) -> float:
     """max(floor, ||sum_i (A_i - chi_i) B_i - (prod A_i^{l_i} - prod chi_i^{l_i})||_2).
 
@@ -376,10 +385,8 @@ def parametrix_residual(mats, exponents, chi, bs, floor: float = 0.0, powers=Non
     mats = [np.asarray(m, dtype=np.complex128) for m in mats]
     if powers is None:
         powers = matrix_powers(mats, max(exponents))
+    lhs = _ideal_sum(mats, chi, bs)
     eye = np.eye(mats[0].shape[0], dtype=np.complex128)
-    lhs = np.zeros_like(eye)
-    for a, c, b in zip(mats, chi, bs):
-        lhs += (a - c * eye) @ b
     # a zero exponent contributes the identity, which needs no product
     target = functools.reduce(np.matmul, [p[l] for p, l in zip(powers, exponents) if l] or [eye])
     scalar = math.prod((v ** l for v, l in zip(chi, exponents)), start=1 + 0j)
@@ -403,11 +410,7 @@ def homotopy_zero_check(
     mats = [np.asarray(m, dtype=np.complex128) for m in mats]
     r = len(mats)
     d = mats[0].shape[0]
-    bs = parametrix(mats, exponents, chi)
-    f = np.zeros((d, d), dtype=np.complex128)
-    for a, c, b in zip(mats, chi, bs):
-        f += (a - c * np.eye(d)) @ b
-    del bs
+    f = _ideal_sum(mats, chi, parametrix(mats, exponents, chi))
     scale = max(float(np.linalg.norm(f, 2)), 1.0)
     co = koszul_cochain(mats, chi)
     # one SVD per differential serves as kernel at p and as image at p + 1;

@@ -37,6 +37,11 @@ over the levels is taken in integers over a common denominator, so it forms
 one rational per column.  An indicator's own seminorm needs no kernel: it
 follows from the class sizes (`indicator_levels`).
 
+One routine grows column blocks of L, L^2, ..., L^top from the same
+columns of the identity and hands each to the kernel (`power_seminorms`),
+for single and iterated powers alike.  The checks take built operators and
+read mu and n from them.
+
 Assembly never holds the radius-(n+|mu|) table whole.  Its germs are made
 one piece of the parent table at a time (`SectorSpace.extend_rows`): each
 rotation block of the parent rows is cut between its keys on the plug
@@ -113,6 +118,11 @@ def compose(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     g = second[first].reshape(len(first), -1)
     g.sort(axis=1)
     return g
+
+
+def commute(first: np.ndarray, second: np.ndarray) -> bool:
+    """Whether two operators given as preimage lists commute exactly."""
+    return np.array_equal(compose(first, second), compose(second, first))
 
 
 def transfer_matrix(space: SectorSpace, mu: Coweight, radius: int) -> TransferMatrix:
@@ -326,6 +336,34 @@ def lipschitz_seminorms(
     return [Fraction(v, denom * num**n) for v in best.tolist()]
 
 
+def power_seminorms(
+    space: SectorSpace, tm: TransferMatrix, theta: Fraction, top: int
+) -> List[List[Fraction]]:
+    """Entry l - 1: the exact seminorms of the columns of L^l on F_n, l = 1..top.
+
+    Row h of the count matrix of L^l (over M_mu^l) sums the rows of L^(l-1)
+    at the preimages of h.  A column of L^l reads only that column of
+    L^(l-1), and its seminorm only itself, so each block of at most
+    _BLOCK_ROWS cells of L^1..L^top grows from the same identity columns.
+    """
+    dtype = np.int32 if tm.m_mu**top < 2**31 else np.int64
+    width = max(1, _BLOCK_ROWS // tm.dim)
+    images = [[] for _ in range(top)]
+    for lo in range(0, tm.dim, width):
+        block = np.eye(tm.dim, min(width, tm.dim - lo), -lo, dtype=dtype)
+        for ell in range(1, top + 1):
+            step = np.zeros_like(block)
+            for pre in tm.preimages.T:
+                step += block[pre]
+            block = step
+            row, col = np.nonzero(block)
+            images[ell - 1] += lipschitz_seminorms(
+                space, (row, col, block[row, col].astype(np.int64)), block.shape[1],
+                tm.m_mu**ell, tm.radius, theta,
+            )
+    return images
+
+
 def lipschitz_seminorm(space: SectorSpace, phi: Sequence, n: int, theta: Fraction) -> Fraction:
     """Exact Lipschitz seminorm of a real rational F_n vector.
 
@@ -396,24 +434,17 @@ def check_indicator_bound(
     return InequalityReport(len(images), violations, slack)
 
 
-def check_lasota_yorke(
-    space: SectorSpace,
-    mu: Coweight,
-    n: int,
-    theta: Fraction,
-    matrix: Optional[TransferMatrix] = None,
-) -> InequalityReport:
-    """Check the seminorm contraction on every indicator of F_n.
+def check_lasota_yorke(space: SectorSpace, tm: TransferMatrix, theta: Fraction) -> InequalityReport:
+    """Check the seminorm contraction of `tm` on every indicator of F_n.
 
-    For strongly dominant mu the bound is theta * |phi| + (2/theta) * |phi|_oo,
-    and for merely dominant mu the non-expansive variant |phi| + C |phi|_oo
-    with the same constant.
+    mu and n are the operator's own.  For strongly dominant mu the bound is
+    theta * |phi| + (2/theta) * |phi|_oo, and for merely dominant mu the
+    non-expansive variant |phi| + C |phi|_oo with the same constant.
     """
     theta = Fraction(theta)
-    tm = matrix if matrix is not None else transfer_matrix(space, mu, n)
-    factor = theta if mu.strongly_dominant else Fraction(1)
-    images = lipschitz_seminorms(space, cells(tm.preimages), tm.dim, tm.m_mu, n, theta)
-    return check_indicator_bound(space, images, n, theta, factor, 2 / theta)
+    factor = theta if tm.mu.strongly_dominant else Fraction(1)
+    (images,) = power_seminorms(space, tm, theta, 1)
+    return check_indicator_bound(space, images, tm.radius, theta, factor, 2 / theta)
 
 
 def check_sup_contraction(tm: TransferMatrix) -> bool:
@@ -436,26 +467,25 @@ class FnInvarianceReport:
 
 
 def check_fn_invariance(
-    space: SectorSpace, mu: Coweight, n: int,
-    small: Optional[TransferMatrix] = None, big: Optional[TransferMatrix] = None,
+    space: SectorSpace, small: TransferMatrix, big: TransferMatrix
 ) -> FnInvarianceReport:
-    """Consistency of the matrices across radii.
+    """Consistency of one mu's operators `small` on F_n and `big` on F_(n+1).
 
     (a) The radius-(n+1) matrix, compressed through the restriction maps,
         must equal the radius-n matrix entry for entry.
     (b) For strongly dominant mu and n >= 2, rows belonging to germs with a
         common radius-(n-1) restriction must be identical after the column
         compression, i.e. the operator maps F_n into F_{n-1}.
-    `small` and `big` are the operators on F_n and F_(n+1), if assembled.
     """
+    mu, n = small.mu, small.radius
+    if big.mu != mu or big.radius != n + 1:
+        raise ValueError("check_fn_invariance needs one mu's operators on F_n and F_(n+1)")
     details = []
-    tm_small = small if small is not None else transfer_matrix(space, mu, n)
-    tm_big = big if big is not None else transfer_matrix(space, mu, n + 1)
     restr = space.table(n + 1).restriction_map(n)
     # compress the columns of the big matrix along the restriction fibers:
     # each big row, restricted entry by entry, must be the small row of its class
-    compressed = np.sort(restr[tm_big.preimages], axis=1)
-    bad = np.flatnonzero(np.any(compressed != tm_small.preimages[restr], axis=1))
+    compressed = np.sort(restr[big.preimages], axis=1)
+    bad = np.flatnonzero(np.any(compressed != small.preimages[restr], axis=1))
     if len(bad):
         details.append(f"big class {bad[0]}: compressed row differs")
     compression_exact = not details
@@ -465,7 +495,7 @@ def check_fn_invariance(
         down = space.table(n).restriction_map(n - 1)
         _, first, inverse = np.unique(down, return_index=True, return_inverse=True)
         rep = first[inverse]  # the first row of each radius-(n-1) class
-        rows = tm_small.preimages
+        rows = small.preimages
         bad = np.flatnonzero(np.any(rows != rows[rep], axis=1))
         maps_into_smaller = not len(bad)
         if not maps_into_smaller:

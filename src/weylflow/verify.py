@@ -46,7 +46,7 @@ from .rootdata import (
     minimal_walk_types,
     translation_parameter,
 )
-from .sectors import _BLOCK_ROWS, SENTINEL, SectorSpace
+from .sectors import SENTINEL, SectorSpace
 
 
 @dataclass
@@ -448,67 +448,30 @@ def check_transfer_exact(ctx: FixtureContext) -> List[CheckResult]:
 
 def check_lasota_yorke(ctx: FixtureContext) -> List[CheckResult]:
     out = []
-    strong_mus = [mu for mu in [ctx.strong] if mu.norm <= 2]
-    if ctx.rank == 1:
-        strong_mus = [Coweight((1,)), Coweight((2,))]
+    strong_mus = [ctx.strong] if ctx.rank > 1 else [Coweight((1,)), Coweight((2,))]
     for theta in (Fraction(1, 2), Fraction(1, 4)):
-        ok = True
-        worst = None
-        for mu in strong_mus:
-            rep = transfer.check_lasota_yorke(
-                ctx.space, mu, 2, theta, matrix=ctx.tm(mu, 2)
-            )
-            ok = ok and rep.passed
-            if rep.max_slack is not None and (worst is None or rep.max_slack < worst):
-                worst = rep.max_slack
-        out.append(
-            CheckResult(
-                f"seminorm contraction, theta = {theta}",
-                ok,
-                f"min slack {worst}",
-            )
-        )
+        reps = [transfer.check_lasota_yorke(ctx.space, ctx.tm(mu, 2), theta) for mu in strong_mus]
+        worst = min((rep.max_slack for rep in reps if rep.max_slack is not None), default=None)
+        ok = all(rep.passed for rep in reps)
+        out.append(CheckResult(f"seminorm contraction, theta = {theta}", ok, f"min slack {worst}"))
     # non-expansion for merely dominant shifts
-    ok = True
-    for mu in ctx.generators:
-        rep = transfer.check_lasota_yorke(ctx.space, mu, 2, Fraction(1, 2), matrix=ctx.tm(mu, 2))
-        ok = ok and rep.passed
+    ok = all(
+        transfer.check_lasota_yorke(ctx.space, ctx.tm(mu, 2), Fraction(1, 2)).passed
+        for mu in ctx.generators
+    )
     out.append(CheckResult("seminorm non-expansion for dominant shifts", ok))
 
     # iterated contraction |L^l phi| <= theta^l |phi| + C |phi|_oo, C = (2/theta)/(1-theta)
     theta = Fraction(1, 2)
-    mu = ctx.strong if ctx.rank > 1 else Coweight((1,))
-    tm = ctx.tm(mu, 2)
     c_iter = (2 / theta) / (1 - theta)
-    iter_ok = True
-    # L^l as its exact count matrix over M_mu^l: row h of L^l is the sum of
-    # the rows of L^(l-1) at the preimages of h; a row of L^3 sums to M_mu^3.
-    # A column of L^l reads only that column of L^(l-1), and its seminorm
-    # only itself, so each block of at most _BLOCK_ROWS cells of L^1..L^3
-    # grows from the same columns of the identity
-    dtype = np.int32 if tm.m_mu**3 < 2**31 else np.int64
-    width = max(1, _BLOCK_ROWS // tm.dim)
-    images = [[] for _ in range(3)]  # column seminorms of L^1..L^3
-    for lo in range(0, tm.dim, width):
-        block = np.eye(tm.dim, min(width, tm.dim - lo), -lo, dtype=dtype)
-        for ell in range(1, 4):
-            step = np.zeros_like(block)
-            for pre in tm.preimages.T:
-                step += block[pre]
-            block = step
-            row, col = np.nonzero(block)
-            images[ell - 1] += transfer.lipschitz_seminorms(
-                ctx.space, (row, col, block[row, col].astype(np.int64)), block.shape[1],
-                tm.m_mu**ell, 2, theta,
-            )
     detail = ""
-    for ell, columns in enumerate(images, 1):
+    powers = transfer.power_seminorms(ctx.space, ctx.tm(ctx.strong, 2), theta, 3)
+    for ell, columns in enumerate(powers, 1):
         rep = transfer.check_indicator_bound(ctx.space, columns, 2, theta, theta**ell, c_iter)
         if not rep.passed:
-            iter_ok = False
             detail = f"L^{ell} too large on {rep.violations[0]}"
             break
-    out.append(CheckResult("iterated contraction up to the third power", iter_ok, detail))
+    out.append(CheckResult("iterated contraction up to the third power", not detail, detail))
     return out
 
 
@@ -516,13 +479,14 @@ def check_fn_invariance(ctx: FixtureContext) -> List[CheckResult]:
     """F_n consistency on the context's operators, at F_1 and, for the
     strongly dominant coweight, at F_2."""
     reps = [
-        transfer.check_fn_invariance(ctx.space, mu, 1, ctx.tm(mu, 1), ctx.tm(mu, 2))
+        transfer.check_fn_invariance(ctx.space, ctx.tm(mu, 1), ctx.tm(mu, 2))
         for mu in ctx.generators + ([ctx.strong] if ctx.strong.norm > 1 else [])
     ]
     # the F_3 operator is read only here, so it is not cached: an array kept
     # past this check would stay on top of the freed assembly data, and the
     # allocator could not return that memory after `release_above`
-    reps.append(transfer.check_fn_invariance(ctx.space, ctx.strong, 2, ctx.tm(ctx.strong, 2)))
+    big = transfer.transfer_matrix(ctx.space, ctx.strong, 3)
+    reps.append(transfer.check_fn_invariance(ctx.space, ctx.tm(ctx.strong, 2), big))
     comp_ok = all(rep.compression_exact for rep in reps)
     col_ok = reps[-1].maps_into_smaller is not False
     details = [d for rep in reps for d in rep.details]
@@ -692,9 +656,9 @@ def check_a2_health(ctx: FixtureContext) -> List[CheckResult]:
     out.append(CheckResult("M_w1 = q^2", m1 == q * q and t1.row_sums_ok(), f"M={m1}"))
     ok = True
     for n in (1, 2):
-        p1 = ctx.tm(Coweight((1, 0)), n).preimages
-        p2 = ctx.tm(Coweight((0, 1)), n).preimages
-        ok = ok and np.array_equal(transfer.compose(p1, p2), transfer.compose(p2, p1))
+        ok = ok and transfer.commute(
+            ctx.tm(Coweight((1, 0)), n).preimages, ctx.tm(Coweight((0, 1)), n).preimages
+        )
     out.append(CheckResult("generators commute exactly on F_1 and F_2", ok))
     return out
 

@@ -218,29 +218,62 @@ def test_indicator_seminorms_match_identity_columns(contexts):
             assert own == columns, name
 
 
+def test_power_seminorms_of_l_match_the_cells_route(contexts):
+    # the sparse cells of the preimage lists, handed to the kernel at once,
+    # are the reference for the column blocks grown from the identity
+    for theta in (Fraction(1, 2), Fraction(1, 4)):
+        for name, ctx in contexts.items():
+            for mu in {ctx.strong, *ctx.generators}:
+                tm = ctx.tm(mu, 2)
+                want = transfer.lipschitz_seminorms(
+                    ctx.space, transfer.cells(tm.preimages), tm.dim, tm.m_mu, 2, theta
+                )
+                assert transfer.power_seminorms(ctx.space, tm, theta, 1)[0] == want, (name, mu)
+
+
 def test_lasota_yorke_k33_radius2(k33):
-    rep = transfer.check_lasota_yorke(k33.space, Coweight((1,)), 2, Fraction(1, 2))
+    tm = transfer.transfer_matrix(k33.space, Coweight((1,)), 2)
+    rep = transfer.check_lasota_yorke(k33.space, tm, Fraction(1, 2))
     assert rep.passed and rep.checked == 36
 
 
 def test_lasota_yorke_a2(a2):
-    rep = transfer.check_lasota_yorke(
-        a2.space, Coweight((1, 1)), 2, Fraction(1, 2), matrix=a2.tm(Coweight((1, 1)), 2)
-    )
+    rep = transfer.check_lasota_yorke(a2.space, a2.tm(Coweight((1, 1)), 2), Fraction(1, 2))
     assert rep.passed
     assert rep.max_slack == Fraction(47, 8)
-    rep = transfer.check_lasota_yorke(
-        a2.space, Coweight((1, 1)), 2, Fraction(1, 4), matrix=a2.tm(Coweight((1, 1)), 2)
-    )
+    rep = transfer.check_lasota_yorke(a2.space, a2.tm(Coweight((1, 1)), 2), Fraction(1, 4))
     assert rep.passed and rep.checked == 504
     assert rep.max_slack == Fraction(47, 4)
 
 
+def test_lasota_yorke_reads_the_factor_from_the_operator(a2):
+    # the generator (1, 0) is merely dominant: |L phi| <= |phi| + (2/theta) |phi|_oo
+    theta = Fraction(1, 2)
+    tm = a2.tm(Coweight((1, 0)), 2)
+    rep = transfer.check_lasota_yorke(a2.space, tm, theta)
+    assert rep.passed and rep.checked == 504 and rep.max_slack == 7
+    (images,) = transfer.power_seminorms(a2.space, tm, theta, 1)
+    assert rep == transfer.check_indicator_bound(a2.space, images, 2, theta, 1, 2 / theta)
+    # the same matrix labelled strongly dominant gets the contracting factor theta
+    relabelled = transfer.TransferMatrix(Coweight((1, 1)), 2, tm.preimages, tm.m_mu)
+    strict = transfer.check_lasota_yorke(a2.space, relabelled, theta)
+    assert strict == transfer.check_indicator_bound(a2.space, images, 2, theta, theta, 2 / theta)
+    assert strict.max_slack < rep.max_slack
+
+
 def test_fn_invariance_k33(k33):
-    rep = transfer.check_fn_invariance(k33.space, Coweight((1,)), 1)
+    tms = [transfer.transfer_matrix(k33.space, Coweight((1,)), n) for n in (1, 2, 3)]
+    rep = transfer.check_fn_invariance(k33.space, tms[0], tms[1])
     assert rep.compression_exact
-    rep2 = transfer.check_fn_invariance(k33.space, Coweight((1,)), 2)
+    rep2 = transfer.check_fn_invariance(k33.space, tms[1], tms[2])
     assert rep2.passed and rep2.maps_into_smaller
+
+
+def test_fn_invariance_needs_one_mu_on_adjacent_radii(a2):
+    small = a2.tm(Coweight((1, 1)), 1)
+    for big in (a2.tm(Coweight((1, 0)), 2), a2.tm(Coweight((1, 1)), 1)):
+        with pytest.raises(ValueError, match="one mu's operators"):
+            transfer.check_fn_invariance(a2.space, small, big)
 
 
 def test_fn_invariance_names_first_witnesses(a2, monkeypatch):
@@ -256,7 +289,9 @@ def test_fn_invariance_names_first_witnesses(a2, monkeypatch):
         return tm
 
     monkeypatch.setattr(transfer, "transfer_matrix", tampered)
-    rep = transfer.check_fn_invariance(a2.space, Coweight((1, 1)), 2)
+    mu = Coweight((1, 1))
+    small, big = (transfer.transfer_matrix(a2.space, mu, n) for n in (2, 3))
+    rep = transfer.check_fn_invariance(a2.space, small, big)
     first_big = int(np.flatnonzero(a2.space.table(3).restriction_map(2) == h)[0])
     assert not rep.compression_exact and rep.maps_into_smaller is False
     assert rep.details == [

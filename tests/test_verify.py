@@ -6,7 +6,9 @@ explicit region-growing distance, independently of the class arrays used
 by the exhaustive suites.
 """
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -130,6 +132,23 @@ def test_verify_all_assembles_each_operator_once(monkeypatch, capsys):
     # a2q2's operator on F_3 cuts each of its three rotation blocks of 86,016
     # radius-5 germs in two
     assert pieces["a2q2", (1, 1), 3] == [43008] * 6
+
+
+def test_verify_all_releases_each_context_after_its_suite(monkeypatch, capsys):
+    # GermTable.space and SectorSpace._tables form a cycle, so a released
+    # context is gone only after a collection
+    refs = []
+
+    def suite(ctx, metric_radius, edges):
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * len(refs)
+        refs.append(weakref.ref(ctx))
+        ctx.space.table(1)  # the cycle a real suite leaves
+        return [verify.CheckResult(ctx.name, True)]
+
+    monkeypatch.setattr(verify, "run_suite", suite)
+    assert cli.main(["verify", "all", "--radius", "3"]) == 0
+    assert capsys.readouterr().out.count("[PASS]") == len(refs) == len(fixtures.FIXTURES)
 
 
 def test_walk_parameter_details_land_on_their_own_result(a2, monkeypatch):
