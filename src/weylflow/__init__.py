@@ -18,12 +18,12 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "rootdata": (
-        "Coweight", "ParameterSystem", "RootSystem", "build_root_system", "coweight_norm",
-        "embed_shift", "translation_parameter", "truncated_sector", "type_rotations",
+        "Coweight", "ParameterSystem", "RootSystem", "build_root_system", "embed_shift",
+        "translation_parameter", "truncated_sector",
     ),
     "chamber": (
         "ChamberSystem", "ValidationReport", "from_bipartite_graph",
-        "from_triangle_presentation", "load", "save", "validate",
+        "from_triangle_presentation", "load", "save",
     ),
     "sectors": ("Germ", "GermTable", "SectorSpace"),
     "transfer": (
@@ -31,8 +31,8 @@ _EXPORTS = {
         "transfer_matrix",
     ),
     "spectra": (
-        "Character", "eigen", "homotopy_zero_check", "joint_spectrum", "koszul_complexes",
-        "parametrix", "taylor_report",
+        "Character", "Family", "eigen", "homotopy_zero_check", "joint_spectrum",
+        "koszul_complexes", "parametrix", "taylor_report",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -272,10 +272,6 @@ def _diameter(adj) -> int:
     return worst
 
 
-def validate(system: ChamberSystem) -> ValidationReport:
-    return system.validate()
-
-
 # ----------------------------------------------------------------------
 # constructors
 

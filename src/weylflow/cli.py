@@ -27,7 +27,7 @@ from pathlib import Path
 
 from . import chamber, fixtures
 from .io_utils import dumps_canonical, rational_str, stream_canonical
-from .rootdata import Coweight
+from .rootdata import Coweight, fundamental_coweights
 
 
 def _lazy(name: str):
@@ -184,17 +184,19 @@ def cmd_transfer(args) -> int:
     return 0
 
 
-def _generator_family(args, generators: str | None = None):
-    """(generators, dense F_1 matrices, preimage lists) of the input's family.
+def _generator_family(args, generators: str | None = None, **options):
+    """(generators, `spectra.Family` on F_1) of the input.
 
     The generators are the fundamental coweights unless `generators` names
-    others, as `spectrum --generators` does.
+    others, as `spectrum --generators` does; `options` go to the family.
     """
-    ctx = verify.FixtureContext(args.input, _load_input(args.input), check=not args.force)
-    gens = _parse_generators(generators, ctx.rank) if generators else ctx.generators
+    system = _load_input(args.input)
+    space = sectors.SectorSpace(system, check=not args.force)
+    rank = system.root_system.rank
+    gens = _parse_generators(generators, rank) if generators else fundamental_coweights(rank)
     # the operator of mu on F_1 reads the germs of radius 1 + |mu|
-    _check_germ_budget(ctx.space, 1 + max(g.norm for g in gens))
-    return (gens,) + ctx.family(1, gens)
+    _check_germ_budget(space, 1 + max(g.norm for g in gens))
+    return gens, spectra.Family([transfer.transfer_matrix(space, g, 1) for g in gens], **options)
 
 
 def _parse_generators(text: str, rank: int):
@@ -211,18 +213,15 @@ def _parse_generators(text: str, rank: int):
 
 
 def _given(args, *names) -> dict:
-    """The options among `names` given on the command line; the others keep spectra's defaults."""
+    """The options among `names` given on the command line; the others keep their defaults."""
     return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
 def cmd_spectrum(args) -> int:
-    gens, mats, exact = _generator_family(args, args.generators)
-    report = spectra.taylor_report(
-        mats,
-        float(args.theta),
-        exact=exact,
-        **_given(args, "seed", "tol_res", "tol_rank", "tol_merge"),
+    gens, family = _generator_family(
+        args, args.generators, **_given(args, "seed", "tol_res", "tol_rank", "tol_merge")
     )
+    report = spectra.taylor_report(family, float(args.theta))
     doc = {
         "format": "spectrum/v1",
         "theta": float(args.theta),
@@ -264,9 +263,9 @@ def _parse_chi(text: str, rank: int):
 
 
 def cmd_koszul(args) -> int:
-    gens, mats, _ = _generator_family(args)
+    gens, family = _generator_family(args, **_given(args, "tol_rank"))
     chi = _parse_chi(args.chi, len(gens)) if args.chi else tuple(1.0 for _ in gens)
-    rec = spectra.koszul_complexes(mats, chi, **_given(args, "tol_rank"))
+    rec = family.koszul(chi)
     doc = {
         "format": "koszul/v1",
         "chi": [complex(c) for c in rec.chi],

@@ -105,9 +105,9 @@ class Coweight:
         return iter(self.coords)
 
 
-def coweight_norm(mu: Coweight) -> int:
-    """The 1-norm of the coordinate vector."""
-    return Coweight(tuple(mu)).norm if not isinstance(mu, Coweight) else mu.norm
+def fundamental_coweights(rank: int) -> list[Coweight]:
+    """The fundamental coweights w_1, ..., w_rank, the default generator family."""
+    return [Coweight(tuple(1 if j == i else 0 for j in range(rank))) for i in range(rank)]
 
 
 class TypeRotation(NamedTuple):
@@ -179,7 +179,6 @@ class RootSystem:
             tuple(sum(c * b[k] for c, b in zip(cs, simples)) for k in range(dim))
             for cs in pos_coeffs
         ]
-        self.positive_coeffs = [tuple(cs) for cs in pos_coeffs]
         hi = max(range(len(pos_coeffs)), key=lambda t: sum(pos_coeffs[t]))
         self.highest_root = self.positive_roots[hi]
         self.marks = tuple(int(c) for c in pos_coeffs[hi])
@@ -191,10 +190,6 @@ class RootSystem:
         self._base = _make_alcove([(v, t) for t, v in enumerate(self._c0)])
         self.coxeter_matrix = self._coxeter_matrix()
         self.rotations = self._type_rotations()
-        self.good_types = frozenset(
-            self.vertex_type(self.coweight_vector(Coweight(c)))
-            for c in self._small_coweight_coords()
-        )
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -341,11 +336,6 @@ def build_root_system(kind: str) -> RootSystem:
     if kind not in _ROOT_CACHE:
         _ROOT_CACHE[kind] = RootSystem(kind)
     return _ROOT_CACHE[kind]
-
-
-def type_rotations(R: RootSystem):
-    """The full group of type rotations, identity first."""
-    return list(R.rotations)
 
 
 # ----------------------------------------------------------------------
@@ -503,10 +493,6 @@ class Face(NamedTuple):
     anchor: int       # lowest incident alcove index
 
 
-OUTSIDE = -1   # neighbor exists in the sector but not in the truncation
-WALL = -2      # crossing would leave the dominant sector
-
-
 class TruncatedSector:
     """All alcoves of the dominant sector inside the hull of Y_n.
 
@@ -599,23 +585,14 @@ class TruncatedSector:
         self.coweight_vertices.sort(key=lambda t: (t[1], t[0].coords))
 
     def _build_adjacency(self, neighbors):
+        """Per alcove and panel: (cotype, neighbour index or -1 if outside, panel types)."""
         key_to_idx = {a.key: i for i, a in enumerate(self.alcoves)}
         self.adjacency = []
         for a in self.alcoves:
             row = []
             for drop, b in enumerate(neighbors[a.key]):
-                cotype = a.types[drop]
-                panel_idx = tuple(
-                    self.vertex_index[v] for j, v in enumerate(a.verts) if j != drop
-                )
                 panel_types = tuple(t for j, t in enumerate(a.types) if j != drop)
-                if b.key in key_to_idx:
-                    nb = key_to_idx[b.key]
-                elif all(dot(beta, b.vertex_sum()) > 0 for beta in self.R.simple_roots):
-                    nb = OUTSIDE
-                else:
-                    nb = WALL
-                row.append((cotype, nb, panel_idx, panel_types))
+                row.append((a.types[drop], key_to_idx.get(b.key, -1), panel_types))
             self.adjacency.append(tuple(row))
 
     def _build_faces(self):

@@ -496,7 +496,7 @@ class SectorSpace:
             panels: Dict[int, list] = {k: [] for k in range(stop)}
             stars: Dict[int, List[int]] = {}
             for k in range(stop):
-                for cotype, nb, _, panel_types in trunc.adjacency[k]:
+                for cotype, nb, panel_types in trunc.adjacency[k]:
                     if 0 <= nb < stop:
                         panels[k].append((nb, panel_types[0] if rank == 1 else cotype))
                 for v in trunc.alcoves[k].verts:

@@ -1,23 +1,27 @@
 """Joint spectra of the commuting transfer family and Koszul complexes.
 
-The generator family (one operator per fundamental coweight, or a custom
-set) is converted to dense complex matrices.  Joint eigenvalues are found
-from a seeded random linear combination and certified through the singular
-values of the stacked system; Koszul cochain and chain complexes give the
-cohomological picture, with parametrices realizing the Nullstellensatz
-identity sum_i (A_i - chi_i) B_i(chi) = A_mu - chi(mu).  Seeded draws come
-from `pcg64.PCG64`, numpy's `default_rng` stream without numpy.random.
+A `Family` is the generator family on F_1 (one operator per fundamental
+coweight, or a custom set), built from assembled transfer matrices.  It
+checks on construction that their preimage lists commute exactly, so no
+spectral function here sees an unchecked family, and it owns the data
+that the spectral checks share: each generator's eigenvalues, one joint
+spectrum and one Koszul record per character, under one seed and one set
+of tolerances.  Cohomology does not depend on theta; only the magnitude
+gate of `taylor_report` does, so both thetas of the Taylor check read the
+same records.
+
+Joint eigenvalues are found from a seeded random linear combination and
+certified through the singular values of the stacked system; Koszul
+cochain and chain complexes give the cohomological picture, with
+parametrices realizing the Nullstellensatz identity
+sum_i (A_i - chi_i) B_i(chi) = A_mu - chi(mu).  Seeded draws come from
+`pcg64.PCG64`, numpy's `default_rng` stream without numpy.random.
 
 Every rank decision is one rule (`_rank_rule`): a relative singular-value
 threshold with an explicit ambiguity band; characters with singular values
 inside the band are reported as ambiguous rather than classified.  Only
 the cochain differentials get rank SVDs: the chain complex, built on its
 own, must be their Hodge conjugate bit for bit, so dim H_p = dim H^(r-p).
-
-Cohomology does not depend on theta; only the magnitude gate of
-`taylor_report` does.  `verify` therefore shares one joint spectrum and
-one Koszul record per character among its spectral checks and both
-thetas of the Taylor check.
 
 `parametrix` and `parametrix_residual` take one character at a time, so
 a caller holds one character's d x d blocks; a table of generator powers
@@ -125,33 +129,62 @@ class SpectrumReport:
     mismatches: List[str] = field(default_factory=list)
 
 
-def _check_commuting(preimage_lists: Sequence[np.ndarray]):
-    """Exact commutation of operators given as preimage lists: equal gathers."""
-    for a, b in itertools.combinations(preimage_lists, 2):
-        if not commute(a, b):
-            raise InvariantError("the operator family does not commute exactly")
+class Family:
+    """The generator family on F_1, checked to commute, with its shared spectral data.
+
+    `tms` are assembled `transfer.TransferMatrix`es on F_1.  Construction
+    raises `InvariantError` unless their preimage lists commute exactly.
+    `mats` are their float matrices; `eigenvalues`, `joint` and `koszul`
+    are computed once, by `eigen`, `joint_spectrum` and `koszul_complexes`,
+    under the family's seed and tolerances.
+    """
+
+    def __init__(self, tms, seed: int = DEFAULT_SEED, tol_res: float = TOL_RES,
+                 tol_rank: float = TOL_RANK, tol_merge: float = TOL_MERGE):
+        self.exact = [tm.preimages for tm in tms]
+        for a, b in itertools.combinations(self.exact, 2):
+            if not commute(a, b):
+                raise InvariantError("the operator family does not commute exactly")
+        self.mats = [tm.dense() for tm in tms]
+        self.seed, self.tol_res, self.tol_rank, self.tol_merge = seed, tol_res, tol_rank, tol_merge
+        self._koszul: Dict[tuple, KoszulComplexRec] = {}
+
+    @functools.cached_property
+    def eigenvalues(self) -> List[List[complex]]:
+        """Each generator's eigenvalues, in `eigen` order."""
+        return [[val for val, _, _ in eigen(m, tol_res=max(self.tol_res, 1e-6))] for m in self.mats]
+
+    @functools.cached_property
+    def joint(self) -> List[JointEigenvalue]:
+        return joint_spectrum(self)
+
+    def koszul(self, chi) -> KoszulComplexRec:
+        if chi not in self._koszul:
+            self._koszul[chi] = koszul_complexes(self.mats, chi, tol_rank=self.tol_rank)
+        return self._koszul[chi]
+
+    def is_joint(self, chi) -> bool:
+        """Whether chi matches a joint eigenvalue within tol_merge in every coordinate."""
+        return any(
+            max(abs(a - b) for a, b in zip(chi, j.chi)) < self.tol_merge for j in self.joint
+        )
+
+    def distances(self, chi) -> List[float]:
+        """The distance of each chi_i from the spectrum of generator i."""
+        return [min(abs(c - v) for v in vals) for c, vals in zip(chi, self.eigenvalues)]
 
 
-def joint_spectrum(
-    mats: Sequence[np.ndarray],
-    exact: Optional[Sequence[np.ndarray]] = None,
-    seed: int = DEFAULT_SEED,
-    tol_res: float = TOL_RES,
-    tol_merge: float = TOL_MERGE,
-    tol_rank: float = TOL_RANK,
-) -> List[JointEigenvalue]:
-    """Joint eigenvalues of a commuting family of dense matrices.
+def joint_spectrum(family: Family) -> List[JointEigenvalue]:
+    """Joint eigenvalues of a checked commuting family.
 
     Candidates come from the eigenvectors of a random complex combination,
-    with phases drawn from `PCG64(seed)` (the `default_rng(seed)` stream);
+    with phases drawn from `PCG64(family.seed)` (the `default_rng` stream);
     each candidate tuple is certified by the null space of the stacked
     matrix [A_i - chi_i], and candidates closer than tol_merge are merged.
     """
-    mats = [np.asarray(m, dtype=np.complex128) for m in mats]
-    dim = mats[0].shape[0]
-    if exact is not None:
-        _check_commuting(exact)
-    rng = PCG64(seed)
+    mats = [np.asarray(m, dtype=np.complex128) for m in family.mats]
+    tol_res, tol_merge = family.tol_res, family.tol_merge
+    rng = PCG64(family.seed)
     phases = rng.uniform(0.0, 2 * np.pi, size=len(mats))
     combo = sum(np.exp(1j * p) * m for p, m in zip(phases, mats))
     pairs = eigen(combo, tol_res=max(tol_res, 1e-6))
@@ -168,7 +201,7 @@ def joint_spectrum(
     scale = max(np.linalg.norm(m, 2) for m in mats)
     out = []
     for chi in merged:
-        null_dim, vecs = _stacked_null_space(mats, chi, tol_rank)
+        null_dim, vecs = _stacked_null_space(mats, chi, family.tol_rank)
         if null_dim == 0:
             continue
         v = vecs[:, 0].copy()  # a view would pin the whole SVD factor
@@ -446,47 +479,18 @@ def homotopy_zero_check(
 # full report
 
 
-def operator_eigenvalues(mats: Sequence[np.ndarray], tol_res: float = TOL_RES):
-    """Each matrix's eigenvalues, in `eigen` order."""
-    return [[val for val, _, _ in eigen(m, tol_res=max(tol_res, 1e-6))] for m in mats]
-
-
-def taylor_report(
-    mats: Sequence[np.ndarray],
-    theta: float,
-    exact: Optional[Sequence[np.ndarray]] = None,
-    extra_characters: Sequence[tuple] = (),
-    seed: int = DEFAULT_SEED,
-    tol_res: float = TOL_RES,
-    tol_rank: float = TOL_RANK,
-    tol_merge: float = TOL_MERGE,
-    joint: Optional[List[JointEigenvalue]] = None,
-    koszul=None,
-    per_op: Optional[List[List[complex]]] = None,
-) -> SpectrumReport:
+def taylor_report(family: Family, theta: float) -> SpectrumReport:
     """Classify characters as joint eigenvalues and by Koszul cohomology.
 
-    Tested characters are the computed joint eigenvalues, eight random
-    samples away from the per-operator spectra, and any user-supplied
-    tuples.  A character passing the magnitude gate on the
-    `default_gate_elements` must be a Taylor member (nonzero cohomology)
-    exactly when it matches a joint eigenvalue.
-
-    Only the gate depends on theta.  A caller that classifies for several
-    thetas passes the joint spectrum it holds, `koszul`, a memo of
-    `koszul_complexes` by character, and `per_op`, the
-    `operator_eigenvalues` of `mats`, so none of them is computed twice.
+    Tested characters are the family's joint eigenvalues and eight random
+    samples away from the generators' spectra.  A character passing the
+    magnitude gate on the `default_gate_elements` must be a Taylor member
+    (nonzero cohomology) exactly when it matches a joint eigenvalue; a
+    mismatch at an ambiguous character is not reported.  Only the gate
+    depends on theta.
     """
-    mats = [np.asarray(m, dtype=np.complex128) for m in mats]
-    r = len(mats)
-    if joint is None:
-        joint = joint_spectrum(
-            mats, exact=exact, seed=seed, tol_res=tol_res, tol_merge=tol_merge, tol_rank=tol_rank
-        )
-    koszul = koszul or functools.partial(koszul_complexes, mats, tol_rank=tol_rank)
-    if per_op is None:
-        per_op = operator_eigenvalues(mats, tol_res)
-    rng = PCG64(seed ^ 0x5EED)
+    r = len(family.mats)
+    rng = PCG64(family.seed ^ 0x5EED)
     off = []
     guard = 0
     while len(off) < 8 and guard < 800:
@@ -494,28 +498,23 @@ def taylor_report(
         cand = tuple(
             complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(r)
         )
-        dists = [
-            min(abs(c - v) for v in vals) for c, vals in zip(cand, per_op)
-        ]
-        if max(dists) > 1e-2:
+        if max(family.distances(cand)) > 1e-2:
             off.append(cand)
-    report = SpectrumReport(theta=float(theta), dim=mats[0].shape[0], joint=joint, offspectrum=off)
-    tested = [j.chi for j in joint] + list(off) + [tuple(c) for c in extra_characters]
-    joint_set = [j.chi for j in joint]
-    for chi in tested:
-        ch = Character(tuple(chi), default_gate_elements(r))
-        rec = koszul(chi)
+    joint = family.joint
+    report = SpectrumReport(
+        theta=float(theta), dim=family.mats[0].shape[0], joint=joint, offspectrum=off
+    )
+    for chi in [j.chi for j in joint] + off:
+        rec = family.koszul(chi)
         member = any(h != 0 for h in rec.cohomology)
-        report.cohomology[tuple(chi)] = rec.cohomology
+        report.cohomology[chi] = rec.cohomology
         if rec.ambiguous:
-            report.ambiguous.append(tuple(chi))
-        if not ch.passes_gate(theta):
+            report.ambiguous.append(chi)
+        if not Character(chi, default_gate_elements(r)).passes_gate(theta):
             continue
-        report.taylor[tuple(chi)] = member
-        is_joint = any(
-            max(abs(a - b) for a, b in zip(chi, jc)) < tol_merge for jc in joint_set
-        )
-        if member != is_joint and tuple(chi) not in report.ambiguous:
+        report.taylor[chi] = member
+        is_joint = family.is_joint(chi)
+        if member != is_joint and not rec.ambiguous:
             report.mismatches.append(
                 f"character {chi}: Taylor membership {member} but joint-eigenvalue "
                 f"status {is_joint}"

@@ -18,12 +18,11 @@ sum |class|^2 pairs equal on a partition.  The dense pair matrices
 the explicit region-growing distance.  Operator identities compare sorted
 preimage lists (`transfer.compose`).
 
-The spectral checks on F_1 share their float work through the
-`FixtureContext`: one joint spectrum of the generator family (with the
-exact commutation check), one eigenvalue list per generator and one Koszul
-record per character.  The Taylor check reads all three for its two
-thetas, since cohomology does not depend on theta; only the magnitude gate
-does.
+The spectral checks on F_1 share their float work through the context's
+`spectra.Family` (`FixtureContext.f1`), which checks that the generators
+commute exactly and holds one joint spectrum, one eigenvalue list per
+generator and one Koszul record per character.  The Taylor check reads all
+three for its two thetas.
 """
 
 from __future__ import annotations
@@ -43,6 +42,7 @@ from .pcg64 import PCG64
 from .rootdata import (
     Coweight,
     all_minimal_walk_products,
+    fundamental_coweights,
     minimal_walk_types,
     translation_parameter,
 )
@@ -62,7 +62,7 @@ class CheckResult:
 
 
 class FixtureContext:
-    """Caches germ tables, transfer matrices and F_1 spectral data for one system."""
+    """Caches germ tables, transfer matrices and the F_1 spectral family for one system."""
 
     def __init__(self, name: str, system: ChamberSystem, check: bool = True):
         self.name = name
@@ -70,12 +70,10 @@ class FixtureContext:
         self.space = SectorSpace(system, check=check)
         self.rank = system.root_system.rank
         self._tms: Dict[tuple, transfer.TransferMatrix] = {}
-        self._koszul: Dict[tuple, spectra.KoszulComplexRec] = {}
 
     @property
     def generators(self) -> List[Coweight]:
-        r = self.rank
-        return [Coweight(tuple(1 if j == i else 0 for j in range(r))) for i in range(r)]
+        return fundamental_coweights(self.rank)
 
     @property
     def strong(self) -> Coweight:
@@ -87,36 +85,10 @@ class FixtureContext:
             self._tms[key] = transfer.transfer_matrix(self.space, mu, n)
         return self._tms[key]
 
-    def family(self, n: int = 1, gens=None):
-        """Dense generator matrices on F_n plus their exact preimage lists."""
-        mats, exact = [], []
-        for g in gens or self.generators:
-            tm = self.tm(g, n)
-            mats.append(tm.dense())
-            exact.append(tm.preimages)
-        return mats, exact
-
-    # The spectral checks share one joint spectrum and one Koszul record per
-    # character of the F_1 generator family.
-
     @cached_property
-    def f1(self):
-        return self.family(1)
-
-    @cached_property
-    def eigenvalues(self) -> List[List[complex]]:
-        """Each F_1 generator's eigenvalues."""
-        return spectra.operator_eigenvalues(self.f1[0])
-
-    @cached_property
-    def joint(self) -> List[spectra.JointEigenvalue]:
-        mats, exact = self.f1
-        return spectra.joint_spectrum(mats, exact=exact)
-
-    def koszul(self, chi) -> spectra.KoszulComplexRec:
-        if chi not in self._koszul:
-            self._koszul[chi] = spectra.koszul_complexes(self.f1[0], chi)
-        return self._koszul[chi]
+    def f1(self) -> spectra.Family:
+        """The generator family on F_1, shared by the spectral checks."""
+        return spectra.Family([self.tm(g, 1) for g in self.generators])
 
 
 # ----------------------------------------------------------------------
@@ -498,11 +470,11 @@ def check_fn_invariance(ctx: FixtureContext) -> List[CheckResult]:
 
 def check_joint_trivial(ctx: FixtureContext) -> List[CheckResult]:
     out = []
-    mats, _ = ctx.f1
+    mats = ctx.f1.mats
     dim = mats[0].shape[0]
     ones = np.ones(dim) / np.sqrt(dim)
     res = max(float(np.linalg.norm(m @ ones - ones)) for m in mats)
-    joint = ctx.joint
+    joint = ctx.f1.joint
     has_one = any(
         max(abs(c - 1) for c in j.chi) < 1e-9 for j in joint
     )
@@ -521,12 +493,11 @@ def check_joint_trivial(ctx: FixtureContext) -> List[CheckResult]:
 
 def check_koszul_suite(ctx: FixtureContext, n_random: int = 100, seed: int = 7) -> List[CheckResult]:
     out = []
-    mats, _ = ctx.f1
+    family = ctx.f1
+    mats = family.mats
     r = len(mats)
     rng = PCG64(seed)
-    per_op = ctx.eigenvalues
-
-    joint = ctx.joint
+    joint = family.joint
     chars = [j.chi for j in joint]
     randoms = [
         tuple(complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)) for _ in range(r))
@@ -537,15 +508,14 @@ def check_koszul_suite(ctx: FixtureContext, n_random: int = 100, seed: int = 7) 
     dual_bad = []  # characters whose chain complex is not the Hodge conjugate of the cochain one
     scale = max(np.linalg.norm(m, 2) for m in mats) + 1.0
     for chi in chars + randoms:
-        rec = ctx.koszul(chi)
+        rec = family.koszul(chi)
         if rec.max_defect > 1e-10 * scale:
             dd_ok = False
         if sum((-1) ** p * h for p, h in enumerate(rec.cohomology)) != 0:
             euler_ok = False
         if rec.homology != tuple(rec.cohomology[r - p] for p in range(r + 1)):
             dual_bad.append(chi)
-        far = max(min(abs(c - v) for v in vals) for c, vals in zip(chi, per_op))
-        if far > 1e-3 and any(h != 0 for h in rec.cohomology):
+        if max(family.distances(chi)) > 1e-3 and any(h != 0 for h in rec.cohomology):
             far_ok = False
     out.append(CheckResult("Koszul differentials square to zero", dd_ok))
     out.append(CheckResult("Euler characteristic of cohomology vanishes", euler_ok))
@@ -559,14 +529,14 @@ def check_koszul_suite(ctx: FixtureContext, n_random: int = 100, seed: int = 7) 
 
     h0_ok = True
     for j in joint:
-        if ctx.koszul(j.chi).cohomology[0] != j.multiplicity:
+        if family.koszul(j.chi).cohomology[0] != j.multiplicity:
             h0_ok = False
     out.append(CheckResult("dim H^0 equals the joint eigenspace dimension", h0_ok))
     return out
 
 
 def check_parametrix(ctx: FixtureContext, n_random: int = 20, seed: int = 11) -> List[CheckResult]:
-    mats, _ = ctx.f1
+    mats = ctx.f1.mats
     r = len(mats)
     rng = PCG64(seed)
     exps = [e for e in itertools.product(range(5), repeat=r) if 0 < sum(e) <= 4]
@@ -591,7 +561,7 @@ def check_parametrix(ctx: FixtureContext, n_random: int = 20, seed: int = 11) ->
         chi = tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(r))
         _, ok = spectra.homotopy_zero_check(mats, chi, tuple(1 for _ in range(r)))
         hom_ok = hom_ok and ok
-    for j in ctx.joint[:5]:
+    for j in ctx.f1.joint[:5]:
         _, ok = spectra.homotopy_zero_check(mats, j.chi, tuple(1 for _ in range(r)))
         hom_ok = hom_ok and ok
     return [
@@ -601,24 +571,14 @@ def check_parametrix(ctx: FixtureContext, n_random: int = 20, seed: int = 11) ->
 
 
 def check_taylor_main(ctx: FixtureContext) -> List[CheckResult]:
+    """Gated Taylor members are the joint eigenvalues; unlike `taylor_report`'s
+    mismatch list, a mismatch fails here even at an ambiguous character."""
     out = []
-    mats, _ = ctx.f1
+    family = ctx.f1
     for theta in (0.25, 0.5):
-        report = spectra.taylor_report(
-            mats, theta, joint=ctx.joint, koszul=ctx.koszul, per_op=ctx.eigenvalues
-        )
-        gate_chars = list(report.taylor)
-        joint_set = [j.chi for j in report.joint]
-        ok = not report.mismatches
-        for chi in gate_chars:
-            member = report.taylor[chi]
-            is_joint = any(
-                max(abs(a - b) for a, b in zip(chi, jc)) < spectra.TOL_MERGE
-                for jc in joint_set
-            )
-            if member != is_joint:
-                ok = False
-        detail = f"{len(gate_chars)} gated characters, {len(joint_set)} joint eigenvalues"
+        report = spectra.taylor_report(family, theta)
+        ok = all(member == family.is_joint(chi) for chi, member in report.taylor.items())
+        detail = f"{len(report.taylor)} gated characters, {len(report.joint)} joint eigenvalues"
         out.append(CheckResult(f"Taylor members = joint eigenvalues (theta={theta})", ok, detail))
     return out
 

@@ -43,7 +43,8 @@ def test_failed_preimage_counting_exits_cleanly(swapped_a2q2, capsys):
     assert err.startswith("error: preimage counting failed") and err.count("\n") == 1
 
 
-def test_noncommuting_family_exits_cleanly(monkeypatch, capsys):
+@pytest.mark.parametrize("command", ["spectrum", "koszul"])
+def test_noncommuting_family_exits_cleanly(command, monkeypatch, capsys):
     from weylflow import transfer
 
     real = transfer.transfer_matrix
@@ -57,9 +58,10 @@ def test_noncommuting_family_exits_cleanly(monkeypatch, capsys):
         return tm
 
     monkeypatch.setattr(transfer, "transfer_matrix", tampered)
-    assert run(["spectrum", "a2q2"]) == 1
-    err = capsys.readouterr().err
-    assert err == "error: the operator family does not commute exactly\n"
+    assert run([command, "a2q2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the operator family does not commute exactly\n"
 
 
 def test_transfer_refuses_dense_export_above_the_cell_budget(monkeypatch, capsys):

@@ -72,6 +72,14 @@ def test_exports_never_execute_the_spectral_modules(args, tmp_path):
     assert not executed & {"weylflow.spectra", "weylflow.verify", "weylflow.oracles"}
 
 
+@pytest.mark.parametrize("command", ["spectrum", "koszul"])
+def test_spectral_commands_never_execute_verify_or_the_oracles(command, tmp_path):
+    # the commands build their family from sectors and transfer alone
+    executed = _executed(tmp_path, command, "k33")
+    assert {"weylflow.spectra", "weylflow.transfer"} <= executed
+    assert not executed & {"weylflow.verify", "weylflow.oracles"}
+
+
 def test_every_exported_name_resolves():
     for name in weylflow.__all__:
         assert getattr(weylflow, name) is not None
@@ -80,7 +88,8 @@ def test_every_exported_name_resolves():
     exec("from weylflow import *", namespace)
     assert set(weylflow.__all__) <= set(namespace)
     assert weylflow.SectorSpace is weylflow.sectors.SectorSpace
-    assert weylflow.validate is weylflow.chamber.validate
+    assert weylflow.load is weylflow.chamber.load
+    assert weylflow.Family is weylflow.spectra.Family
 
 
 def test_unknown_attribute_raises_attribute_error():

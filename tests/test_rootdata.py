@@ -12,13 +12,11 @@ from weylflow.rootdata import (
     ParameterSystem,
     all_minimal_walk_products,
     build_root_system,
-    coweight_norm,
     dot,
     embed_shift,
     minimal_walk_types,
     translation_parameter,
     truncated_sector,
-    type_rotations,
     vadd,
 )
 
@@ -252,9 +250,15 @@ def test_highest_root_marks(kind):
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_positive_roots_are_nonnegative_combinations(kind):
     R = build_root_system(kind)
-    for cs in R.positive_coeffs:
-        assert all(isinstance(c, int) and c >= 0 for c in cs)
+    for beta in R.positive_roots:
+        # the coordinates in the simple roots pair with the dual basis D w_j
+        cs = [Fraction(dot(beta, w), R.scale) for w in R.coweights]
+        assert all(c.denominator == 1 and c >= 0 for c in cs)
         assert sum(cs) >= 1
+        acc = tuple(Fraction(0) for _ in range(R.dim))
+        for c, alpha in zip(cs, R.simple_roots):
+            acc = vadd(acc, tuple(c * x for x in alpha))
+        assert acc == beta
 
 
 def test_coxeter_matrix_values():
@@ -281,17 +285,17 @@ def test_coxeter_matrix_symmetric(kind):
 
 
 def test_rotation_group_orders():
-    assert len(type_rotations(build_root_system("A1~"))) == 2
-    assert len(type_rotations(build_root_system("BC1~"))) == 1
-    assert len(type_rotations(build_root_system("A2~"))) == 3
-    assert len(type_rotations(build_root_system("B2~"))) == 2
-    assert len(type_rotations(build_root_system("G2~"))) == 1
+    assert len(build_root_system("A1~").rotations) == 2
+    assert len(build_root_system("BC1~").rotations) == 1
+    assert len(build_root_system("A2~").rotations) == 3
+    assert len(build_root_system("B2~").rotations) == 2
+    assert len(build_root_system("G2~").rotations) == 1
 
 
 def test_rotations_identity_first_and_closed():
     for kind in ALL_KINDS:
         R = build_root_system(kind)
-        rots = type_rotations(R)
+        rots = R.rotations
         assert rots[0].perm == tuple(R.index_set)
         perms = {r.perm for r in rots}
         for a in rots:
@@ -307,15 +311,15 @@ def test_unsupported_kind_rejected():
 @given(st.lists(st.integers(-9, 9), min_size=1, max_size=2))
 def test_coweight_norm_is_l1(coords):
     mu = Coweight(tuple(coords))
-    assert coweight_norm(mu) == sum(abs(c) for c in coords)
+    assert mu.norm == sum(abs(c) for c in coords)
     assert mu.dominant == all(c >= 0 for c in coords)
     assert mu.strongly_dominant == all(c >= 1 for c in coords)
 
 
 def test_coweight_norm_examples():
-    assert coweight_norm(Coweight((1, 0))) == 1
-    assert coweight_norm(Coweight((1, 2))) == 3
-    assert coweight_norm(Coweight((0, 0))) == 0
+    assert Coweight((1, 0)).norm == 1
+    assert Coweight((1, 2)).norm == 3
+    assert Coweight((0, 0)).norm == 0
 
 
 def test_translation_parameter_examples():
@@ -432,10 +436,18 @@ def test_embed_shift_examples():
         embed_shift(A2, truncated_sector(A2, 1), Coweight((1, 1)))
 
 
+def _good_types(R):
+    """The types of the coweight vertices: those of norm at most 2 reach them all."""
+    return frozenset(
+        R.vertex_type(R.coweight_vector(Coweight(c)))
+        for c in itertools.product(range(3), repeat=R.rank) if sum(c) <= 2
+    )
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_good_types_match_rotation_orbit_of_zero(kind):
     R = build_root_system(kind)
-    assert R.good_types == frozenset(r.perm[0] for r in R.rotations)
+    assert _good_types(R) == frozenset(r.perm[0] for r in R.rotations)
 
 
 def _ambient(R, v):
@@ -449,7 +461,7 @@ def test_root_data_matches_the_fraction_goldens(kind):
     assert R.coxeter_matrix == cox
     assert R.marks == marks
     assert [(r.perm, r.rep) for r in R.rotations] == rots
-    assert R.good_types == good
+    assert _good_types(R) == good
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

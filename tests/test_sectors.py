@@ -385,7 +385,7 @@ def _germ_constraints(space, n):
     for k in range(trunc.alcove_count(n)):
         panels.append([
             (nb, panel_types[0] if rank == 1 else cotype)
-            for cotype, nb, _, panel_types in trunc.adjacency[k] if 0 <= nb < k
+            for cotype, nb, panel_types in trunc.adjacency[k] if 0 <= nb < k
         ])
         verts = set(trunc.alcoves[k].verts)
         stars.append([

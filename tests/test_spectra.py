@@ -11,7 +11,7 @@ import pytest
 from weylflow import spectra, verify
 from weylflow.pcg64 import PCG64
 from weylflow.rootdata import Coweight
-from weylflow.transfer import InvariantError
+from weylflow.transfer import InvariantError, TransferMatrix
 
 
 def test_eigen_identity():
@@ -56,8 +56,7 @@ def test_eigen_rejects_empty():
 
 def test_joint_spectrum_trivial_character(contexts):
     for name, ctx in contexts.items():
-        mats, exact = ctx.family(1)
-        joint = spectra.joint_spectrum(mats, exact=exact)
+        joint = spectra.joint_spectrum(ctx.f1)
         ones = [j for j in joint if max(abs(c - 1) for c in j.chi) < 1e-9]
         assert len(ones) == 1, name
         v = ones[0].vector
@@ -67,20 +66,18 @@ def test_joint_spectrum_trivial_character(contexts):
 
 def test_joint_eigenvectors_own_their_data(a2):
     # a view would keep the whole SVD factor of its stacked null space alive
-    # for as long as the context keeps the joint spectrum
-    assert a2.joint and all(j.vector.base is None for j in a2.joint)
+    # for as long as the family keeps the joint spectrum
+    assert a2.f1.joint and all(j.vector.base is None for j in a2.f1.joint)
 
 
 def test_joint_spectrum_parity(k33, q3):
     for ctx in (k33, q3):
-        mats, exact = ctx.family(1)
-        joint = spectra.joint_spectrum(mats, exact=exact)
+        joint = spectra.joint_spectrum(ctx.f1)
         assert any(abs(j.chi[0] + 1) < 1e-9 for j in joint)
 
 
 def test_joint_spectrum_counts_k33(k33):
-    mats, exact = k33.family(1)
-    joint = spectra.joint_spectrum(mats, exact=exact)
+    joint = spectra.joint_spectrum(k33.f1)
     vals = sorted((j.chi[0].real, j.chi[0].imag) for j in joint)
     root = np.sqrt(2) / 2
     want = sorted(
@@ -95,29 +92,28 @@ def test_joint_spectrum_counts_k33(k33):
 
 
 def test_joint_spectrum_rejects_noncommuting():
-    # both rows of a see class 1 and both rows of b class 0: ab and ba differ
-    a = np.array([[0.0, 1.0], [0.0, 1.0]])
-    b = np.array([[1.0, 0.0], [1.0, 0.0]])
+    # both rows of a see class 1 and both rows of b class 0: ab and ba differ,
+    # and no family, so no joint spectrum, is made of them
+    a = TransferMatrix(Coweight((1, 0)), 1, np.array([[1], [1]], dtype=np.int32), 1)
+    b = TransferMatrix(Coweight((0, 1)), 1, np.array([[0], [0]], dtype=np.int32), 1)
     with pytest.raises(InvariantError, match="does not commute"):
-        spectra.joint_spectrum([a, b], exact=[np.array([[1], [1]]), np.array([[0], [0]])])
+        spectra.Family([a, b])
 
 
 def test_koszul_far_character_vanishes(a2):
-    mats, _ = a2.family(1)
-    rec = spectra.koszul_complexes(mats, (10.0 + 0j, 10.0 + 0j))
+    rec = spectra.koszul_complexes(a2.f1.mats, (10.0 + 0j, 10.0 + 0j))
     assert rec.cohomology == (0, 0, 0)
     assert rec.homology == (0, 0, 0)
 
 
 def test_koszul_trivial_character_k33(k33):
-    mats, _ = k33.family(1)
-    rec = spectra.koszul_complexes(mats, (1.0 + 0j,))
+    rec = spectra.koszul_complexes(k33.f1.mats, (1.0 + 0j,))
     assert rec.cohomology == (1, 1)
     assert rec.homology == (1, 1)
 
 
 def test_koszul_euler_characteristic_always_zero(a2):
-    mats, _ = a2.family(1)
+    mats = a2.f1.mats
     rng = np.random.default_rng(1)
     for _ in range(25):
         chi = tuple(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(2))
@@ -170,9 +166,9 @@ def test_chain_svd_route_reproduces_the_record(contexts):
     # the chain rank SVDs that koszul_complexes no longer takes, on every suite character
     for name, ctx in contexts.items():
         verify.check_koszul_suite(ctx)
-        mats, _ = ctx.f1
+        mats = ctx.f1.mats
         r = len(mats)
-        for chi, rec in ctx._koszul.items():
+        for chi, rec in ctx.f1._koszul.items():
             ranks, bands = zip(*(spectra._rank(m, spectra.TOL_RANK) for m in spectra.koszul_chain(mats, chi)))
             padded = (0,) + ranks + (0,)  # padded[p] = rank of the boundary leaving degree p
             homology = tuple(rec.cochain_dims[p] - padded[p] - padded[p + 1] for p in range(r + 1))
@@ -196,18 +192,18 @@ def _counting_svds(monkeypatch):
 
 
 def test_koszul_complexes_takes_r_rank_svds(a2, monkeypatch):
-    mats, _ = a2.f1
+    mats = a2.f1.mats
     calls = _counting_svds(monkeypatch)
-    rec = spectra.koszul_complexes(mats, a2.joint[0].chi)
+    rec = spectra.koszul_complexes(mats, a2.f1.joint[0].chi)
     assert len(calls) == 2 and rec.homology == rec.cohomology[::-1]
 
 
 def test_koszul_suite_svd_budget(a2, monkeypatch):
-    assert a2.joint and a2.eigenvalues  # shared data, computed before counting
-    monkeypatch.setattr(a2, "_koszul", {})
+    assert a2.f1.joint and a2.f1.eigenvalues  # shared data, computed before counting
+    monkeypatch.setattr(a2.f1, "_koszul", {})
     calls = _counting_svds(monkeypatch)
     assert all(res.passed for res in verify.check_koszul_suite(a2))
-    assert len(a2._koszul) >= 100 and len(calls) <= 2 * len(a2._koszul)
+    assert len(a2.f1._koszul) >= 100 and len(calls) <= 2 * len(a2.f1._koszul)
 
 
 def test_parametrix_single_operator_square():
@@ -231,7 +227,7 @@ def test_parametrix_two_step_telescoping():
 
 
 def test_parametrix_residual_random_exponents(a2):
-    mats, _ = a2.family(1)
+    mats = a2.f1.mats
     rng = np.random.default_rng(9)
     for _ in range(5):
         chi = tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2))
@@ -244,7 +240,7 @@ def test_parametrix_worst_residual_is_pinned(a2):
     # check_parametrix's grid: 20 PCG64(11) characters, every exponent of
     # total degree 1..4, one character at a time over a shared power table
     assert "worst residual 7.03e-16" in verify.check_parametrix(a2)[0].line()
-    mats, _ = a2.f1
+    mats = a2.f1.mats
     rng = PCG64(11)
     chis = [tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2)) for _ in range(20)]
     powers = spectra.matrix_powers(mats, 4)
@@ -305,8 +301,8 @@ def test_pruned_worst_norm_equals_the_full_maximum(monkeypatch):
 
 
 def test_homotopy_takes_one_svd_per_differential(a2, monkeypatch):
-    mats, _ = a2.f1
-    chi = a2.joint[0].chi
+    mats = a2.f1.mats
+    chi = a2.f1.joint[0].chi
     calls, real = [], np.linalg.svd
 
     def counted(a, *args, **kwargs):
@@ -347,9 +343,9 @@ def _homotopy_by_kron(mats, chi, exponents):
 
 
 def test_homotopy_matches_the_kronecker_form(a2):
-    mats, _ = a2.f1
+    mats = a2.f1.mats
     rng = PCG64(23)
-    chis = [j.chi for j in a2.joint[:5]] + [
+    chis = [j.chi for j in a2.f1.joint[:5]] + [
         tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2)) for _ in range(5)
     ]
     for chi in chis:
@@ -360,7 +356,7 @@ def test_homotopy_matches_the_kronecker_form(a2):
 
 
 def test_homotopy_zero_on_and_off_spectrum(k33):
-    mats, _ = k33.family(1)
+    mats = k33.f1.mats
     worst, ok = spectra.homotopy_zero_check(mats, (1.0 + 0j,), (1,))
     assert ok
     worst, ok = spectra.homotopy_zero_check(mats, (2.5 + 0.5j,), (1,))
@@ -376,8 +372,7 @@ def test_character_gate():
 
 def test_taylor_report_no_mismatches(contexts):
     for name, ctx in contexts.items():
-        mats, exact = ctx.family(1)
-        report = spectra.taylor_report(mats, 0.5, exact=exact)
+        report = spectra.taylor_report(ctx.f1, 0.5)
         assert not report.mismatches, name
         ones = [
             chi
@@ -388,10 +383,13 @@ def test_taylor_report_no_mismatches(contexts):
 
 
 def test_taylor_far_character_not_member(k33):
-    mats, exact = k33.family(1)
-    report = spectra.taylor_report(mats, 0.5, exact=exact, extra_characters=[(10.0 + 0j,)])
-    assert report.taylor[(10.0 + 0j,)] is False
-    assert not report.mismatches
+    family = k33.f1
+    assert not spectra.taylor_report(family, 0.5).mismatches
+    # the far character passes the gate, has no cohomology and is no joint eigenvalue
+    far = (10.0 + 0j,)
+    assert spectra.Character(far, spectra.default_gate_elements(1)).passes_gate(0.5)
+    assert not any(family.koszul(far).cohomology)
+    assert not family.is_joint(far)
 
 
 # every caller's seed, and seeds of two, three, four and five 32-bit words

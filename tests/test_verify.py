@@ -70,7 +70,7 @@ def test_full_suite_passes(name, monkeypatch):
     # one eigensolve for the joint spectrum and one per generator: 3 on a2q2
     assert len(eigen_calls) == 1 + ctx.rank
     chars = [chi for _, chi in koszul_calls]
-    assert len(chars) == len(set(chars)) > len(ctx.joint)
+    assert len(chars) == len(set(chars)) > len(ctx.f1.joint)
     # the suite runs on the row arrays: no large table makes Germ objects
     tables = ctx.space._tables
     assert not [n for n, table in tables.items() if n >= 3 and "germs" in vars(table)]
@@ -332,8 +332,8 @@ def test_lasota_yorke_peak_memory(a2, traced_peak):
 )
 def test_spectral_check_peak_memory(a2, traced_peak, monkeypatch, check, bound):
     # the shared F_1 data is built first; every Koszul record is computed afresh
-    assert a2.f1 and a2.joint and a2.eigenvalues
-    monkeypatch.setattr(a2, "_koszul", {})
+    assert a2.f1.joint and a2.f1.eigenvalues
+    monkeypatch.setattr(a2.f1, "_koszul", {})
     results, peak = traced_peak(lambda: getattr(verify, check)(a2))
     assert all(res.passed for res in results)
     assert peak < bound * 2**20, peak
@@ -387,22 +387,25 @@ def test_max_formula_on_sampled_a2_pairs(a2, data):
 
 def test_k33_gated_eigenvalues_are_members(contexts):
     ctx = contexts["k33"]
-    mats, exact = ctx.family(1)
-    report = spectra.taylor_report(mats, 0.5, exact=exact)
+    report = spectra.taylor_report(ctx.f1, 0.5)
     for j in report.joint:
         gate = spectra.Character(j.chi, spectra.default_gate_elements(1))
         if gate.passes_gate(0.5):
             assert report.taylor[j.chi] is True
 
 
+def _fresh_family(ctx):
+    """A family of the context's F_1 generators that shares no spectral data with ctx.f1."""
+    return spectra.Family([ctx.tm(g, 1) for g in ctx.generators])
+
+
 def test_shared_joint_spectrum_is_a_fresh_one(contexts):
     for name, ctx in contexts.items():
-        mats, exact = ctx.family(1)
-        fresh = spectra.joint_spectrum(mats, exact=exact)
-        assert [(j.chi, j.multiplicity, j.residual) for j in ctx.joint] == [
+        fresh = _fresh_family(ctx).joint
+        assert [(j.chi, j.multiplicity, j.residual) for j in ctx.f1.joint] == [
             (j.chi, j.multiplicity, j.residual) for j in fresh
         ], name
-        assert all(np.array_equal(a.vector, b.vector) for a, b in zip(ctx.joint, fresh))
+        assert all(np.array_equal(a.vector, b.vector) for a, b in zip(ctx.f1.joint, fresh))
 
 
 def test_taylor_check_matches_direct_reports(contexts, monkeypatch):
@@ -417,9 +420,8 @@ def test_taylor_check_matches_direct_reports(contexts, monkeypatch):
         shared.clear()
         assert all(res.passed for res in verify.check_taylor_main(ctx))
         assert [report.theta for report in shared] == [0.25, 0.5]
-        mats, exact = ctx.family(1)
         for theta, got in zip((0.25, 0.5), shared):
-            want = real(mats, theta, exact=exact)
+            want = real(_fresh_family(ctx), theta)
             for field in ("taylor", "cohomology", "ambiguous", "mismatches"):
                 assert getattr(got, field) == getattr(want, field), (name, theta, field)
 
@@ -477,15 +479,15 @@ def _flip_last_chain_differential(monkeypatch):
 @pytest.mark.parametrize("name", ["k33", "a2q2"])
 def test_chain_sign_flip_fails_the_duality_line(contexts, monkeypatch, name):
     ctx = contexts[name]
-    mats, _ = ctx.f1
-    assert ctx.joint  # shared data, computed before the mutation
-    monkeypatch.setattr(ctx, "_koszul", {})
+    mats = ctx.f1.mats
+    assert ctx.f1.joint  # shared data, computed before the mutation
+    monkeypatch.setattr(ctx.f1, "_koszul", {})
     _flip_last_chain_differential(monkeypatch)
     results = {res.name: res for res in verify.check_koszul_suite(ctx)}
     dual = results["chain/cochain duality dim H_p = dim H^(r-p)"]
-    first = ctx.joint[0].chi
+    first = ctx.f1.joint[0].chi
     assert not dual.passed
-    assert dual.detail == f"{len(ctx._koszul)} characters, first chi={first} at chain degree {ctx.rank}"
+    assert dual.detail == f"{len(ctx.f1._koszul)} characters, first chi={first} at chain degree {ctx.rank}"
     assert results["Koszul differentials square to zero"].passed
     rec = spectra.koszul_complexes(mats, first)
     assert rec.homology is None
