@@ -31,8 +31,8 @@ _EXPORTS = {
         "transfer_matrix",
     ),
     "spectra": (
-        "Character", "Family", "eigen", "homotopy_zero_check", "joint_spectrum",
-        "koszul_complexes", "parametrix", "taylor_report",
+        "Family", "eigen", "homotopy_zero_check", "joint_spectrum", "koszul_complexes",
+        "parametrix", "taylor_report",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

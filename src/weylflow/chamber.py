@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .rootdata import INFINITE, ParameterSystem, build_root_system
 
@@ -202,8 +202,7 @@ class ChamberSystem:
                 adj[v].add(u)
             if parallel:
                 return False, f"component of chamber {chambers[0]}: repeated flag"
-            girth = _girth(adj)
-            diam = _diameter(adj)
+            girth, diam = _girth_and_diameter(adj)
             if girth != 2 * m or diam != m:
                 return (
                     False,
@@ -233,8 +232,10 @@ class ChamberSystem:
         )
 
 
-def _girth(adj) -> int:
-    best = len(adj) + 1
+def _girth_and_diameter(adj) -> Tuple[int, int]:
+    """(girth, diameter) of a graph from one BFS per root; no cycle gives girth
+    len(adj) + 1, and a disconnected graph (certainly not a polygon) diameter len(adj) + 1."""
+    girth, diam = len(adj) + 1, 0
     for root in range(len(adj)):
         dist = {root: 0}
         parent = {root: -1}
@@ -248,40 +249,23 @@ def _girth(adj) -> int:
                         parent[v] = u
                         nxt.append(v)
                     elif parent[u] != v and dist[v] >= dist[u]:
-                        best = min(best, dist[u] + dist[v] + 1)
+                        girth = min(girth, dist[u] + dist[v] + 1)
             fringe = nxt
-    return best
-
-
-def _diameter(adj) -> int:
-    worst = 0
-    for root in range(len(adj)):
-        dist = {root: 0}
-        fringe = [root]
-        while fringe:
-            nxt = []
-            for u in fringe:
-                for v in adj[u]:
-                    if v not in dist:
-                        dist[v] = dist[u] + 1
-                        nxt.append(v)
-            fringe = nxt
-        if len(dist) < len(adj):
-            return len(adj) + 1  # disconnected: certainly not a polygon
-        worst = max(worst, max(dist.values()))
-    return worst
+        diam = max(diam, max(dist.values()) if len(dist) == len(adj) else len(adj) + 1)
+    return girth, diam
 
 
 # ----------------------------------------------------------------------
 # constructors
 
 
-def from_bipartite_graph(edges, q0: Optional[int] = None, q1: Optional[int] = None) -> ChamberSystem:
+def from_bipartite_graph(edges) -> ChamberSystem:
     """Chamber system of a connected biregular bipartite graph.
 
     Chambers are the edges; the color-i blocks are the edge stars of the
     color-i vertices.  Color 0 is the bipartition class of the smallest
-    vertex.  The kind is A1~ when both degrees agree and BC1~ otherwise.
+    vertex, and q_i is the degree of the color-i vertices minus one.  The
+    kind is A1~ when both degrees agree and BC1~ otherwise.
     """
     edges = sorted({(min(u, v), max(u, v)) for u, v in edges})
     if not edges:
@@ -315,13 +299,7 @@ def from_bipartite_graph(edges, q0: Optional[int] = None, q1: Optional[int] = No
     for c in (0, 1):
         if len(degrees[c]) != 1:
             raise ValueError(f"color-{c} vertices have mixed degrees {sorted(degrees[c])}")
-    d0, d1 = degrees[0].pop(), degrees[1].pop()
-    if q0 is None:
-        q0 = d0 - 1
-    if q1 is None:
-        q1 = d1 - 1
-    if d0 != q0 + 1 or d1 != q1 + 1:
-        raise ValueError(f"degrees ({d0},{d1}) do not match q=({q0},{q1})")
+    q0, q1 = degrees[0].pop() - 1, degrees[1].pop() - 1
     if q0 < 1 or q1 < 1:
         raise ValueError("thickness requires every vertex degree >= 2")
 

@@ -184,11 +184,11 @@ def cmd_transfer(args) -> int:
     return 0
 
 
-def _generator_family(args, generators: str | None = None, **options):
-    """(generators, `spectra.Family` on F_1) of the input.
+def _generators(args, generators: str | None = None):
+    """(space, generators) of the input, with the germs their F_1 operators read budgeted.
 
     The generators are the fundamental coweights unless `generators` names
-    others, as `spectrum --generators` does; `options` go to the family.
+    others, as `spectrum --generators` does.
     """
     system = _load_input(args.input)
     space = sectors.SectorSpace(system, check=not args.force)
@@ -196,7 +196,12 @@ def _generator_family(args, generators: str | None = None, **options):
     gens = _parse_generators(generators, rank) if generators else fundamental_coweights(rank)
     # the operator of mu on F_1 reads the germs of radius 1 + |mu|
     _check_germ_budget(space, 1 + max(g.norm for g in gens))
-    return gens, spectra.Family([transfer.transfer_matrix(space, g, 1) for g in gens], **options)
+    return space, gens
+
+
+def _family(space, gens, **options) -> spectra.Family:
+    """The `spectra.Family` of the generators' F_1 operators; `options` go to the family."""
+    return spectra.Family([transfer.transfer_matrix(space, g, 1) for g in gens], **options)
 
 
 def _parse_generators(text: str, rank: int):
@@ -218,9 +223,8 @@ def _given(args, *names) -> dict:
 
 
 def cmd_spectrum(args) -> int:
-    gens, family = _generator_family(
-        args, args.generators, **_given(args, "seed", "tol_res", "tol_rank", "tol_merge")
-    )
+    space, gens = _generators(args, args.generators)
+    family = _family(space, gens, **_given(args, "seed", "tol_res", "tol_rank", "tol_merge"))
     report = spectra.taylor_report(family, float(args.theta))
     doc = {
         "format": "spectrum/v1",
@@ -263,9 +267,10 @@ def _parse_chi(text: str, rank: int):
 
 
 def cmd_koszul(args) -> int:
-    gens, family = _generator_family(args, **_given(args, "tol_rank"))
+    space, gens = _generators(args)
+    # a malformed --chi is a usage error, found before any operator is assembled
     chi = _parse_chi(args.chi, len(gens)) if args.chi else tuple(1.0 for _ in gens)
-    rec = family.koszul(chi)
+    rec = _family(space, gens, **_given(args, "tol_rank")).koszul(chi)
     doc = {
         "format": "koszul/v1",
         "chi": [complex(c) for c in rec.chi],
@@ -281,15 +286,15 @@ def cmd_koszul(args) -> int:
 
 def cmd_verify(args) -> int:
     names = list(fixtures.FIXTURES) if args.input == "all" else [args.input]
-    # every input is read once, loaded and its metric radius budgeted before
-    # any output; the rank-1 oracle gets a graph's raw edges, not the system
+    # every input is read once, loaded and the radius its suite reads budgeted
+    # before any output; the rank-1 oracle gets a graph's raw edges, not the system
     inputs = []
     for name in names:
         doc = _read_input(name)
         ctx = verify.FixtureContext(name, chamber.from_document(doc))
         inputs.append((ctx, doc["edges"] if doc["format"] == chamber.GRAPH_FORMAT else None))
     for ctx, _ in inputs:
-        _check_germ_budget(ctx.space, args.radius)
+        _check_germ_budget(ctx.space, verify.suite_radius(ctx, args.radius))
     all_ok = True
     while inputs:  # each context, with its tables and operators, goes once its suite has run
         ctx, edges = inputs.pop(0)

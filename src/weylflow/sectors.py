@@ -93,10 +93,6 @@ class DistanceResult:
     k_directional: tuple             # per direction, same sentinel convention
     agreeing_region: frozenset       # face indices of the component of 0
 
-    @property
-    def resolved(self) -> bool:
-        return self.k is not None
-
 
 def _face_plan(system: ChamberSystem, trunc: TruncatedSector, perm):
     """For one type rotation: per face, how to read off its image id.
@@ -355,12 +351,6 @@ class GermTable:
             out[cls[:, None] != cls[None, :]] = m
         return out
 
-    def k_between(self, a: int, b: int) -> Optional[int]:
-        for m in range(self.radius + 1):
-            if self.restriction_map(m)[a] != self.restriction_map(m)[b]:
-                return m
-        return SENTINEL
-
 
 class SectorSpace:
     """Bundles a chamber system with cached truncations and germ tables."""
@@ -617,11 +607,11 @@ class SectorSpace:
             )
         return self._germ_face_ids[g]
 
-    def distance(self, g1: Germ, g2: Germ, theta: Fraction = Fraction(1, 2)):
+    def distance(self, g1: Germ, g2: Germ):
         """Region-growing distance between two germs of equal radius.
 
-        Returns (DistanceResult, value) where the value is theta^k, or
-        theta^radius as an upper bound when the germs coincide on the whole
+        Returns (DistanceResult, value) where the value is (1/2)^k, or
+        (1/2)^radius as an upper bound when the germs coincide on the whole
         truncation (the sentinel case).
         """
         if g1.radius != g2.radius:
@@ -641,7 +631,7 @@ class SectorSpace:
             for ray in self._ray_faces(n)
         )
         result = DistanceResult(k, kdir, frozenset(region))
-        return result, theta ** (k if k is not SENTINEL else n)
+        return result, Fraction(1, 2) ** (k if k is not SENTINEL else n)
 
     def _ray_faces(self, radius: int) -> List[List[int]]:
         """Per direction i, the face indices of the vertices ell * w_i inside the truncation."""

@@ -8,7 +8,8 @@ that the spectral checks share: each generator's eigenvalues, one joint
 spectrum and one Koszul record per character, under one seed and one set
 of tolerances.  Cohomology does not depend on theta; only the magnitude
 gate of `taylor_report` does, so both thetas of the Taylor check read the
-same records.
+same records.  The gate (`passes_gate`) admits a character when its
+modulus exceeds theta at w_1 + ... + w_r or at twice that sum.
 
 Joint eigenvalues are found from a seeded random linear combination and
 certified through the singular values of the stacked system; Koszul
@@ -28,9 +29,11 @@ a caller holds one character's d x d blocks; a table of generator powers
 (`matrix_powers`) can be shared across characters and exponents.  The
 worst residual over many characters is a pruned running maximum
 (`worst_norm`), which takes an SVD only of a block whose Frobenius norm
-can beat it.  `homotopy_zero_check` reads kernel and image of each
-cochain differential off one SVD, and applies the homotopy to each d-row
-block of a kernel instead of forming it on the whole cochain space.
+can beat it.  `homotopy_zero_check` tests the parametrix of exponents
+(1, ..., 1), at the rank tolerance `TOL_RANK` and a residual bound of
+1e-8 relative; it reads kernel and image of each cochain differential off
+one SVD, and applies the homotopy to each d-row block of a kernel instead
+of forming it on the whole cochain space.
 """
 
 from __future__ import annotations
@@ -83,30 +86,9 @@ def eigen(a: np.ndarray, tol_res: float = TOL_RES):
     return out
 
 
-@dataclass
-class Character:
-    """Values of a multiplicative character on the generator family."""
-
-    values: tuple  # complex, one per generator
-    gate_elements: tuple  # coweight coordinate tuples used by the gate
-
-    def value_at(self, coords) -> complex:
-        out = 1 + 0j
-        for v, a in zip(self.values, coords):
-            out *= v ** a
-        return out
-
-    def magnitude(self) -> float:
-        return max(abs(self.value_at(k)) for k in self.gate_elements)
-
-    def passes_gate(self, theta: float) -> bool:
-        return self.magnitude() > theta
-
-
-def default_gate_elements(rank: int) -> tuple:
-    ones = tuple(1 for _ in range(rank))
-    twos = tuple(2 for _ in range(rank))
-    return (ones, twos)
+def passes_gate(chi, theta: float) -> bool:
+    """Whether |chi(w_1 + ... + w_r)| or |chi(2 w_1 + ... + 2 w_r)| exceeds theta."""
+    return max(abs(math.prod((v ** k for v in chi), start=1 + 0j)) for k in (1, 2)) > theta
 
 
 @dataclass
@@ -124,7 +106,6 @@ class SpectrumReport:
     joint: List[JointEigenvalue]
     taylor: Dict[tuple, bool] = field(default_factory=dict)
     cohomology: Dict[tuple, tuple] = field(default_factory=dict)
-    ambiguous: List[tuple] = field(default_factory=list)
     offspectrum: List[tuple] = field(default_factory=list)
     mismatches: List[str] = field(default_factory=list)
 
@@ -427,23 +408,18 @@ def parametrix_residual(mats, exponents, chi, bs, floor: float = 0.0, powers=Non
     return worst_norm(lhs[None], floor)
 
 
-def homotopy_zero_check(
-    mats: Sequence[np.ndarray],
-    chi: Sequence[complex],
-    exponents: Sequence[int],
-    tol: float = 1e-8,
-    tol_rank: float = TOL_RANK,
-):
+def homotopy_zero_check(mats: Sequence[np.ndarray], chi: Sequence[complex]):
     """Verify that sum (A_i - chi_i) B_i kills every cohomology class.
 
-    For each degree p, vectors in the kernel of the cochain differential are
-    mapped by the blockwise operator and the component orthogonal to the
-    image of the previous differential must vanish within tolerance.
+    The B_i are the parametrix of exponents (1, ..., 1).  For each degree p,
+    vectors in the kernel of the cochain differential are mapped by the
+    blockwise operator and the component orthogonal to the image of the
+    previous differential must vanish to 1e-8 times the operator's norm.
     """
     mats = [np.asarray(m, dtype=np.complex128) for m in mats]
     r = len(mats)
     d = mats[0].shape[0]
-    f = _ideal_sum(mats, chi, parametrix(mats, exponents, chi))
+    f = _ideal_sum(mats, chi, parametrix(mats, (1,) * r, chi))
     scale = max(float(np.linalg.norm(f, 2)), 1.0)
     co = koszul_cochain(mats, chi)
     # one SVD per differential serves as kernel at p and as image at p + 1;
@@ -457,7 +433,7 @@ def homotopy_zero_check(
         x, s, yh = np.linalg.svd(mat if tall else mat.conj().T, full_matrices=not tall)
         del mat
         u, v = (x, yh.conj().T) if tall else (yh.conj().T, x)
-        rank = _rank_rule(s, size, tol_rank)[0]
+        rank = _rank_rule(s, size, TOL_RANK)[0]
         kernels.append(v[:, rank:])
         images.append(u[:, :rank])
     kernels.append(np.eye(len(_wedge_basis(r, r)) * d, dtype=np.complex128))
@@ -472,7 +448,7 @@ def homotopy_zero_check(
             img = images[p - 1]
             moved = moved - img @ (img.conj().T @ moved)
         worst = max(worst, float(np.linalg.norm(moved, 2)))
-    return worst, worst <= tol * scale
+    return worst, worst <= 1e-8 * scale
 
 
 # ----------------------------------------------------------------------
@@ -484,7 +460,7 @@ def taylor_report(family: Family, theta: float) -> SpectrumReport:
 
     Tested characters are the family's joint eigenvalues and eight random
     samples away from the generators' spectra.  A character passing the
-    magnitude gate on the `default_gate_elements` must be a Taylor member
+    magnitude gate (`passes_gate`) must be a Taylor member
     (nonzero cohomology) exactly when it matches a joint eigenvalue; a
     mismatch at an ambiguous character is not reported.  Only the gate
     depends on theta.
@@ -508,9 +484,7 @@ def taylor_report(family: Family, theta: float) -> SpectrumReport:
         rec = family.koszul(chi)
         member = any(h != 0 for h in rec.cohomology)
         report.cohomology[chi] = rec.cohomology
-        if rec.ambiguous:
-            report.ambiguous.append(chi)
-        if not Character(chi, default_gate_elements(r)).passes_gate(theta):
+        if not passes_gate(chi, theta):
             continue
         report.taylor[chi] = member
         is_joint = family.is_joint(chi)

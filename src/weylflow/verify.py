@@ -3,7 +3,8 @@
 Each check returns CheckResults and holds the one implementation of its
 invariant: the acceptance tests call the checks themselves, and
 `run_suite` drives all of them for one system for the CLI `verify`
-subcommand.
+subcommand.  The largest germ radius the suite reads is `suite_radius`,
+which the CLI budgets before any table is built.
 
 The metric checks hold no pair matrix.  A germ's class labels per level
 (restriction classes for the distance exponent k, ray classes of
@@ -11,7 +12,9 @@ direction i for k_i) are made cumulative, so that k(a, b) > m exactly when
 a and b share their level-m label.  A law "k >= k' on the pairs equal on
 a gate" is then one partition refinement per level, (gate, level of k')
 refines (level of k), tested in O(N log N) by counting the classes of a
-meet.  The direction formula k = min_i k_i holds only on resolved pairs,
+meet.  The ultrametric law is the nestedness of the agreement partitions
+(on cumulative labels the triple inequality itself would hold for any
+input).  The direction formula k = min_i k_i holds only on resolved pairs,
 so its violating pairs are counted exactly by inclusion-exclusion, with
 sum |class|^2 pairs equal on a partition.  The dense pair matrices
 (`k_matrix`, `ki_matrix`) remain only for the radius-2 cross-check against
@@ -64,10 +67,10 @@ class CheckResult:
 class FixtureContext:
     """Caches germ tables, transfer matrices and the F_1 spectral family for one system."""
 
-    def __init__(self, name: str, system: ChamberSystem, check: bool = True):
+    def __init__(self, name: str, system: ChamberSystem):
         self.name = name
         self.system = system
-        self.space = SectorSpace(system, check=check)
+        self.space = SectorSpace(system)
         self.rank = system.root_system.rank
         self._tms: Dict[tuple, transfer.TransferMatrix] = {}
 
@@ -275,35 +278,21 @@ def check_metric_suite(ctx: FixtureContext, radius: int = 3) -> List[CheckResult
     space = ctx.space
     table = space.table(radius)
     n = radius
-    size = len(table)
     levels = [table.restriction_map(m) for m in range(n + 1)]
 
-    # ultrametric triple inequality
-    if size <= 150:
-        # k(a, b) counts the levels on which a and b agree cumulatively
-        kk = sum((c[:, None] == c[None, :]).astype(np.int32) for c in _cumulative(levels))
-        ok = True
-        for b in range(size):
-            m = np.minimum(kk[:, b][:, None], kk[b, :][None, :])
-            if np.any(kk < m):
-                ok = False
-                break
-        out.append(CheckResult(f"ultrametric triple inequality (radius {radius})", ok))
-    else:
-        # the triple inequality is structural once the agreement partitions
-        # are nested: a germ's level-(m-1) class is the restriction of its
-        # level-m class
-        ok = all(
-            np.array_equal(levels[m - 1], space.table(m).restriction_map(m - 1)[levels[m]])
-            for m in range(1, n + 1)
+    # the triple inequality is structural once the agreement partitions are
+    # nested: a germ's level-(m-1) class is the restriction of its level-m class
+    ok = all(
+        np.array_equal(levels[m - 1], space.table(m).restriction_map(m - 1)[levels[m]])
+        for m in range(1, n + 1)
+    )
+    out.append(
+        CheckResult(
+            f"ultrametric triple inequality (radius {radius})",
+            ok,
+            "via nestedness of the agreement partitions",
         )
-        out.append(
-            CheckResult(
-                f"ultrametric triple inequality (radius {radius})",
-                ok,
-                "via nestedness of the agreement partitions",
-            )
-        )
+    )
 
     rays = [[table.ray_classes(i, ell) for ell in range(n + 1)] for i in range(ctx.rank)]
     ok = _direction_violations(levels, rays) == 0
@@ -348,30 +337,22 @@ def check_distance_cross_validation(ctx: FixtureContext, radius: int = 2) -> Che
     """Region-growing distance must agree with the class-array distance."""
     space = ctx.space
     table = space.table(radius)
-    size = len(table)
-    idxs = range(size) if size <= 80 else range(0, size, max(1, size // 60))
-    kis = [table.ki_matrix(i) for i in range(ctx.rank)]
-    ok = True
+    idxs = range(0, len(table), max(1, len(table) // 60))
+    # k, then k_i for each direction i; radius + 1 encodes the sentinel
+    mats = [table.k_matrix()] + [table.ki_matrix(i) for i in range(ctx.rank)]
     detail = ""
-    for a in idxs:
-        for b in idxs:
-            res, _ = space.distance(table.germs[a], table.germs[b])
-            fast = table.k_between(a, b)
-            if res.k != fast:
-                ok = False
-                detail = f"pair ({a},{b}): region gives {res.k}, classes give {fast}"
-                break
-            for i in range(ctx.rank):
-                ell = res.k_directional[i]
-                enc = kis[i][a, b]
-                want = SENTINEL if enc == radius + 1 else int(enc)
-                if ell != want:
-                    ok = False
-                    detail = f"pair ({a},{b}) direction {i}: {ell} vs {want}"
-                    break
-        if not ok:
+    for a, b in itertools.product(idxs, idxs):
+        res, _ = space.distance(table.germs[a], table.germs[b])
+        got = (res.k,) + res.k_directional
+        want = [SENTINEL if m[a, b] == radius + 1 else int(m[a, b]) for m in mats]
+        bad = next((i for i, (x, y) in enumerate(zip(got, want)) if x != y), None)
+        if bad is not None:
+            detail = (f"pair ({a},{b}): region gives {got[0]}, classes give {want[0]}" if bad == 0
+                      else f"pair ({a},{b}) direction {bad - 1}: {got[bad]} vs {want[bad]}")
             break
-    return CheckResult(f"explicit distance matches class distance (radius {radius})", ok, detail)
+    return CheckResult(
+        f"explicit distance matches class distance (radius {radius})", not detail, detail
+    )
 
 
 def check_transfer_exact(ctx: FixtureContext) -> List[CheckResult]:
@@ -491,7 +472,7 @@ def check_joint_trivial(ctx: FixtureContext) -> List[CheckResult]:
     return out
 
 
-def check_koszul_suite(ctx: FixtureContext, n_random: int = 100, seed: int = 7) -> List[CheckResult]:
+def check_koszul_suite(ctx: FixtureContext, seed: int = 7) -> List[CheckResult]:
     out = []
     family = ctx.f1
     mats = family.mats
@@ -501,7 +482,7 @@ def check_koszul_suite(ctx: FixtureContext, n_random: int = 100, seed: int = 7) 
     chars = [j.chi for j in joint]
     randoms = [
         tuple(complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)) for _ in range(r))
-        for _ in range(n_random)
+        for _ in range(100)
     ]
 
     dd_ok, euler_ok, far_ok = True, True, True
@@ -535,14 +516,14 @@ def check_koszul_suite(ctx: FixtureContext, n_random: int = 100, seed: int = 7) 
     return out
 
 
-def check_parametrix(ctx: FixtureContext, n_random: int = 20, seed: int = 11) -> List[CheckResult]:
+def check_parametrix(ctx: FixtureContext, seed: int = 11) -> List[CheckResult]:
     mats = ctx.f1.mats
     r = len(mats)
     rng = PCG64(seed)
     exps = [e for e in itertools.product(range(5), repeat=r) if 0 < sum(e) <= 4]
     chis = [
         tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(r))
-        for _ in range(n_random)
+        for _ in range(20)
     ]
     # one character at a time, sharing the generator powers; neither the
     # powers nor any B_i outlive the loop, since the homotopy checks below
@@ -559,10 +540,10 @@ def check_parametrix(ctx: FixtureContext, n_random: int = 20, seed: int = 11) ->
     hom_ok = True
     for _ in range(5):
         chi = tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(r))
-        _, ok = spectra.homotopy_zero_check(mats, chi, tuple(1 for _ in range(r)))
+        _, ok = spectra.homotopy_zero_check(mats, chi)
         hom_ok = hom_ok and ok
     for j in ctx.f1.joint[:5]:
-        _, ok = spectra.homotopy_zero_check(mats, j.chi, tuple(1 for _ in range(r)))
+        _, ok = spectra.homotopy_zero_check(mats, j.chi)
         hom_ok = hom_ok and ok
     return [
         CheckResult("parametrix identity to 1e-12", ident_ok, f"worst residual {worst:.2e}"),
@@ -625,6 +606,12 @@ def check_a2_health(ctx: FixtureContext) -> List[CheckResult]:
 
 # ----------------------------------------------------------------------
 # the full suite
+
+
+def suite_radius(ctx: FixtureContext, metric_radius: int) -> int:
+    """The largest germ radius `run_suite` reads: the metric radius, or the
+    3 + |strong| of the strongly dominant operator on F_3 if that is larger."""
+    return max(metric_radius, 3 + ctx.strong.norm)
 
 
 def run_suite(ctx: FixtureContext, metric_radius: int = 3, edges=None) -> List[CheckResult]:

@@ -43,11 +43,9 @@ def test_failed_preimage_counting_exits_cleanly(swapped_a2q2, capsys):
     assert err.startswith("error: preimage counting failed") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command", ["spectrum", "koszul"])
-def test_noncommuting_family_exits_cleanly(command, monkeypatch, capsys):
+def _noncommuting(real):
+    """`transfer_matrix` with one row of each L_(0,1) moved, so that a2q2's generators do not commute."""
     from weylflow import transfer
-
-    real = transfer.transfer_matrix
 
     def tampered(space, mu, radius):
         tm = real(space, mu, radius)
@@ -57,11 +55,37 @@ def test_noncommuting_family_exits_cleanly(command, monkeypatch, capsys):
             tm = transfer.TransferMatrix(tm.mu, tm.radius, rows, tm.m_mu)
         return tm
 
-    monkeypatch.setattr(transfer, "transfer_matrix", tampered)
+    return tampered
+
+
+@pytest.mark.parametrize("command", ["spectrum", "koszul"])
+def test_noncommuting_family_exits_cleanly(command, monkeypatch, capsys):
+    from weylflow import transfer
+
+    monkeypatch.setattr(transfer, "transfer_matrix", _noncommuting(transfer.transfer_matrix))
     assert run([command, "a2q2"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: the operator family does not commute exactly\n"
+
+
+@pytest.mark.parametrize(
+    "chi, message",
+    [("1,2,3", "--chi needs 2 complex entries"), ("nan,1", "--chi entries must be finite")],
+)
+@pytest.mark.parametrize("assembly", ["refused", "noncommuting"])
+def test_koszul_parses_chi_before_any_assembly(chi, message, assembly, monkeypatch, capsys):
+    from weylflow import transfer
+
+    def refused(*args, **kwargs):
+        raise AssertionError("--chi must be parsed before any operator is assembled")
+
+    patched = refused if assembly == "refused" else _noncommuting(transfer.transfer_matrix)
+    monkeypatch.setattr(transfer, "transfer_matrix", patched)
+    assert run(["koszul", "a2q2", "--chi", chi]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_transfer_refuses_dense_export_above_the_cell_budget(monkeypatch, capsys):
@@ -342,6 +366,17 @@ def test_germ_budget_refuses_before_building(args, monkeypatch, capsys):
     assert captured.err == (
         f"error: a radius-{radius} germ table would hold {4032 * 8 ** (int(radius) - 3)} germs, "
         "more than the budget of 4194304\n"
+    )
+
+
+def test_verify_budgets_the_radius_its_suite_reads(monkeypatch, capsys):
+    # whatever --radius says, the suite assembles L_(1,1) on F_3 from radius-5 germs
+    monkeypatch.setattr(cli, "GERM_BUDGET", 32_256)  # a2q2 at radius 4
+    assert run(["verify", "a2q2", "--radius", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: a radius-5 germ table would hold 258048 germs, more than the budget of 32256\n"
     )
 
 

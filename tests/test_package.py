@@ -6,6 +6,7 @@ attributes.  Startup is a per-process property, so these tests run the
 program in fresh interpreters.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -121,3 +122,17 @@ def test_every_fixture_file_ships_with_the_package():
         relative = PurePosixPath("fixtures", f"{name}.json")
         assert (package / relative).is_file(), relative
         assert any(relative.match(pattern) for pattern in patterns), relative
+
+
+@pytest.mark.parametrize("path", sorted(SRC.joinpath("weylflow").glob("*.py")), ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    # an import that no line reads is what a deletion tends to leave behind
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update((a.asname or a.name, node.lineno) for a in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert {name: line for name, line in imported.items() if name not in read} == {}

@@ -311,7 +311,7 @@ def test_homotopy_takes_one_svd_per_differential(a2, monkeypatch):
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
-    _, ok = spectra.homotopy_zero_check(mats, chi, (1, 1))
+    _, ok = spectra.homotopy_zero_check(mats, chi)
     assert ok and len(calls) == 2  # r = 2 cochain differentials
 
 
@@ -349,7 +349,7 @@ def test_homotopy_matches_the_kronecker_form(a2):
         tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2)) for _ in range(5)
     ]
     for chi in chis:
-        worst, ok = spectra.homotopy_zero_check(mats, chi, (1, 1))
+        worst, ok = spectra.homotopy_zero_check(mats, chi)
         want, want_ok = _homotopy_by_kron(mats, chi, (1, 1))
         assert worst == pytest.approx(want, rel=1e-13, abs=0.0), chi
         assert ok == want_ok, chi
@@ -357,17 +357,19 @@ def test_homotopy_matches_the_kronecker_form(a2):
 
 def test_homotopy_zero_on_and_off_spectrum(k33):
     mats = k33.f1.mats
-    worst, ok = spectra.homotopy_zero_check(mats, (1.0 + 0j,), (1,))
+    worst, ok = spectra.homotopy_zero_check(mats, (1.0 + 0j,))
     assert ok
-    worst, ok = spectra.homotopy_zero_check(mats, (2.5 + 0.5j,), (1,))
+    worst, ok = spectra.homotopy_zero_check(mats, (2.5 + 0.5j,))
     assert ok  # vacuous: all kernels are trivial off the spectrum
 
 
 def test_character_gate():
-    chi = spectra.Character((0.6 + 0j, 0.5 + 0j), spectra.default_gate_elements(2))
-    assert chi.value_at((1, 1)) == pytest.approx(0.3)
-    assert chi.passes_gate(0.25)
-    assert not chi.passes_gate(0.5)
+    # |chi(w_1 + w_2)| = 0.3 and |chi(2 w_1 + 2 w_2)| = 0.09
+    chi = (0.6 + 0j, 0.5 + 0j)
+    assert spectra.passes_gate(chi, 0.25)
+    assert not spectra.passes_gate(chi, 0.5)
+    # only |chi(2 w_1 + 2 w_2)| = 1.44 exceeds 1.3
+    assert spectra.passes_gate((1.2 + 0j, 1.0 + 0j), 1.3)
 
 
 def test_taylor_report_no_mismatches(contexts):
@@ -387,7 +389,7 @@ def test_taylor_far_character_not_member(k33):
     assert not spectra.taylor_report(family, 0.5).mismatches
     # the far character passes the gate, has no cohomology and is no joint eigenvalue
     far = (10.0 + 0j,)
-    assert spectra.Character(far, spectra.default_gate_elements(1)).passes_gate(0.5)
+    assert spectra.passes_gate(far, 0.5)
     assert not any(family.koszul(far).cohomology)
     assert not family.is_joint(far)
 
