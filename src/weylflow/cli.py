@@ -286,15 +286,16 @@ def cmd_koszul(args) -> int:
 
 def cmd_verify(args) -> int:
     names = list(fixtures.FIXTURES) if args.input == "all" else [args.input]
-    # every input is read once, loaded and the radius its suite reads budgeted
-    # before any output; the rank-1 oracle gets a graph's raw edges, not the system
+    # every input is read, loaded and validated once, and a valid one's suite radius
+    # budgeted, before any output; the rank-1 oracle gets a graph's raw edges
     inputs = []
     for name in names:
         doc = _read_input(name)
         ctx = verify.FixtureContext(name, chamber.from_document(doc))
         inputs.append((ctx, doc["edges"] if doc["format"] == chamber.GRAPH_FORMAT else None))
     for ctx, _ in inputs:
-        _check_germ_budget(ctx.space, verify.suite_radius(ctx, args.radius))
+        if ctx.report.passed:
+            _check_germ_budget(ctx.space, verify.suite_radius(ctx, args.radius))
     all_ok = True
     while inputs:  # each context, with its tables and operators, goes once its suite has run
         ctx, edges = inputs.pop(0)

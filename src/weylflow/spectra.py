@@ -20,9 +20,11 @@ sum_i (A_i - chi_i) B_i(chi) = A_mu - chi(mu).  Seeded draws come from
 
 Every rank decision is one rule (`_rank_rule`): a relative singular-value
 threshold with an explicit ambiguity band; characters with singular values
-inside the band are reported as ambiguous rather than classified.  Only
-the cochain differentials get rank SVDs: the chain complex, built on its
-own, must be their Hodge conjugate bit for bit, so dim H_p = dim H^(r-p).
+inside the band are reported as ambiguous rather than classified.  Per
+character only the r cochain differentials are built, for their rank SVDs.
+d o d = 0 in both complexes, and the chain complex, built on its own, being
+the Hodge conjugate of the cochain one (so dim H_p = dim H^(r-p)), hold for
+every character or none: `Family.identities` decides them once, exactly.
 
 `parametrix` and `parametrix_residual` take one character at a time, so
 a caller holds one character's d x d blocks; a table of generator powers
@@ -115,18 +117,18 @@ class Family:
 
     `tms` are assembled `transfer.TransferMatrix`es on F_1.  Construction
     raises `InvariantError` unless their preimage lists commute exactly.
-    `mats` are their float matrices; `eigenvalues`, `joint` and `koszul`
-    are computed once, by `eigen`, `joint_spectrum` and `koszul_complexes`,
-    under the family's seed and tolerances.
+    `counts` are their integer matrices C_i = M_i A_i and `mats` the float
+    A_i; `eigenvalues`, `joint`, `identities` and `koszul` (by
+    `koszul_complexes`) are computed once, under its seed and tolerances.
     """
 
     def __init__(self, tms, seed: int = DEFAULT_SEED, tol_res: float = TOL_RES,
                  tol_rank: float = TOL_RANK, tol_merge: float = TOL_MERGE):
-        self.exact = [tm.preimages for tm in tms]
-        for a, b in itertools.combinations(self.exact, 2):
+        for a, b in itertools.combinations([tm.preimages for tm in tms], 2):
             if not commute(a, b):
                 raise InvariantError("the operator family does not commute exactly")
-        self.mats = [tm.dense() for tm in tms]
+        self.counts = [tm.counts() for tm in tms]
+        self.mats = [c / tm.m_mu for c, tm in zip(self.counts, tms)]
         self.seed, self.tol_res, self.tol_rank, self.tol_merge = seed, tol_res, tol_rank, tol_merge
         self._koszul: Dict[tuple, KoszulComplexRec] = {}
 
@@ -139,9 +141,37 @@ class Family:
     def joint(self) -> List[JointEigenvalue]:
         return joint_spectrum(self)
 
+    @functools.cached_property
+    def identities(self):
+        """(max_defect, square, hodge): the Koszul identities, decided exactly for every chi.
+
+        max_defect is the largest |entry| of every d_(p+1) d_p of both
+        complexes and square names the first (chi, degree) where one is not
+        zero; hodge names the first (chi, chain degree) at which
+        `koszul_chain` is not the `hodge_conjugate` of `koszul_cochain`
+        (`chain_mismatch`); each is None if there is none.  They are taken
+        over `counts` on the cube {0, 1}^r.  Each block of either difference
+        has degree <= 1 in each chi_i, so if it vanishes on the cube it
+        vanishes for every chi.  Its entries are integers of size at most
+        2 dim (M + 1)^2, far below 2^53, so complex128 arithmetic is exact.
+        Both complexes are fixed signed blocks of the A_i - chi_i, so the
+        scaling A_i = C_i / M_i carries the result over to the float family.
+        """
+        defect, square, hodge = 0.0, None, None
+        for chi in itertools.product((0, 1), repeat=len(self.counts)):
+            co, ch = koszul_cochain(self.counts, chi), koszul_chain(self.counts, chi)
+            products = [(f"cochain degree {p}", b @ a) for p, (a, b) in enumerate(zip(co, co[1:]))]
+            products += [(f"chain degree {q + 2}", a @ b) for q, (a, b) in enumerate(zip(ch, ch[1:]))]
+            for where, m in products:
+                defect = max(defect, float(np.abs(m).max()))
+                square = square or (f"chi={chi} at {where}" if defect else None)
+            q = chain_mismatch(co, ch)
+            hodge = hodge or (None if q is None else f"chi={chi} at chain degree {q}")
+        return defect, square, hodge
+
     def koszul(self, chi) -> KoszulComplexRec:
         if chi not in self._koszul:
-            self._koszul[chi] = koszul_complexes(self.mats, chi, tol_rank=self.tol_rank)
+            self._koszul[chi] = koszul_complexes(self, chi)
         return self._koszul[chi]
 
     def is_joint(self, chi) -> bool:
@@ -303,29 +333,21 @@ class KoszulComplexRec:
     cochain_dims: tuple       # dimensions of the cochain spaces
     cohomology: tuple         # dim H^p for p = 0..r
     homology: Optional[tuple]  # dim H_p = dim H^(r-p); None if the Hodge identity fails
-    max_defect: float         # largest ||delta o delta|| over both complexes' products
+    max_defect: float         # the family's exact largest |entry| of delta o delta
     ambiguous: bool
 
 
-def koszul_complexes(
-    mats: Sequence[np.ndarray], chi: Sequence[complex], tol_rank: float = TOL_RANK
-) -> KoszulComplexRec:
-    """Cohomology from rank SVDs of the r cochain differentials; homology if the Hodge identity holds."""
-    mats = [np.asarray(m, dtype=np.complex128) for m in mats]
-    r = len(mats)
-    d = mats[0].shape[0]
-    co = koszul_cochain(mats, chi)
-    ch = koszul_chain(mats, chi)
-    dims = tuple(len(_wedge_basis(r, p)) * d for p in range(r + 1))
-
-    products = [b @ a for a, b in zip(co, co[1:])] + [a @ b for a, b in zip(ch, ch[1:])]
-    defect = max((float(np.linalg.norm(m, 2)) for m in products), default=0.0)
-
-    ranks, bands = zip(*(_rank(mat, tol_rank) for mat in co))
+def koszul_complexes(family: Family, chi: Sequence[complex]) -> KoszulComplexRec:
+    """Cohomology at chi from rank SVDs of the r cochain differentials; homology is
+    the reversed cohomology, or None if `family.identities` finds no Hodge identity."""
+    co = koszul_cochain(family.mats, chi)
+    r, d = len(co), family.mats[0].shape[0]
+    dims = tuple(math.comb(r, p) * d for p in range(r + 1))
+    ranks, bands = zip(*(_rank(mat, family.tol_rank) for mat in co))
     padded = (0,) + ranks + (0,)  # padded[p] = rank d_(p-1), padded[p + 1] = rank d_p
     coh = tuple(dims[p] - padded[p] - padded[p + 1] for p in range(r + 1))
-    hom = coh[::-1] if chain_mismatch(co, ch) is None else None
-    return KoszulComplexRec(tuple(chi), dims, coh, hom, defect, any(bands))
+    defect, _, hodge = family.identities
+    return KoszulComplexRec(tuple(chi), dims, coh, None if hodge else coh[::-1], defect, any(bands))
 
 
 # ----------------------------------------------------------------------

@@ -17,8 +17,9 @@ integers instead of dim^2 (2 MB rather than 8.3 GB for a2q2 on F_4).  The
 counts are taken over radius-(n+|mu|) germs, fibered by (shift,
 restriction), and assembly checks that every group's counts sum to M_mu
 before it packs them; a violation aborts, since it would mean the germ
-tables are inconsistent with the preimage count.  `dense()` forms the
-float matrix, for the eigensolver on F_1.
+tables are inconsistent with the preimage count.  `counts()` forms the
+integer matrix M_mu * L_mu and `dense()` the float one, for the spectral
+family on F_1.
 
 Composition is a gather: row h of L_1 L_2 is the union of the rows of L_2
 at the entries of row h of L_1, `sort(P2[P1].reshape(dim, -1))`, so the
@@ -85,11 +86,15 @@ class TransferMatrix:
     def dim(self) -> int:
         return self.preimages.shape[0]
 
-    def dense(self) -> np.ndarray:
-        """The float matrix counts / M_mu; it has dim^2 cells."""
+    def counts(self) -> np.ndarray:
+        """The int64 count matrix M_mu * L_mu; it has dim^2 cells."""
         dim = self.dim
         flat = np.arange(dim).repeat(self.preimages.shape[1]) * dim + self.preimages.ravel()
-        return np.bincount(flat, minlength=dim * dim).reshape(dim, dim) / self.m_mu
+        return np.bincount(flat, minlength=dim * dim).reshape(dim, dim)
+
+    def dense(self) -> np.ndarray:
+        """The float matrix counts / M_mu."""
+        return self.counts() / self.m_mu
 
     def row_sums_ok(self) -> bool:
         """Every row lists M_mu preimages, each a class of F_n."""

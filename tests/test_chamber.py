@@ -139,15 +139,6 @@ def test_corrupted_a2_fails_rank2_checks():
     assert not report.passed
 
 
-def test_residue_examples():
-    system = fixtures.load_fixture("k33")
-    assert system.residue(0, ()) == [0]
-    assert sorted(system.residue(0, (0, 1))) == list(range(9))
-    star = system.residue(0, (0,))
-    assert len(star) == 3
-    assert all(system.vertex_ids[0][c] == system.vertex_ids[0][0] for c in star)
-
-
 def test_unknown_format_rejected(tmp_path):
     p = tmp_path / "junk.json"
     p.write_text('{"format": "mystery/v9"}')

@@ -101,23 +101,22 @@ def test_joint_spectrum_rejects_noncommuting():
 
 
 def test_koszul_far_character_vanishes(a2):
-    rec = spectra.koszul_complexes(a2.f1.mats, (10.0 + 0j, 10.0 + 0j))
+    rec = spectra.koszul_complexes(a2.f1, (10.0 + 0j, 10.0 + 0j))
     assert rec.cohomology == (0, 0, 0)
     assert rec.homology == (0, 0, 0)
 
 
 def test_koszul_trivial_character_k33(k33):
-    rec = spectra.koszul_complexes(k33.f1.mats, (1.0 + 0j,))
+    rec = spectra.koszul_complexes(k33.f1, (1.0 + 0j,))
     assert rec.cohomology == (1, 1)
     assert rec.homology == (1, 1)
 
 
 def test_koszul_euler_characteristic_always_zero(a2):
-    mats = a2.f1.mats
     rng = np.random.default_rng(1)
     for _ in range(25):
         chi = tuple(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(2))
-        rec = spectra.koszul_complexes(mats, chi)
+        rec = spectra.koszul_complexes(a2.f1, chi)
         assert sum((-1) ** p * h for p, h in enumerate(rec.cohomology)) == 0
 
 
@@ -144,6 +143,15 @@ def _conjugate_by_the_formula(d, r, p):
     return out
 
 
+def _circulant_family(r, d, rng):
+    """A family of r circulant operators on d classes, which commute; operator i has i + 1 preimages."""
+    tms = []
+    for i in range(r):
+        rows = np.sort((np.arange(d)[:, None] + rng.integers(0, d, size=i + 1)) % d, axis=1)
+        tms.append(TransferMatrix(Coweight((1,)), 1, rows.astype(np.int32), i + 1))
+    return spectra.Family(tms)
+
+
 @pytest.mark.parametrize("r", [3, 4])
 def test_chain_is_the_hodge_conjugate_of_the_cochain(r):
     # any matrices will do: the identity does not need a commuting family
@@ -158,7 +166,10 @@ def test_chain_is_the_hodge_conjugate_of_the_cochain(r):
             assert np.array_equal(ch[r - p - 1], want)
             assert np.array_equal(spectra.hodge_conjugate(co[p], r, p), want)
         assert spectra.chain_mismatch(co, ch) is None
-        rec = spectra.koszul_complexes(mats, chi)
+        # a record needs a family: rank r ones are circulant
+        family = _circulant_family(r, d, rng)
+        assert family.identities == (0.0, None, None)
+        rec = spectra.koszul_complexes(family, chi)
         assert rec.homology == rec.cohomology[::-1]
 
 
@@ -176,6 +187,24 @@ def test_chain_svd_route_reproduces_the_record(contexts):
             assert rec.ambiguous or not any(bands), (name, chi)
 
 
+def test_per_character_identities_agree_with_the_family_decision(contexts):
+    # the per-character route that the family's exact decision replaced, on
+    # every suite character: the float d o d is rounding, and the chain
+    # complex is the Hodge conjugate of the cochain one
+    for name, ctx in contexts.items():
+        verify.check_koszul_suite(ctx)
+        mats = ctx.f1.mats
+        assert ctx.f1.identities == (0.0, None, None), name
+        scale = max(np.linalg.norm(m, 2) for m in mats) + 1.0
+        assert len(ctx.f1._koszul) >= 100
+        for chi in ctx.f1._koszul:
+            co, ch = spectra.koszul_cochain(mats, chi), spectra.koszul_chain(mats, chi)
+            products = [b @ a for a, b in zip(co, co[1:])] + [a @ b for a, b in zip(ch, ch[1:])]
+            defect = max((np.linalg.norm(m, 2) for m in products), default=0.0)
+            assert defect <= 1e-10 * scale, (name, chi, defect)
+            assert spectra.chain_mismatch(co, ch) is None, (name, chi)
+
+
 def _counting_svds(monkeypatch):
     """List that collects the shape of every np.linalg.svd call from now on.
 
@@ -191,11 +220,39 @@ def _counting_svds(monkeypatch):
     return calls
 
 
+def _counting_calls(monkeypatch, owner, name, keep=lambda *args, **kwargs: True):
+    """List that collects the arguments of every call of owner.name that `keep` admits."""
+    calls, real = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        if keep(*args, **kwargs):
+            calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def test_koszul_complexes_takes_r_rank_svds(a2, monkeypatch):
-    mats = a2.f1.mats
+    assert a2.f1.identities == (0.0, None, None)  # decided once per family, before counting
     calls = _counting_svds(monkeypatch)
-    rec = spectra.koszul_complexes(mats, a2.f1.joint[0].chi)
+    two_norms = _counting_calls(
+        monkeypatch, np.linalg, "norm", lambda x, ord=None, *a, **k: ord == 2
+    )
+    chains = _counting_calls(monkeypatch, spectra, "koszul_chain")
+    rec = spectra.koszul_complexes(a2.f1, a2.f1.joint[0].chi)
     assert len(calls) == 2 and rec.homology == rec.cohomology[::-1]
+    assert not two_norms and not chains
+
+
+@pytest.mark.parametrize("name", ["k33", "a2q2"])
+def test_koszul_suite_builds_chain_complexes_on_the_cube_only(contexts, monkeypatch, name):
+    ctx = contexts[name]
+    # a fresh family, whose identities are not decided yet
+    monkeypatch.setattr(ctx, "f1", spectra.Family([ctx.tm(g, 1) for g in ctx.generators]))
+    chains = _counting_calls(monkeypatch, spectra, "koszul_chain")
+    assert all(res.passed for res in verify.check_koszul_suite(ctx))
+    assert sorted(chi for _, chi in chains) == list(itertools.product((0, 1), repeat=ctx.rank))
 
 
 def test_koszul_suite_svd_budget(a2, monkeypatch):

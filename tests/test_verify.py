@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from weylflow import cli, fixtures, sectors, spectra, transfer, verify
+from weylflow import chamber, cli, fixtures, sectors, spectra, transfer, verify
 from weylflow.sectors import SENTINEL, byte_keys
 from weylflow.verify import FixtureContext, run_suite
 
@@ -82,6 +82,7 @@ def test_verify_all_assembles_each_operator_once(monkeypatch, capsys):
     builds = _counting_builds(monkeypatch)
     suites = _counting(monkeypatch, verify, "run_suite")
     assemblies = _counting(monkeypatch, transfer, "transfer_matrix")
+    validated = _counting(monkeypatch, chamber.ChamberSystem, "validate")
     # per plug grouping: (assembly, big rows, whether its piece is one plug key)
     plugs, real_groups, real_pieces = [], transfer.row_groups, transfer._pieces
     piece_is_one_key = []
@@ -115,6 +116,8 @@ def test_verify_all_assembles_each_operator_once(monkeypatch, capsys):
     assert cli.main(["verify", "all", "--radius", "3"]) == 0
     assert "[FAIL]" not in capsys.readouterr().out
     assert [ctx.name for ctx, *_ in suites] == list(fixtures.FIXTURES)
+    # each input is validated once, by its context
+    assert [id(system) for system, in validated] == [id(ctx.system) for ctx, *_ in suites]
     for ctx, *_ in suites:
         _assert_lean_after_suite(ctx, builds, 3)
     keys = [(id(space), tuple(mu.coords), n) for space, mu, n, *_ in assemblies]
@@ -475,20 +478,27 @@ def _flip_last_chain_differential(monkeypatch):
     monkeypatch.setattr(spectra, "koszul_chain", flipped)
 
 
+def _mutant_family(ctx, monkeypatch):
+    """Make ctx.f1 a fresh family, which decides its Koszul identities over the patched complexes."""
+    family = _fresh_family(ctx)
+    monkeypatch.setattr(ctx, "f1", family)
+    return family
+
+
 @pytest.mark.parametrize("name", ["k33", "a2q2"])
 def test_chain_sign_flip_fails_the_duality_line(contexts, monkeypatch, name):
     ctx = contexts[name]
-    mats = ctx.f1.mats
-    assert ctx.f1.joint  # shared data, computed before the mutation
-    monkeypatch.setattr(ctx.f1, "_koszul", {})
     _flip_last_chain_differential(monkeypatch)
+    family = _mutant_family(ctx, monkeypatch)
+    mats = family.mats
     results = {res.name: res for res in verify.check_koszul_suite(ctx)}
     dual = results["chain/cochain duality dim H_p = dim H^(r-p)"]
-    first = ctx.f1.joint[0].chi
+    first = family.joint[0].chi
     assert not dual.passed
-    assert dual.detail == f"{len(ctx.f1._koszul)} characters, first chi={first} at chain degree {ctx.rank}"
+    # the witness is the first character of the cube and the flipped degree
+    assert dual.detail == f"chi={(0,) * ctx.rank} at chain degree {ctx.rank}"
     assert results["Koszul differentials square to zero"].passed
-    rec = spectra.koszul_complexes(mats, first)
+    rec = spectra.koszul_complexes(family, first)
     assert rec.homology is None
     # the chain rank SVDs of the old route cannot see the flip
     ranks = [spectra._rank(m, spectra.TOL_RANK)[0] for m in spectra.koszul_chain(mats, first)]
@@ -496,8 +506,36 @@ def test_chain_sign_flip_fails_the_duality_line(contexts, monkeypatch, name):
     assert ranks == cochain_ranks[::-1]
 
 
+def test_cochain_sign_flip_fails_the_square_line(a2, monkeypatch):
+    real = spectra.koszul_cochain
+
+    def flipped(mats, chi):
+        out = real(mats, chi)
+        out[0][: out[0].shape[1]] *= -1  # the (A_0 - chi_0) block of d_0
+        return out
+
+    monkeypatch.setattr(spectra, "koszul_cochain", flipped)
+    _mutant_family(a2, monkeypatch)
+    results = {res.name: res for res in verify.check_koszul_suite(a2)}
+    square = results["Koszul differentials square to zero"]
+    assert not square.passed and square.detail == "chi=(0, 0) at cochain degree 0"
+    dual = results["chain/cochain duality dim H_p = dim H^(r-p)"]
+    assert not dual.passed and dual.detail == "chi=(0, 0) at chain degree 2"
+
+
 def test_koszul_command_writes_null_homology_when_the_identity_fails(monkeypatch, capsys):
     _flip_last_chain_differential(monkeypatch)
     assert cli.main(["koszul", "k33", "--chi", "1+0j"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["homology"] is None and doc["cohomology"] == [1, 1]
+
+
+def test_verify_reports_a_failed_local_check_in_one_line(swapped_a2q2, monkeypatch, capsys):
+    builds = _counting_builds(monkeypatch)
+    assert cli.main(["verify", swapped_a2q2]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [
+        f"== {swapped_a2q2} ==",
+        "[FAIL] local building checks: residue {0,1}: component of chamber 0: repeated flag",
+    ]
+    assert err == "" and builds == []
