@@ -20,6 +20,12 @@ induced by coweight translations.  It is computed in integers:
   whose barycenter tie-break becomes the order of vertex sums (the
   barycenter times the vertex count).
 
+Every region the library cuts from the arrangement is a box: bounds
+lo <= <alpha, X> <= hi over the positive roots, hi None for none.  The
+truncation hull of Y_n, the hull of {0, lambda}, the translated sector
+mu + S_0 and the hull of a minimal walk are boxes; `within` is the one
+membership test and `_search` the one breadth-first search of alcoves.
+
 Supported kinds (the exact strings used in file formats and CLI flags):
 
     "A1~"   rank 1, reduced          (homogeneous trees)
@@ -59,10 +65,6 @@ def vadd(a: Vec, b: Vec) -> Vec:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def vsub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def dot(a: Vec, b: Vec) -> int:
     return sum(x * y for x, y in zip(a, b))
 
@@ -100,9 +102,6 @@ class Coweight:
 
     def __neg__(self) -> "Coweight":
         return Coweight(tuple(-a for a in self.coords))
-
-    def __iter__(self):
-        return iter(self.coords)
 
 
 def fundamental_coweights(rank: int) -> list[Coweight]:
@@ -377,28 +376,51 @@ class ParameterSystem:
 
 
 # ----------------------------------------------------------------------
+# regions of the arrangement
+
+
+def within(R: RootSystem, points, box) -> bool:
+    """Whether every point X has lo <= <alpha, X> <= hi in the `box`.
+
+    A box is a list of (lo, hi) pairs aligned with `R.positive_roots`, in
+    the scaled pairing; hi None means no upper bound.
+    """
+    for alpha, (lo, hi) in zip(R.positive_roots, box):
+        for x in points:
+            d = dot(alpha, x)
+            if d < lo or (hi is not None and d > hi):
+                return False
+    return True
+
+
+def _search(R: RootSystem, box):
+    """Breadth-first search of the alcoves in `box` from the fundamental one.
+
+    Returns (the distance of each alcove by key, in search order; the
+    alcoves by key; each alcove's neighbours in drop order, those outside
+    the box included).  All three are empty if the box misses the
+    fundamental alcove.
+    """
+    start = R.fundamental_alcove()
+    if not within(R, start.verts, box):
+        return {}, {}, {}
+    dist = {start.key: 0}
+    alcoves = {start.key: start}
+    neighbors = {}
+    fringe = deque([start])
+    while fringe:
+        a = fringe.popleft()
+        neighbors[a.key] = [R.neighbor(a, drop) for drop in range(len(a.verts))]
+        for b in neighbors[a.key]:
+            if b.key not in dist and within(R, b.verts, box):
+                dist[b.key] = dist[a.key] + 1
+                alcoves[b.key] = b
+                fringe.append(b)
+    return dist, alcoves, neighbors
+
+
+# ----------------------------------------------------------------------
 # alcove walks and translation parameters
-
-
-def _walk_region_test(R: RootSystem, target_vec: Vec):
-    # minimal galleries stay inside the hull of the two alcoves; the hull is
-    # bounded by arrangement walls, so the caps round outward to multiples of D
-    caps = []
-    for alpha in R.positive_roots:
-        r = max(dot(alpha, v) for v in R._c0)
-        t = dot(alpha, target_vec)
-        lo = min(0, t)
-        hi = max(0, t) + r
-        caps.append((alpha, lo - lo % R.scale, hi + (-hi) % R.scale))
-
-    def inside(a: Alcove) -> bool:
-        return all(
-            lo <= dot(alpha, v) <= hi
-            for alpha, lo, hi in caps
-            for v in a.verts
-        )
-
-    return inside
 
 
 @functools.lru_cache(maxsize=256)
@@ -414,28 +436,23 @@ def _minimal_walk_data(R: RootSystem, mu: Coweight):
     tv = R.coweight_vector(mu)
     start = R.fundamental_alcove()
     goal = _make_alcove([(vadd(v, tv), t) for v, t in zip(start.verts, start.types)])
-    inside = _walk_region_test(R, tv)
-    dist = {start.key: 0}
-    preds = {start.key: []}
-    alcoves = {start.key: start}
-    fringe = deque([start])
-    while fringe:
-        a = fringe.popleft()
-        d = dist[a.key]
-        for drop in range(len(a.verts)):
-            b = R.neighbor(a, drop)
-            if not inside(b):
-                continue
-            label = a.types[drop]  # cotype of the crossed panel
-            if b.key not in dist:
-                dist[b.key] = d + 1
-                preds[b.key] = [(a.key, label)]
-                alcoves[b.key] = b
-                fringe.append(b)
-            elif dist[b.key] == d + 1:
-                preds[b.key].append((a.key, label))
+    # the hull is bounded by arrangement walls, so its caps round outward
+    # to multiples of D
+    box = []
+    for alpha in R.positive_roots:
+        t = dot(alpha, tv)
+        lo, hi = min(0, t), max(0, t) + max(dot(alpha, v) for v in R._c0)
+        box.append((lo - lo % R.scale, hi + (-hi) % R.scale))
+    dist, alcoves, neighbors = _search(R, box)
     if goal.key not in dist:
         raise RuntimeError("translation walk failed to reach its target")
+    # in search order, so each list keeps the order the predecessors were met
+    preds = {key: [] for key in dist}
+    for key, d in dist.items():
+        # the label of a crossing is the cotype of the crossed panel
+        for b, label in zip(neighbors[key], alcoves[key].types):
+            if dist.get(b.key) == d + 1:
+                preds[b.key].append((key, label))
     return dist, preds, start, goal
 
 
@@ -526,37 +543,11 @@ class TruncatedSector:
             for alpha, c in zip(self.R.positive_roots, self._cstar)
         )
 
-    def _inside(self, a: Alcove) -> bool:
-        for alpha, c in zip(self.R.positive_roots, self._cstar):
-            cap = self.radius * c
-            for v in a.verts:
-                d = dot(alpha, v)
-                if d < 0 or d > cap:
-                    return False
-        return True
-
     def _enumerate(self):
         """Order the alcoves; return each one's neighbours across its panels."""
-        R = self.R
-        if self.radius == 0:
-            self.alcoves = []
-            self.entry_radius = []
-            self.count_at_radius = [0]
-            return {}
-        start = R.fundamental_alcove()
-        dist = {start.key: 0}
-        store = {start.key: start}
-        neighbors = {}
-        fringe = deque([start])
-        while fringe:
-            a = fringe.popleft()
-            neighbors[a.key] = [R.neighbor(a, drop) for drop in range(len(a.verts))]
-            for b in neighbors[a.key]:
-                if b.key in dist or not self._inside(b):
-                    continue
-                dist[b.key] = dist[a.key] + 1
-                store[b.key] = b
-                fringe.append(b)
+        # radius 0 gives the box 0 <= <alpha, x> <= 0, which holds no alcove
+        box = [(0, self.radius * c) for c in self._cstar]
+        dist, store, neighbors = _search(self.R, box)
         entry = {key: self._entry_radius(a) for key, a in store.items()}
         self.alcoves = sorted(
             store.values(), key=lambda a: (entry[a.key], dist[a.key], a.vertex_sum())
@@ -632,21 +623,16 @@ class TruncatedSector:
 
     def faces_within(self, bound_vec: Vec):
         """Indices of faces inside the hull of {0, bound_vec}."""
-        caps = [(alpha, dot(alpha, bound_vec)) for alpha in self.R.positive_roots]
-        out = []
-        for fi, f in enumerate(self.faces):
-            ok = True
-            for alpha, cap in caps:
-                for vi in f.vidx:
-                    d = dot(alpha, self.vertices[vi])
-                    if d < 0 or d > cap:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                out.append(fi)
-        return out
+        box = [(0, dot(alpha, bound_vec)) for alpha in self.R.positive_roots]
+        return [
+            fi for fi, f in enumerate(self.faces)
+            if within(self.R, [self.vertices[vi] for vi in f.vidx], box)
+        ]
+
+    def alcoves_within(self, corner: Vec):
+        """Indices of alcoves inside the translated sector corner + S_0."""
+        box = [(dot(alpha, corner), None) for alpha in self.R.positive_roots]
+        return [k for k, a in enumerate(self.alcoves) if within(self.R, a.verts, box)]
 
 
 def truncated_sector(R: RootSystem, radius: int) -> TruncatedSector:

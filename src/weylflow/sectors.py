@@ -37,8 +37,9 @@ through their residue classes (a vertex of type t maps to the class of the
 complementary relation), which is exactly agreement of lifts through the
 covering.  Because agreement components are convex, membership of lambda in
 the component is equivalent to agreement of the two germs on the hull of
-{0, lambda}; the table therefore carries per-radius and per-ray restriction
-classes which give all pairwise distances in O(1) after preprocessing.  The
+{0, lambda}, a box of `rootdata` (`TruncatedSector.faces_within`); the
+table therefore carries per-radius and per-ray restriction classes which
+give all pairwise distances in O(1) after preprocessing.  The
 explicit region-growing computation is kept as `distance` and the two routes
 are cross-checked in the test suite.
 """

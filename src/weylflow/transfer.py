@@ -49,15 +49,16 @@ rotation block of the parent rows is cut between its keys on the plug
 columns the parent already carries, into pieces that extend to at most
 `_BLOCK_ROWS` rows unless one key alone holds more (`_pieces`).  Those
 columns and the rotation are in every plug key, so no conditioning group
-spans two pieces.  In a piece, group ids come from one lexsort of the rows'
-plug-alcove columns (`row_groups`), only each group's first germ is shifted
-(`SectorSpace.shift_positions`), the rows are restricted to F_n by prefix
-lookup, and the nonzero count vectors come from the distinct (group,
-column) cells, sorted in place, and are packed one row per group.  The
-first group of each class sets that class's row of the (dim, M_mu) result,
-and every later group, in any piece, must repeat it.  So the peak is one
-piece and its temporaries: no dense (groups x dim) or (dim x dim) array and
-no byte-key copy of the rows is formed.
+spans two pieces.  The plug alcoves are those of the translated sector
+mu + S_0 (`TruncatedSector.alcoves_within`).  In a piece, group ids come
+from one lexsort of the rows' plug-alcove columns (`row_groups`), only each
+group's first germ is shifted (`SectorSpace.shift_positions`), the rows are
+restricted to F_n by prefix lookup, and the nonzero count vectors come
+from the distinct (group, column) cells, sorted in place, and are packed
+one row per group.  The first group of each class sets that class's row of
+the (dim, M_mu) result, and every later group, in any piece, must repeat
+it.  So the peak is one piece and its temporaries: no dense (groups x dim)
+or (dim x dim) array and no byte-key copy of the rows is formed.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .rootdata import Coweight, dot, translation_parameter, vsub
+from .rootdata import Coweight, translation_parameter
 from .sectors import _BLOCK_ROWS, SectorSpace, row_groups
 
 
@@ -172,15 +173,8 @@ def _assemble(space: SectorSpace, mu: Coweight, radius: int) -> TransferMatrix:
     parent = space.table(big_radius - 1)
     small = space.table(radius)
     m_mu = translation_parameter(R, space.system.params, mu)
-    tv = R.coweight_vector(mu)
-    plug = [0] + [
-        1 + k
-        for k, a in enumerate(trunc.alcoves)
-        if all(dot(beta, vsub(v, tv)) >= 0 for v in a.verts for beta in R.simple_roots)
-    ]
+    plug = [0] + [1 + k for k in trunc.alcoves_within(R.coweight_vector(mu))]
     dim = len(small)
-    # maps the shift of a group's first germ to its F_radius class
-    shifted_class = space.table(big_radius - mu.norm).restriction_map(radius)
     # each class's preimage list, set by its first conditioning group
     preimages = np.zeros((dim, m_mu), dtype=np.int32)
     seen = np.zeros(dim, dtype=bool)
@@ -195,7 +189,7 @@ def _assemble(space: SectorSpace, mu: Coweight, radius: int) -> TransferMatrix:
         # group the piece by (rotation, chambers on the plug alcoves)
         first, gid = row_groups(np.take(rows, plug, axis=1))
         # each group's class: the F_radius class of its first germ's shift
-        group_row = shifted_class[space.shift_positions(rows[first], big_radius, mu)]
+        group_row = space.shift_positions(rows[first], big_radius, mu)
         restricted = small.lookup(rows[:, : small.rows.shape[1]])
         del rows, first
         counts = np.bincount(gid)

@@ -9,8 +9,10 @@ program in fresh interpreters.
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path, PurePosixPath
 
 import pytest
@@ -136,3 +138,23 @@ def test_every_imported_name_is_used(path):
             imported.update((a.asname or a.name, node.lineno) for a in node.names)
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert {name: line for name, line in imported.items() if name not in read} == {}
+
+
+def test_every_defined_name_is_used():
+    # a definition whose name no other line of the project reads is what a
+    # move tends to leave behind; dunder names are called by the language
+    lines_naming = Counter()
+    for folder in ("src", "tests", "demos", "bench"):
+        for path in SRC.parent.joinpath(folder).rglob("*.py"):
+            for line in path.read_text(encoding="utf-8").splitlines():
+                lines_naming.update(set(re.findall(r"\w+", line)))
+    unused = []
+    for path in sorted(SRC.joinpath("weylflow").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and not re.fullmatch(r"__\w+__", node.name)
+                and lines_naming[node.name] < 2  # the definition's own line only
+            ):
+                unused.append(f"{path.name}:{node.lineno} {node.name}")
+    assert unused == []

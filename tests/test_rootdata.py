@@ -413,6 +413,27 @@ def test_truncation_covers_dominant_coweights(kind):
             assert cs in have
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_alcoves_within_is_the_simple_root_cone(kind):
+    # the reference: each vertex v has <beta, v - mu> >= 0 for the simple
+    # roots beta, which the box over the positive roots must match
+    R = build_root_system(kind)
+    for big in range(1, 7):
+        t = truncated_sector(R, big)
+        for cs in itertools.product(range(big), repeat=R.rank):
+            if not 1 <= big - sum(cs) <= 4:
+                continue
+            tv = R.coweight_vector(Coweight(cs))
+            want = [
+                k for k, a in enumerate(t.alcoves)
+                if all(
+                    dot(beta, tuple(x - y for x, y in zip(v, tv))) >= 0
+                    for v in a.verts for beta in R.simple_roots
+                )
+            ]
+            assert t.alcoves_within(tv) == want, (big, cs)
+
+
 def test_embed_shift_examples():
     A1 = build_root_system("A1~")
     t2 = truncated_sector(A1, 2)
