@@ -413,14 +413,6 @@ class SectorSpace:
             self._tables[radius] = GermTable(self, radius)
         return self._tables[radius]
 
-    def release_above(self, radius: int):
-        """Drop the tables above `radius`, with their restriction maps; a later
-        request builds them again.  The transfer assembly walks its largest
-        radius in pieces and builds only the tables below it, so those are
-        what this frees."""
-        for r in [r for r in self._tables if r > radius]:
-            del self._tables[r]
-
     def predicted_size(self, radius: int) -> int:
         """|T_1| (|T_2| / |T_1|)^(radius - 1), from the tables up to radius 2 only.
 

@@ -26,12 +26,35 @@ The spectral checks on F_1 share their float work through the context's
 commute exactly and holds one joint spectrum, one eigenvalue list per
 generator and one Koszul record per character.  The Taylor check reads all
 three for its two thetas.
+
+`run_suite` runs in two halves at once, on two cores.  Once the
+generators' F_1 operators are assembled, which both halves read, it
+forks: the child runs the germ-layer half (tables, metric laws, distance
+cross-check, operator identities, Lasota-Yorke, F_n compression and the
+A2~ health lines) while the parent builds the F_1 family and runs the
+spectral half (joint spectrum, Koszul ranks, parametrix, Taylor lines,
+the rank-1 oracle).  Neither half reads what the other computes.  The
+parent keeps the spectral half because a tracer that wraps functions in
+its own process then still sees the spectral layers and the operator
+assembly.  The child sends its results, or its exception, as one pickle
+over a pipe and ends with `os._exit`, so it flushes no inherited stdio
+buffer and runs no atexit handler; its exit frees the germ tables above
+the metric radius.  Lines and errors keep the sequential order: an
+exception of the germ half is raised even when the spectral half failed
+too, a child that ends without a result raises `ChildProcessError`, and
+on KeyboardInterrupt or SystemExit the parent kills and reaps the child.
+This needs POSIX `os.fork`; on Python >= 3.12 forking a process whose
+OpenBLAS threads are running emits a DeprecationWarning.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
+import pickle
+import signal
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -436,9 +459,7 @@ def check_fn_invariance(ctx: FixtureContext) -> List[CheckResult]:
         transfer.check_fn_invariance(ctx.space, ctx.tm(mu, 1), ctx.tm(mu, 2))
         for mu in ctx.generators + ([ctx.strong] if ctx.strong.norm > 1 else [])
     ]
-    # the F_3 operator is read only here, so it is not cached: an array kept
-    # past this check would stay on top of the freed assembly data, and the
-    # allocator could not return that memory after `release_above`
+    # the F_3 operator is read only here, so it is not cached
     big = transfer.transfer_matrix(ctx.space, ctx.strong, 3)
     reps.append(transfer.check_fn_invariance(ctx.space, ctx.tm(ctx.strong, 2), big))
     comp_ok = all(rep.compression_exact for rep in reps)
@@ -605,30 +626,98 @@ def suite_radius(ctx: FixtureContext, metric_radius: int) -> int:
     return max(metric_radius, 3 + ctx.strong.norm)
 
 
-def run_suite(ctx: FixtureContext, metric_radius: int = 3, edges=None) -> List[CheckResult]:
-    system, report = ctx.system, ctx.report
-    detail = "" if report.passed else "{}: {}".format(*report.failures[0])
-    results = [CheckResult("local building checks", report.passed, detail)]
-    if not report.passed:
-        return results  # no germ table is built for a system that fails them
-    results += check_walk_parameters(ctx)
-    results += check_tables(ctx, max_radius=metric_radius)
+def _germ_half(ctx: FixtureContext, metric_radius: int) -> tuple:
+    """The checks that read germ tables: (the lines that follow the walk
+    parameters, the lines that close the suite)."""
+    results = check_tables(ctx, max_radius=metric_radius)
     results += check_metric_suite(ctx, radius=metric_radius)
     results.append(check_distance_cross_validation(ctx, radius=min(2, metric_radius)))
     results += check_transfer_exact(ctx)
     results += check_lasota_yorke(ctx)
     results += check_fn_invariance(ctx)
-    # the last reader of the tables above the metric radius (the F_3
-    # assembly's parent table; its own radius is walked a piece at a time
-    # and never built whole): the spectral checks read only the F_1 family
-    # and the cached operators
-    ctx.space.release_above(metric_radius)
-    results += check_joint_trivial(ctx)
-    results += check_koszul_suite(ctx)
-    results += check_parametrix(ctx)
-    results += check_taylor_main(ctx)
-    if edges is not None and system.kind == "A1~":
-        results += check_rank1_oracle(ctx, edges)
-    if system.kind == "A2~":
-        results += check_a2_health(ctx)
-    return results
+    return results, check_a2_health(ctx) if ctx.system.kind == "A2~" else []
+
+
+def _fork(fn, *args) -> tuple:
+    """(pid, read end of a pipe) of a forked child that sends the pickle of
+    (fn(*args), None), or of (None, the exception it raised), with the
+    child's traceback as a note on that exception."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read)
+            try:
+                payload = pickle.dumps((fn(*args), None))
+            except BaseException as exc:
+                exc.add_note(traceback.format_exc().rstrip())
+                payload = pickle.dumps((None, exc))
+            with open(write, "wb") as pipe:
+                pipe.write(payload)
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(write)
+    return pid, read
+
+
+def _reap(pid: int, pipe: int, kill: bool) -> tuple:
+    """(wait status, bytes sent) of a `_fork` child, which is killed first if
+    `kill`, or if this process is interrupted while it waits."""
+    try:
+        if kill:
+            os.kill(pid, signal.SIGKILL)
+        with open(pipe, "rb") as f:
+            data = f.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    return status, data
+
+
+def _join(pid: int, pipe: int):
+    """The result of a `_fork` child, once it is reaped; its exception is
+    raised here, and a child that sent none raises ChildProcessError."""
+    status, data = _reap(pid, pipe, kill=False)
+    if not data:
+        code = os.waitstatus_to_exitcode(status)
+        how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+        raise ChildProcessError(f"the germ-layer checks ended without a result ({how})")
+    result, exc = pickle.loads(data)
+    if exc is not None:
+        raise exc
+    return result
+
+
+def run_suite(ctx: FixtureContext, metric_radius: int = 3, edges=None) -> List[CheckResult]:
+    """Every check on one system, in the order of the CLI's lines; the germ
+    half runs in a forked child (see the module docstring)."""
+    report = ctx.report
+    detail = "" if report.passed else "{}: {}".format(*report.failures[0])
+    results = [CheckResult("local building checks", report.passed, detail)]
+    if not report.passed:
+        return results  # no germ table is built for a system that fails them
+    results += check_walk_parameters(ctx)
+    try:
+        for g in ctx.generators:
+            ctx.tm(g, 1)
+    except Exception:
+        pass  # nothing is cached: each half meets the failure again in its own order
+    pid, pipe = _fork(_germ_half, ctx, metric_radius)
+    try:  # the spectral half
+        spectral = check_joint_trivial(ctx)
+        spectral += check_koszul_suite(ctx)
+        spectral += check_parametrix(ctx)
+        spectral += check_taylor_main(ctx)
+        if edges is not None and ctx.system.kind == "A1~":
+            spectral += check_rank1_oracle(ctx, edges)
+    except Exception:
+        _join(pid, pipe)  # the germ half ran first: its exception wins
+        raise
+    except BaseException:  # KeyboardInterrupt or SystemExit
+        _reap(pid, pipe, kill=True)
+        raise
+    germ, tail = _join(pid, pipe)
+    return results + germ + spectral + tail

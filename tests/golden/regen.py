@@ -25,6 +25,7 @@ ROOT = HERE.parents[1]
 # file stem -> the arguments of `weylflow`, or the path of a demo
 CASES = {
     "verify-all-r3": ["verify", "all", "--radius", "3"],
+    "verify-k33-r1": ["verify", "k33", "--radius", "1"],
     **{f"spectrum-{name}": ["spectrum", name] for name in ("k33", "q3", "biregular", "a2q2")},
     **{f"koszul-{name}": ["koszul", name] for name in ("k33", "q3", "biregular", "a2q2")},
     **{f"ihara-{name}": ["ihara", name] for name in ("k33", "q3", "biregular")},
@@ -94,9 +95,10 @@ def _section(name: str, text: str) -> str:
     return f"== {name}: {text.count(chr(10))} newlines ==\n{body}"
 
 
-def transcript(case) -> str:
-    """The golden file's text for one case: its command, exit code, stdout and stderr."""
-    code, out, err = run(case)
+def transcript(case, outcome=None) -> str:
+    """The golden file's text for one case: its command, exit code, stdout and
+    stderr, from the given (code, stdout, stderr) or from `run(case)`."""
+    code, out, err = outcome or run(case)
     return f"$ {title(case)}\nexit {code}\n" + _section("stdout", out) + _section("stderr", err)
 
 

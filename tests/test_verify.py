@@ -8,6 +8,9 @@ by the exhaustive suites.
 
 import gc
 import json
+import os
+import pickle
+import time
 import weakref
 
 import numpy as np
@@ -19,72 +22,130 @@ from weylflow.sectors import SENTINEL, byte_keys
 from weylflow.verify import FixtureContext, run_suite
 
 
-def _counting(monkeypatch, module, name):
-    """Record the arguments of every call of module.name."""
-    calls, real = [], getattr(module, name)
+class _Log:
+    """Records pickled to one file, so that the child `run_suite` forks for
+    the germ-layer half records into the same log as this process."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def add(self, key, record):
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(fd, pickle.dumps((key, os.getpid(), record)))
+        finally:
+            os.close(fd)
+
+    def read(self, key):
+        """(pid, record) of each entry under key, in the order written."""
+        out = []
+        if self.path.exists():
+            with open(self.path, "rb") as f:
+                while f.peek(1):
+                    k, pid, record = pickle.load(f)
+                    if k == key:
+                        out.append((pid, record))
+        return out
+
+
+@pytest.fixture
+def log(tmp_path):
+    return _Log(tmp_path / "calls.pickle")
+
+
+def _counting(monkeypatch, log, module, name, record):
+    """Log record(*args) for every call of module.name, in this process or a
+    forked child; returns a function that gives the records, in call order."""
+    real = getattr(module, name)
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        log.add(name, record(*args))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
-    return calls
+    return lambda: [rec for _, rec in log.read(name)]
 
 
-def _counting_builds(monkeypatch):
-    """Record (id of the SectorSpace, radius) for every germ table built."""
-    builds, real = [], sectors.GermTable.__init__
+def _counting_builds(monkeypatch, log):
+    """Log (id of the SectorSpace, radius) for every germ table built, and the
+    radius of every table that makes its Germ objects; returns a function that
+    gives the builds as (pid, (space, radius))."""
+    real_init, real_germs = sectors.GermTable.__init__, sectors.GermTable.__dict__["germs"]
 
     def init(self, space, radius):
-        builds.append((id(space), radius))
-        real(self, space, radius)
+        log.add("table", (id(space), radius))
+        real_init(self, space, radius)
+
+    def germs(self):
+        if "germs" not in vars(self):
+            log.add("germs", self.radius)
+        return real_germs.__get__(self, sectors.GermTable)
 
     monkeypatch.setattr(sectors.GermTable, "__init__", init)
-    return builds
+    monkeypatch.setattr(sectors.GermTable, "germs", property(germs))
+    return lambda: log.read("table")
 
 
-def _assert_lean_after_suite(ctx, builds, metric_radius):
-    """Each table was built once, none above metric_radius + 1 was ever built
-    whole, and none above the metric radius is kept."""
-    radii = sorted(r for space, r in builds if space == id(ctx.space))
+def _assert_lean_after_suite(space, kept, builds, metric_radius):
+    """Over both processes of the suite each table was built once and none
+    above metric_radius + 1 was built whole; this process keeps the tables it
+    built itself, none above the metric radius, and the child's went with it."""
+    radii = sorted(r for _, (sid, r) in builds if sid == id(space))
     assert radii == list(range(len(radii))), radii
     assert metric_radius <= radii[-1] <= metric_radius + 1, radii
-    assert max(ctx.space._tables) == metric_radius
+    mine = sorted(r for pid, (sid, r) in builds if sid == id(space) and pid == os.getpid())
+    assert kept == mine and max(kept) <= metric_radius, (kept, radii)
 
 
 @pytest.mark.parametrize("name", fixtures.FIXTURES)
-def test_full_suite_passes(name, monkeypatch):
-    builds = _counting_builds(monkeypatch)
+def test_full_suite_passes(name, monkeypatch, log):
+    builds = _counting_builds(monkeypatch, log)
     ctx = FixtureContext(name, fixtures.load_fixture(name))
     edges = None
     if ctx.rank == 1:
         edges = [tuple(e) for e in fixtures.document(name)["edges"]]
-    joint_calls = _counting(monkeypatch, spectra, "joint_spectrum")
-    koszul_calls = _counting(monkeypatch, spectra, "koszul_complexes")
-    eigen_calls = _counting(monkeypatch, spectra, "eigen")
+    joint_calls = _counting(monkeypatch, log, spectra, "joint_spectrum", lambda family: None)
+    koszul_calls = _counting(monkeypatch, log, spectra, "koszul_complexes", lambda _, chi: chi)
+    eigen_calls = _counting(monkeypatch, log, spectra, "eigen", lambda mat: None)
     results = run_suite(ctx, metric_radius=3, edges=edges)
     failures = [r.line() for r in results if not r.passed]
     assert not failures, "\n".join(failures)
     # the spectral checks share one joint spectrum and one record per character
-    assert len(joint_calls) == 1
+    assert len(joint_calls()) == 1
     # one eigensolve for the joint spectrum and one per generator: 3 on a2q2
-    assert len(eigen_calls) == 1 + ctx.rank
-    chars = [chi for _, chi in koszul_calls]
+    assert len(eigen_calls()) == 1 + ctx.rank
+    chars = koszul_calls()
     assert len(chars) == len(set(chars)) > len(ctx.f1.joint)
-    # the suite runs on the row arrays: no large table makes Germ objects
-    tables = ctx.space._tables
-    assert not [n for n, table in tables.items() if n >= 3 and "germs" in vars(table)]
-    _assert_lean_after_suite(ctx, builds, 3)
+    # the suite runs on the row arrays: no large table makes Germ objects,
+    # though the distance cross-check, in the child, does at radius 2
+    made = [radius for _, radius in log.read("germs")]
+    assert 2 in made and [radius for radius in made if radius >= 3] == []
+    assert len({pid for pid, _ in builds()}) == 2  # the germ half builds in its child
+    _assert_lean_after_suite(ctx.space, sorted(ctx.space._tables), builds(), 3)
 
 
-def test_verify_all_assembles_each_operator_once(monkeypatch, capsys):
+def test_verify_all_assembles_each_operator_once(monkeypatch, log, capsys):
     # the CLI path: every context is made and budgeted before the first suite
-    builds = _counting_builds(monkeypatch)
-    suites = _counting(monkeypatch, verify, "run_suite")
-    assemblies = _counting(monkeypatch, transfer, "transfer_matrix")
-    validated = _counting(monkeypatch, chamber.ChamberSystem, "validate")
+    builds = _counting_builds(monkeypatch, log)
+    validated = _counting(monkeypatch, log, chamber.ChamberSystem, "validate", id)
+    # each suite's context, with the tables this process keeps after it
+    suites, real_suite = [], verify.run_suite
+
+    def suite(ctx, *args, **kwargs):
+        results = real_suite(ctx, *args, **kwargs)
+        suites.append((ctx, sorted(ctx.space._tables)))
+        return results
+
+    # the assembly under way in this process, set before its pieces are cut
+    assembly, real_assembly = [None], transfer.transfer_matrix
+
+    def assemble(space, mu, n):
+        assembly[0] = (id(space), tuple(mu.coords), n)
+        log.add("assembly", assembly[0])
+        return real_assembly(space, mu, n)
+
     # per plug grouping: (assembly, big rows, whether its piece is one plug key)
-    plugs, real_groups, real_pieces = [], transfer.row_groups, transfer._pieces
+    real_groups, real_pieces = transfer.row_groups, transfer._pieces
     piece_is_one_key = []
 
     def checked_pieces(rows, cols, budget):
@@ -108,30 +169,35 @@ def test_verify_all_assembles_each_operator_once(monkeypatch, capsys):
         )
         assert np.array_equal(first, want_first)
         assert np.array_equal(labels, want_labels.reshape(-1))
-        plugs.append((len(assemblies) - 1, len(rows), piece_is_one_key[-1]))
+        log.add("plug", (assembly[0], len(rows), piece_is_one_key[-1]))
         return first, labels
 
+    monkeypatch.setattr(verify, "run_suite", suite)
+    monkeypatch.setattr(transfer, "transfer_matrix", assemble)
     monkeypatch.setattr(transfer, "_pieces", checked_pieces)
     monkeypatch.setattr(transfer, "row_groups", checked_groups)
     assert cli.main(["verify", "all", "--radius", "3"]) == 0
     assert "[FAIL]" not in capsys.readouterr().out
-    assert [ctx.name for ctx, *_ in suites] == list(fixtures.FIXTURES)
+    assert [ctx.name for ctx, _ in suites] == list(fixtures.FIXTURES)
     # each input is validated once, by its context
-    assert [id(system) for system, in validated] == [id(ctx.system) for ctx, *_ in suites]
-    for ctx, *_ in suites:
-        _assert_lean_after_suite(ctx, builds, 3)
-    keys = [(id(space), tuple(mu.coords), n) for space, mu, n, *_ in assemblies]
+    assert validated() == [id(ctx.system) for ctx, _ in suites]
+    for ctx, kept in suites:
+        _assert_lean_after_suite(ctx.space, kept, builds(), 3)
+    keys = [key for _, key in log.read("assembly")]
     assert len(keys) == len(set(keys))
     # one plug grouping per piece, each equal to the np.unique grouping and
     # within _BLOCK_ROWS big rows or a single plug key; the pieces of an
     # assembly cover its radius-(n + |mu|) germs
+    plugs = [plug for _, plug in log.read("plug")]
     assert all(size <= sectors._BLOCK_ROWS or one for _, size, one in plugs)
-    names = {id(ctx.space): ctx.name for ctx, *_ in suites}
+    spaces = {id(ctx.space): ctx for ctx, _ in suites}
     pieces = {}
-    for i, (space, mu, n, *_) in enumerate(assemblies):
-        sizes = [size for a, size, _ in plugs if a == i]
-        assert sum(sizes) == space.predicted_size(n + mu.norm)
-        pieces[names[id(space)], tuple(mu.coords), n] = sizes
+    for key in keys:
+        space, coords, n = key
+        sizes = [size for a, size, _ in plugs if a == key]
+        ctx = spaces[space]
+        assert sum(sizes) == ctx.space.predicted_size(n + sum(coords))
+        pieces[ctx.name, coords, n] = sizes
     # a2q2's operator on F_3 cuts each of its three rotation blocks of 86,016
     # radius-5 germs in two
     assert pieces["a2q2", (1, 1), 3] == [43008] * 6
@@ -152,6 +218,101 @@ def test_verify_all_releases_each_context_after_its_suite(monkeypatch, capsys):
     monkeypatch.setattr(verify, "run_suite", suite)
     assert cli.main(["verify", "all", "--radius", "3"]) == 0
     assert capsys.readouterr().out.count("[PASS]") == len(refs) == len(fixtures.FIXTURES)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _raising(message, exc=transfer.InvariantError):
+    def check(*args, **kwargs):
+        raise exc(message)
+
+    return check
+
+
+def test_a_germ_half_error_exits_as_before_the_split(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "check_lasota_yorke", _raising("germ half"))
+    assert cli.main(["verify", "k33", "--radius", "1"]) == 1
+    assert capsys.readouterr() == ("== k33 ==\n", "error: germ half\n")
+    _assert_no_child_left()
+    # the germ half ran first before the split, so its error wins over the
+    # spectral half's
+    monkeypatch.setattr(verify, "check_koszul_suite", _raising("spectral half"))
+    assert cli.main(["verify", "k33", "--radius", "1"]) == 1
+    assert capsys.readouterr() == ("== k33 ==\n", "error: germ half\n")
+    _assert_no_child_left()
+
+
+def test_a_spectral_half_error_still_reaps_the_child(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "check_parametrix", _raising("spectral half"))
+    assert cli.main(["verify", "k33", "--radius", "1"]) == 1
+    assert capsys.readouterr() == ("== k33 ==\n", "error: spectral half\n")
+    _assert_no_child_left()
+
+
+def test_an_interrupted_suite_kills_and_reaps_the_child(monkeypatch):
+    # the germ half would take a minute: only a killed child ends in time
+    real = verify.check_fn_invariance
+
+    def slow(ctx):
+        time.sleep(60)
+        return real(ctx)
+
+    monkeypatch.setattr(verify, "check_fn_invariance", slow)
+    for exc in (KeyboardInterrupt, SystemExit):
+        monkeypatch.setattr(verify, "check_koszul_suite", _raising("stop", exc))
+        ctx = FixtureContext("k33", fixtures.load_fixture("k33"))
+        start = time.perf_counter()
+        with pytest.raises(exc):
+            run_suite(ctx, metric_radius=1)
+        assert time.perf_counter() - start < 30
+        _assert_no_child_left()
+
+
+def test_a_child_that_sends_no_result_is_one_usage_error(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "check_tables", lambda ctx, max_radius: os.kill(os.getpid(), 9))
+    assert cli.main(["verify", "k33", "--radius", "1"]) == 2
+    assert capsys.readouterr() == (
+        "== k33 ==\n",
+        "error: the germ-layer checks ended without a result (killed by signal 9)\n",
+    )
+    _assert_no_child_left()
+
+
+def test_a_germ_half_failure_lands_on_its_line(monkeypatch, capsys):
+    assert cli.main(["verify", "k33", "--radius", "1"]) == 0
+    want = capsys.readouterr().out.splitlines()
+    real = verify.check_fn_invariance
+
+    def failing(ctx):
+        first, *rest = real(ctx)
+        return [verify.CheckResult(first.name, False, "tampered"), *rest]
+
+    monkeypatch.setattr(verify, "check_fn_invariance", failing)
+    assert cli.main(["verify", "k33", "--radius", "1"]) == 1
+    got = capsys.readouterr().out.splitlines()
+    at = want.index("[PASS] matrix compression consistent across radii")
+    assert got == want[:at] + ["[FAIL] matrix compression consistent across radii: tampered"] + want[at + 1:]
+    _assert_no_child_left()
+
+
+def test_an_operator_that_fails_to_assemble_fails_in_the_sequential_order(monkeypatch, capsys):
+    # the germ half meets (1,1) on F_2 before it reads (1,0) on F_1 outside
+    # the row-sum check; the spectral half, and the assembly before the
+    # split, meet (1,0) on F_1 first
+    real = transfer.transfer_matrix
+
+    def failing(space, mu, n):
+        if (tuple(mu.coords), n) in {((1, 0), 1), ((1, 1), 2)}:
+            raise transfer.CountingError(f"{tuple(mu.coords)} on F_{n}")
+        return real(space, mu, n)
+
+    monkeypatch.setattr(transfer, "transfer_matrix", failing)
+    assert cli.main(["verify", "a2q2", "--radius", "1"]) == 1
+    assert capsys.readouterr() == ("== a2q2 ==\n", "error: (1, 1) on F_2\n")
+    _assert_no_child_left()
 
 
 def test_walk_parameter_details_land_on_their_own_result(a2, monkeypatch):
@@ -530,12 +691,12 @@ def test_koszul_command_writes_null_homology_when_the_identity_fails(monkeypatch
     assert doc["homology"] is None and doc["cohomology"] == [1, 1]
 
 
-def test_verify_reports_a_failed_local_check_in_one_line(swapped_a2q2, monkeypatch, capsys):
-    builds = _counting_builds(monkeypatch)
+def test_verify_reports_a_failed_local_check_in_one_line(swapped_a2q2, monkeypatch, log, capsys):
+    builds = _counting_builds(monkeypatch, log)
     assert cli.main(["verify", swapped_a2q2]) == 1
     out, err = capsys.readouterr()
     assert out.splitlines() == [
         f"== {swapped_a2q2} ==",
         "[FAIL] local building checks: residue {0,1}: component of chamber 0: repeated flag",
     ]
-    assert err == "" and builds == []
+    assert err == "" and builds() == []
