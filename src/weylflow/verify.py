@@ -42,9 +42,12 @@ buffer and runs no atexit handler; its exit frees the germ tables above
 the metric radius.  Lines and errors keep the sequential order: an
 exception of the germ half is raised even when the spectral half failed
 too, a child that ends without a result raises `ChildProcessError`, and
-on KeyboardInterrupt or SystemExit the parent kills and reaps the child.
-This needs POSIX `os.fork`; on Python >= 3.12 forking a process whose
-OpenBLAS threads are running emits a DeprecationWarning.
+on KeyboardInterrupt, SystemExit or SIGTERM (turned into SystemExit while
+the child runs) the parent kills and reaps the child.  A child whose
+parent died otherwise, say by SIGKILL, ends before its next check.  This
+needs POSIX `os.fork` and the main thread, which alone may set a signal
+handler; on Python >= 3.12 forking a process whose OpenBLAS threads are
+running emits a DeprecationWarning.
 """
 
 from __future__ import annotations
@@ -626,32 +629,41 @@ def suite_radius(ctx: FixtureContext, metric_radius: int) -> int:
     return max(metric_radius, 3 + ctx.strong.norm)
 
 
-def _germ_half(ctx: FixtureContext, metric_radius: int) -> tuple:
+def _germ_half(ctx: FixtureContext, metric_radius: int, parent: int) -> tuple:
     """The checks that read germ tables: (the lines that follow the walk
-    parameters, the lines that close the suite)."""
-    results = check_tables(ctx, max_radius=metric_radius)
-    results += check_metric_suite(ctx, radius=metric_radius)
-    results.append(check_distance_cross_validation(ctx, radius=min(2, metric_radius)))
-    results += check_transfer_exact(ctx)
-    results += check_lasota_yorke(ctx)
-    results += check_fn_invariance(ctx)
-    return results, check_a2_health(ctx) if ctx.system.kind == "A2~" else []
+    parameters, the lines that close the suite).  Run in a child of the
+    process `parent`, it ends between two checks once that process is gone."""
+    checks = (
+        lambda: check_tables(ctx, max_radius=metric_radius),
+        lambda: check_metric_suite(ctx, radius=metric_radius),
+        lambda: [check_distance_cross_validation(ctx, radius=min(2, metric_radius))],
+        lambda: check_transfer_exact(ctx),
+        lambda: check_lasota_yorke(ctx),
+        lambda: check_fn_invariance(ctx),
+        lambda: check_a2_health(ctx) if ctx.system.kind == "A2~" else [],
+    )
+    results = []
+    for check in checks:
+        if os.getppid() != parent:
+            os._exit(1)
+        results.append(check())
+    return sum(results[:-1], []), results[-1]
 
 
 def _fork(fn, *args) -> tuple:
     """(pid, read end of a pipe) of a forked child that sends the pickle of
-    (fn(*args), None), or of (None, the exception it raised), with the
-    child's traceback as a note on that exception."""
+    (fn(*args), None, None), or of (None, the exception it raised, the
+    child's traceback).  The child takes SIGTERM's default action."""
     read, write = os.pipe()
     pid = os.fork()
     if pid == 0:
         try:
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
             os.close(read)
             try:
-                payload = pickle.dumps((fn(*args), None))
+                payload = pickle.dumps((fn(*args), None, None))
             except BaseException as exc:
-                exc.add_note(traceback.format_exc().rstrip())
-                payload = pickle.dumps((None, exc))
+                payload = pickle.dumps((None, exc, traceback.format_exc().rstrip()))
             with open(write, "wb") as pipe:
                 pipe.write(payload)
             os._exit(0)
@@ -679,16 +691,22 @@ def _reap(pid: int, pipe: int, kill: bool) -> tuple:
 
 def _join(pid: int, pipe: int):
     """The result of a `_fork` child, once it is reaped; its exception is
-    raised here, and a child that sent none raises ChildProcessError."""
+    raised here, with the child's traceback as a note, and a child that sent
+    none raises ChildProcessError."""
     status, data = _reap(pid, pipe, kill=False)
     if not data:
         code = os.waitstatus_to_exitcode(status)
         how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
         raise ChildProcessError(f"the germ-layer checks ended without a result ({how})")
-    result, exc = pickle.loads(data)
+    result, exc, child_traceback = pickle.loads(data)
     if exc is not None:
+        exc.__notes__ = [*getattr(exc, "__notes__", ()), child_traceback]  # add_note is 3.11+
         raise exc
     return result
+
+
+def _terminated(signum, frame):
+    raise SystemExit(128 + signum)
 
 
 def run_suite(ctx: FixtureContext, metric_radius: int = 3, edges=None) -> List[CheckResult]:
@@ -705,19 +723,25 @@ def run_suite(ctx: FixtureContext, metric_radius: int = 3, edges=None) -> List[C
             ctx.tm(g, 1)
     except Exception:
         pass  # nothing is cached: each half meets the failure again in its own order
-    pid, pipe = _fork(_germ_half, ctx, metric_radius)
-    try:  # the spectral half
-        spectral = check_joint_trivial(ctx)
-        spectral += check_koszul_suite(ctx)
-        spectral += check_parametrix(ctx)
-        spectral += check_taylor_main(ctx)
-        if edges is not None and ctx.system.kind == "A1~":
-            spectral += check_rank1_oracle(ctx, edges)
-    except Exception:
-        _join(pid, pipe)  # the germ half ran first: its exception wins
-        raise
-    except BaseException:  # KeyboardInterrupt or SystemExit
-        _reap(pid, pipe, kill=True)
-        raise
-    germ, tail = _join(pid, pipe)
+    # SIGTERM becomes SystemExit while the child runs, so that it is killed
+    # and reaped; a child whose parent dies otherwise ends at its next check
+    previous = signal.signal(signal.SIGTERM, _terminated)
+    try:
+        pid, pipe = _fork(_germ_half, ctx, metric_radius, os.getpid())
+        try:  # the spectral half
+            spectral = check_joint_trivial(ctx)
+            spectral += check_koszul_suite(ctx)
+            spectral += check_parametrix(ctx)
+            spectral += check_taylor_main(ctx)
+            if edges is not None and ctx.system.kind == "A1~":
+                spectral += check_rank1_oracle(ctx, edges)
+        except Exception:
+            _join(pid, pipe)  # the germ half ran first: its exception wins
+            raise
+        except BaseException:  # KeyboardInterrupt, SystemExit or SIGTERM
+            _reap(pid, pipe, kill=True)
+            raise
+        germ, tail = _join(pid, pipe)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     return results + germ + spectral + tail

@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import os
 import subprocess
@@ -13,13 +12,6 @@ import weylflow
 from weylflow import chamber, cli, fixtures, spectra
 from weylflow.cli import main
 from weylflow.io_utils import dumps_canonical, rational_str, stream_canonical
-
-_SPEC = importlib.util.spec_from_file_location(
-    "golden_regen", Path(__file__).resolve().parent / "golden" / "regen.py"
-)
-regen = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(regen)
-
 
 def run(args):
     return main(args)
@@ -501,24 +493,6 @@ def test_closed_stdout_exits_cleanly(args):
     assert proc.returncode == 2
     assert "Traceback" not in err and "Exception ignored" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
-
-
-def test_verify_into_a_file_prints_its_transcript_once(tmp_path):
-    # a file, as bench/launch.py gives, is block-buffered: the header is still
-    # in the buffer when the suite forks, and a child that flushed its copy
-    # would print it twice
-    stem = "verify-k33-r1"
-    env = dict(os.environ, PYTHONPATH=str(Path(weylflow.__file__).parents[1]))
-    env.pop("PYTHONUNBUFFERED", None)
-    with open(tmp_path / "stdout.txt", "wb") as out:
-        proc = subprocess.run(
-            [sys.executable, "-m", "weylflow.cli", *regen.CASES[stem]],
-            stdout=out, stderr=subprocess.PIPE, env=env, timeout=120,
-        )
-    text = (tmp_path / "stdout.txt").read_text()
-    assert text.count("== k33 ==") == 1
-    outcome = (proc.returncode, text, proc.stderr.decode())
-    assert regen.transcript(regen.CASES[stem], outcome) == regen.path_of(stem).read_text()
 
 
 def test_spectrum_budgets_the_generators_before_building(capsys):

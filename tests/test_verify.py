@@ -10,6 +10,10 @@ import gc
 import json
 import os
 import pickle
+import select
+import signal
+import subprocess
+import sys
 import time
 import weakref
 
@@ -269,6 +273,75 @@ def test_an_interrupted_suite_kills_and_reaps_the_child(monkeypatch):
             run_suite(ctx, metric_radius=1)
         assert time.perf_counter() - start < 30
         _assert_no_child_left()
+
+
+def test_a_germ_half_exception_carries_the_childs_traceback(monkeypatch):
+    monkeypatch.setattr(verify, "check_lasota_yorke", _raising("germ half"))
+    ctx = FixtureContext("k33", fixtures.load_fixture("k33"))
+    with pytest.raises(transfer.InvariantError, match="germ half") as info:
+        run_suite(ctx, metric_radius=1)
+    assert "in _germ_half" in info.value.__notes__[-1]
+    _assert_no_child_left()
+
+
+# `verify k33 --radius 1` whose Lasota-Yorke check writes "x" to the inherited
+# fd argv[1] and sleeps argv[2] seconds, and whose F_n check, the next one,
+# writes "n"; the fd reads EOF once the forked child has ended too
+_SLOW_GERM_HALF = """
+import os, sys, time
+from weylflow import cli, verify
+fd, sleep = int(sys.argv[1]), float(sys.argv[2])
+
+def slow(ctx):
+    os.write(fd, b"x")
+    time.sleep(sleep)
+    return []
+
+def after(ctx):
+    os.write(fd, b"n")
+    return []
+
+verify.check_lasota_yorke, verify.check_fn_invariance = slow, after
+sys.exit(cli.main(["verify", "k33", "--radius", "1"]))
+"""
+
+
+def _kill_during_the_germ_half(sig, sleep):
+    """(exit code, what the child wrote after it began to sleep) of a verify
+    process sent `sig` while its child sleeps in the germ half."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(verify.__file__)))
+    read, write = os.pipe()
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _SLOW_GERM_HALF, str(write), str(sleep)],
+        pass_fds=(write,), stdout=subprocess.DEVNULL, env=env,
+    )
+    os.close(write)
+    try:
+        assert select.select([read], [], [], 60)[0] and os.read(read, 1) == b"x"
+        proc.send_signal(sig)
+        code = proc.wait(timeout=30)
+        rest = b""
+        while select.select([read], [], [], 30)[0]:
+            chunk = os.read(read, 64)
+            if not chunk:
+                return code, rest
+            rest += chunk
+        raise AssertionError("the forked child outlived its parent by 30 s")
+    finally:
+        proc.kill()
+        proc.wait()
+        os.close(read)
+
+
+def test_sigterm_kills_and_reaps_the_child():
+    # the child sleeps a minute; the parent ends at once, and its child with it
+    start = time.perf_counter()
+    assert _kill_during_the_germ_half(signal.SIGTERM, 60) == (128 + signal.SIGTERM, b"")
+    assert time.perf_counter() - start < 30
+
+
+def test_a_child_whose_parent_is_killed_stops_before_its_next_check():
+    assert _kill_during_the_germ_half(signal.SIGKILL, 1) == (-signal.SIGKILL, b"")
 
 
 def test_a_child_that_sends_no_result_is_one_usage_error(monkeypatch, capsys):
