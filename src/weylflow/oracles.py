@@ -122,17 +122,6 @@ def ihara_spectrum(edges: Sequence[Tuple[int, int]]):
     return vals, worst, des, q
 
 
-def k33_expected_normalized() -> np.ndarray:
-    """Eigenvalues of the halved non-backtracking matrix of K_{3,3}."""
-    root = np.sqrt(2.0) / 2.0
-    vals = [1.0 + 0j, -1.0 + 0j]
-    vals += [0.5 + 0j] * 4 + [-0.5 + 0j] * 4
-    vals += [complex(0.0, root)] * 4 + [complex(0.0, -root)] * 4
-    arr = np.array(vals)
-    order = np.lexsort((arr.imag, arr.real))
-    return arr[order]
-
-
 def multiset_close(a, b, tol: float) -> bool:
     """Greedy matching of two complex multisets within `tol`."""
     a = list(np.asarray(a, dtype=np.complex128))

@@ -22,6 +22,13 @@ Every rank decision is one rule (`_rank_rule`): a relative singular-value
 threshold with an explicit ambiguity band; characters with singular values
 inside the band are reported as ambiguous rather than classified.  Per
 character only the r cochain differentials are built, for their rank SVDs.
+At a joint eigenvalue d_0 needs none: it is the stacked matrix whose
+singular values `joint_spectrum` keeps.  For r >= 2 the end differentials
+d_0 and d_(r-1) hold each B_i = A_i - chi_i as a d x d block, so their d-th
+singular value is >= sigma_min(B_i) (interlacing), and s_max <= ||d_p||_F:
+one values-only SVD of the B_i farthest from its spectrum may show both of
+full rank, clear of the band.  Since sigma_min(B_i) <= dist(chi_i, spec A_i),
+it is not tried near the spectra.
 d o d = 0 in both complexes, and the chain complex, built on its own, being
 the Hodge conjugate of the cochain one (so dim H_p = dim H^(r-p)), hold for
 every character or none: `Family.identities` decides them once, exactly.
@@ -99,6 +106,7 @@ class JointEigenvalue:
     multiplicity: int
     residual: float
     vector: np.ndarray
+    singular_values: np.ndarray  # of the stacked [A_i - chi_i], the Koszul d_0 at chi
 
 
 @dataclass
@@ -210,26 +218,22 @@ def joint_spectrum(family: Family) -> List[JointEigenvalue]:
         ):
             merged.append(chi)
     scale = max(np.linalg.norm(m, 2) for m in mats)
+    dim = mats[0].shape[0]
     out = []
     for chi in merged:
-        null_dim, vecs = _stacked_null_space(mats, chi, family.tol_rank)
+        # the null space of the stacked matrix [A_i - chi_i], which is d_0 at chi
+        stacked = np.vstack([m - c * np.eye(dim) for m, c in zip(mats, chi)])
+        _, s, vh = np.linalg.svd(stacked, full_matrices=False)
+        null_dim = dim - _rank_rule(s, dim, family.tol_rank)[0]
         if null_dim == 0:
             continue
-        v = vecs[:, 0].copy()  # a view would pin the whole SVD factor
+        v = vh[dim - null_dim].conj()  # a new array: a view would pin the whole SVD factor
         res = max(float(np.linalg.norm(m @ v - c * v)) for m, c in zip(mats, chi))
         if res > tol_res * scale:
             continue
-        out.append(JointEigenvalue(chi, null_dim, res, v))
+        out.append(JointEigenvalue(chi, null_dim, res, v, s))
     out.sort(key=lambda j: tuple((c.real, c.imag) for c in j.chi))
     return out
-
-
-def _stacked_null_space(mats, chi, tol_rank):
-    dim = mats[0].shape[0]
-    stacked = np.vstack([m - c * np.eye(dim) for m, c in zip(mats, chi)])
-    _, s, vh = np.linalg.svd(stacked, full_matrices=False)
-    null_dim = dim - _rank_rule(s, dim, tol_rank)[0]
-    return null_dim, vh[dim - null_dim:].conj().T
 
 
 def _rank_rule(s: np.ndarray, size: int, tol_rank: float):
@@ -338,16 +342,29 @@ class KoszulComplexRec:
 
 
 def koszul_complexes(family: Family, chi: Sequence[complex]) -> KoszulComplexRec:
-    """Cohomology at chi from rank SVDs of the r cochain differentials; homology is
+    """Cohomology at chi from the ranks of the r cochain differentials; homology is
     the reversed cohomology, or None if `family.identities` finds no Hodge identity."""
+    chi, tol = tuple(chi), family.tol_rank
     co = koszul_cochain(family.mats, chi)
     r, d = len(co), family.mats[0].shape[0]
     dims = tuple(math.comb(r, p) * d for p in range(r + 1))
-    ranks, bands = zip(*(_rank(mat, family.tol_rank) for mat in co))
+    # d_0's singular values, if a joint spectrum computed already holds chi
+    known = next((j.singular_values for j in vars(family).get("joint", ()) if j.chi == chi), None)
+    dist = family.distances(chi) if r > 1 and known is None else [0.0]
+    i = int(np.argmax(dist))
+    # twice the band's top, AMBIGUITY_BAND * tol * s_max * max(shape), where s_max <=
+    # ||d_p||_F = ||d_0||_F; the (r d)^2 eps floor keeps the margin above rounding
+    clear = 2 * r * d * max(AMBIGUITY_BAND * tol, r * d * np.finfo(float).eps)
+    clear *= np.linalg.norm(co[0])
+    full = dist[i] > clear and np.linalg.svd(co[0][i * d:(i + 1) * d], compute_uv=False)[-1] > clear
+    ranks, bands = zip(*(
+        (d, False) if full and p in (0, r - 1) else _rank(mat, tol) if p or known is None
+        else _rank_rule(known, r * d, tol) for p, mat in enumerate(co)
+    ))
     padded = (0,) + ranks + (0,)  # padded[p] = rank d_(p-1), padded[p + 1] = rank d_p
     coh = tuple(dims[p] - padded[p] - padded[p + 1] for p in range(r + 1))
     defect, _, hodge = family.identities
-    return KoszulComplexRec(tuple(chi), dims, coh, None if hodge else coh[::-1], defect, any(bands))
+    return KoszulComplexRec(chi, dims, coh, None if hodge else coh[::-1], defect, any(bands))
 
 
 # ----------------------------------------------------------------------
@@ -384,7 +401,8 @@ def parametrix(mats: Sequence[np.ndarray], exponents: Sequence[int], chi, powers
             geom += powers[i][m] * chi[i] ** (li - 1 - m)
         suffix = math.prod((chi[j] ** exponents[j] for j in range(i + 1, len(chi))), start=1 + 0j)
         out.append((geom if prefix is None else prefix @ geom) * suffix)
-        prefix = powers[i][li] if prefix is None else prefix @ powers[i][li]
+        if i + 1 < len(exponents):  # no B_i reads the last prefix
+            prefix = powers[i][li] if prefix is None else prefix @ powers[i][li]
     return out
 
 

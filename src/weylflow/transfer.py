@@ -43,22 +43,26 @@ columns of the identity and hands each to the kernel (`power_seminorms`),
 for single and iterated powers alike.  The checks take built operators and
 read mu and n from them.
 
-Assembly never holds the radius-(n+|mu|) table whole.  Its germs are made
-one piece of the parent table at a time (`SectorSpace.extend_rows`): each
-rotation block of the parent rows is cut between its keys on the plug
-columns the parent already carries, into pieces that extend to at most
-`_BLOCK_ROWS` rows unless one key alone holds more (`_pieces`).  Those
-columns and the rotation are in every plug key, so no conditioning group
-spans two pieces.  The plug alcoves are those of the translated sector
-mu + S_0 (`TruncatedSector.alcoves_within`).  In a piece, group ids come
-from one lexsort of the rows' plug-alcove columns (`row_groups`), only each
-group's first germ is shifted (`SectorSpace.shift_positions`), the rows are
-restricted to F_n by prefix lookup, and the nonzero count vectors come
-from the distinct (group, column) cells, sorted in place, and are packed
-one row per group.  The first group of each class sets that class's row of
-the (dim, M_mu) result, and every later group, in any piece, must repeat
-it.  So the peak is one piece and its temporaries: no dense (groups x dim)
-or (dim x dim) array and no byte-key copy of the rows is formed.
+Assembly never holds the radius-N table (N = n + |mu|) whole, and one pass
+over its germs serves every operator of one N (`transfer_matrices`).  The
+germs are made one piece of the parent table at a time
+(`SectorSpace.extend_rows`): each rotation block of the parent rows is cut
+between its keys on the plug columns that the parent already carries and
+every operator of the pass holds, into pieces that extend to at most
+`_BLOCK_ROWS` rows unless one key alone holds more (`_pieces`); a block
+with no such column is one piece.  Those columns and the rotation are in
+every plug key, so no conditioning group spans two pieces.  The plug
+alcoves are those of the translated sector mu + S_0
+(`TruncatedSector.alcoves_within`).  Each piece is extended once; then,
+per operator, group ids come from one lexsort of the rows' plug-alcove
+columns (`row_groups`), only each group's first germ is shifted
+(`SectorSpace.shift_positions`), the rows are restricted to F_n by prefix
+lookup, and the nonzero count vectors come from the distinct (group,
+column) cells, sorted in place, and are packed one row per group.  The
+first group of each class sets that class's row of the (dim, M_mu) result,
+and every later group, in any piece, must repeat it.  So the peak is one
+piece and its temporaries: no dense (groups x dim) or (dim x dim) array
+and no byte-key copy of the rows is formed.
 """
 
 from __future__ import annotations
@@ -146,16 +150,35 @@ def transfer_matrix(space: SectorSpace, mu: Coweight, radius: int) -> TransferMa
     germ, and its own class, are fixed by the radius-N germs.  So a gate
     failure aborts, since it would falsify the counting model.
     """
-    if radius < 1:
-        raise ValueError("transfer matrices need radius >= 1")
-    if not mu.dominant:
-        raise ValueError("transfer operators are indexed by dominant coweights")
-    try:
-        return _assemble(space, mu, radius)
-    except CountingError as exc:
-        raise CountingError(
-            f"preimage counting failed for mu={tuple(mu.coords)} on F_{radius}: {exc}"
-        ) from exc
+    return transfer_matrices(space, [(mu, radius)])[0]
+
+
+def transfer_matrices(space: SectorSpace, requests: Sequence[tuple]) -> List[TransferMatrix]:
+    """The `transfer_matrix` of each (mu, radius) request, all of one radius
+    N = radius + |mu|, from one pass over the radius-N germs; a CountingError
+    names the request whose counting failed first in the pass."""
+    for mu, radius in requests:
+        if radius < 1:
+            raise ValueError("transfer matrices need radius >= 1")
+        if not mu.dominant:
+            raise ValueError("transfer operators are indexed by dominant coweights")
+    if len({radius + mu.norm for mu, radius in requests}) > 1:
+        raise ValueError("one pass assembles operators of one radius + |mu|")
+    if not requests:
+        return []
+    jobs = [_assemble(space, mu, radius) for mu, radius in requests]
+    plugs = [next(job) for job in jobs]
+    big_radius = requests[0][1] + requests[0][0].norm
+    parent = space.table(big_radius - 1)
+    # a piece holds whole conditioning groups of every request and, at the
+    # parent table's own growth, at most _BLOCK_ROWS germs
+    held = [c for c in plugs[0][1:] if c < parent.rows.shape[1] and all(c in p for p in plugs)]
+    grow = -(-len(parent) // len(space.table(big_radius - 2))) if held else 1
+    for piece in _pieces(parent.rows, held, max(1, _BLOCK_ROWS // grow)):
+        rows = space.extend_rows(parent.rows[piece], parent.base[piece], big_radius)[0]
+        for job in jobs:
+            job.send(rows)
+    return [job.send(None) for job in jobs]
 
 
 class InvariantError(RuntimeError):
@@ -166,70 +189,72 @@ class CountingError(InvariantError):
     """The preimage counts of a transfer operator came out irregular."""
 
 
-def _assemble(space: SectorSpace, mu: Coweight, radius: int) -> TransferMatrix:
+def _assemble(space: SectorSpace, mu: Coweight, radius: int):
+    """One request of a pass, as a generator: it yields its plug columns, is
+    sent each piece's radius-(radius + |mu|) rows, and yields its matrix on None."""
     R = space.root_system
     big_radius = radius + mu.norm
-    trunc = space.truncation(big_radius)
-    parent = space.table(big_radius - 1)
     small = space.table(radius)
     m_mu = translation_parameter(R, space.system.params, mu)
-    plug = [0] + [1 + k for k in trunc.alcoves_within(R.coweight_vector(mu))]
+    plug = [0] + [1 + k for k in space.truncation(big_radius).alcoves_within(R.coweight_vector(mu))]
     dim = len(small)
     # each class's preimage list, set by its first conditioning group
     preimages = np.zeros((dim, m_mu), dtype=np.int32)
     seen = np.zeros(dim, dtype=bool)
     sizes = set()  # the conditioning group sizes met so far
 
-    # the big germs one piece at a time: a piece holds whole conditioning
-    # groups and, at the parent table's own growth, at most _BLOCK_ROWS germs
-    held = [c for c in plug[1:] if c < parent.rows.shape[1]]
-    grow = -(-len(parent) // len(space.table(big_radius - 2))) if held else 1
-    for piece in _pieces(parent.rows, held, max(1, _BLOCK_ROWS // grow)):
-        rows = space.extend_rows(parent.rows[piece], parent.base[piece], big_radius)[0]
-        # group the piece by (rotation, chambers on the plug alcoves)
-        first, gid = row_groups(np.take(rows, plug, axis=1))
-        # each group's class: the F_radius class of its first germ's shift
-        group_row = space.shift_positions(rows[first], big_radius, mu)
-        restricted = small.lookup(rows[:, : small.rows.shape[1]])
-        del rows, first
-        counts = np.bincount(gid)
-        sizes.update((int(counts.min()), int(counts.max())))
-        if len(sizes) > 1:
-            raise CountingError(f"conditioning groups have mixed sizes {sorted(sizes)}")
-        (total,) = sizes
-        if total % m_mu != 0:
-            raise CountingError(f"group size {total} is not a multiple of M_mu={m_mu}")
-        lam = total // m_mu
+    rows = yield plug
+    try:
+        while rows is not None:
+            # group the piece by (rotation, chambers on the plug alcoves)
+            first, gid = row_groups(np.take(rows, plug, axis=1))
+            # each group's class: the F_radius class of its first germ's shift
+            group_row = space.shift_positions(rows[first], big_radius, mu)
+            restricted = small.lookup(rows[:, : small.rows.shape[1]])
+            del rows, first
+            counts = np.bincount(gid)
+            sizes.update((int(counts.min()), int(counts.max())))
+            if len(sizes) > 1:
+                raise CountingError(f"conditioning groups have mixed sizes {sorted(sizes)}")
+            (total,) = sizes
+            if total % m_mu != 0:
+                raise CountingError(f"group size {total} is not a multiple of M_mu={m_mu}")
+            lam = total // m_mu
 
-        # the nonzero entries of every group vector, one (group, column) each,
-        # sorted by group and then column
-        cell = gid  # taken over in place: the group ids are not read again
-        cell *= dim
-        cell += restricted
-        del gid, restricted
-        cell.sort()
-        starts = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
-        keys, hits = cell[starts], np.diff(np.r_[starts, len(cell)])
-        del cell, starts
-        if np.any(hits % lam != 0):
-            raise CountingError("group counts are not uniform over the preimage multiplicity")
-        packed = _pack(keys // dim, keys % dim, hits // lam, len(group_row), m_mu)
-        del keys, hits
-        # the first group of each class sets its row; every other group, in
-        # this piece or a later one, must repeat it
-        classes, leaders = np.unique(group_row, return_index=True)
-        new = ~seen[classes]
-        preimages[classes[new]] = packed[leaders[new]]
-        seen[classes] = True
-        differs = np.any(packed != preimages[group_row], axis=1)
-        if np.any(differs):
-            raise CountingError(
-                f"preimage counts at class {group_row[np.argmax(differs)]} "
-                "depend on the representative"
-            )
-    if not seen.all():
-        raise CountingError("some classes received no conditioning group")
-    return TransferMatrix(mu, radius, preimages, m_mu)
+            # the nonzero entries of every group vector, one (group, column) each,
+            # sorted by group and then column
+            cell = gid  # taken over in place: the group ids are not read again
+            cell *= dim
+            cell += restricted
+            del gid, restricted
+            cell.sort()
+            starts = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
+            keys, hits = cell[starts], np.diff(np.r_[starts, len(cell)])
+            del cell, starts
+            if np.any(hits % lam != 0):
+                raise CountingError("group counts are not uniform over the preimage multiplicity")
+            packed = _pack(keys // dim, keys % dim, hits // lam, len(group_row), m_mu)
+            del keys, hits
+            # the first group of each class sets its row; every other group, in
+            # this piece or a later one, must repeat it
+            classes, leaders = np.unique(group_row, return_index=True)
+            new = ~seen[classes]
+            preimages[classes[new]] = packed[leaders[new]]
+            seen[classes] = True
+            differs = np.any(packed != preimages[group_row], axis=1)
+            if np.any(differs):
+                raise CountingError(
+                    f"preimage counts at class {group_row[np.argmax(differs)]} "
+                    "depend on the representative"
+                )
+            rows = yield
+        if not seen.all():
+            raise CountingError("some classes received no conditioning group")
+    except CountingError as exc:
+        raise CountingError(
+            f"preimage counting failed for mu={tuple(mu.coords)} on F_{radius}: {exc}"
+        ) from exc
+    yield TransferMatrix(mu, radius, preimages, m_mu)
 
 
 def _pieces(rows: np.ndarray, cols: List[int], budget: int):

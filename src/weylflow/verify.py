@@ -115,6 +115,16 @@ class FixtureContext:
             self._tms[key] = transfer.transfer_matrix(self.space, mu, n)
         return self._tms[key]
 
+    def assemble(self, keys) -> None:
+        """Cache the operators of (mu, n) `keys`, of one radius n + |mu|, from one pass;
+        if it fails, none is, and `tm` meets the error again in its caller's order."""
+        keys = [(mu, n) for mu, n in keys if (tuple(mu.coords), n) not in self._tms]
+        try:
+            tms = transfer.transfer_matrices(self.space, keys)
+        except Exception:
+            return
+        self._tms.update(((tuple(mu.coords), n), tm) for (mu, n), tm in zip(keys, tms))
+
     @cached_property
     def f1(self) -> spectra.Family:
         """The generator family on F_1, shared by the spectral checks."""
@@ -385,6 +395,9 @@ def check_distance_cross_validation(ctx: FixtureContext, radius: int = 2) -> Che
 def check_transfer_exact(ctx: FixtureContext) -> List[CheckResult]:
     out = []
     mus = [Coweight(cs) for cs in _dominant_coords(ctx.rank, 2)]
+    for big in (3, 4):  # the operators on F_1 and F_2 read below, one pass per n + |mu|
+        ctx.assemble([(Coweight(cs), big - sum(cs)) for cs in _dominant_coords(ctx.rank, big - 1)
+                      if sum(cs) >= big - 2])
 
     rows_ok = True
     detail = ""

@@ -37,6 +37,14 @@ def a2(contexts):
 
 
 @pytest.fixture(scope="session")
+def k33_spectrum():
+    """Eigenvalues of the halved non-backtracking matrix of K_{3,3}: 1, -1, and
+    +-1/2 and +-i/sqrt(2) four times each."""
+    root = 0.5 ** 0.5
+    return [1, -1] + [0.5, -0.5, 1j * root, -1j * root] * 4
+
+
+@pytest.fixture(scope="session")
 def swapped_a2q2(tmp_path_factory):
     """Path of a2q2 with two chambers swapped between residue-1 blocks: the
     local checks fail, and the preimage counts come out irregular."""

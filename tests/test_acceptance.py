@@ -24,13 +24,13 @@ def _passes(ctx, results):
     assert not failures, f"{ctx.name}: " + "; ".join(failures)
 
 
-def test_criterion_1_rank1_oracle(k33):
+def test_criterion_1_rank1_oracle(k33, k33_spectrum):
     start = time.time()
     tm = k33.tm(Coweight((1,)), 1)
     assert tm.dim == 18 and tm.m_mu == 2
     _passes(k33, verify.check_rank1_oracle(k33, fixtures.document("k33")["edges"]))
     got = np.linalg.eigvals(tm.dense())
-    assert oracles.multiset_close(got, oracles.k33_expected_normalized(), 1e-8)
+    assert oracles.multiset_close(got, k33_spectrum, 1e-8)
     elapsed = time.time() - start
     assert elapsed < 1.0
     _report(1, f"transfer matrix = halved edge operator, 18 eigenvalues match ({elapsed:.2f}s)")

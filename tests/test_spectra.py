@@ -41,12 +41,12 @@ def test_eigen_deterministic_order():
     assert reals == sorted(reals)
 
 
-def test_eigen_k33_oracle(k33):
+def test_eigen_k33_oracle(k33, k33_spectrum):
     from weylflow import oracles
 
     tm = k33.tm(Coweight((1,)), 1)
     got = [v for v, _, _ in spectra.eigen(tm.dense())]
-    assert oracles.multiset_close(got, oracles.k33_expected_normalized(), 1e-8)
+    assert oracles.multiset_close(got, k33_spectrum, 1e-8)
 
 
 def test_eigen_rejects_empty():
@@ -235,13 +235,16 @@ def _counting_calls(monkeypatch, owner, name, keep=lambda *args, **kwargs: True)
 
 def test_koszul_complexes_takes_r_rank_svds(a2, monkeypatch):
     assert a2.f1.identities == (0.0, None, None)  # decided once per family, before counting
+    assert a2.f1.joint
     calls = _counting_svds(monkeypatch)
     two_norms = _counting_calls(
         monkeypatch, np.linalg, "norm", lambda x, ord=None, *a, **k: ord == 2
     )
     chains = _counting_calls(monkeypatch, spectra, "koszul_chain")
+    # at a joint eigenvalue, d_0's singular values are the joint spectrum's:
+    # only d_1 (126 x 63 once transposed) takes an SVD
     rec = spectra.koszul_complexes(a2.f1, a2.f1.joint[0].chi)
-    assert len(calls) == 2 and rec.homology == rec.cohomology[::-1]
+    assert calls == [(126, 63)] and rec.homology == rec.cohomology[::-1]
     assert not two_norms and not chains
 
 
@@ -260,7 +263,62 @@ def test_koszul_suite_svd_budget(a2, monkeypatch):
     monkeypatch.setattr(a2.f1, "_koszul", {})
     calls = _counting_svds(monkeypatch)
     assert all(res.passed for res in verify.check_koszul_suite(a2))
-    assert len(a2.f1._koszul) >= 100 and len(calls) <= 2 * len(a2.f1._koszul)
+    # one SVD of d_1 at each joint eigenvalue, then one 63 x 63 SVD of a B_i,
+    # and no 126 x 63 one, at each of the 100 sampled characters
+    joint = len(a2.f1.joint)
+    assert len(a2.f1._koszul) == joint + 100
+    assert calls == [(126, 63)] * joint + [(63, 63)] * 100
+
+
+def _rank_svd_record(family, chi):
+    """(cohomology, ambiguous) at chi from `_rank` on every cochain differential."""
+    co = spectra.koszul_cochain(family.mats, chi)
+    ranks, bands = zip(*(spectra._rank(m, family.tol_rank) for m in co))
+    padded = (0,) + ranks + (0,)
+    dims = [m.shape[1] for m in co] + [co[-1].shape[0]]
+    return tuple(dims[p] - padded[p] - padded[p + 1] for p in range(len(co) + 1)), any(bands)
+
+
+@pytest.mark.parametrize("tol_rank", [spectra.TOL_RANK, 1e-5])
+def test_koszul_records_match_the_rank_svds(contexts, monkeypatch, tol_rank):
+    # every character that verify's Koszul and Taylor checks, and the koszul
+    # command's default, visit: a record is what `_rank` gives on the built
+    # cochain differentials, whether its ranks came from it, from the joint
+    # spectrum's singular values or from the bound on the end differentials
+    for name, ctx in contexts.items():
+        family = spectra.Family([ctx.tm(g, 1) for g in ctx.generators], tol_rank=tol_rank)
+        # the command's default, on a family with no joint spectrum yet
+        default = tuple(1.0 for _ in ctx.generators)
+        assert (family.koszul(default).cohomology, family.koszul(default).ambiguous) == (
+            _rank_svd_record(family, default)
+        ), name
+        monkeypatch.setattr(ctx, "f1", family)
+        verify.check_koszul_suite(ctx)
+        verify.check_taylor_main(ctx)
+        assert len(family._koszul) > 100 + len(family.joint)
+        for chi, rec in family._koszul.items():
+            assert (rec.cohomology, rec.ambiguous) == _rank_svd_record(family, chi), (name, chi)
+
+
+def test_a_character_in_the_band_falls_back_to_the_rank_svds(a2, monkeypatch):
+    # chi moved off a joint eigenvalue by about the rank threshold: d_0's
+    # d-th singular value falls inside the ambiguity band
+    family = a2.f1
+    joint = family.joint[0]
+    co = spectra.koszul_cochain(family.mats, joint.chi)
+    thresh = family.tol_rank * np.linalg.norm(co[0], 2) * max(co[0].shape)
+    chi = tuple(c + thresh for c in joint.chi)
+    want = _rank_svd_record(family, chi)
+    assert want[1]
+    # so near the spectra no bound is tried: both differentials take their SVD
+    calls = _counting_svds(monkeypatch)
+    rec = spectra.koszul_complexes(family, chi)
+    assert calls == [(126, 63)] * 2 and (rec.cohomology, rec.ambiguous) == want
+    # tried anyway, sigma_min(B_i) does not clear it, and the SVDs decide
+    monkeypatch.setattr(family, "distances", lambda chi: [1.0, 1.0])
+    del calls[:]
+    rec = spectra.koszul_complexes(family, chi)
+    assert calls == [(63, 63)] + [(126, 63)] * 2 and (rec.cohomology, rec.ambiguous) == want
 
 
 def test_parametrix_single_operator_square():

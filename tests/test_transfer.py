@@ -366,6 +366,40 @@ def test_preimages_match_the_recorded_hashes(contexts):
     assert seen == set(PREIMAGE_SHA256)
 
 
+@pytest.mark.parametrize("block_rows", [None, 16])
+def test_shared_passes_match_the_recorded_hashes(contexts, monkeypatch, block_rows):
+    # the recorded operators of each fixture, in one pass per radius n + |mu|;
+    # a budget of 16 big rows cuts the pieces on the plug columns that all of
+    # a pass's requests hold
+    if block_rows:
+        monkeypatch.setattr(transfer, "_BLOCK_ROWS", block_rows)
+    calls, cuts = _recorded_pieces(monkeypatch), {}
+    passes = {}
+    for name, coords, n in PREIMAGE_SHA256:
+        passes.setdefault((name, n + sum(coords)), []).append((Coweight(coords), n))
+    assert len(passes["a2q2", 3]) == 5  # two operators on F_2 and three on F_1
+    for (name, big), requests in passes.items():
+        del calls[:]
+        tms = transfer.transfer_matrices(contexts[name].space, requests)
+        for (mu, n), tm in zip(requests, tms):
+            p = tm.preimages
+            got = (*p.shape, hashlib.sha256(p.tobytes()).hexdigest())
+            assert got == PREIMAGE_SHA256[name, mu.coords, n], (name, mu.coords, n)
+        ((_, cols, _, pieces),) = calls
+        cuts[name, big] = (cols, len(pieces))
+    # k33's radius-4 germs, for L_1 on F_3 and L_2 on F_2, are cut on the one
+    # plug column both hold; a2q2's five operators of radius 3 share none, so
+    # their pass walks whole rotation blocks
+    assert cuts["k33", 4] == ([3], 10 if block_rows else 2)
+    assert cuts["a2q2", 3] == ([], 3)
+
+
+def test_a_pass_takes_requests_of_one_radius(k33):
+    with pytest.raises(ValueError, match="one radius"):
+        transfer.transfer_matrices(k33.space, [(Coweight((1,)), 1), (Coweight((1,)), 2)])
+    assert transfer.transfer_matrices(k33.space, []) == []
+
+
 def _recorded_pieces(monkeypatch, cut=None):
     """Record each assembly's pieces as (parent rows, plug columns, budget,
     piece positions); `cut` replaces the plug columns the pieces are cut on."""

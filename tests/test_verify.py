@@ -140,13 +140,14 @@ def test_verify_all_assembles_each_operator_once(monkeypatch, log, capsys):
         suites.append((ctx, sorted(ctx.space._tables)))
         return results
 
-    # the assembly under way in this process, set before its pieces are cut
-    assembly, real_assembly = [None], transfer.transfer_matrix
+    # the pass under way in this process, as (space, (coords, n) of each
+    # request), set before its pieces are cut
+    assembly, real_assembly = [None], transfer.transfer_matrices
 
-    def assemble(space, mu, n):
-        assembly[0] = (id(space), tuple(mu.coords), n)
+    def assemble(space, requests):
+        assembly[0] = (id(space), tuple((tuple(mu.coords), n) for mu, n in requests))
         log.add("assembly", assembly[0])
-        return real_assembly(space, mu, n)
+        return real_assembly(space, requests)
 
     # per plug grouping: (assembly, big rows, whether its piece is one plug key)
     real_groups, real_pieces = transfer.row_groups, transfer._pieces
@@ -177,7 +178,7 @@ def test_verify_all_assembles_each_operator_once(monkeypatch, log, capsys):
         return first, labels
 
     monkeypatch.setattr(verify, "run_suite", suite)
-    monkeypatch.setattr(transfer, "transfer_matrix", assemble)
+    monkeypatch.setattr(transfer, "transfer_matrices", assemble)
     monkeypatch.setattr(transfer, "_pieces", checked_pieces)
     monkeypatch.setattr(transfer, "row_groups", checked_groups)
     assert cli.main(["verify", "all", "--radius", "3"]) == 0
@@ -187,24 +188,31 @@ def test_verify_all_assembles_each_operator_once(monkeypatch, log, capsys):
     assert validated() == [id(ctx.system) for ctx, _ in suites]
     for ctx, kept in suites:
         _assert_lean_after_suite(ctx.space, kept, builds(), 3)
-    keys = [key for _, key in log.read("assembly")]
+    passes = [key for _, key in log.read("assembly")]
+    keys = [(space, *request) for space, requests in passes for request in requests]
     assert len(keys) == len(set(keys))
-    # one plug grouping per piece, each equal to the np.unique grouping and
-    # within _BLOCK_ROWS big rows or a single plug key; the pieces of an
-    # assembly cover its radius-(n + |mu|) germs
+    # one plug grouping per piece and request, each equal to the np.unique
+    # grouping and within _BLOCK_ROWS big rows or a single plug key; the
+    # pieces of a pass cover the radius-(n + |mu|) germs of each request
     plugs = [plug for _, plug in log.read("plug")]
     assert all(size <= sectors._BLOCK_ROWS or one for _, size, one in plugs)
     spaces = {id(ctx.space): ctx for ctx, _ in suites}
     pieces = {}
-    for key in keys:
-        space, coords, n = key
+    for key in passes:
+        space, requests = key
         sizes = [size for a, size, _ in plugs if a == key]
         ctx = spaces[space]
-        assert sum(sizes) == ctx.space.predicted_size(n + sum(coords))
-        pieces[ctx.name, coords, n] = sizes
+        for k, (coords, n) in enumerate(requests):
+            assert sum(sizes[k :: len(requests)]) == ctx.space.predicted_size(n + sum(coords))
+        pieces[ctx.name, requests] = sizes
     # a2q2's operator on F_3 cuts each of its three rotation blocks of 86,016
     # radius-5 germs in two
-    assert pieces["a2q2", (1, 1), 3] == [43008] * 6
+    assert pieces["a2q2", (((1, 1), 3),)] == [43008] * 6
+    # the seven operators on F_1 and F_2 that read the radius-4 germs share
+    # one pass over the three rotation blocks of the radius-3 table
+    (big,) = [(requests, sizes) for (name, requests), sizes in pieces.items()
+              if name == "a2q2" and len(requests) == 7]
+    assert {n + sum(coords) for coords, n in big[0]} == {4} and big[1] == [10752] * 21
 
 
 def test_verify_all_releases_each_context_after_its_suite(monkeypatch, capsys):
@@ -375,17 +383,80 @@ def test_an_operator_that_fails_to_assemble_fails_in_the_sequential_order(monkey
     # the germ half meets (1,1) on F_2 before it reads (1,0) on F_1 outside
     # the row-sum check; the spectral half, and the assembly before the
     # split, meet (1,0) on F_1 first
-    real = transfer.transfer_matrix
+    # every assembly, alone or in a shared pass, runs through transfer_matrices
+    real = transfer.transfer_matrices
 
-    def failing(space, mu, n):
-        if (tuple(mu.coords), n) in {((1, 0), 1), ((1, 1), 2)}:
-            raise transfer.CountingError(f"{tuple(mu.coords)} on F_{n}")
-        return real(space, mu, n)
+    def failing(space, requests):
+        for mu, n in requests:
+            if (tuple(mu.coords), n) in {((1, 0), 1), ((1, 1), 2)}:
+                raise transfer.CountingError(f"{tuple(mu.coords)} on F_{n}")
+        return real(space, requests)
 
-    monkeypatch.setattr(transfer, "transfer_matrix", failing)
+    monkeypatch.setattr(transfer, "transfer_matrices", failing)
     assert cli.main(["verify", "a2q2", "--radius", "1"]) == 1
     assert capsys.readouterr() == ("== a2q2 ==\n", "error: (1, 1) on F_2\n")
     _assert_no_child_left()
+
+
+def _moved_chambers(radius, column, targets, sources):
+    """An extend_rows whose radius-`radius` rows `targets` take, in `column`,
+    the chambers of the rows `sources`."""
+    real = sectors.SectorSpace.extend_rows
+
+    def tampered(self, parent, base, r):
+        rows, base = real(self, parent, base, r)
+        if r == radius:
+            rows[targets, column] = rows[sources, column]
+        return rows, base
+
+    return "extend_rows", tampered
+
+
+def _shared_representative(coords):
+    """A shift_positions under which the first group of each piece of mu's
+    operator takes the class of the last group."""
+    real = sectors.SectorSpace.shift_positions
+
+    def tampered(self, rows, radius, mu):
+        pos = real(self, rows, radius, mu)
+        if mu.coords == coords:
+            pos[0] = pos[-1]
+        return pos
+
+    return "shift_positions", tampered
+
+
+@pytest.mark.parametrize(
+    "tamper, first",
+    [
+        # the failures land in the row-sum line, first at one operator on F_2
+        (_moved_chambers(3, 9, [0], [1]), "(1, 0) on F_2: conditioning groups have mixed sizes"),
+        (_moved_chambers(4, 16, [0], [1]), "(2, 0) on F_2: conditioning groups have mixed sizes"),
+        (_moved_chambers(4, 14, [0, 64], [64, 0]), "(0, 2) on F_2: group counts are not uniform"),
+        # (2, 1) on F_1 is read first by the semigroup line, which raises
+        (_shared_representative((2, 1)), "(2, 1) on F_1: preimage counts at class"),
+    ],
+)
+def test_a_tampered_germ_fails_the_shared_passes_as_one_at_a_time(a2, monkeypatch, tamper, first):
+    # with the operators of each radius n + |mu| assembled in one pass, or one
+    # at a time as `tm` reads them, the operator identities fail alike: the
+    # same first operator in their order, with the same CountingError text
+    def outcome(shared):
+        ctx = FixtureContext("a2q2", a2.system)
+        for g in ctx.generators:
+            ctx.tm(g, 1)
+        with monkeypatch.context() as m:
+            m.setattr(sectors.SectorSpace, *tamper)
+            if not shared:
+                m.setattr(ctx, "assemble", lambda keys: None)
+            try:
+                return [res.line() for res in verify.check_transfer_exact(ctx)]
+            except transfer.CountingError as exc:
+                return f"raised {exc}"
+
+    got = outcome(True)
+    assert got == outcome(False)
+    assert f"preimage counting failed for mu={first}" in str(got), got
 
 
 def test_walk_parameter_details_land_on_their_own_result(a2, monkeypatch):
@@ -563,17 +634,29 @@ def test_lasota_yorke_peak_memory(a2, traced_peak):
 
 @pytest.mark.parametrize(
     "check, bound",
-    # 1.23, 1.24 and 1.25 MiB measured; check_parametrix took 2.87 MiB on
+    # 0.73, 1.19 and 0.69 MiB measured; check_parametrix took 2.87 MiB on
     # stacks of five characters
     [("check_koszul_suite", 1.5), ("check_parametrix", 1.75), ("check_taylor_main", 1.5)],
 )
 def test_spectral_check_peak_memory(a2, traced_peak, monkeypatch, check, bound):
-    # the shared F_1 data is built first; every Koszul record is computed afresh
+    # the shared F_1 data, the Koszul identities included, is built first, so
+    # that the peak does not depend on which test built it; every Koszul
+    # record is computed afresh
     assert a2.f1.joint and a2.f1.eigenvalues
+    assert a2.f1.identities == (0.0, None, None)
     monkeypatch.setattr(a2.f1, "_koszul", {})
     results, peak = traced_peak(lambda: getattr(verify, check)(a2))
     assert all(res.passed for res in results)
     assert peak < bound * 2**20, peak
+
+
+def test_koszul_identities_peak_memory(a2, traced_peak):
+    # decided once per family, on the integer counts at the four cube
+    # characters: 1.40 MiB measured
+    family = spectra.Family([a2.tm(g, 1) for g in a2.generators])
+    identities, peak = traced_peak(lambda: family.identities)
+    assert identities == (0.0, None, None)
+    assert peak < 1.75 * 2**20, peak
 
 
 def _enc(k, radius):
