@@ -21,6 +21,7 @@ import contextlib
 import importlib.util
 import itertools
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -97,13 +98,24 @@ def _parse_mu(text: str, rank: int) -> Coweight:
     return mu
 
 
+# the digits of a trailing decimal exponent, in the grammar `Fraction` reads
+_EXPONENT = re.compile(r"(?<=e)[-+]?\d+(?:_\d+)*(?=\s*\Z)", re.IGNORECASE)
+
+
 def _parse_theta(text: str) -> Fraction:
+    # Fraction computes 10**|exponent|; a nonzero mantissa lies within 10^±len(text),
+    # so the exponent clamped to [-len(text) - 400, len(text) + 1] decides alike
+    def clamp(exponent):
+        return str(min(max(int(exponent[0]), -len(text) - 400), len(text) + 1))
+
     try:
-        theta = Fraction(text)
+        theta = Fraction(_EXPONENT.sub(clamp, text))
     except (ValueError, ZeroDivisionError):  # "x", "1/0"
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
     if not (0 < theta < 1):
         raise argparse.ArgumentTypeError("must lie strictly between 0 and 1")
+    if not (0 < float(theta) < 1):
+        raise argparse.ArgumentTypeError("must lie strictly between 0 and 1 as a float")
     return theta
 
 
@@ -150,9 +162,9 @@ def cmd_transfer(args) -> int:
     n = args.radius - mu.norm
     if n < 1:
         raise ValueError(
-            f"germ budget {args.radius} cannot hold the operator for mu={args.mu}: "
-            f"building it on F_n consumes germ radius n + {mu.norm}; "
-            f"need --radius >= {mu.norm + 1}"
+            f"germ budget {args.radius} cannot hold the operator for "
+            f"mu={','.join(map(str, mu.coords))}: building it on F_n consumes "
+            f"germ radius n + {mu.norm}; need --radius >= {mu.norm + 1}"
         )
     _check_germ_budget(space, args.radius)
     dim = len(space.table(n))

@@ -84,7 +84,7 @@ class Germ:
 SENTINEL = None  # distance not resolved within the truncation radius
 # rows per text chunk of the germs/v1 export
 _GERM_CHUNK_ROWS = 4096
-# rows per block of `row_groups`, `_rows_increase` and `GermTable.lookup`
+# block size of `_rows_increase`, `GermTable.lookup`, transfer pieces and power_seminorms
 _BLOCK_ROWS = 1 << 16
 
 
@@ -161,25 +161,28 @@ def byte_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).reshape(-1)
 
 
-def row_groups(rows: np.ndarray):
-    """(first, labels) of the distinct rows of an unsigned integer array.
+def row_groups(columns):
+    """(first, labels) of the distinct rows whose key columns are `columns`.
 
-    `labels` ranks each row among the distinct rows in lexicographic order
-    and `first[label]` is the first row with that label, as
-    `np.unique(byte_keys(rows), return_index=True, return_inverse=True)`
-    gives them.  One stable lexsort orders the rows; neighbouring sorted
-    rows are compared a block at a time, so no sorted copy of the rows and
-    no key array is made.
+    `columns` holds equal-length arrays of nonnegative integers, such as
+    `rows.T[cols]`.  `labels` ranks each row among the distinct rows in
+    lexicographic order and `first[label]` is the first row with that label.
+    The rows are read as mixed-radix int64 keys, relabelled only when the
+    next digit could overflow, so one unstable `np.unique` usually serves.
     """
-    order = np.lexsort(rows.T[::-1])
-    new = np.ones(len(rows), dtype=bool)
-    for start in range(1, len(rows), _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, len(rows))
-        new[start:stop] = (rows[order[start - 1 : stop - 1]] != rows[order[start:stop]]).any(axis=1)
-    ranks = np.cumsum(new) - 1
-    labels = np.empty(len(rows), dtype=np.int64)
-    labels[order] = ranks
-    return order[new], labels
+    key = np.zeros(len(columns[0]), dtype=np.int64)
+    size = 1  # every key is below size
+    for col in columns:
+        width = int(col.max(initial=0)) + 1
+        if size * width > 2**62:
+            distinct, key = np.unique(key, return_inverse=True)
+            size = len(distinct)
+        key = key * width + col
+        size *= width
+    distinct, labels = np.unique(key, return_inverse=True)
+    first = np.full(len(distinct), len(labels))
+    np.minimum.at(first, labels, np.arange(len(labels)))
+    return first, labels
 
 
 def _rows_increase(rows: np.ndarray) -> bool:
@@ -325,15 +328,15 @@ class GermTable:
         faces = self.trunc.faces_within(bound_vec)
         sig = self.rows[:, 0]
         # the base class covers the radius-0 case, where no face exists
-        ids = np.empty((len(self), 2 + len(faces)), dtype=self.rows.dtype)
-        ids[:, 0] = sig
-        ids[:, 1] = self.base
+        ids = np.empty((2 + len(faces), len(self)), dtype=self.rows.dtype)
+        ids[0] = sig
+        ids[1] = self.base
         for s in np.flatnonzero(np.bincount(sig)).tolist():
             plan = self.space._cached_plan(self.radius, s)
             sel = np.flatnonzero(sig == s)
             for col, fi in enumerate(faces, start=2):
                 anchor = plan[fi][0]
-                ids[sel, col] = _face_lookup(system, plan[fi])[self.rows[sel, 1 + anchor]]
+                ids[col, sel] = _face_lookup(system, plan[fi])[self.rows[sel, 1 + anchor]]
         return row_groups(ids)[1]
 
     def k_matrix(self) -> np.ndarray:

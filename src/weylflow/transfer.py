@@ -54,8 +54,8 @@ with no such column is one piece.  Those columns and the rotation are in
 every plug key, so no conditioning group spans two pieces.  The plug
 alcoves are those of the translated sector mu + S_0
 (`TruncatedSector.alcoves_within`).  Each piece is extended once; then,
-per operator, group ids come from one lexsort of the rows' plug-alcove
-columns (`row_groups`), only each group's first germ is shifted
+per operator, group ids come from the mixed-radix keys of the rows'
+plug-alcove columns (`row_groups`), only each group's first germ is shifted
 (`SectorSpace.shift_positions`), the rows are restricted to F_n by prefix
 lookup, and the nonzero count vectors come from the distinct (group,
 column) cells, sorted in place, and are packed one row per group.  The
@@ -207,7 +207,7 @@ def _assemble(space: SectorSpace, mu: Coweight, radius: int):
     try:
         while rows is not None:
             # group the piece by (rotation, chambers on the plug alcoves)
-            first, gid = row_groups(np.take(rows, plug, axis=1))
+            first, gid = row_groups(rows.T[plug])
             # each group's class: the F_radius class of its first germ's shift
             group_row = space.shift_positions(rows[first], big_radius, mu)
             restricted = small.lookup(rows[:, : small.rows.shape[1]])
@@ -260,20 +260,18 @@ def _assemble(space: SectorSpace, mu: Coweight, radius: int):
 def _pieces(rows: np.ndarray, cols: List[int], budget: int):
     """Pieces of sorted table rows, as slices or position arrays, that keep
     every key on (rotation, `cols`) whole.  A rotation block with no `cols`
-    or of at most `budget` rows is one piece; a larger one is sorted on
-    `cols` and cut between keys into near-equal pieces of at most `budget`
-    rows, unless one key alone holds more."""
+    or of at most `budget` rows is one piece; a larger one is ordered by
+    its keys' lexicographic ranks and cut between keys into near-equal
+    pieces of at most `budget` rows, unless one key alone holds more."""
     sig = rows[:, 0]
     bounds = np.r_[0, np.flatnonzero(sig[1:] != sig[:-1]) + 1, len(sig)].tolist()
     for start, stop in zip(bounds, bounds[1:]):
         if not cols or stop - start <= budget:
             yield slice(start, stop)
             continue
-        keys = rows[start:stop, cols]
-        order = np.lexsort(keys.T[::-1])
-        keys = keys[order]
-        cuts = np.r_[0, np.flatnonzero((keys[1:] != keys[:-1]).any(axis=1)) + 1, len(keys)]
-        del keys
+        labels = row_groups(rows.T[cols, start:stop])[1]
+        order = np.argsort(labels, kind="stable")
+        cuts = np.r_[0, np.cumsum(np.bincount(labels))]
         order += start
         size = -(-len(order) // -(-len(order) // budget))  # near-equal, as few as fit
         lo = 0

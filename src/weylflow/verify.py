@@ -75,7 +75,7 @@ from .rootdata import (
     minimal_walk_types,
     translation_parameter,
 )
-from .sectors import SENTINEL, SectorSpace
+from .sectors import SENTINEL, SectorSpace, row_groups
 
 
 @dataclass
@@ -212,22 +212,8 @@ def check_tables(ctx: FixtureContext, max_radius: int = 3) -> List[CheckResult]:
 
 
 def _meet(*labels: np.ndarray) -> np.ndarray:
-    """Labels 0..k-1 of the common refinement of partitions given by labels.
-
-    The label tuples are read as mixed-radix int64 keys, relabelled only
-    when the next digit could overflow, so one `np.unique` usually serves.
-    """
-    key = np.zeros(len(labels[0]), dtype=np.int64)
-    size = 1  # key < size
-    for lab in labels:
-        width = int(lab.max()) + 1
-        if size * width > 2**62:
-            _, key = np.unique(key, return_inverse=True)
-            size = int(key.max()) + 1
-        key = key * width + lab
-        size *= width
-    _, out = np.unique(key, return_inverse=True)
-    return out.reshape(-1)
+    """Labels 0..k-1 of the common refinement of partitions given by labels."""
+    return row_groups(labels)[1]
 
 
 def _cumulative(levels: List[np.ndarray]) -> List[np.ndarray]:

@@ -12,7 +12,7 @@ import io
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from weylflow import fixtures
 from weylflow.cli import main
@@ -129,6 +129,7 @@ def parser_text(alphabet):
 
 @FUZZ
 @given(text=parser_text("0123456789,+-_ .x"))
+@example(text="2\r")  # int() strips the "\r", which must not split the error line
 def test_mu_parser(path, text):
     code, err = outcome(["transfer", "k33", f"--mu={text}", "--radius", "2", "--out", str(path)])
     assert_clean(code, err, allowed=(0, 2))
@@ -152,6 +153,13 @@ def test_generators_parser(path, text):
 
 @FUZZ
 @given(text=parser_text("0123456789/.-e "))
+# exponents that Fraction would expand to a power of ten of millions of digits
+@example(text="1e-9999999")
+@example(text="1e99999999")
+# in range as a rational, but 0 as the float that `spectrum` reads
+@example(text="1e-400")
 def test_theta_parser(path, text):
     code, err = outcome(["spectrum", "k33", f"--theta={text}", "--out", str(path)])
     assert_clean(code, err)
+    if code == 0:
+        assert 0 < json.loads(path.read_text(encoding="utf-8"))["theta"] < 1

@@ -259,28 +259,33 @@ def test_class_labels_match_unique_rows(contexts, monkeypatch):
     assert seen
     one_row = np.array([[2, 0, 5]], dtype=np.uint8)
     ties = np.array([[1, 2], [0, 9], [1, 2], [0, 9], [0, 3]], dtype=np.uint16)
-    for ids in [one_row, ties] + [ids for ids, _ in seen]:
-        want = np.unique(ids, axis=0, return_inverse=True)[1].reshape(-1)
+    # the class arrays hold one key column per row of ids
+    for ids in [one_row.T, ties.T] + [ids for ids, _ in seen]:
+        want = np.unique(ids.T, axis=0, return_inverse=True)[1].reshape(-1)
         assert np.array_equal(real(ids)[1], want)
 
 
-@pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
 def test_row_groups_match_unique_byte_keys(dtype):
     rng = np.random.default_rng(3)
-    top = np.iinfo(dtype).max
+    # int64 columns hold labels, as the metric laws pass them
+    top = min(np.iinfo(dtype).max, 2**40)
     distinct = np.unique(rng.integers(0, top, size=(300, 3)), axis=0)
+    wide = rng.integers(0, top, size=(5_000, 12), endpoint=True)
     cases = {
         "one row": rng.integers(0, top, size=(1, 4)),
         "all equal": np.repeat(rng.integers(0, top, size=(1, 5)), 70_000, axis=0),
         "all distinct": distinct[rng.permutation(len(distinct))],
-        # repeats spread over several comparison blocks
         "mixed": rng.integers(0, 3, size=(150_000, 4)) * (top // 2),
+        # full-range columns: the mixed-radix key is relabelled between digits
+        "wide": wide[rng.integers(0, len(wide), 20_000)],
+        "empty": np.zeros((0, 3), dtype=dtype),
     }
     for name, rows in cases.items():
         rows = rows.astype(dtype)
-        first, labels = sectors.row_groups(rows)
+        first, labels = sectors.row_groups(rows.T)
         _, want_first, want_labels = np.unique(
-            sectors.byte_keys(rows), return_index=True, return_inverse=True
+            rows, axis=0, return_index=True, return_inverse=True
         )
         assert np.array_equal(first, want_first), name
         assert np.array_equal(labels, want_labels.reshape(-1)), name

@@ -466,13 +466,13 @@ def test_f3_assembly_peak_memory(a2, traced_peak):
     transfer.transfer_matrix(a2.space, mu, 3)  # builds the tables and maps
     tm, peak = traced_peak(lambda: transfer.transfer_matrix(a2.space, mu, 3))
     assert tm.preimages.shape == (4032, 16)
-    # 3.5 MiB measured in pieces, 6.0 MiB by whole rotation blocks
+    # 3.9 MiB measured in pieces, 6.0 MiB by whole rotation blocks
     assert peak < 5 * 2**20, peak
 
 
 def test_f3_assembly_peak_over_built_tables(a2, traced_peak):
     # tables up to radius 4 built, no map yet, as in `verify`: the radius-5
-    # germs are walked in six pieces of about 43,000; 3.6 MiB measured, 6.0
+    # germs are walked in six pieces of about 43,000; 4.0 MiB measured, 6.0
     # MiB by whole rotation blocks and 9.5 MiB when the radius-5 table was
     # grouped whole
     space = SectorSpace(a2.system)
@@ -484,7 +484,7 @@ def test_f3_assembly_peak_over_built_tables(a2, traced_peak):
 
 
 def test_f4_assembly_peak_over_built_tables(a2, traced_peak):
-    # the 2,064,384 radius-6 germs in pieces of at most 65,536; 9.9 MiB
+    # the 2,064,384 radius-6 germs in pieces of at most 65,536; 9.1 MiB
     # measured, 55 MiB by three whole rotation blocks and 158 MiB when the
     # radius-6 table (73 MiB of rows) was built whole
     space = SectorSpace(a2.system)

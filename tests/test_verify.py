@@ -149,15 +149,22 @@ def test_verify_all_assembles_each_operator_once(monkeypatch, log, capsys):
         log.add("assembly", assembly[0])
         return real_assembly(space, requests)
 
-    # per plug grouping: (assembly, big rows, whether its piece is one plug key)
+    # per plug grouping: (assembly, big rows, whether its piece is one plug
+    # key); the groupings made while the pieces are cut are logged apart
     real_groups, real_pieces = transfer.row_groups, transfer._pieces
-    piece_is_one_key = []
+    piece_is_one_key, cutting = [], [False]
 
     def checked_pieces(rows, cols, budget):
         # the pieces partition the parent rows, each inside one rotation
         # block and within the budget or a single plug key
         covered = np.zeros(len(rows), dtype=np.int64)
-        for piece in real_pieces(rows, cols, budget):
+        pieces = real_pieces(rows, cols, budget)
+        while True:
+            cutting[0] = True
+            piece = next(pieces, None)
+            cutting[0] = False
+            if piece is None:
+                break
             at = np.arange(len(rows))[piece]
             covered[at] += 1
             keys = rows[at][:, [0, *cols]]
@@ -167,14 +174,17 @@ def test_verify_all_assembles_each_operator_once(monkeypatch, log, capsys):
             yield piece
         assert np.all(covered == 1)
 
-    def checked_groups(rows):
-        first, labels = real_groups(rows)
+    def checked_groups(columns):
+        first, labels = real_groups(columns)
         _, want_first, want_labels = np.unique(
-            byte_keys(rows), return_index=True, return_inverse=True
+            byte_keys(np.transpose(columns)), return_index=True, return_inverse=True
         )
         assert np.array_equal(first, want_first)
         assert np.array_equal(labels, want_labels.reshape(-1))
-        log.add("plug", (assembly[0], len(rows), piece_is_one_key[-1]))
+        if cutting[0]:
+            log.add("cut", (assembly[0], len(labels)))
+        else:
+            log.add("plug", (assembly[0], len(labels), piece_is_one_key[-1]))
         return first, labels
 
     monkeypatch.setattr(verify, "run_suite", suite)
@@ -206,8 +216,12 @@ def test_verify_all_assembles_each_operator_once(monkeypatch, log, capsys):
             assert sum(sizes[k :: len(requests)]) == ctx.space.predicted_size(n + sum(coords))
         pieces[ctx.name, requests] = sizes
     # a2q2's operator on F_3 cuts each of its three rotation blocks of 86,016
-    # radius-5 germs in two
+    # radius-5 germs in two, grouping each block's 10,752 radius-4 rows once
     assert pieces["a2q2", (((1, 1), 3),)] == [43008] * 6
+    cuts = {}
+    for (space, requests), size in [cut for _, cut in log.read("cut")]:
+        cuts.setdefault((spaces[space].name, requests), []).append(size)
+    assert cuts == {("a2q2", (((1, 1), 3),)): [10752] * 3}
     # the seven operators on F_1 and F_2 that read the radius-4 germs share
     # one pass over the three rotation blocks of the radius-3 table
     (big,) = [(requests, sizes) for (name, requests), sizes in pieces.items()
@@ -538,7 +552,7 @@ def test_meet_labels_are_the_lexicographic_ranks_of_the_label_tuples():
     for size, top, count in ((1, 1, 1), (50, 3, 2), (400, 400, 4), (400, 2**40, 3)):
         labels = [rng.integers(0, top, size) for _ in range(count)]
         want = np.unique(np.column_stack(labels), axis=0, return_inverse=True)[1].reshape(-1)
-        assert np.array_equal(verify._meet(*labels), want)
+        assert np.array_equal(sectors.row_groups(labels)[1], want)
 
 
 def test_law_helpers_match_pair_definitions():
