@@ -69,7 +69,8 @@ MAX_RADIUS = 64
 
 def _input_file(token: str) -> str:
     if not Path(token).exists():
-        raise FileNotFoundError(f"no such input: {token}")
+        # a control character, quoted, cannot split the one error line
+        raise FileNotFoundError(f"no such input: {token if token.isprintable() else repr(token)}")
     return token
 
 

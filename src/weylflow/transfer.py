@@ -15,11 +15,11 @@ the preimages of h, sorted and with repetition.  The exact matrix entry is
 the multiplicity of g in row h over M_mu, so an operator takes dim * M_mu
 integers instead of dim^2 (2 MB rather than 8.3 GB for a2q2 on F_4).  The
 counts are taken over radius-(n+|mu|) germs, fibered by (shift,
-restriction), and assembly checks that every group's counts sum to M_mu
-before it packs them; a violation aborts, since it would mean the germ
-tables are inconsistent with the preimage count.  `counts()` forms the
-integer matrix M_mu * L_mu and `dense()` the float one, for the spectral
-family on F_1.
+restriction), and assembly checks that every group's counts are lambda
+times a list of M_mu preimages; a violation aborts, since it would mean
+the germ tables are inconsistent with the preimage count.  `counts()`
+forms the integer matrix M_mu * L_mu and `dense()` the float one, for the
+spectral family on F_1.
 
 Composition is a gather: row h of L_1 L_2 is the union of the rows of L_2
 at the entries of row h of L_1, `sort(P2[P1].reshape(dim, -1))`, so the
@@ -28,15 +28,13 @@ semigroup law and commutation are equalities of sorted integer arrays
 
 The Lipschitz seminorm of an F_n function is computed exactly: pairs of
 distinct germ classes always resolve their distance within the truncation,
-and pairs in the same class contribute nothing.  The kernel takes the
-nonzero (row, column, value) cells of an integer matrix, such as
-`cells(preimages)`.  For each level m it groups the cells by column and
-radius-(m-1) class of the row and takes each group's value range with
-integer max/min `reduceat`; a class with a row the column misses also
-holds that row's 0.  Each column's maximum of spread_m / (denom * theta^m)
-over the levels is taken in integers over a common denominator, so it forms
-one rational per column.  An indicator's own seminorm needs no kernel: it
-follows from the class sizes (`indicator_levels`).
+and pairs in the same class contribute nothing.  The kernel takes a dense
+integer (dim, columns) block.  For each level m it orders the rows by their
+radius-(m-1) class and takes each class's value range in every column with
+integer max/min `reduceat`.  Each column's maximum of spread_m / (denom *
+theta^m) over the levels is taken in integers over a common denominator,
+so it forms one rational per column.  An indicator's own seminorm needs no
+kernel: it follows from the class sizes (`indicator_levels`).
 
 One routine grows column blocks of L, L^2, ..., L^top from the same
 columns of the identity and hands each to the kernel (`power_seminorms`),
@@ -57,12 +55,15 @@ alcoves are those of the translated sector mu + S_0
 per operator, group ids come from the mixed-radix keys of the rows'
 plug-alcove columns (`row_groups`), only each group's first germ is shifted
 (`SectorSpace.shift_positions`), the rows are restricted to F_n by prefix
-lookup, and the nonzero count vectors come from the distinct (group,
-column) cells, sorted in place, and are packed one row per group.  The
-first group of each class sets that class's row of the (dim, M_mu) result,
-and every later group, in any piece, must repeat it.  So the peak is one
-piece and its temporaries: no dense (groups x dim) or (dim x dim) array
-and no byte-key copy of the rows is formed.
+lookup, and the (group, column) keys are sorted in place.  All groups
+have one size lambda * M_mu, so the sorted columns reshape to (groups,
+M_mu, lambda): the counts are multiples of lambda exactly when every
+lambda-block is constant, and the blocks' first columns are the preimage
+lists, one row per group.  The first group of each class sets that
+class's row of the (dim, M_mu) result, and every later group, in any
+piece, must repeat it.  So the peak is one piece and its temporaries: no
+dense (groups x dim) or (dim x dim) array and no byte-key copy of the rows
+is formed.
 """
 
 from __future__ import annotations
@@ -221,20 +222,21 @@ def _assemble(space: SectorSpace, mu: Coweight, radius: int):
                 raise CountingError(f"group size {total} is not a multiple of M_mu={m_mu}")
             lam = total // m_mu
 
-            # the nonzero entries of every group vector, one (group, column) each,
-            # sorted by group and then column
+            # every group's restricted columns, sorted, one row of `total`:
+            # its hit counts are all multiples of lam exactly when each of its
+            # M_mu blocks of lam is constant, and then the blocks' columns are
+            # its preimage list, whose length M_mu = total / lam needs no check
             cell = gid  # taken over in place: the group ids are not read again
             cell *= dim
             cell += restricted
             del gid, restricted
             cell.sort()
-            starts = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
-            keys, hits = cell[starts], np.diff(np.r_[starts, len(cell)])
-            del cell, starts
-            if np.any(hits % lam != 0):
+            cell %= dim
+            grid = cell.reshape(-1, m_mu, lam)
+            if np.any(grid[:, :, 0] != grid[:, :, -1]):
                 raise CountingError("group counts are not uniform over the preimage multiplicity")
-            packed = _pack(keys // dim, keys % dim, hits // lam, len(group_row), m_mu)
-            del keys, hits
+            packed = grid[:, :, 0].astype(np.int32)
+            del cell, grid
             # the first group of each class sets its row; every other group, in
             # this piece or a later one, must repeat it
             classes, leaders = np.unique(group_row, return_index=True)
@@ -282,79 +284,51 @@ def _pieces(rows: np.ndarray, cols: List[int], budget: int):
             lo = hi
 
 
-def _pack(row, col, value, rows: int, m_mu: int) -> np.ndarray:
-    """Preimage lists from the nonzero (row, column, count) cells of `rows` rows.
+def _level_spreads(space: SectorSpace, block: np.ndarray, n: int) -> np.ndarray:
+    """(n + 1, columns) integers: per level m and column of the dense (dim,
+    columns) `block`, the largest value range inside one radius-(m-1) class
+    (level 0: the whole space), in the block's dtype.
 
-    The cells come sorted by row and then column.  Each row's counts must sum
-    to M_mu before they fill its slot of the (rows, M_mu) array.
-    """
-    sums = np.bincount(row, weights=value, minlength=rows)
-    bad = np.flatnonzero(sums != m_mu)
-    if len(bad):
-        raise CountingError(
-            f"the counts of row {bad[0]} sum to {int(sums[bad[0]])}, not M_mu={m_mu}"
-        )
-    return np.repeat(col, value).astype(np.int32).reshape(rows, m_mu)
-
-
-def _level_spreads(space: SectorSpace, entries: tuple, ncols: int, n: int) -> np.ndarray:
-    """(n + 1, ncols) integers: per level m and column, the largest value range
-    inside one radius-(m-1) class (level 0: the whole space), in the values' dtype.
-
-    The ranges come from integer `reduceat` over the cells grouped by
-    (column, class); a class with a row the column misses also holds that
-    row's 0.
+    The rows are ordered by class and each class's range comes from integer
+    max/min `reduceat`.
     """
     table = space.table(n)
-    dim = len(table)
-    row, col, value = (np.asarray(a) for a in entries)
-    if len(row) and (row.min() < 0 or row.max() >= dim):
+    if len(block) != len(table):
         raise ValueError("dimension mismatch")
     spreads = []
     for m in range(n + 1):
-        cls = table.restriction_map(m - 1) if m else np.zeros(dim, dtype=np.int64)
-        size = np.bincount(cls)
-        key = col * len(size) + cls[row]
-        order = np.argsort(key, kind="stable")
-        key, vals = key[order], value[order]
-        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-        hi = np.maximum.reduceat(vals, starts)
-        lo = np.minimum.reduceat(vals, starts)
-        group = key[starts]
-        missed = np.diff(np.r_[starts, len(key)]) < size[group % len(size)]
-        ranges = np.where(missed, np.maximum(hi, 0) - np.minimum(lo, 0), hi - lo)
-        column = group // len(size)
-        firsts = np.flatnonzero(np.r_[True, column[1:] != column[:-1]])
-        spread = np.zeros(ncols, dtype=vals.dtype)
-        spread[column[firsts]] = np.maximum.reduceat(ranges, firsts)
-        spreads.append(spread)
+        cls = table.restriction_map(m - 1) if m else np.zeros(len(table), dtype=np.int64)
+        order = np.argsort(cls)
+        starts = np.r_[0, np.cumsum(np.bincount(cls))[:-1]]
+        rows = block[order]
+        ranges = np.maximum.reduceat(rows, starts) - np.minimum.reduceat(rows, starts)
+        spreads.append(ranges.max(axis=0))
     return np.array(spreads)
 
 
 def lipschitz_seminorms(
-    space: SectorSpace, entries: tuple, ncols: int, denom: int, n: int, theta: Fraction
+    space: SectorSpace, block: np.ndarray, denom: int, n: int, theta: Fraction
 ) -> List[Fraction]:
-    """Exact Lipschitz seminorm of every column of a sparse matrix / denom on F_n.
+    """Exact Lipschitz seminorm of every column of an integer (dim, columns)
+    matrix / denom on F_n.
 
-    `entries` holds aligned (row, column, value) arrays with at most one cell
-    per entry; entries without a cell are 0.  Pairs at first-disagreement
-    norm m contribute |dphi| / theta^m; the largest value range inside one
-    radius-(m-1) class realizes the supremum over those pairs, because any
-    two of its members disagree at norm >= m (`_level_spreads`).  With
-    theta = num/den, spread_m / (denom theta^m) is spread_m den^m num^(n-m)
-    over the common denominator denom num^n, so each column's maximum over
-    the levels is taken in integers (Python ints where int64 could
-    overflow) and the only rationals are the ncols results.
+    Pairs at first-disagreement norm m contribute |dphi| / theta^m; the
+    largest value range inside one radius-(m-1) class realizes the supremum
+    over those pairs, because any two of its members disagree at norm >= m
+    (`_level_spreads`).  With theta = num/den, spread_m / (denom theta^m) is
+    spread_m den^m num^(n-m) over the common denominator denom num^n, so each
+    column's maximum over the levels is taken in integers (Python ints where
+    int64 could overflow) and the only rationals are the column results.
     """
     theta = Fraction(theta)
     if theta <= 0:
         raise ValueError("theta must be positive")
-    spreads = _level_spreads(space, entries, ncols, n)
+    spreads = _level_spreads(space, block, n)
     num, den = theta.numerator, theta.denominator
     weights = [den**m * num ** (n - m) for m in range(n + 1)]
-    if spreads.dtype != object and max(int(spreads.max(initial=0)), 1) * max(weights) >= 2**63:
-        spreads = spreads.astype(object)
-    best = (spreads * np.array(weights, dtype=spreads.dtype)[:, None]).max(axis=0)
+    top = max(int(spreads.max(initial=0)), 1) * max(weights)
+    dtype = np.int64 if spreads.dtype != object and top < 2**63 else object
+    best = (spreads.astype(dtype) * np.array(weights, dtype=dtype)[:, None]).max(axis=0)
     return [Fraction(v, denom * num**n) for v in best.tolist()]
 
 
@@ -378,11 +352,7 @@ def power_seminorms(
             for pre in tm.preimages.T:
                 step += block[pre]
             block = step
-            row, col = np.nonzero(block)
-            images[ell - 1] += lipschitz_seminorms(
-                space, (row, col, block[row, col].astype(np.int64)), block.shape[1],
-                tm.m_mu**ell, tm.radius, theta,
-            )
+            images[ell - 1] += lipschitz_seminorms(space, block, tm.m_mu**ell, tm.radius, theta)
     return images
 
 
@@ -392,15 +362,12 @@ def lipschitz_seminorm(space: SectorSpace, phi: Sequence, n: int, theta: Fractio
     Clears the denominators of `phi` and runs `lipschitz_seminorms` on the
     resulting integer column (object dtype if it would not fit in int64).
     """
-    if len(phi) != len(space.table(n)):
-        raise ValueError("dimension mismatch")
     vals = [Fraction(x) for x in phi]
     denom = math.lcm(*(v.denominator for v in vals))
     ints = [int(v * denom) for v in vals]
     dtype = np.int64 if all(abs(x) < 2**62 for x in ints) else object
-    rows = np.arange(len(ints))
-    column = (rows, np.zeros_like(rows), np.array(ints, dtype=dtype))
-    return lipschitz_seminorms(space, column, 1, denom, n, theta)[0]
+    column = np.array(ints, dtype=dtype).reshape(-1, 1)
+    return lipschitz_seminorms(space, column, denom, n, theta)[0]
 
 
 def indicator_levels(space: SectorSpace, n: int) -> List[int]:

@@ -1,8 +1,9 @@
 """Malformed inputs and arguments fail cleanly: exit 2, one `error:` line.
 
 Hypothesis feeds the `chamber-system/v1` and `graph/v1` loaders broken
-documents, and the `--mu`, `--chi`, `--generators` and `--theta` parsers
-arbitrary text.  Every run must end in an exit code, never in an exception
+documents, the `--mu`, `--chi`, `--generators` and `--theta` parsers
+arbitrary text, and the input argument missing paths with control
+characters.  Every run must end in an exit code, never in an exception
 escaping `main`; exit 2 must come with exactly one `error:` line on stderr
 and nothing after it.  The example counts keep the whole module near 4 s.
 """
@@ -118,6 +119,20 @@ graph_docs = st.fixed_dictionaries(
 @given(doc=graph_docs, command=st.sampled_from(["validate", "ihara"]))
 def test_broken_graphs(path, doc, command):
     run_loader(path, doc, command)
+
+
+@FUZZ
+@given(
+    head=st.text(max_size=6),
+    control=st.characters(categories=["Cc", "Zl", "Zp"]),
+    tail=st.text(max_size=6),
+)
+@example(head="", control="\n", tail="file.json")
+def test_missing_input_with_a_control_character(head, control, tail):
+    # the path is quoted, so its line breaks cannot split the one error line
+    code, err = outcome(["validate", f"missing{head}{control}{tail}"])
+    assert code == 2 and err.startswith("error: no such input: ")
+    assert len(err.splitlines()) == 1 and err.endswith("\n"), err
 
 
 # parser fuzzing: text made of the characters these values are written in,

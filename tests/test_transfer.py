@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylflow import chamber, oracles, transfer, verify
+from weylflow import chamber, oracles, sectors, transfer, verify
 from weylflow.rootdata import Coweight
 from weylflow.sectors import SectorSpace
 
@@ -171,9 +171,7 @@ def test_seminorm_matches_pairwise_definition(k33, a2):
         counts = _counts(tm)
         kmat = ctx.space.table(2).k_matrix()
         for theta in (Fraction(1, 2), Fraction(1, 4)):
-            fast = transfer.lipschitz_seminorms(
-                ctx.space, transfer.cells(tm.preimages), tm.dim, tm.m_mu, 2, theta
-            )
+            fast = transfer.lipschitz_seminorms(ctx.space, counts, tm.m_mu, 2, theta)
             assert fast == _pairwise_seminorms(kmat, counts, tm.m_mu, 2, theta)
             for g in range(0, tm.dim, 37):
                 image = [Fraction(int(c), tm.m_mu) for c in counts[:, g]]
@@ -193,41 +191,35 @@ def test_integer_seminorm_maxima_match_the_fraction_route(contexts):
         for name, ctx in contexts.items():
             mu = ctx.strong if ctx.rank > 1 else Coweight((1,))
             tm = ctx.tm(mu, 2)
-            entries = transfer.cells(tm.preimages)
-            spreads = transfer._level_spreads(ctx.space, entries, tm.dim, 2)
+            counts = _counts(tm)
+            spreads = transfer._level_spreads(ctx.space, counts, 2)
             want = _fraction_maxima(spreads, tm.m_mu, 2, theta)
-            assert transfer.lipschitz_seminorms(ctx.space, entries, tm.dim, tm.m_mu, 2, theta) == want
+            assert transfer.lipschitz_seminorms(ctx.space, counts, tm.m_mu, 2, theta) == want
             # values near 2^62 take the Python-int route where int64 would overflow
-            row, col, value = entries
-            huge = (row, col, value.astype(np.int64) << (62 - int(value.max()).bit_length()))
-            spreads = transfer._level_spreads(ctx.space, huge, tm.dim, 2)
+            huge = counts << (62 - int(counts.max()).bit_length())
+            spreads = transfer._level_spreads(ctx.space, huge, 2)
             want = _fraction_maxima(spreads, tm.m_mu, 2, theta)
-            assert transfer.lipschitz_seminorms(ctx.space, huge, tm.dim, tm.m_mu, 2, theta) == want, name
+            assert transfer.lipschitz_seminorms(ctx.space, huge, tm.m_mu, 2, theta) == want, name
 
 
 def test_indicator_seminorms_match_identity_columns(contexts):
     for theta in (Fraction(1, 2), Fraction(1, 4)):
         for name, ctx in contexts.items():
-            dim = len(ctx.space.table(2))
-            identity = np.arange(dim).reshape(-1, 1)  # preimage lists of the identity
-            columns = transfer.lipschitz_seminorms(
-                ctx.space, transfer.cells(identity), dim, 1, 2, theta
-            )
+            identity = np.eye(len(ctx.space.table(2)), dtype=np.int64)
+            columns = transfer.lipschitz_seminorms(ctx.space, identity, 1, 2, theta)
             values = transfer.level_seminorms(theta, 2)
             own = [values[m] for m in transfer.indicator_levels(ctx.space, 2)]
             assert own == columns, name
 
 
-def test_power_seminorms_of_l_match_the_cells_route(contexts):
-    # the sparse cells of the preimage lists, handed to the kernel at once,
-    # are the reference for the column blocks grown from the identity
+def test_power_seminorms_of_l_match_the_whole_count_matrix(contexts):
+    # the count matrix rebuilt entry by entry, handed to the kernel at once,
+    # is the reference for the column blocks grown from the identity
     for theta in (Fraction(1, 2), Fraction(1, 4)):
         for name, ctx in contexts.items():
             for mu in {ctx.strong, *ctx.generators}:
                 tm = ctx.tm(mu, 2)
-                want = transfer.lipschitz_seminorms(
-                    ctx.space, transfer.cells(tm.preimages), tm.dim, tm.m_mu, 2, theta
-                )
+                want = transfer.lipschitz_seminorms(ctx.space, _counts(tm), tm.m_mu, 2, theta)
                 assert transfer.power_seminorms(ctx.space, tm, theta, 1)[0] == want, (name, mu)
 
 
@@ -300,18 +292,50 @@ def test_fn_invariance_names_first_witnesses(a2, monkeypatch):
     ]
 
 
-def test_row_sums_are_checked_before_packing(k33, monkeypatch):
-    real = transfer._pack
+def test_a_short_preimage_list_fails_the_row_sum_line(k33, monkeypatch):
+    real = transfer.transfer_matrices
 
-    def tampered(row, col, value, dim, m_mu):  # one assembly count off by one
-        value = value.copy()
-        value[0] += 1
-        return real(row, col, value, dim, m_mu)
+    def tampered(space, requests):  # L_2 on F_1 assembled one preimage short per row
+        return [
+            transfer.TransferMatrix(tm.mu, tm.radius, tm.preimages[:, 1:], tm.m_mu)
+            if (tm.mu.coords, tm.radius) == ((2,), 1) else tm
+            for tm in real(space, requests)
+        ]
 
-    monkeypatch.setattr(transfer, "_pack", tampered)
+    monkeypatch.setattr(transfer, "transfer_matrices", tampered)
     rows = verify.check_transfer_exact(verify.FixtureContext("k33", k33.system))[0]
     assert rows.name == "row sums equal M_mu on F_1 and F_2" and not rows.passed
-    assert "the counts of row 0 sum to 3, not M_mu=2" in rows.detail
+    assert rows.detail == "first failure at mu=(2,), n=1"
+
+
+def test_a_group_size_off_the_preimage_count_fails_the_counting(k33, monkeypatch):
+    real = transfer.translation_parameter
+    monkeypatch.setattr(transfer, "translation_parameter", lambda R, q, mu: real(R, q, mu) + 1)
+    with pytest.raises(transfer.CountingError) as exc:
+        transfer.transfer_matrix(k33.space, Coweight((1,)), 1)
+    assert str(exc.value) == (
+        "preimage counting failed for mu=(1,) on F_1: group size 2 is not a multiple of M_mu=3"
+    )
+
+
+def test_a_class_no_group_reaches_fails_the_counting(k33, monkeypatch):
+    # every piece of the radius-2 germs extends to the first piece's rows, so
+    # the groups agree but reach only the classes that the first piece reaches
+    space = SectorSpace(k33.system)
+    space.table(1)
+    real, pieces = sectors.SectorSpace.extend_rows, []
+
+    def repeated(self, parent, base, radius):
+        pieces.append(real(self, parent, base, radius))
+        return pieces[0]
+
+    monkeypatch.setattr(sectors.SectorSpace, "extend_rows", repeated)
+    with pytest.raises(transfer.CountingError) as exc:
+        transfer.transfer_matrix(space, Coweight((1,)), 1)
+    assert len(pieces) > 1
+    assert str(exc.value) == (
+        "preimage counting failed for mu=(1,) on F_1: some classes received no conditioning group"
+    )
 
 
 # (fixture, mu, n) -> (dim, M_mu, SHA-256 of the int32 preimage array),

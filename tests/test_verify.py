@@ -622,8 +622,8 @@ def test_iterated_contraction_names_the_failing_power(a2, monkeypatch):
     m_mu = a2.tm(a2.strong, 2).m_mu
     real = transfer.lipschitz_seminorms
 
-    def inflated(space, entries, ncols, denom, n, theta):
-        columns = real(space, entries, ncols, denom, n, theta)
+    def inflated(space, block, denom, n, theta):
+        columns = real(space, block, denom, n, theta)
         return [v + 100 for v in columns] if denom == m_mu**2 else columns
 
     monkeypatch.setattr(transfer, "lipschitz_seminorms", inflated)
@@ -636,9 +636,10 @@ def test_iterated_contraction_names_the_failing_power(a2, monkeypatch):
 
 def test_lasota_yorke_peak_memory(a2, traced_peak):
     # the operators on F_2 are assembled first; each column block of L^1..L^3
-    # then grows from the same block of the identity: 1.8 MiB measured, 3.2
-    # MiB with dense 504 x 504 powers, 6.2 MiB with the 84,672 nonzero cells
-    # of L^3 at once
+    # then grows from the same block of the identity and goes to the kernel
+    # whole: 0.83 MiB measured, 1.8 MiB when the kernel took each block's
+    # nonzero cells, 3.2 MiB with dense 504 x 504 powers, 6.2 MiB with the
+    # 84,672 nonzero cells of L^3 at once
     for mu in {a2.strong, *a2.generators}:
         a2.tm(mu, 2)
     results, peak = traced_peak(lambda: verify.check_lasota_yorke(a2))
