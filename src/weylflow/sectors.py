@@ -42,6 +42,10 @@ table therefore carries per-radius and per-ray restriction classes which
 give all pairwise distances in O(1) after preprocessing.  The
 explicit region-growing computation is kept as `distance` and the two routes
 are cross-checked in the test suite.
+
+The germs/v1 export (`germs_json_chunks`) renders the rows in chunks of
+about _GERM_CHUNK_BYTES of text, so its working set is one text budget and
+the table, not its text, sets the peak of an export.
 """
 
 from __future__ import annotations
@@ -82,8 +86,9 @@ class Germ:
 
 
 SENTINEL = None  # distance not resolved within the truncation radius
-# rows per text chunk of the germs/v1 export
-_GERM_CHUNK_ROWS = 4096
+# template bytes per text chunk of the germs/v1 export
+_GERM_CHUNK_BYTES = 1 << 16
+_DENSE_RANGE = 3  # key range per key up to which `_ranks` takes a bincount
 # block size of `_rows_increase`, `GermTable.lookup`, transfer pieces and power_seminorms
 _BLOCK_ROWS = 1 << 16
 
@@ -161,26 +166,39 @@ def byte_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).reshape(-1)
 
 
+def _ranks(key, size):
+    """(count, ranks) of int64 keys in [0, size), ranked among the distinct keys; a range of
+    at most _DENSE_RANGE per key is ranked in its bincount, in place, which holds less than
+    `np.unique`'s argsort and sorted copy (one int64 per value against about five per key)."""
+    if size > _DENSE_RANGE * len(key):
+        distinct, ranks = np.unique(key, return_inverse=True)
+        return len(distinct), ranks
+    ranks = np.bincount(key, minlength=size)
+    np.minimum(ranks, 1, out=ranks)
+    np.cumsum(ranks, out=ranks)
+    ranks -= 1
+    return int(ranks[-1]) + 1, ranks[key]
+
+
 def row_groups(columns):
     """(first, labels) of the distinct rows whose key columns are `columns`.
 
     `columns` holds equal-length arrays of nonnegative integers, such as
     `rows.T[cols]`.  `labels` ranks each row among the distinct rows in
     lexicographic order and `first[label]` is the first row with that label.
-    The rows are read as mixed-radix int64 keys, relabelled only when the
-    next digit could overflow, so one unstable `np.unique` usually serves.
+    The rows are read as mixed-radix int64 keys, ranked (`_ranks`) only when
+    the next digit could overflow, so one ranking usually serves.
     """
     key = np.zeros(len(columns[0]), dtype=np.int64)
     size = 1  # every key is below size
     for col in columns:
         width = int(col.max(initial=0)) + 1
         if size * width > 2**62:
-            distinct, key = np.unique(key, return_inverse=True)
-            size = len(distinct)
+            size, key = _ranks(key, size)
         key = key * width + col
         size *= width
-    distinct, labels = np.unique(key, return_inverse=True)
-    first = np.full(len(distinct), len(labels))
+    count, labels = _ranks(key, size)
+    first = np.full(count, len(labels))
     np.minimum.at(first, labels, np.arange(len(labels)))
     return first, labels
 
@@ -685,21 +703,24 @@ def germs_json_chunks(table: GermTable) -> Iterator[str]:
 
     The text equals `dumps_canonical` of the document
     {"format", "radius", "count", "germs": [{"sigma", "chambers"}, ...]},
-    but no per-germ object is made: each chunk of _GERM_CHUNK_ROWS rows is
-    one `%` format of a fixed per-row template over the chunk's integers,
-    chambers first.
+    but no per-germ object is made: each chunk is one `%` format of a fixed
+    per-row template over the chunk's integers, chambers first, with as many
+    rows as fit _GERM_CHUNK_BYTES of template.  So a chunk's text, integers
+    and template stay near that budget, and the table sets the peak.
     """
     width = table.rows.shape[1]
     chambers = ",\n".join(["    %d"] * (width - 1))
     row = '  {\n   "chambers": ' + (f"[\n{chambers}\n   ]" if chambers else "[]")
     row += ',\n   "sigma": %d\n  }'
     columns = list(range(1, width)) + [0]
+    step = max(1, min(len(table), _GERM_CHUNK_BYTES // len(row)))
+    full = ",\n".join([row] * step)
 
     def chunks():
-        for start in range(0, len(table), _GERM_CHUNK_ROWS):
-            block = table.rows[start : start + _GERM_CHUNK_ROWS, columns]
-            yield ",\n".join([row] * len(block)) % tuple(block.ravel().tolist())
+        for start in range(0, len(table), step):
+            block = table.rows[start : start + step, columns]
+            template = full if len(block) == step else ",\n".join([row] * len(block))
+            yield template % tuple(block.ravel().tolist())
 
     head = {"format": "germs/v1", "radius": table.radius, "count": len(table)}
     return stream_canonical(head, "germs", chunks())
-

@@ -429,20 +429,25 @@ def _ideal_sum(mats, chi, bs) -> np.ndarray:
     return out
 
 
-def parametrix_residual(mats, exponents, chi, bs, floor: float = 0.0, powers=None) -> float:
+def power_product(powers, exponents) -> np.ndarray:
+    """prod_i A_i^{l_i} from a `matrix_powers` table; a zero exponent needs no product."""
+    factors = [p[l] for p, l in zip(powers, exponents) if l]
+    return functools.reduce(np.matmul, factors or [powers[0][0]])
+
+
+def parametrix_residual(mats, exponents, chi, bs, floor: float = 0.0, target=None) -> float:
     """max(floor, ||sum_i (A_i - chi_i) B_i - (prod A_i^{l_i} - prod chi_i^{l_i})||_2).
 
     `chi` is one character and `bs` its B_i from `parametrix`; a caller
     that passes the running maximum as `floor` gets the maximum over many
     characters, with an SVD only where one can raise it (see `worst_norm`).
+    `target` is prod A_i^{l_i} (`power_product`), which a caller can share across characters.
     """
     mats = [np.asarray(m, dtype=np.complex128) for m in mats]
-    if powers is None:
-        powers = matrix_powers(mats, max(exponents))
+    if target is None:
+        target = power_product(matrix_powers(mats, max(exponents)), exponents)
     lhs = _ideal_sum(mats, chi, bs)
     eye = np.eye(mats[0].shape[0], dtype=np.complex128)
-    # a zero exponent contributes the identity, which needs no product
-    target = functools.reduce(np.matmul, [p[l] for p, l in zip(powers, exponents) if l] or [eye])
     scalar = math.prod((v ** l for v, l in zip(chi, exponents)), start=1 + 0j)
     lhs -= target - scalar * eye
     return worst_norm(lhs[None], floor)

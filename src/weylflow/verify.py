@@ -539,17 +539,18 @@ def check_parametrix(ctx: FixtureContext, seed: int = 11) -> List[CheckResult]:
         tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(r))
         for _ in range(20)
     ]
-    # one character at a time, sharing the generator powers; neither the
-    # powers nor any B_i outlive the loop, since the homotopy checks below
-    # do not read them
+    # one exponent at a time, its chi-free product shared by the characters;
+    # neither the powers nor any B_i outlive the loop, since the homotopy
+    # checks below do not read them
     powers = spectra.matrix_powers(mats, 4)
     worst = 0.0
-    for chi in chis:
-        for e in exps:
+    for e in exps:
+        target = spectra.power_product(powers, e)
+        for chi in chis:
             bs = spectra.parametrix(mats, e, chi, powers=powers)
-            worst = spectra.parametrix_residual(mats, e, chi, bs, floor=worst, powers=powers)
+            worst = spectra.parametrix_residual(mats, e, chi, bs, floor=worst, target=target)
             del bs
-    del powers
+    del powers, target
     ident_ok = worst <= 1e-12
     hom_ok = True
     for _ in range(5):

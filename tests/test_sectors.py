@@ -291,6 +291,37 @@ def test_row_groups_match_unique_byte_keys(dtype):
         assert np.array_equal(labels, want_labels.reshape(-1)), name
 
 
+def test_row_groups_dense_ranks_match_the_unique_route(monkeypatch):
+    rng = np.random.default_rng(5)
+    n = 4_000
+    pairs = rng.integers(0, 100, size=(50, 2))[rng.integers(0, 50, n)].T
+    cases = {  # the routes of the rankings, in order: True for the bincount
+        "narrow": ([rng.integers(0, 7, n), rng.integers(0, 30, n), rng.integers(0, 5, n)], [True]),
+        "sparse": ([rng.integers(0, 2**20, n)], [False]),
+        # 50 distinct pairs in a range of about 10^4, then a column of 2^50:
+        # the ranking before the overflow takes the bincount, the last one not
+        "overflow": ([*pairs, rng.integers(0, 2**50, n)], [True, False]),
+        "empty": ([np.zeros(0, dtype=np.int64)] * 3, [False]),
+    }
+    real = sectors._ranks
+    for name, (columns, routes) in cases.items():
+        with monkeypatch.context() as m:
+            m.setattr(sectors, "_DENSE_RANGE", 0)  # np.unique for every ranking
+            want = sectors.row_groups(columns)
+        seen = []
+
+        def recorded(key, size):
+            seen.append(size <= sectors._DENSE_RANGE * len(key))
+            return real(key, size)
+
+        with monkeypatch.context() as m:
+            m.setattr(sectors, "_ranks", recorded)
+            got = sectors.row_groups(columns)
+        assert seen == routes, name
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
 def test_duplicate_germ_rows_still_raise(contexts):
     space = SectorSpace(contexts["k33"].system)
     parent = space.table(1)
@@ -325,26 +356,33 @@ def test_germ_export_schema(k33):
 
 
 def test_germs_writer_matches_the_canonical_dump(contexts, monkeypatch):
+    short_last = False
     for name, ctx in contexts.items():
         for n in (0, 1, 2, 3):
             table = ctx.space.table(n)
             expected = dumps_canonical(_germs_document(table))
             assert _written(table) == expected, (name, n)
-            # several chunks, the last one short
-            with monkeypatch.context() as m:
-                m.setattr(sectors, "_GERM_CHUNK_ROWS", 5)
-                assert _written(table) == expected, (name, n)
+            # budgets of one row per chunk and of a few rows per chunk
+            for budget in (1, 1000):
+                with monkeypatch.context() as m:
+                    m.setattr(sectors, "_GERM_CHUNK_BYTES", budget)
+                    head, *chunks, tail = germs_json_chunks(table)
+                assert head + "".join(chunks) + tail == expected, (name, n, budget)
+                rows = [chunk.count('"sigma"') for chunk in chunks]
+                assert sum(rows) == len(table) and max(rows) == rows[0], (name, n, budget)
+                short_last |= len(rows) > 1 and rows[-1] < rows[0]
+    assert short_last  # several chunks, the last one short, for some table
 
 
-def test_germs_writer_memory_against_the_document_route(a2, traced_peak):
-    # a2q2 radius 4 (32,256 germs, eight chunks): the whole document as
-    # dicts and one string, against chunks rendered from the rows and
-    # dropped as they come
+def test_germs_writer_peak_memory(a2, traced_peak):
+    # a2q2 radius 4 (32,256 germs, 0.52 MiB of rows): the chunks are
+    # rendered from the rows and dropped as they come, each holding about
+    # _GERM_CHUNK_BYTES of text; 0.31 MiB measured, 3.26 MiB with chunks of
+    # 4,096 rows, 74.8 MiB for the whole document as dicts and one string
     table = a2.space.table(4)
-    expected, document_peak = traced_peak(lambda: dumps_canonical(_germs_document(table)))
     _, stream_peak = traced_peak(lambda: sum(1 for _ in germs_json_chunks(table)))
-    assert 4 * stream_peak <= document_peak, (stream_peak, document_peak)
-    assert _written(table) == expected
+    assert stream_peak <= 0.5 * 2**20, stream_peak
+    assert _written(table) == dumps_canonical(_germs_document(table))
 
 
 def test_shift_maps_match_per_germ_shifts(cases):

@@ -353,7 +353,8 @@ def test_parametrix_residual_random_exponents(a2):
 
 def test_parametrix_worst_residual_is_pinned(a2):
     # check_parametrix's grid: 20 PCG64(11) characters, every exponent of
-    # total degree 1..4, one character at a time over a shared power table
+    # total degree 1..4, over a shared power table; the check runs one
+    # exponent at a time, this loop one character at a time, to the same bits
     assert "worst residual 7.03e-16" in verify.check_parametrix(a2)[0].line()
     mats = a2.f1.mats
     rng = PCG64(11)
@@ -364,7 +365,8 @@ def test_parametrix_worst_residual_is_pinned(a2):
         for e in itertools.product(range(5), repeat=2):
             if 0 < sum(e) <= 4:
                 bs = spectra.parametrix(mats, e, chi, powers=powers)
-                worst = spectra.parametrix_residual(mats, e, chi, bs, floor=worst, powers=powers)
+                target = spectra.power_product(powers, e)
+                worst = spectra.parametrix_residual(mats, e, chi, bs, floor=worst, target=target)
     assert worst == float.fromhex("0x1.94fce63b37207p-51")
 
 
