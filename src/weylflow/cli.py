@@ -8,8 +8,9 @@ fixed input and flag set; JSON is emitted with sorted keys and floats at
 their integer arrays and written in chunks; the small documents go through
 `dumps_canonical`.
 
-An input is a bundled fixture name, whose JSON document `fixtures.document`
-reads, or a path to a document.  `verify` reads each document once and
+An input is a bundled fixture name or a path to a document.  Every command
+reads it with `_read_input` and builds it with `chamber.from_document`, so
+it fails as `chamber.load` would.  `verify` reads each document once and
 hands the edges of every graph/v1 input to the rank-1 oracle.
 """
 
@@ -81,13 +82,6 @@ def _read_input(token: str) -> dict:
     return chamber.read_document(_input_file(token))
 
 
-def _load_input(token: str) -> chamber.ChamberSystem:
-    # a file goes through chamber.load, which the benchmark's tracer times
-    if token in fixtures.FIXTURES:
-        return fixtures.load_fixture(token)
-    return chamber.load(_input_file(token))
-
-
 def _parse_mu(text: str, rank: int) -> Coweight:
     parts = [p for p in text.split(",") if p != ""]
     if len(parts) != rank:
@@ -139,14 +133,14 @@ def _emit(chunks, out: str | None):
 
 
 def cmd_validate(args) -> int:
-    system = _load_input(args.input)
+    system = chamber.from_document(_read_input(args.input))
     report = system.validate()
     print(report.summary())
     return 0 if report.passed else CHECK_ERROR
 
 
 def cmd_germs(args) -> int:
-    system = _load_input(args.input)
+    system = chamber.from_document(_read_input(args.input))
     space = sectors.SectorSpace(system, check=not args.force)
     _check_germ_budget(space, args.radius)
     table = space.table(args.radius)
@@ -157,7 +151,7 @@ def cmd_germs(args) -> int:
 def cmd_transfer(args) -> int:
     import numpy as np
 
-    system = _load_input(args.input)
+    system = chamber.from_document(_read_input(args.input))
     space = sectors.SectorSpace(system, check=not args.force)
     mu = _parse_mu(args.mu, system.root_system.rank)
     n = args.radius - mu.norm
@@ -203,7 +197,7 @@ def _generators(args, generators: str | None = None):
     The generators are the fundamental coweights unless `generators` names
     others, as `spectrum --generators` does.
     """
-    system = _load_input(args.input)
+    system = chamber.from_document(_read_input(args.input))
     space = sectors.SectorSpace(system, check=not args.force)
     rank = system.root_system.rank
     gens = _parse_generators(generators, rank) if generators else fundamental_coweights(rank)

@@ -195,6 +195,8 @@ def row_groups(columns):
         width = int(col.max(initial=0)) + 1
         if size * width > 2**62:
             size, key = _ranks(key, size)
+            if size * width > 2**62:  # a column wider than 2^62 / rows: its ranks are the digit
+                width, col = _ranks(col, width)
         key = key * width + col
         size *= width
     count, labels = _ranks(key, size)

@@ -27,23 +27,25 @@ commute exactly and holds one joint spectrum, one eigenvalue list per
 generator and one Koszul record per character.  The Taylor check reads all
 three for its two thetas.
 
-`run_suite` runs in two halves at once, on two cores.  Once the
-generators' F_1 operators are assembled, which both halves read, it
-forks: the child runs the germ-layer half (tables, metric laws, distance
-cross-check, operator identities, Lasota-Yorke, F_n compression and the
-A2~ health lines) while the parent builds the F_1 family and runs the
-spectral half (joint spectrum, Koszul ranks, parametrix, Taylor lines,
-the rank-1 oracle).  Neither half reads what the other computes.  The
-parent keeps the spectral half because a tracer that wraps functions in
-its own process then still sees the spectral layers and the operator
-assembly.  The child sends its results, or its exception, as one pickle
-over a pipe and ends with `os._exit`, so it flushes no inherited stdio
-buffer and runs no atexit handler; its exit frees the germ tables above
-the metric radius.  Lines and errors keep the sequential order: an
-exception of the germ half is raised even when the spectral half failed
-too, a child that ends without a result raises `ChildProcessError`, and
-on KeyboardInterrupt, SystemExit or SIGTERM (turned into SystemExit while
-the child runs) the parent kills and reaps the child.  A child whose
+`run_suite` reads `SUITE`, the ordered table of the checks after the walk
+parameters.  An entry gives its check's half, germ or spectral, and lines,
+none where the check does not apply.  It looks the check up by
+module-global name when it runs, as tests monkeypatch `verify.check_*` and
+`bench/tracing.py` wraps them by name.  Once the generators' F_1
+operators, which both halves read, are assembled, `run_suite` forks: on
+two cores at once, the child runs the germ entries and the parent builds
+the F_1 family and runs the spectral entries; each half gives one list of
+lines per entry, merged by table position.  Neither half reads what the
+other computes.  The parent keeps the spectral half because a tracer that
+wraps functions in its own process then still sees the spectral layers and
+the operator assembly.  The child sends its results, or its exception, as
+one pickle over a pipe and ends with `os._exit`, so it flushes no
+inherited stdio buffer and runs no atexit handler; its exit frees the germ
+tables above the metric radius.  Lines and errors keep the sequential
+order: an exception of the germ half is raised even when the spectral half
+failed too, a child that ends without a result raises `ChildProcessError`,
+and on KeyboardInterrupt, SystemExit or SIGTERM (turned into SystemExit
+while the child runs) the parent kills and reaps the child.  A child whose
 parent died otherwise, say by SIGKILL, ends before its next check.  This
 needs POSIX `os.fork` and the main thread, which alone may set a signal
 handler; on Python >= 3.12 forking a process whose OpenBLAS threads are
@@ -356,7 +358,7 @@ def check_metric_suite(ctx: FixtureContext, radius: int = 3) -> List[CheckResult
     return out
 
 
-def check_distance_cross_validation(ctx: FixtureContext, radius: int = 2) -> CheckResult:
+def check_distance_cross_validation(ctx: FixtureContext, radius: int = 2) -> List[CheckResult]:
     """Region-growing distance must agree with the class-array distance."""
     space = ctx.space
     table = space.table(radius)
@@ -373,9 +375,8 @@ def check_distance_cross_validation(ctx: FixtureContext, radius: int = 2) -> Che
             detail = (f"pair ({a},{b}): region gives {got[0]}, classes give {want[0]}" if bad == 0
                       else f"pair ({a},{b}) direction {bad - 1}: {got[bad]} vs {want[bad]}")
             break
-    return CheckResult(
-        f"explicit distance matches class distance (radius {radius})", not detail, detail
-    )
+    name = f"explicit distance matches class distance (radius {radius})"
+    return [CheckResult(name, not detail, detail)]
 
 
 def check_transfer_exact(ctx: FixtureContext) -> List[CheckResult]:
@@ -629,25 +630,32 @@ def suite_radius(ctx: FixtureContext, metric_radius: int) -> int:
     return max(metric_radius, 3 + ctx.strong.norm)
 
 
-def _germ_half(ctx: FixtureContext, metric_radius: int, parent: int) -> tuple:
-    """The checks that read germ tables: (the lines that follow the walk
-    parameters, the lines that close the suite).  Run in a child of the
-    process `parent`, it ends between two checks once that process is gone."""
-    checks = (
-        lambda: check_tables(ctx, max_radius=metric_radius),
-        lambda: check_metric_suite(ctx, radius=metric_radius),
-        lambda: [check_distance_cross_validation(ctx, radius=min(2, metric_radius))],
-        lambda: check_transfer_exact(ctx),
-        lambda: check_lasota_yorke(ctx),
-        lambda: check_fn_invariance(ctx),
-        lambda: check_a2_health(ctx) if ctx.system.kind == "A2~" else [],
-    )
-    results = []
-    for check in checks:
-        if os.getppid() != parent:
+SUITE = (  # (half, lines) of each check after the walk parameters, in CLI order
+    ("germ", lambda ctx, radius, edges: check_tables(ctx, max_radius=radius)),
+    ("germ", lambda ctx, radius, edges: check_metric_suite(ctx, radius=radius)),
+    ("germ", lambda ctx, radius, edges: check_distance_cross_validation(ctx, radius=min(2, radius))),
+    ("germ", lambda ctx, radius, edges: check_transfer_exact(ctx)),
+    ("germ", lambda ctx, radius, edges: check_lasota_yorke(ctx)),
+    ("germ", lambda ctx, radius, edges: check_fn_invariance(ctx)),
+    ("spectral", lambda ctx, radius, edges: check_joint_trivial(ctx)),
+    ("spectral", lambda ctx, radius, edges: check_koszul_suite(ctx)),
+    ("spectral", lambda ctx, radius, edges: check_parametrix(ctx)),
+    ("spectral", lambda ctx, radius, edges: check_taylor_main(ctx)),
+    ("spectral", lambda ctx, radius, edges: check_rank1_oracle(ctx, edges)
+     if edges is not None and ctx.system.kind == "A1~" else []),
+    ("germ", lambda ctx, radius, edges: check_a2_health(ctx) if ctx.system.kind == "A2~" else []),
+)
+
+
+def _run_half(half: str, ctx: FixtureContext, metric_radius: int, edges, parent=None) -> list:
+    """One list of lines per `SUITE` entry, [] for one `half` does not run; given the pid
+    `parent` (in the forked child), it ends between two checks once that process is gone."""
+    lines = []
+    for which, check in SUITE:
+        if which == half and parent is not None and os.getppid() != parent:
             os._exit(1)
-        results.append(check())
-    return sum(results[:-1], []), results[-1]
+        lines.append(check(ctx, metric_radius, edges) if which == half else [])
+    return lines
 
 
 def _fork(fn, *args) -> tuple:
@@ -727,21 +735,16 @@ def run_suite(ctx: FixtureContext, metric_radius: int = 3, edges=None) -> List[C
     # and reaped; a child whose parent dies otherwise ends at its next check
     previous = signal.signal(signal.SIGTERM, _terminated)
     try:
-        pid, pipe = _fork(_germ_half, ctx, metric_radius, os.getpid())
-        try:  # the spectral half
-            spectral = check_joint_trivial(ctx)
-            spectral += check_koszul_suite(ctx)
-            spectral += check_parametrix(ctx)
-            spectral += check_taylor_main(ctx)
-            if edges is not None and ctx.system.kind == "A1~":
-                spectral += check_rank1_oracle(ctx, edges)
+        pid, pipe = _fork(_run_half, "germ", ctx, metric_radius, edges, os.getpid())
+        try:
+            spectral = _run_half("spectral", ctx, metric_radius, edges)
         except Exception:
             _join(pid, pipe)  # the germ half ran first: its exception wins
             raise
         except BaseException:  # KeyboardInterrupt, SystemExit or SIGTERM
             _reap(pid, pipe, kill=True)
             raise
-        germ, tail = _join(pid, pipe)
+        germ = _join(pid, pipe)
     finally:
         signal.signal(signal.SIGTERM, previous)
-    return results + germ + spectral + tail
+    return results + [line for g, s in zip(germ, spectral) for line in g + s]

@@ -54,7 +54,7 @@ def test_criterion_4_metric_suite(contexts):
         for radius in (1, 2, 3):
             for res in check_metric_suite(ctx, radius=radius):
                 assert res.passed, f"{name}: {res.name} {res.detail}"
-        cross = check_distance_cross_validation(ctx, radius=2)
+        (cross,) = check_distance_cross_validation(ctx, radius=2)
         assert cross.passed, f"{name}: {cross.detail}"
     elapsed = time.time() - start
     assert elapsed < 60.0

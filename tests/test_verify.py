@@ -302,7 +302,7 @@ def test_a_germ_half_exception_carries_the_childs_traceback(monkeypatch):
     ctx = FixtureContext("k33", fixtures.load_fixture("k33"))
     with pytest.raises(transfer.InvariantError, match="germ half") as info:
         run_suite(ctx, metric_radius=1)
-    assert "in _germ_half" in info.value.__notes__[-1]
+    assert "in _run_half" in info.value.__notes__[-1]
     _assert_no_child_left()
 
 
@@ -391,6 +391,27 @@ def test_a_germ_half_failure_lands_on_its_line(monkeypatch, capsys):
     at = want.index("[PASS] matrix compression consistent across radii")
     assert got == want[:at] + ["[FAIL] matrix compression consistent across radii: tampered"] + want[at + 1:]
     _assert_no_child_left()
+
+
+def test_every_check_is_wired_into_the_suite(monkeypatch):
+    # each check_* stubbed to one line named after it: a check left out of
+    # SUITE is missing from both runs, whatever the golden transcripts hold
+    def stub(name):
+        return lambda *args, **kwargs: [verify.CheckResult(name, True)]
+
+    names = [name for name in dir(verify) if name.startswith("check_")]
+    for name in names:
+        monkeypatch.setattr(verify, name, stub(name))
+    seen = set()
+    for name, edges in (("a2q2", None), ("k33", fixtures.document("k33")["edges"])):
+        ctx = FixtureContext(name, fixtures.load_fixture(name))
+        lines = [res.name for res in run_suite(ctx, metric_radius=1, edges=edges)]
+        assert lines[:2] == ["local building checks", "check_walk_parameters"], lines
+        assert len(set(lines)) == len(lines), lines  # each check once per run
+        seen.update(lines[1:])
+    _assert_no_child_left()
+    # A2~ health runs only on a2q2 and the rank-1 oracle only on k33
+    assert seen == set(names)
 
 
 def test_an_operator_that_fails_to_assemble_fails_in_the_sequential_order(monkeypatch, capsys):
@@ -553,6 +574,8 @@ def test_meet_labels_are_the_lexicographic_ranks_of_the_label_tuples():
         labels = [rng.integers(0, top, size) for _ in range(count)]
         want = np.unique(np.column_stack(labels), axis=0, return_inverse=True)[1].reshape(-1)
         assert np.array_equal(sectors.row_groups(labels)[1], want)
+    # a column wider than 2^62 / (distinct keys before it) is ranked before it is a digit
+    assert sectors.row_groups([np.array([0, 1, 1]), np.array([2**62, 2**62, 0])])[1].tolist() == [0, 2, 1]
 
 
 def test_law_helpers_match_pair_definitions():
@@ -794,7 +817,7 @@ def test_tampered_ray_faces_fail_the_distance_cross_check(contexts, monkeypatch,
     space = contexts[name].space
     rays = space._ray_faces(2)
     monkeypatch.setitem(space._ray_face_lists, 2, [tamper(ray) for ray in rays])
-    res = verify.check_distance_cross_validation(contexts[name], radius=2)
+    (res,) = verify.check_distance_cross_validation(contexts[name], radius=2)
     assert not res.passed
     assert res.detail.startswith("pair (") and "direction" in res.detail
 
