@@ -39,9 +39,9 @@ covering.  Because agreement components are convex, membership of lambda in
 the component is equivalent to agreement of the two germs on the hull of
 {0, lambda}, a box of `rootdata` (`TruncatedSector.faces_within`); the
 table therefore carries per-radius and per-ray restriction classes which
-give all pairwise distances in O(1) after preprocessing.  The
-explicit region-growing computation is kept as `distance` and the two routes
-are cross-checked in the test suite.
+give all pairwise distances in O(1) after preprocessing.  The explicit
+route, `region_distances`, grows the components of many pairs at once as
+boolean masks over the faces, and `verify` cross-checks the two routes.
 
 The germs/v1 export (`germs_json_chunks`) renders the rows in chunks of
 about _GERM_CHUNK_BYTES of text, so its working set is one text budget and
@@ -50,7 +50,6 @@ the table, not its text, sets the peak of an export.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -255,7 +254,7 @@ class GermTable:
 
     def _build(self):
         parent = self.space.table(self.radius - 1)
-        rows, base = self.space.extend_rows(parent.rows, parent.base, self.radius)
+        rows, base, _ = self.space.extend_rows(parent.rows, parent.base, self.radius)
         if not _rows_increase(rows):
             order = np.lexsort(rows.T[::-1])
             rows, base = rows[order], base[order]
@@ -393,7 +392,7 @@ class SectorSpace:
         self._plans: Dict[int, tuple] = {}
         self._shift_data: Dict[tuple, tuple] = {}
         self._face_plans: Dict[tuple, list] = {}
-        self._covers: Dict[int, tuple] = {}
+        self._covers: Dict[int, np.ndarray] = {}
         self._ray_face_lists: Dict[int, List[List[int]]] = {}
         # the region-growing distance's face ids per germ, interned as ints
         self._germ_face_ids: Dict[Germ, np.ndarray] = {}
@@ -448,8 +447,8 @@ class SectorSpace:
         return int(t1 * Fraction(t2, t1) ** (radius - 1))
 
     def extend_rows(self, parent: np.ndarray, base: np.ndarray, radius: int):
-        """(rows, base) of every radius-`radius` germ extending the given
-        radius-(radius - 1) rows and their base classes, one ring alcove at a time.
+        """(rows, base, parents): every radius-`radius` germ extending the given
+        radius-(radius - 1) rows and base classes, and its parent's position in `parent`.
 
         The parent rows may be any subset of their table, in any order.  The
         extensions of each parent row follow one another in the given order,
@@ -458,6 +457,7 @@ class SectorSpace:
         perms = self._perms
         rows = np.zeros((len(parent), 1 + self.truncation(radius).alcove_count()), dtype=self._dtype)
         rows[:, : parent.shape[1]] = parent
+        parents = np.arange(len(parent), dtype=np.min_scalar_type(len(parent)))
         for k, prop, star in zip(*self._extension_plan(radius)):
             sig = rows[:, 0]
             if k == 0:
@@ -482,8 +482,9 @@ class SectorSpace:
             rows = np.repeat(rows, counts, axis=0)
             rows[:, 1 + k] = cand[mask]
             base = np.repeat(base, counts)
+            parents = np.repeat(parents, counts)
             del sig, cand, mask, counts  # `sig` views the old rows, which go with it
-        return rows, base
+        return rows, base, parents
 
     def _extension_plan(self, radius: int):
         """How to place the alcoves of the radius ring, one at a time.
@@ -628,26 +629,42 @@ class SectorSpace:
 
         Returns (DistanceResult, value) where the value is (1/2)^k, or
         (1/2)^radius as an upper bound when the germs coincide on the whole
-        truncation (the sentinel case).
+        truncation (the sentinel case): the one pair of `region_distances`.
         """
-        if g1.radius != g2.radius:
-            raise ValueError("germs must have the same radius")
         n = g1.radius
-        trunc = self.truncation(n)
-        agree = (self._face_ids(g1) == self._face_ids(g2)).tolist()
-        region = self._component_of_base(trunc, agree)
-        k = SENTINEL
-        for cw, norm, vidx in trunc.coweight_vertices:
-            fi = trunc.face_index[(vidx,)]
-            if fi not in region:
-                k = norm
-                break
-        kdir = tuple(
-            next((ell for ell, fi in enumerate(ray) if fi not in region), SENTINEL)
-            for ray in self._ray_faces(n)
-        )
-        result = DistanceResult(k, kdir, frozenset(region))
-        return result, Fraction(1, 2) ** (k if k is not SENTINEL else n)
+        levels, region = self.region_distances([g1], [g2])
+        k, *kdir = [SENTINEL if v > n else v for v in levels[:, 0, 0].tolist()]
+        result = DistanceResult(k, tuple(kdir), frozenset(np.flatnonzero(region[0, 0]).tolist()))
+        return result, Fraction(1, 2) ** (n if k is SENTINEL else k)
+
+    def region_distances(self, left: List[Germ], right: List[Germ]):
+        """(levels, region) of every pair (left[a], right[b]) of radius-n germs:
+        levels[:, a, b] is k then each k_i, with n + 1 for the sentinel, and
+        region[a, b] masks the faces of the pair's agreement component.
+
+        The agreement masks compare the interned `_face_ids`, and the
+        component grows from the base face over the face cover relation to a
+        fixpoint.  k is the norm of the first coweight vertex outside it, and
+        k_i the first ell whose ray vertex ell * w_i is; a ray face index past
+        the last face counts as outside.
+        """
+        if len({g.radius for g in left + right}) > 1:
+            raise ValueError("germs must have the same radius")
+        n, trunc = left[0].radius, self.truncation(left[0].radius)
+        ids = [np.array([self._face_ids(g) for g in side]) for side in (left, right)]
+        agree = ids[0][:, None] == ids[1][None, :]
+        region = np.zeros_like(agree)
+        region[..., trunc.base_face] = agree[..., trunc.base_face]
+        while not np.array_equal(region, grown := agree & (region | region @ self._cover(trunc))):
+            region = grown
+        # an appended column outside the region stands for every index past the last face
+        outside = np.pad(~region, [(0, 0), (0, 0), (0, 1)], constant_values=True)
+        ends = len(trunc.faces)
+        norms, verts = zip(*[(norm, trunc.face_index[(v,)]) for _, norm, v in trunc.coweight_vertices])
+        return np.array([
+            np.r_[values, n + 1][outside[..., np.minimum(np.r_[faces, ends], ends)].argmax(axis=-1)]
+            for faces, values in [(verts, norms)] + [(r, range(len(r))) for r in self._ray_faces(n)]
+        ]), region
 
     def _ray_faces(self, radius: int) -> List[List[int]]:
         """Per direction i, the face indices of the vertices ell * w_i inside the truncation."""
@@ -668,36 +685,16 @@ class SectorSpace:
             self._ray_face_lists[radius] = rays
         return self._ray_face_lists[radius]
 
-    def _cover_relations(self, trunc: TruncatedSector):
-        key = trunc.radius
-        if key not in self._covers:
-            subs: List[List[int]] = [[] for _ in trunc.faces]
-            sups: List[List[int]] = [[] for _ in trunc.faces]
+    def _cover(self, trunc: TruncatedSector) -> np.ndarray:
+        """(faces, faces) boolean matrix: whether one face is a facet of the other."""
+        if trunc.radius not in self._covers:
+            cover = np.zeros((len(trunc.faces), len(trunc.faces)), dtype=bool)
             for fi, f in enumerate(trunc.faces):
-                if len(f.vidx) == 1:
-                    continue
-                for drop in range(len(f.vidx)):
-                    sub = tuple(v for j, v in enumerate(f.vidx) if j != drop)
-                    si = trunc.face_index[sub]
-                    subs[fi].append(si)
-                    sups[si].append(fi)
-            self._covers[key] = (subs, sups)
-        return self._covers[key]
-
-    def _component_of_base(self, trunc: TruncatedSector, agree: List[bool]):
-        base_face = trunc.base_face
-        if not agree[base_face]:
-            return set()
-        subs, sups = self._cover_relations(trunc)
-        region = {base_face}
-        fringe = [base_face]
-        while fringe:
-            fi = fringe.pop()
-            for nb in itertools.chain(subs[fi], sups[fi]):
-                if nb not in region and agree[nb]:
-                    region.add(nb)
-                    fringe.append(nb)
-        return region
+                for drop in range(len(f.vidx) if len(f.vidx) > 1 else 0):
+                    si = trunc.face_index[tuple(v for j, v in enumerate(f.vidx) if j != drop)]
+                    cover[fi, si] = cover[si, fi] = True
+            self._covers[trunc.radius] = cover
+        return self._covers[trunc.radius]
 
 
 def germs_json_chunks(table: GermTable) -> Iterator[str]:

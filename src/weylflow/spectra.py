@@ -26,9 +26,9 @@ At a joint eigenvalue d_0 needs none: it is the stacked matrix whose
 singular values `joint_spectrum` keeps.  For r >= 2 the end differentials
 d_0 and d_(r-1) hold each B_i = A_i - chi_i as a d x d block, so their d-th
 singular value is >= sigma_min(B_i) (interlacing), and s_max <= ||d_p||_F:
-one values-only SVD of the B_i farthest from its spectrum may show both of
-full rank, clear of the band.  Since sigma_min(B_i) <= dist(chi_i, spec A_i),
-it is not tried near the spectra.
+one Cholesky factorization (`_clears`) for the B_i farthest from its spectrum
+may show both of full rank, clear of the band, or leave them to their SVDs.
+Since sigma_min(B_i) <= dist(chi_i, spec A_i), it is not tried near the spectra.
 d o d = 0 in both complexes, and the chain complex, built on its own, being
 the Hodge conjugate of the cochain one (so dim H_p = dim H^(r-p)), hold for
 every character or none: `Family.identities` decides them once, exactly.
@@ -304,6 +304,18 @@ def _rank(mat: np.ndarray, tol_rank: float):
     return _rank_rule(s, max(mat.shape), tol_rank)
 
 
+def _clears(b: np.ndarray, clear: float) -> bool:
+    """Whether sigma_min(b) > clear, by a Cholesky factorization of b^H b - clear^2 I:
+    where its rounding, at most about 2 d^2 eps ||b||_F^2, is below clear^2 / 2, a
+    success proves sigma_min(b) > clear / sqrt(2); elsewhere b's singular values decide."""
+    if clear * clear <= 4 * len(b) ** 2 * np.finfo(float).eps * np.linalg.norm(b) ** 2:
+        return np.linalg.svd(b, compute_uv=False)[-1] > clear
+    try:
+        return np.linalg.cholesky(b.conj().T @ b - clear * clear * np.eye(len(b))) is not None
+    except np.linalg.LinAlgError:
+        return False
+
+
 def hodge_conjugate(d: np.ndarray, r: int, p: int) -> np.ndarray:
     """The chain differential that the Hodge star makes of the cochain d_p.
 
@@ -353,10 +365,11 @@ def koszul_complexes(family: Family, chi: Sequence[complex]) -> KoszulComplexRec
     dist = family.distances(chi) if r > 1 and known is None else [0.0]
     i = int(np.argmax(dist))
     # twice the band's top, AMBIGUITY_BAND * tol * s_max * max(shape), where s_max <=
-    # ||d_p||_F = ||d_0||_F; the (r d)^2 eps floor keeps the margin above rounding
+    # ||d_p||_F = ||d_0||_F; the (r d)^2 eps floor keeps the margin above rounding.
+    # A `_clears` success proves sigma_min > clear / sqrt(2), above the band top clear / 2
     clear = 2 * r * d * max(AMBIGUITY_BAND * tol, r * d * np.finfo(float).eps)
     clear *= np.linalg.norm(co[0])
-    full = dist[i] > clear and np.linalg.svd(co[0][i * d:(i + 1) * d], compute_uv=False)[-1] > clear
+    full = dist[i] > clear and _clears(co[0][i * d:(i + 1) * d], clear)
     ranks, bands = zip(*(
         (d, False) if full and p in (0, r - 1) else _rank(mat, tol) if p or known is None
         else _rank_rule(known, r * d, tol) for p, mat in enumerate(co)

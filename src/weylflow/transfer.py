@@ -41,29 +41,30 @@ columns of the identity and hands each to the kernel (`power_seminorms`),
 for single and iterated powers alike.  The checks take built operators and
 read mu and n from them.
 
-Assembly never holds the radius-N table (N = n + |mu|) whole, and one pass
-over its germs serves every operator of one N (`transfer_matrices`).  The
-germs are made one piece of the parent table at a time
-(`SectorSpace.extend_rows`): each rotation block of the parent rows is cut
-between its keys on the plug columns that the parent already carries and
-every operator of the pass holds, into pieces that extend to at most
+Assembly never holds the radius-N germs (N = n + |mu|) whole, and one pass
+over them serves every operator of one N (`transfer_matrices`).  It walks
+table(m), m the largest n of its operators, and builds no table above it:
+the germs are made one piece of table(m) at a time, extended by N - m radii
+(`SectorSpace.extend_rows`, which gives each new row's parent, so a germ
+keeps its position in table(m)).  Each rotation block of table(m) is cut
+between its keys on the plug columns that table(m) carries and every
+operator of the pass holds, into pieces that extend to at most
 `_BLOCK_ROWS` rows unless one key alone holds more (`_pieces`); a block
 with no such column is one piece.  Those columns and the rotation are in
 every plug key, so no conditioning group spans two pieces.  The plug
 alcoves are those of the translated sector mu + S_0
-(`TruncatedSector.alcoves_within`).  Each piece is extended once; then,
-per operator, group ids come from the mixed-radix keys of the rows'
-plug-alcove columns (`row_groups`), only each group's first germ is shifted
-(`SectorSpace.shift_positions`), the rows are restricted to F_n by prefix
-lookup, and the (group, column) keys are sorted in place.  All groups
-have one size lambda * M_mu, so the sorted columns reshape to (groups,
-M_mu, lambda): the counts are multiples of lambda exactly when every
-lambda-block is constant, and the blocks' first columns are the preimage
-lists, one row per group.  The first group of each class sets that
-class's row of the (dim, M_mu) result, and every later group, in any
-piece, must repeat it.  So the peak is one piece and its temporaries: no
-dense (groups x dim) or (dim x dim) array and no byte-key copy of the rows
-is formed.
+(`TruncatedSector.alcoves_within`).  Per operator, group ids come from the
+mixed-radix keys of the rows' plug-alcove columns (`row_groups`), only each
+group's first germ is shifted (`SectorSpace.shift_positions`), a germ's F_n
+class is table(m)'s `restriction_map(n)` at its position, and the (group,
+column) keys are sorted in place.  All groups have one size lambda * M_mu,
+so the sorted columns reshape to (groups, M_mu, lambda): the counts are
+multiples of lambda exactly when every lambda-block is constant, and the
+blocks' first columns are the preimage lists, one row per group.  The
+first group of each class sets that class's row of the (dim, M_mu) result,
+and every later group, in any piece, must repeat it.  So the peak is one
+piece and its temporaries: no dense (groups x dim) or (dim x dim) array
+and no byte-key copy of the rows is formed.
 """
 
 from __future__ import annotations
@@ -167,19 +168,24 @@ def transfer_matrices(space: SectorSpace, requests: Sequence[tuple]) -> List[Tra
         raise ValueError("one pass assembles operators of one radius + |mu|")
     if not requests:
         return []
-    jobs = [_assemble(space, mu, radius) for mu, radius in requests]
-    plugs = [next(job) for job in jobs]
     big_radius = requests[0][1] + requests[0][0].norm
-    parent = space.table(big_radius - 1)
+    walked = space.table(max(radius for _, radius in requests))
+    jobs = [_assemble(space, mu, radius, walked) for mu, radius in requests]
+    plugs = [next(job) for job in jobs]
     # a piece holds whole conditioning groups of every request and, at the
-    # parent table's own growth, at most _BLOCK_ROWS germs
-    held = [c for c in plugs[0][1:] if c < parent.rows.shape[1] and all(c in p for p in plugs)]
-    grow = -(-len(parent) // len(space.table(big_radius - 2))) if held else 1
-    for piece in _pieces(parent.rows, held, max(1, _BLOCK_ROWS // grow)):
-        rows = space.extend_rows(parent.rows[piece], parent.base[piece], big_radius)[0]
+    # walked table's own growth, at most _BLOCK_ROWS germs of radius N
+    held = [c for c in plugs[0][1:] if c < walked.rows.shape[1] and all(c in p for p in plugs)]
+    step = -(-len(walked) // len(space.table(walked.radius - 1)))
+    grow = step ** (big_radius - walked.radius) if held else 1
+    positions = np.arange(len(walked))
+    for piece in _pieces(walked.rows, held, max(1, _BLOCK_ROWS // grow)):
+        rows, base, parents = walked.rows[piece], walked.base[piece], positions[piece]
+        for radius in range(walked.radius + 1, big_radius + 1):
+            rows, base, up = space.extend_rows(rows, base, radius)
+            parents = parents[up]
         for job in jobs:
-            job.send(rows)
-    return [job.send(None) for job in jobs]
+            job.send((rows, parents))
+    return [job.send((None, None)) for job in jobs]
 
 
 class InvariantError(RuntimeError):
@@ -190,29 +196,29 @@ class CountingError(InvariantError):
     """The preimage counts of a transfer operator came out irregular."""
 
 
-def _assemble(space: SectorSpace, mu: Coweight, radius: int):
-    """One request of a pass, as a generator: it yields its plug columns, is
-    sent each piece's radius-(radius + |mu|) rows, and yields its matrix on None."""
+def _assemble(space: SectorSpace, mu: Coweight, radius: int, walked):
+    """One request of a pass, as a generator: it yields its plug columns, is sent each
+    piece's radius-N rows and their positions in `walked`, and yields its matrix on (None, None)."""
     R = space.root_system
     big_radius = radius + mu.norm
-    small = space.table(radius)
+    restrict = walked.restriction_map(radius)
     m_mu = translation_parameter(R, space.system.params, mu)
     plug = [0] + [1 + k for k in space.truncation(big_radius).alcoves_within(R.coweight_vector(mu))]
-    dim = len(small)
+    dim = len(space.table(radius))
     # each class's preimage list, set by its first conditioning group
     preimages = np.zeros((dim, m_mu), dtype=np.int32)
     seen = np.zeros(dim, dtype=bool)
     sizes = set()  # the conditioning group sizes met so far
 
-    rows = yield plug
+    rows, parents = yield plug
     try:
         while rows is not None:
             # group the piece by (rotation, chambers on the plug alcoves)
             first, gid = row_groups(rows.T[plug])
             # each group's class: the F_radius class of its first germ's shift
             group_row = space.shift_positions(rows[first], big_radius, mu)
-            restricted = small.lookup(rows[:, : small.rows.shape[1]])
-            del rows, first
+            restricted = restrict[parents]
+            del rows, parents, first
             counts = np.bincount(gid)
             sizes.update((int(counts.min()), int(counts.max())))
             if len(sizes) > 1:
@@ -249,7 +255,7 @@ def _assemble(space: SectorSpace, mu: Coweight, radius: int):
                     f"preimage counts at class {group_row[np.argmax(differs)]} "
                     "depend on the representative"
                 )
-            rows = yield
+            rows, parents = yield
         if not seen.all():
             raise CountingError("some classes received no conditioning group")
     except CountingError as exc:

@@ -27,29 +27,30 @@ commute exactly and holds one joint spectrum, one eigenvalue list per
 generator and one Koszul record per character.  The Taylor check reads all
 three for its two thetas.
 
-`run_suite` reads `SUITE`, the ordered table of the checks after the walk
-parameters.  An entry gives its check's half, germ or spectral, and lines,
-none where the check does not apply.  It looks the check up by
+`run_suite` reads `SUITE`, the ordered table of the checks after the local
+building checks.  An entry gives its check's half, germ or spectral, and
+lines, none where the check does not apply.  It looks the check up by
 module-global name when it runs, as tests monkeypatch `verify.check_*` and
-`bench/tracing.py` wraps them by name.  Once the generators' F_1
-operators, which both halves read, are assembled, `run_suite` forks: on
-two cores at once, the child runs the germ entries and the parent builds
-the F_1 family and runs the spectral entries; each half gives one list of
-lines per entry, merged by table position.  Neither half reads what the
-other computes.  The parent keeps the spectral half because a tracer that
-wraps functions in its own process then still sees the spectral layers and
-the operator assembly.  The child sends its results, or its exception, as
-one pickle over a pipe and ends with `os._exit`, so it flushes no
-inherited stdio buffer and runs no atexit handler; its exit frees the germ
-tables above the metric radius.  Lines and errors keep the sequential
-order: an exception of the germ half is raised even when the spectral half
-failed too, a child that ends without a result raises `ChildProcessError`,
-and on KeyboardInterrupt, SystemExit or SIGTERM (turned into SystemExit
-while the child runs) the parent kills and reaps the child.  A child whose
-parent died otherwise, say by SIGKILL, ends before its next check.  This
-needs POSIX `os.fork` and the main thread, which alone may set a signal
-handler; on Python >= 3.12 forking a process whose OpenBLAS threads are
-running emits a DeprecationWarning.
+`bench/tracing.py` wraps them by name.  Only the local building checks and
+the generators' F_1 operators, which both halves read, precede the fork;
+then, on two cores at once, the child runs the germ entries, walk
+parameters first, and the parent builds the F_1 family and runs the
+spectral ones; each half gives one list of lines per entry, merged by table
+position.  Neither half reads what the other computes.  The parent keeps the
+spectral half because a tracer that wraps functions in its own process then
+still sees the spectral layers and the operator assembly.  The child sends
+its results, or its exception, as one pickle over a pipe and ends with
+`os._exit`, so it flushes no inherited stdio buffer and runs no atexit
+handler; its exit frees the germ tables it built.  Lines and errors keep the
+sequential order: an exception of the germ half is raised even when the
+spectral half failed too, a child that ends without a result raises
+`ChildProcessError`, and on KeyboardInterrupt, SystemExit or SIGTERM
+(turned into SystemExit while the child runs) the parent kills and reaps
+the child.  A child whose parent died otherwise, say by SIGKILL, ends before
+its next check.  This needs POSIX `os.fork` and the main thread, which alone
+may set a signal handler.  Python >= 3.12 warns of a fork while another
+thread runs; none does, as the package sets OPENBLAS_NUM_THREADS=1 before
+numpy loads, and CI checks it on 3.12.
 """
 
 from __future__ import annotations
@@ -359,22 +360,23 @@ def check_metric_suite(ctx: FixtureContext, radius: int = 3) -> List[CheckResult
 
 
 def check_distance_cross_validation(ctx: FixtureContext, radius: int = 2) -> List[CheckResult]:
-    """Region-growing distance must agree with the class-array distance."""
+    """Region-growing distance must agree with the class-array distance, on all sampled pairs."""
     space = ctx.space
     table = space.table(radius)
-    idxs = range(0, len(table), max(1, len(table) // 60))
+    idxs = list(range(0, len(table), max(1, len(table) // 60)))
     # k, then k_i for each direction i; radius + 1 encodes the sentinel
+    got = space.region_distances(*[[table.germs[a] for a in idxs]] * 2)[0]
     mats = [table.k_matrix()] + [table.ki_matrix(i) for i in range(ctx.rank)]
+    want = np.array([m[np.ix_(idxs, idxs)] for m in mats])
+    differs = np.flatnonzero(np.any(got != want, axis=0))  # pairs in row-major order
     detail = ""
-    for a, b in itertools.product(idxs, idxs):
-        res, _ = space.distance(table.germs[a], table.germs[b])
-        got = (res.k,) + res.k_directional
-        want = [SENTINEL if m[a, b] == radius + 1 else int(m[a, b]) for m in mats]
-        bad = next((i for i, (x, y) in enumerate(zip(got, want)) if x != y), None)
-        if bad is not None:
-            detail = (f"pair ({a},{b}): region gives {got[0]}, classes give {want[0]}" if bad == 0
-                      else f"pair ({a},{b}) direction {bad - 1}: {got[bad]} vs {want[bad]}")
-            break
+    if len(differs):
+        i, j = divmod(int(differs[0]), len(idxs))
+        x, y = ([SENTINEL if v == radius + 1 else v for v in m[:, i, j].tolist()] for m in (got, want))
+        bad = next(w for w, (u, v) in enumerate(zip(x, y)) if u != v)
+        a, b = idxs[i], idxs[j]
+        detail = (f"pair ({a},{b}): region gives {x[0]}, classes give {y[0]}" if bad == 0
+                  else f"pair ({a},{b}) direction {bad - 1}: {x[bad]} vs {y[bad]}")
     name = f"explicit distance matches class distance (radius {radius})"
     return [CheckResult(name, not detail, detail)]
 
@@ -630,7 +632,8 @@ def suite_radius(ctx: FixtureContext, metric_radius: int) -> int:
     return max(metric_radius, 3 + ctx.strong.norm)
 
 
-SUITE = (  # (half, lines) of each check after the walk parameters, in CLI order
+SUITE = (  # (half, lines) of each check after the local building checks, in CLI order
+    ("germ", lambda ctx, radius, edges: check_walk_parameters(ctx)),
     ("germ", lambda ctx, radius, edges: check_tables(ctx, max_radius=radius)),
     ("germ", lambda ctx, radius, edges: check_metric_suite(ctx, radius=radius)),
     ("germ", lambda ctx, radius, edges: check_distance_cross_validation(ctx, radius=min(2, radius))),
@@ -725,7 +728,6 @@ def run_suite(ctx: FixtureContext, metric_radius: int = 3, edges=None) -> List[C
     results = [CheckResult("local building checks", report.passed, detail)]
     if not report.passed:
         return results  # no germ table is built for a system that fails them
-    results += check_walk_parameters(ctx)
     try:
         for g in ctx.generators:
             ctx.tm(g, 1)

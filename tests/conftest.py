@@ -4,6 +4,7 @@ import tracemalloc
 import pytest
 
 from weylflow import fixtures
+from weylflow.sectors import SENTINEL
 from weylflow.verify import FixtureContext
 
 
@@ -70,3 +71,40 @@ def traced_peak():
             tracemalloc.stop()
 
     return measure
+
+
+def _bfs_distance(space, g1, g2):
+    """(k, k_i, agreeing region) of two germs by breadth-first search: the
+    reference for `SectorSpace.region_distances`.
+
+    The region grows from the base face over the faces where the germs'
+    `_face_ids` agree, stepping between a face and its facets; k is the norm
+    of the first coweight vertex outside it and k_i the first ray position
+    outside it, SENTINEL if none.  A ray face index past the last face is
+    outside, as it is in no region.
+    """
+    trunc = space.truncation(g1.radius)
+    agree = (space._face_ids(g1) == space._face_ids(g2)).tolist()
+    near = [[] for _ in trunc.faces]
+    for fi, f in enumerate(trunc.faces):
+        for drop in range(len(f.vidx) if len(f.vidx) > 1 else 0):
+            si = trunc.face_index[tuple(v for j, v in enumerate(f.vidx) if j != drop)]
+            near[fi].append(si)
+            near[si].append(fi)
+    fringe = [trunc.base_face] if agree[trunc.base_face] else []
+    region = set(fringe)
+    while fringe:
+        for nb in near[fringe.pop()]:
+            if nb not in region and agree[nb]:
+                region.add(nb)
+                fringe.append(nb)
+    k = next((norm for _, norm, v in trunc.coweight_vertices
+              if trunc.face_index[(v,)] not in region), SENTINEL)
+    kdir = tuple(next((ell for ell, fi in enumerate(ray) if fi not in region), SENTINEL)
+                 for ray in space._ray_faces(g1.radius))
+    return k, kdir, frozenset(region)
+
+
+@pytest.fixture(scope="session")
+def bfs_distance():
+    return _bfs_distance

@@ -182,6 +182,25 @@ def test_face_ids_agree_exactly_where_the_faces_agree(contexts):
                 assert (space._face_ids(a) == space._face_ids(b)).tolist() == want
 
 
+def test_region_growing_matches_the_bfs_reference(contexts, bfs_distance):
+    # every pair of the rank-1 fixtures' radius-2 germs, and on a2q2 the
+    # pairs that the distance cross-check samples
+    for name, ctx in contexts.items():
+        space, table = ctx.space, ctx.space.table(2)
+        germs = table.germs[:: 1 if ctx.rank == 1 else len(table) // 60]
+        levels, region = space.region_distances(germs, germs)
+        assert levels.shape == (1 + ctx.rank, len(germs), len(germs))
+        for a, g in enumerate(germs):
+            for b, h in enumerate(germs):
+                want_k, want_dir, want_region = bfs_distance(space, g, h)
+                got = [SENTINEL if v == 3 else v for v in levels[:, a, b].tolist()]
+                assert got == [want_k, *want_dir], (name, a, b)
+                assert set(np.flatnonzero(region[a, b]).tolist()) == want_region, (name, a, b)
+        # the one-pair call
+        res, _ = space.distance(germs[1], germs[0])
+        assert (res.k, res.k_directional, res.agreeing_region) == bfs_distance(space, germs[1], germs[0])
+
+
 def test_region_growing_distance_reads_no_class_array(contexts, monkeypatch):
     # the explicit route stays independent of the face lookups the class arrays use
     def refused(*args):

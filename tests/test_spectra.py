@@ -262,12 +262,15 @@ def test_koszul_suite_svd_budget(a2, monkeypatch):
     assert a2.f1.joint and a2.f1.eigenvalues  # shared data, computed before counting
     monkeypatch.setattr(a2.f1, "_koszul", {})
     calls = _counting_svds(monkeypatch)
+    grams = _counting_calls(monkeypatch, np.linalg, "cholesky")
     assert all(res.passed for res in verify.check_koszul_suite(a2))
-    # one SVD of d_1 at each joint eigenvalue, then one 63 x 63 SVD of a B_i,
-    # and no 126 x 63 one, at each of the 100 sampled characters
+    # one SVD of d_1 at each joint eigenvalue; at each of the 100 sampled
+    # characters one Cholesky factorization of a 63 x 63 Gram matrix of a
+    # B_i, and no SVD
     joint = len(a2.f1.joint)
     assert len(a2.f1._koszul) == joint + 100
-    assert calls == [(126, 63)] * joint + [(63, 63)] * 100
+    assert calls == [(126, 63)] * joint
+    assert [gram.shape for (gram,) in grams] == [(63, 63)] * 100
 
 
 def _rank_svd_record(family, chi):
@@ -312,13 +315,78 @@ def test_a_character_in_the_band_falls_back_to_the_rank_svds(a2, monkeypatch):
     assert want[1]
     # so near the spectra no bound is tried: both differentials take their SVD
     calls = _counting_svds(monkeypatch)
+    grams = _counting_calls(monkeypatch, np.linalg, "cholesky")
     rec = spectra.koszul_complexes(family, chi)
-    assert calls == [(126, 63)] * 2 and (rec.cohomology, rec.ambiguous) == want
-    # tried anyway, sigma_min(B_i) does not clear it, and the SVDs decide
+    assert calls == [(126, 63)] * 2 and not grams and (rec.cohomology, rec.ambiguous) == want
+    # tried anyway, the Cholesky certificate for sigma_min(B_i) fails, and the SVDs decide
     monkeypatch.setattr(family, "distances", lambda chi: [1.0, 1.0])
     del calls[:]
     rec = spectra.koszul_complexes(family, chi)
-    assert calls == [(63, 63)] + [(126, 63)] * 2 and (rec.cohomology, rec.ambiguous) == want
+    assert len(grams) == 1 and calls == [(126, 63)] * 2
+    assert (rec.cohomology, rec.ambiguous) == want
+
+
+def _svd_clears(b, clear):
+    """The full-rank shortcut's test as one values-only SVD of b."""
+    return np.linalg.svd(b, compute_uv=False)[-1] > clear
+
+
+def _family_with_sigma_min(sigma, d=8):
+    """A family of r = 2 commuting generators whose B_1 at chi = (0, 0) has
+    sigma_min(B_1) = sigma, and which tries the shortcut on B_1."""
+    rng = np.random.default_rng(5)
+    u, v = (np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0] for _ in "uv")
+    b = (u * np.r_[sigma, np.linspace(1.0, 2.0, d - 1)]) @ v.conj().T
+    family = spectra.Family([])
+    family.counts = family.mats = [b, b + 2 * np.eye(d)]
+    family.distances = lambda chi: [1.0, 0.5]
+    return family
+
+
+@pytest.mark.parametrize("ratio", [0.999, 1.001])
+def test_the_cholesky_certificate_answers_as_the_svd_at_clear(monkeypatch, ratio):
+    # sigma_min(B_1) set to ratio * clear, where clear is what koszul_complexes
+    # computes for that family (it moves with sigma only through ||d_0||_F)
+    seen, real = [], spectra._clears
+    monkeypatch.setattr(spectra, "_clears", lambda b, clear: seen.append((b, clear)) or real(b, clear))
+    sigma = 1e-5
+    for _ in range(4):
+        family = _family_with_sigma_min(sigma)
+        rec = family.koszul((0j, 0j))
+        sigma = ratio * seen[-1][1]
+    b, clear = seen[-1]
+    assert abs(np.linalg.svd(b, compute_uv=False)[-1] / clear - ratio) < 1e-6
+    # 0.1% off clear, the certificate answers as the SVD does (it proves only
+    # sigma_min > clear / sqrt(2), which is all the band needs; see _clears)
+    assert real(b, clear) is (ratio > 1) and _svd_clears(b, clear) == (ratio > 1)
+    # and the record is the SVD route's, with or without the shortcut
+    assert (rec.cohomology, rec.ambiguous) == _rank_svd_record(family, (0j, 0j)) == ((0, 0, 0), False)
+    monkeypatch.setattr(spectra, "_clears", _svd_clears)
+    assert spectra.koszul_complexes(family, (0j, 0j)) == rec
+
+
+def test_a_gram_matrix_rounding_near_clear_falls_back_to_the_svd(monkeypatch):
+    # clear^2 about eps ||b||^2: a Cholesky success would prove nothing
+    b = _family_with_sigma_min(1.0).mats[0]
+    calls = _counting_svds(monkeypatch)
+    assert spectra._clears(b, 1e-9) and not spectra._clears(b, 2.0)
+    assert calls == [(8, 8)]
+
+
+def test_koszul_records_equal_the_svd_shortcut_route(contexts, monkeypatch):
+    # joint characters, the 100 sampled and the 8 off-spectrum ones of each
+    # fixture: the Cholesky certificate leaves every record as it was
+    for name, ctx in contexts.items():
+        records = []
+        for clears in (spectra._clears, _svd_clears):
+            monkeypatch.setattr(spectra, "_clears", clears)
+            family = spectra.Family([ctx.tm(g, 1) for g in ctx.generators])
+            monkeypatch.setattr(ctx, "f1", family)
+            verify.check_koszul_suite(ctx)
+            verify.check_taylor_main(ctx)
+            assert len(family._koszul) >= len(family.joint) + 100 + 8, name
+            records.append(family._koszul)
+        assert records[0] == records[1], name
 
 
 def test_parametrix_single_operator_square():

@@ -60,18 +60,18 @@ def test_semigroup_exact_a2(a2):
 
 
 def test_failed_counting_is_not_retried(swapped_a2q2):
-    # radius + |mu| = 6 is walked in pieces of the radius-5 table; the first
-    # failing gate aborts there, with its own piece's witness, and no deeper
-    # table is built
+    # radius + |mu| = 6 is walked in pieces of the radius-2 table, each
+    # extended by four radii; the first failing gate aborts there, with its
+    # own piece's witness, and no table above F_2's is built
     space = SectorSpace(chamber.load(swapped_a2q2), check=False)
     mu, radius = Coweight((2, 2)), 2
     with pytest.raises(transfer.CountingError) as exc:
         transfer.transfer_matrix(space, mu, radius)
     assert str(exc.value) == (
         "preimage counting failed for mu=(2, 2) on F_2: "
-        "conditioning groups have mixed sizes [32, 1028]"
+        "conditioning groups have mixed sizes [30, 1028]"
     )
-    assert max(space._tables) <= radius + mu.norm - 1
+    assert max(space._tables) == radius
 
 
 def test_apply_constant_is_fixed(contexts):
@@ -319,19 +319,18 @@ def test_a_group_size_off_the_preimage_count_fails_the_counting(k33, monkeypatch
 
 
 def test_a_class_no_group_reaches_fails_the_counting(k33, monkeypatch):
-    # every piece of the radius-2 germs extends to the first piece's rows, so
-    # the groups agree but reach only the classes that the first piece reaches
-    space = SectorSpace(k33.system)
-    space.table(1)
-    real, pieces = sectors.SectorSpace.extend_rows, []
+    # every piece of the walked radius-1 table is walked as the first piece,
+    # so the groups agree but reach only the classes that the first piece reaches
+    real, pieces = transfer._pieces, []
 
-    def repeated(self, parent, base, radius):
-        pieces.append(real(self, parent, base, radius))
-        return pieces[0]
+    def repeated(rows, cols, budget):
+        for piece in real(rows, cols, budget):
+            pieces.append(piece)
+            yield pieces[0]
 
-    monkeypatch.setattr(sectors.SectorSpace, "extend_rows", repeated)
+    monkeypatch.setattr(transfer, "_pieces", repeated)
     with pytest.raises(transfer.CountingError) as exc:
-        transfer.transfer_matrix(space, Coweight((1,)), 1)
+        transfer.transfer_matrix(SectorSpace(k33.system), Coweight((1,)), 1)
     assert len(pieces) > 1
     assert str(exc.value) == (
         "preimage counting failed for mu=(1,) on F_1: some classes received no conditioning group"
@@ -459,9 +458,10 @@ def test_preimages_match_the_recorded_hashes_in_small_pieces(contexts, monkeypat
                     keys = rows[at][:, [0, *cols]]
                     assert len(at) <= budget or np.all(keys == keys[0]), (name, coords, n)
                 counts[name, coords, n] = len(pieces)
-    # L_(1,1) on F_3 walks the 32,256 radius-4 rows of a2q2 in 504 pieces, one
-    # plug key each; L_2 on F_3 walks k33's two blocks of 72 in 18 pieces of 8
-    assert counts["a2q2", (1, 1), 3] == 504 and counts["k33", (2,), 3] == 18
+    # L_(1,1) on F_3 walks the 4,032 radius-3 rows of a2q2, each extended by
+    # two radii, in 63 pieces, one plug key each; L_2 on F_3 walks k33's two
+    # blocks of 36 radius-3 rows in 18 pieces of 4
+    assert counts["a2q2", (1, 1), 3] == 63 and counts["k33", (2,), 3] == 18
 
 
 def test_pieces_cut_on_a_non_plug_column_fail_the_counting(a2, monkeypatch):
@@ -490,36 +490,49 @@ def test_f3_assembly_peak_memory(a2, traced_peak):
     transfer.transfer_matrix(a2.space, mu, 3)  # builds the tables and maps
     tm, peak = traced_peak(lambda: transfer.transfer_matrix(a2.space, mu, 3))
     assert tm.preimages.shape == (4032, 16)
-    # 3.9 MiB measured in pieces, 6.0 MiB by whole rotation blocks
+    # 4.1 MiB measured in pieces, 6.0 MiB by whole rotation blocks
     assert peak < 5 * 2**20, peak
 
 
 def test_f3_assembly_peak_over_built_tables(a2, traced_peak):
-    # tables up to radius 4 built, no map yet, as in `verify`: the radius-5
-    # germs are walked in six pieces of about 43,000; 4.0 MiB measured, 6.0
-    # MiB by whole rotation blocks and 9.5 MiB when the radius-5 table was
-    # grouped whole
+    # tables up to radius 3 built, no map yet, as in `verify`: the radius-5
+    # germs are walked in nine pieces of at most 40,960, each from radius-3
+    # rows extended twice; 4.2 MiB measured, 6.0 MiB by whole rotation blocks
+    # and 9.5 MiB when the radius-5 table was grouped whole
     space = SectorSpace(a2.system)
-    for radius in range(5):
+    for radius in range(4):
         space.table(radius)
     tm, peak = traced_peak(lambda: transfer.transfer_matrix(space, Coweight((1, 1)), 3))
     assert tm.preimages.shape == (4032, 16)
+    assert max(space._tables) == 3
     assert peak < 5 * 2**20, peak
 
 
 def test_f4_assembly_peak_over_built_tables(a2, traced_peak):
-    # the 2,064,384 radius-6 germs in pieces of at most 65,536; 9.1 MiB
-    # measured, 55 MiB by three whole rotation blocks and 158 MiB when the
-    # radius-6 table (73 MiB of rows) was built whole
+    # the 2,064,384 radius-6 germs in pieces of at most 65,536, each from
+    # radius-4 rows extended twice; 9.6 MiB measured, 55 MiB by three whole
+    # rotation blocks and 158 MiB when the radius-6 table (73 MiB of rows)
+    # was built whole
     space = SectorSpace(a2.system)
-    for radius in range(6):
+    for radius in range(5):
         space.table(radius)
     tm, peak = traced_peak(lambda: transfer.transfer_matrix(space, Coweight((1, 1)), 4))
-    assert 6 not in space._tables
+    assert max(space._tables) == 4
     assert tm.preimages.shape == (32256, 16)
     digest = hashlib.sha256(tm.preimages.tobytes()).hexdigest()
     assert digest == "38cbdac3bf0af6a8013795582e46c3aa9f73dec7f70c92706ba123b8344134e0"
     assert peak < 16 * 2**20, peak
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_an_operator_builds_no_table_above_its_own(a2, n):
+    # L_(1,1) on F_n walks table(n), extended by two radii, and its classes
+    # are table(n)'s own positions
+    space = SectorSpace(a2.system)
+    tm = transfer.transfer_matrix(space, Coweight((1, 1)), n)
+    assert sorted(space._tables) == list(range(n + 1))
+    got = (*tm.preimages.shape, hashlib.sha256(tm.preimages.tobytes()).hexdigest())
+    assert got == PREIMAGE_SHA256["a2q2", (1, 1), n]
 
 
 def test_counting_rejects_rows_that_depend_on_the_representative(a2):

@@ -7,6 +7,7 @@ by the exhaustive suites.
 """
 
 import gc
+import itertools
 import json
 import os
 import pickle
@@ -92,11 +93,10 @@ def _counting_builds(monkeypatch, log):
 
 def _assert_lean_after_suite(space, kept, builds, metric_radius):
     """Over both processes of the suite each table was built once and none
-    above metric_radius + 1 was built whole; this process keeps the tables it
+    above metric_radius was built whole; this process keeps the tables it
     built itself, none above the metric radius, and the child's went with it."""
     radii = sorted(r for _, (sid, r) in builds if sid == id(space))
-    assert radii == list(range(len(radii))), radii
-    assert metric_radius <= radii[-1] <= metric_radius + 1, radii
+    assert radii == list(range(metric_radius + 1)), radii
     mine = sorted(r for pid, (sid, r) in builds if sid == id(space) and pid == os.getpid())
     assert kept == mine and max(kept) <= metric_radius, (kept, radii)
 
@@ -126,6 +126,17 @@ def test_full_suite_passes(name, monkeypatch, log):
     assert 2 in made and [radius for radius in made if radius >= 3] == []
     assert len({pid for pid, _ in builds()}) == 2  # the germ half builds in its child
     _assert_lean_after_suite(ctx.space, sorted(ctx.space._tables), builds(), 3)
+
+
+def test_the_germ_half_leaves_only_the_metric_tables(a2):
+    # verify a2q2 --radius 3, germ half in this process: the operators on F_3,
+    # which read radius-5 germs, walk table(3), so no table above it is built
+    ctx = FixtureContext("a2q2", a2.system)
+    for g in ctx.generators:
+        ctx.tm(g, 1)
+    lines = [res for part in verify._run_half("germ", ctx, 3, None) for res in part]
+    assert lines and all(res.passed for res in lines)
+    assert sorted(ctx.space._tables) == [0, 1, 2, 3]
 
 
 def test_verify_all_assembles_each_operator_once(monkeypatch, log, capsys):
@@ -215,15 +226,17 @@ def test_verify_all_assembles_each_operator_once(monkeypatch, log, capsys):
         for k, (coords, n) in enumerate(requests):
             assert sum(sizes[k :: len(requests)]) == ctx.space.predicted_size(n + sum(coords))
         pieces[ctx.name, requests] = sizes
-    # a2q2's operator on F_3 cuts each of its three rotation blocks of 86,016
-    # radius-5 germs in two, grouping each block's 10,752 radius-4 rows once
-    assert pieces["a2q2", (((1, 1), 3),)] == [43008] * 6
+    # a2q2's operator on F_3 walks the radius-3 table: it cuts each of its
+    # three rotation blocks of 1,344 rows between plug keys of 64 rows into
+    # pieces of 640, 640 and 64 rows, which extend to 40,960, 40,960 and 4,096
+    # radius-5 germs, grouping each block's rows once
+    assert pieces["a2q2", (((1, 1), 3),)] == [40960, 40960, 4096] * 3
     cuts = {}
     for (space, requests), size in [cut for _, cut in log.read("cut")]:
         cuts.setdefault((spaces[space].name, requests), []).append(size)
-    assert cuts == {("a2q2", (((1, 1), 3),)): [10752] * 3}
+    assert cuts == {("a2q2", (((1, 1), 3),)): [1344] * 3}
     # the seven operators on F_1 and F_2 that read the radius-4 germs share
-    # one pass over the three rotation blocks of the radius-3 table
+    # one pass over the three rotation blocks of the radius-2 table
     (big,) = [(requests, sizes) for (name, requests), sizes in pieces.items()
               if name == "a2q2" and len(requests) == 7]
     assert {n + sum(coords) for coords, n in big[0]} == {4} and big[1] == [10752] * 21
@@ -439,10 +452,10 @@ def _moved_chambers(radius, column, targets, sources):
     real = sectors.SectorSpace.extend_rows
 
     def tampered(self, parent, base, r):
-        rows, base = real(self, parent, base, r)
+        rows, base, parents = real(self, parent, base, r)
         if r == radius:
             rows[targets, column] = rows[sources, column]
-        return rows, base
+        return rows, base, parents
 
     return "extend_rows", tampered
 
@@ -810,16 +823,30 @@ def test_cached_ray_faces_match_the_coweight_vertices(contexts):
 @pytest.mark.parametrize("name", ["k33", "a2q2"])
 @pytest.mark.parametrize(
     "tamper",
-    [lambda ray: ray[:-1], lambda ray: [fi + 1 for fi in ray]],
-    ids=["last-vertex-dropped", "shifted-by-one"],
+    [lambda ray: ray[:-1], lambda ray: [fi + 1 for fi in ray], lambda ray: ray[:-1] + [10**6]],
+    ids=["last-vertex-dropped", "shifted-by-one", "last-vertex-past-the-faces"],
 )
-def test_tampered_ray_faces_fail_the_distance_cross_check(contexts, monkeypatch, name, tamper):
+def test_tampered_ray_faces_fail_the_distance_cross_check(
+    contexts, monkeypatch, bfs_distance, name, tamper
+):
     space = contexts[name].space
     rays = space._ray_faces(2)
     monkeypatch.setitem(space._ray_face_lists, 2, [tamper(ray) for ray in rays])
     (res,) = verify.check_distance_cross_validation(contexts[name], radius=2)
     assert not res.passed
-    assert res.detail.startswith("pair (") and "direction" in res.detail
+    # the detail of the first failing pair in row-major order, as the breadth-
+    # first search reference gives it pair by pair
+    table = space.table(2)
+    idxs = range(0, len(table), max(1, len(table) // 60))
+    mats = [table.k_matrix()] + [table.ki_matrix(i) for i in range(contexts[name].rank)]
+    for a, b in itertools.product(idxs, idxs):
+        k, kdir, _ = bfs_distance(space, table.germs[a], table.germs[b])
+        got = (k, *kdir)
+        want = [SENTINEL if m[a, b] == 3 else int(m[a, b]) for m in mats]
+        bad = next((i for i, (x, y) in enumerate(zip(got, want)) if x != y), None)
+        if bad is not None:
+            break
+    assert bad and res.detail == f"pair ({a},{b}) direction {bad - 1}: {got[bad]} vs {want[bad]}"
 
 
 def _flip_last_chain_differential(monkeypatch):
