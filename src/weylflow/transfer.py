@@ -449,16 +449,19 @@ def check_sup_contraction(tm: TransferMatrix) -> bool:
 
 @dataclass
 class FnInvarianceReport:
-    compression_exact: bool
-    maps_into_smaller: Optional[bool]
-    details: List[str]
+    """One witness list per claim of `check_fn_invariance`; `maps_into` is
+    None where claim (b) does not apply."""
+
+    compression: List[str]
+    maps_into: Optional[List[str]]
 
     @property
-    def passed(self) -> bool:
-        ok = self.compression_exact
-        if self.maps_into_smaller is not None:
-            ok = ok and self.maps_into_smaller
-        return ok
+    def compression_exact(self) -> bool:
+        return not self.compression
+
+    @property
+    def maps_into_smaller(self) -> Optional[bool]:
+        return None if self.maps_into is None else not self.maps_into
 
 
 def check_fn_invariance(
@@ -475,27 +478,20 @@ def check_fn_invariance(
     mu, n = small.mu, small.radius
     if big.mu != mu or big.radius != n + 1:
         raise ValueError("check_fn_invariance needs one mu's operators on F_n and F_(n+1)")
-    details = []
     restr = space.table(n + 1).restriction_map(n)
     # compress the columns of the big matrix along the restriction fibers:
     # each big row, restricted entry by entry, must be the small row of its class
     compressed = np.sort(restr[big.preimages], axis=1)
     bad = np.flatnonzero(np.any(compressed != small.preimages[restr], axis=1))
-    if len(bad):
-        details.append(f"big class {bad[0]}: compressed row differs")
-    compression_exact = not details
+    compression = [f"big class {pos}: compressed row differs" for pos in bad[:1]]
 
-    maps_into_smaller = None
+    maps_into = None
     if mu.strongly_dominant and n >= 2:
         down = space.table(n).restriction_map(n - 1)
-        _, first, inverse = np.unique(down, return_index=True, return_inverse=True)
-        rep = first[inverse]  # the first row of each radius-(n-1) class
+        first, labels = row_groups([down])
+        rep = first[labels]  # the first row of each radius-(n-1) class
         rows = small.preimages
         bad = np.flatnonzero(np.any(rows != rows[rep], axis=1))
-        maps_into_smaller = not len(bad)
-        if not maps_into_smaller:
-            pos = bad[0]
-            details.append(
-                f"rows {rep[pos]} and {pos} differ inside radius-{n-1} class {down[pos]}"
-            )
-    return FnInvarianceReport(compression_exact, maps_into_smaller, details)
+        maps_into = [f"rows {rep[pos]} and {pos} differ inside radius-{n-1} class {down[pos]}"
+                     for pos in bad[:1]]
+    return FnInvarianceReport(compression, maps_into)

@@ -3,8 +3,11 @@
 Each check returns CheckResults and holds the one implementation of its
 invariant: the acceptance tests call the checks themselves, and
 `run_suite` drives all of them for one system for the CLI `verify`
-subcommand.  The largest germ radius the suite reads is `suite_radius`,
-which the CLI budgets before any table is built.
+subcommand.  A line that a loop or a list decides is built from one witness
+list (`CheckResult.of`): it fails exactly when the list is non-empty and
+then names its first three witnesses; a line decided by one float threshold
+keeps its margin.  The largest germ radius the suite reads is
+`suite_radius`, which the CLI budgets before any table is built.
 
 The metric checks hold no pair matrix.  A germ's class labels per level
 (restriction classes for the distance exponent k, ray classes of
@@ -87,6 +90,12 @@ class CheckResult:
     passed: bool
     detail: str = ""
 
+    @classmethod
+    def of(cls, name: str, witnesses: List[str], margin: str = "") -> "CheckResult":
+        """The line a witness list decides: it fails exactly when the list is
+        non-empty and then names its first three witnesses; a pass shows `margin`."""
+        return cls(name, not witnesses, "; ".join(witnesses[:3]) if witnesses else margin)
+
     def line(self) -> str:
         return f"[{'PASS' if self.passed else 'FAIL'}] {self.name}" + (
             f": {self.detail}" if self.detail else ""
@@ -141,44 +150,30 @@ class FixtureContext:
 def check_walk_parameters(ctx: FixtureContext) -> List[CheckResult]:
     R = ctx.system.root_system
     q = ctx.system.params
-    out = []
     coords = _dominant_coords(ctx.rank, 4)
-    unique_ok, mult_ok, inv_ok = True, True, True
-    unique_detail, mult_detail, inv_detail = [], [], []
+    unique, mult, inv = [], [], []
     values = {}
     for cs in coords:
         mu = Coweight(cs)
         prods = all_minimal_walk_products(R, q, mu)
         if len(prods) != 1:
-            unique_ok = False
-            unique_detail.append(f"walk products for {cs}: {sorted(prods)}")
+            unique.append(f"walk products for {cs}: {sorted(prods)}")
         values[cs] = translation_parameter(R, q, mu)
         if values[cs] != max(prods):
-            unique_ok = False
-            unique_detail.append(f"q_t({cs}) = {values[cs]} but walks give {max(prods)}")
+            unique.append(f"q_t({cs}) = {values[cs]} but walks give {max(prods)}")
+        back = math.prod(q[label] for label in minimal_walk_types(R, -mu))
+        if back != values[cs]:
+            inv.append(f"q_t({cs}) = {values[cs]} but reverse walk gives {back}")
     for a in coords:
         for b in coords:
             c = tuple(x + y for x, y in zip(a, b))
-            if sum(c) <= 4 and c in values:
-                if values[c] != values[a] * values[b]:
-                    mult_ok = False
-                    mult_detail.append(f"q_t not multiplicative at {a}+{b}")
-    for cs in coords:
-        if sum(cs) == 0:
-            continue
-        mu = Coweight(cs)
-        back = math.prod(q[label] for label in minimal_walk_types(R, -mu))
-        if back != values[cs]:
-            inv_ok = False
-            inv_detail.append(f"q_t({cs}) = {values[cs]} but reverse walk gives {back}")
-    out.append(
-        CheckResult(
-            "walk q-product independent of the minimal walk", unique_ok, "; ".join(unique_detail)
-        )
-    )
-    out.append(CheckResult("q_t multiplicative on dominant sums", mult_ok, "; ".join(mult_detail)))
-    out.append(CheckResult("q_t symmetric under negation", inv_ok, "; ".join(inv_detail)))
-    return out
+            if sum(c) <= 4 and c in values and values[c] != values[a] * values[b]:
+                mult.append(f"q_t not multiplicative at {a}+{b}")
+    return [
+        CheckResult.of("walk q-product independent of the minimal walk", unique),
+        CheckResult.of("q_t multiplicative on dominant sums", mult),
+        CheckResult.of("q_t symmetric under negation", inv),
+    ]
 
 
 def _dominant_coords(rank: int, bound: int):
@@ -190,28 +185,21 @@ def _dominant_coords(rank: int, bound: int):
 
 
 def check_tables(ctx: FixtureContext, max_radius: int = 3) -> List[CheckResult]:
-    out = []
     space = ctx.space
     sizes = [len(space.table(n)) for n in range(max_radius + 1)]
-    out.append(CheckResult("germ tables built", True, f"sizes {sizes}"))
-
-    surj = True
-    regular = True
-    details = []
+    missed, uneven = [], []
     for n in range(1, max_radius + 1):
         restr = space.table(n).restriction_map(n - 1)
         counts = np.bincount(restr, minlength=len(space.table(n - 1)))
         if np.any(counts == 0):
-            surj = False
-            details.append(f"radius {n}: restriction misses {int(np.sum(counts == 0))} classes")
+            missed.append(f"radius {n}: restriction misses {int(np.sum(counts == 0))} classes")
         if counts.max() != counts.min():
-            regular = False
-            details.append(
-                f"radius {n}: extension counts range {counts.min()}..{counts.max()}"
-            )
-    out.append(CheckResult("restriction maps surjective", surj, "; ".join(details)))
-    out.append(CheckResult("extension count independent of the germ", regular))
-    return out
+            uneven.append(f"radius {n}: extension counts range {counts.min()}..{counts.max()}")
+    return [
+        CheckResult("germ tables built", True, f"sizes {sizes}"),
+        CheckResult.of("restriction maps surjective", missed),
+        CheckResult.of("extension count independent of the germ", uneven),
+    ]
 
 
 def _meet(*labels: np.ndarray) -> np.ndarray:
@@ -300,7 +288,6 @@ def check_metric_suite(ctx: FixtureContext, radius: int = 3) -> List[CheckResult
     direction i; the shift laws compare them with the classes of the shifted
     pair, read through the shift map.
     """
-    out = []
     space = ctx.space
     table = space.table(radius)
     n = radius
@@ -308,25 +295,17 @@ def check_metric_suite(ctx: FixtureContext, radius: int = 3) -> List[CheckResult
 
     # the triple inequality is structural once the agreement partitions are
     # nested: a germ's level-(m-1) class is the restriction of its level-m class
-    ok = all(
-        np.array_equal(levels[m - 1], space.table(m).restriction_map(m - 1)[levels[m]])
+    unnested = [
+        f"level {m - 1} is not the restriction of level {m}"
         for m in range(1, n + 1)
-    )
-    out.append(
-        CheckResult(
-            f"ultrametric triple inequality (radius {radius})",
-            ok,
-            "via nestedness of the agreement partitions",
-        )
-    )
-
+        if not np.array_equal(levels[m - 1], space.table(m).restriction_map(m - 1)[levels[m]])
+    ]
     rays = [[table.ray_classes(i, ell) for ell in range(n + 1)] for i in range(ctx.rank)]
-    ok = _direction_violations(levels, rays) == 0
-    out.append(CheckResult(f"direction formula k = min_i k_i (radius {radius})", ok))
+    count = _direction_violations(levels, rays)
 
     # on pairs equal on the hull of {0, mu}: k >= k(shifted pair), and one
     # more for strongly dominant mu
-    mono_ok, key_ok, dir_ok = True, True, True
+    mono, key, directional = [], [], []
     for mu in ctx.generators + [ctx.strong]:
         if mu.norm > n:
             continue
@@ -334,11 +313,10 @@ def check_metric_suite(ctx: FixtureContext, radius: int = 3) -> List[CheckResult
         smap = space.shift_map(n, mu)
         small = space.table(n - mu.norm)
         shifted = [small.restriction_map(m)[smap] for m in range(n - mu.norm + 1)]
-        mono_ok = mono_ok and _k_at_least(gate, levels, shifted)
-        if mu.strongly_dominant:
-            key_ok = key_ok and _k_at_least(gate, levels, shifted, 1)
-    out.append(CheckResult(f"shift monotonicity (radius {radius})", mono_ok))
-    out.append(CheckResult(f"strong-dominance key inequality (radius {radius})", key_ok))
+        if not _k_at_least(gate, levels, shifted):
+            mono.append(f"mu={mu.coords}")
+        if mu.strongly_dominant and not _k_at_least(gate, levels, shifted, 1):
+            key.append(f"mu={mu.coords}")
 
     # on pairs equal on the first step of ray i: k_i = k_i(shifted pair) + 1,
     # and k_j >= k_j(shifted pair) for j != i
@@ -349,14 +327,20 @@ def check_metric_suite(ctx: FixtureContext, radius: int = 3) -> List[CheckResult
         for j in range(ctx.rank):
             shifted = [small.ray_classes(j, ell)[smap] for ell in range(n)]
             if j == i:
-                ok = _k_at_least(gate, rays[j], shifted, 1) and _k_at_most(
-                    gate, rays[j], shifted, 1
-                )
+                ok = _k_at_least(gate, rays[j], shifted, 1) and _k_at_most(gate, rays[j], shifted, 1)
             else:
                 ok = _k_at_least(gate, rays[j], shifted)
-            dir_ok = dir_ok and ok
-    out.append(CheckResult(f"directional shift laws (radius {radius})", dir_ok))
-    return out
+            if not ok:
+                directional.append(f"k_{j} under the shift by mu={mu.coords}")
+    return [
+        CheckResult.of(f"ultrametric triple inequality (radius {radius})", unnested,
+                       "via nestedness of the agreement partitions"),
+        CheckResult.of(f"direction formula k = min_i k_i (radius {radius})",
+                       [f"{count} resolved ordered pairs have k != min_i k_i"] if count else []),
+        CheckResult.of(f"shift monotonicity (radius {radius})", mono),
+        CheckResult.of(f"strong-dominance key inequality (radius {radius})", key),
+        CheckResult.of(f"directional shift laws (radius {radius})", directional),
+    ]
 
 
 def check_distance_cross_validation(ctx: FixtureContext, radius: int = 2) -> List[CheckResult]:
@@ -369,63 +353,55 @@ def check_distance_cross_validation(ctx: FixtureContext, radius: int = 2) -> Lis
     mats = [table.k_matrix()] + [table.ki_matrix(i) for i in range(ctx.rank)]
     want = np.array([m[np.ix_(idxs, idxs)] for m in mats])
     differs = np.flatnonzero(np.any(got != want, axis=0))  # pairs in row-major order
-    detail = ""
+    witnesses = []
     if len(differs):
         i, j = divmod(int(differs[0]), len(idxs))
         x, y = ([SENTINEL if v == radius + 1 else v for v in m[:, i, j].tolist()] for m in (got, want))
         bad = next(w for w, (u, v) in enumerate(zip(x, y)) if u != v)
         a, b = idxs[i], idxs[j]
-        detail = (f"pair ({a},{b}): region gives {x[0]}, classes give {y[0]}" if bad == 0
-                  else f"pair ({a},{b}) direction {bad - 1}: {x[bad]} vs {y[bad]}")
-    name = f"explicit distance matches class distance (radius {radius})"
-    return [CheckResult(name, not detail, detail)]
+        witnesses.append(f"pair ({a},{b}): region gives {x[0]}, classes give {y[0]}" if bad == 0
+                         else f"pair ({a},{b}) direction {bad - 1}: {x[bad]} vs {y[bad]}")
+    return [CheckResult.of(f"explicit distance matches class distance (radius {radius})", witnesses)]
 
 
 def check_transfer_exact(ctx: FixtureContext) -> List[CheckResult]:
-    out = []
     mus = [Coweight(cs) for cs in _dominant_coords(ctx.rank, 2)]
     for big in (3, 4):  # the operators on F_1 and F_2 read below, one pass per n + |mu|
         ctx.assemble([(Coweight(cs), big - sum(cs)) for cs in _dominant_coords(ctx.rank, big - 1)
                       if sum(cs) >= big - 2])
 
-    rows_ok = True
-    detail = ""
     try:
         bad = [(mu, n) for mu in mus for n in (1, 2) if not ctx.tm(mu, n).row_sums_ok()]
-        if bad:
-            rows_ok = False
-            detail = f"first failure at mu={tuple(bad[0][0].coords)}, n={bad[0][1]}"
     except RuntimeError as exc:
         # the other identities need these operators: fail them too
         return [
-            CheckResult("row sums equal M_mu on F_1 and F_2", False, str(exc)),
-            CheckResult("semigroup and commutation exact", False, "operators not assembled"),
-            CheckResult("sup norm non-expansive", False, "operators not assembled"),
+            CheckResult.of("row sums equal M_mu on F_1 and F_2", [str(exc)]),
+            CheckResult.of("semigroup and commutation exact", ["operators not assembled"]),
+            CheckResult.of("sup norm non-expansive", ["operators not assembled"]),
         ]
-    out.append(CheckResult("row sums equal M_mu on F_1 and F_2", rows_ok, detail))
+    rows = [f"first failure at mu={mu.coords}, n={n}" for mu, n in bad[:1]]
 
-    semi_ok = True
-    for n in (1, 2):
-        for m1 in mus:
-            for m2 in mus:
-                if n + m1.norm + m2.norm > 4:
-                    continue
-                tm1, tm2 = ctx.tm(m1, n), ctx.tm(m2, n)
-                tm12 = ctx.tm(m1 + m2, n)
-                if tm12.m_mu != tm1.m_mu * tm2.m_mu:
-                    semi_ok = False
-                for a, b in ((tm1, tm2), (tm2, tm1)):
-                    if not np.array_equal(transfer.compose(a.preimages, b.preimages), tm12.preimages):
-                        semi_ok = False
-    out.append(CheckResult("semigroup and commutation exact", semi_ok))
-
-    sup_ok = all(
-        transfer.check_sup_contraction(ctx.tm(mu, n))
+    # each ordered pair once: the pair read the other way round checks commutation
+    semigroup = []
+    for n, m1, m2 in itertools.product((1, 2), mus, mus):
+        if n + m1.norm + m2.norm > 4:
+            continue
+        tm1, tm2, tm12 = ctx.tm(m1, n), ctx.tm(m2, n), ctx.tm(m1 + m2, n)
+        if tm12.m_mu != tm1.m_mu * tm2.m_mu or not np.array_equal(
+            transfer.compose(tm1.preimages, tm2.preimages), tm12.preimages
+        ):
+            semigroup.append(f"L_{m1.coords} L_{m2.coords} on F_{n}")
+    expanding = [
+        f"mu={mu.coords}, n={n}"
         for mu in mus
         for n in (1, 2)
-    )
-    out.append(CheckResult("sup norm non-expansive", sup_ok))
-    return out
+        if not transfer.check_sup_contraction(ctx.tm(mu, n))
+    ]
+    return [
+        CheckResult.of("row sums equal M_mu on F_1 and F_2", rows),
+        CheckResult.of("semigroup and commutation exact", semigroup),
+        CheckResult.of("sup norm non-expansive", expanding),
+    ]
 
 
 def check_lasota_yorke(ctx: FixtureContext) -> List[CheckResult]:
@@ -434,26 +410,28 @@ def check_lasota_yorke(ctx: FixtureContext) -> List[CheckResult]:
     for theta in (Fraction(1, 2), Fraction(1, 4)):
         reps = [transfer.check_lasota_yorke(ctx.space, ctx.tm(mu, 2), theta) for mu in strong_mus]
         worst = min((rep.max_slack for rep in reps if rep.max_slack is not None), default=None)
-        ok = all(rep.passed for rep in reps)
-        out.append(CheckResult(f"seminorm contraction, theta = {theta}", ok, f"min slack {worst}"))
+        large = [f"mu={mu.coords} {v}" for mu, rep in zip(strong_mus, reps) for v in rep.violations]
+        out.append(CheckResult.of(f"seminorm contraction, theta = {theta}", large, f"min slack {worst}"))
     # non-expansion for merely dominant shifts
-    ok = all(
-        transfer.check_lasota_yorke(ctx.space, ctx.tm(mu, 2), Fraction(1, 2)).passed
+    large = [
+        f"mu={mu.coords} {v}"
         for mu in ctx.generators
-    )
-    out.append(CheckResult("seminorm non-expansion for dominant shifts", ok))
+        for v in transfer.check_lasota_yorke(ctx.space, ctx.tm(mu, 2), Fraction(1, 2)).violations
+    ]
+    out.append(CheckResult.of("seminorm non-expansion for dominant shifts", large))
 
     # iterated contraction |L^l phi| <= theta^l |phi| + C |phi|_oo, C = (2/theta)/(1-theta)
     theta = Fraction(1, 2)
     c_iter = (2 / theta) / (1 - theta)
-    detail = ""
     powers = transfer.power_seminorms(ctx.space, ctx.tm(ctx.strong, 2), theta, 3)
-    for ell, columns in enumerate(powers, 1):
-        rep = transfer.check_indicator_bound(ctx.space, columns, 2, theta, theta**ell, c_iter)
-        if not rep.passed:
-            detail = f"L^{ell} too large on {rep.violations[0]}"
-            break
-    out.append(CheckResult("iterated contraction up to the third power", not detail, detail))
+    large = [
+        f"L^{ell} too large on {v}"
+        for ell, columns in enumerate(powers, 1)
+        for v in transfer.check_indicator_bound(
+            ctx.space, columns, 2, theta, theta**ell, c_iter
+        ).violations
+    ]
+    out.append(CheckResult.of("iterated contraction up to the third power", large))
     return out
 
 
@@ -467,12 +445,10 @@ def check_fn_invariance(ctx: FixtureContext) -> List[CheckResult]:
     # the F_3 operator is read only here, so it is not cached
     big = transfer.transfer_matrix(ctx.space, ctx.strong, 3)
     reps.append(transfer.check_fn_invariance(ctx.space, ctx.tm(ctx.strong, 2), big))
-    comp_ok = all(rep.compression_exact for rep in reps)
-    col_ok = reps[-1].maps_into_smaller is not False
-    details = [d for rep in reps for d in rep.details]
     return [
-        CheckResult("matrix compression consistent across radii", comp_ok, "; ".join(details[:3])),
-        CheckResult("strongly dominant shift maps F_2 into F_1", col_ok),
+        CheckResult.of("matrix compression consistent across radii",
+                       [w for rep in reps for w in rep.compression]),
+        CheckResult.of("strongly dominant shift maps F_2 into F_1", reps[-1].maps_into or []),
     ]
 
 
@@ -500,7 +476,6 @@ def check_joint_trivial(ctx: FixtureContext) -> List[CheckResult]:
 
 
 def check_koszul_suite(ctx: FixtureContext, seed: int = 7) -> List[CheckResult]:
-    out = []
     family = ctx.f1
     r = len(family.mats)
     rng = PCG64(seed)
@@ -511,26 +486,27 @@ def check_koszul_suite(ctx: FixtureContext, seed: int = 7) -> List[CheckResult]:
         for _ in range(100)
     ]
 
-    euler_ok, far_ok = True, True
+    euler, far = [], []
     for chi in chars + randoms:
         rec = family.koszul(chi)
         if sum((-1) ** p * h for p, h in enumerate(rec.cohomology)) != 0:
-            euler_ok = False
+            euler.append(f"chi={chi}: cohomology {rec.cohomology}")
         if max(family.distances(chi)) > 1e-3 and any(h != 0 for h in rec.cohomology):
-            far_ok = False
+            far.append(f"chi={chi}: cohomology {rec.cohomology}")
+    h0 = [
+        f"chi={j.chi}: dim H^0 = {family.koszul(j.chi).cohomology[0]}, multiplicity {j.multiplicity}"
+        for j in joint
+        if family.koszul(j.chi).cohomology[0] != j.multiplicity
+    ]
     # decided once for every character; a failure names its cube character
     _, square, hodge = family.identities
-    out.append(CheckResult("Koszul differentials square to zero", square is None, square or ""))
-    out.append(CheckResult("Euler characteristic of cohomology vanishes", euler_ok))
-    out.append(CheckResult("cohomology vanishes away from the spectra", far_ok))
-    out.append(CheckResult("chain/cochain duality dim H_p = dim H^(r-p)", hodge is None, hodge or ""))
-
-    h0_ok = True
-    for j in joint:
-        if family.koszul(j.chi).cohomology[0] != j.multiplicity:
-            h0_ok = False
-    out.append(CheckResult("dim H^0 equals the joint eigenspace dimension", h0_ok))
-    return out
+    return [
+        CheckResult.of("Koszul differentials square to zero", [square] if square else []),
+        CheckResult.of("Euler characteristic of cohomology vanishes", euler),
+        CheckResult.of("cohomology vanishes away from the spectra", far),
+        CheckResult.of("chain/cochain duality dim H_p = dim H^(r-p)", [hodge] if hodge else []),
+        CheckResult.of("dim H^0 equals the joint eigenspace dimension", h0),
+    ]
 
 
 def check_parametrix(ctx: FixtureContext, seed: int = 11) -> List[CheckResult]:
@@ -554,18 +530,15 @@ def check_parametrix(ctx: FixtureContext, seed: int = 11) -> List[CheckResult]:
             worst = spectra.parametrix_residual(mats, e, chi, bs, floor=worst, target=target)
             del bs
     del powers, target
-    ident_ok = worst <= 1e-12
-    hom_ok = True
-    for _ in range(5):
-        chi = tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(r))
-        _, ok = spectra.homotopy_zero_check(mats, chi)
-        hom_ok = hom_ok and ok
-    for j in ctx.f1.joint[:5]:
-        _, ok = spectra.homotopy_zero_check(mats, j.chi)
-        hom_ok = hom_ok and ok
+    chis = [tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(r)) for _ in range(5)]
+    nonzero = [
+        f"chi={chi}"
+        for chi in chis + [j.chi for j in ctx.f1.joint[:5]]
+        if not spectra.homotopy_zero_check(mats, chi)[1]
+    ]
     return [
-        CheckResult("parametrix identity to 1e-12", ident_ok, f"worst residual {worst:.2e}"),
-        CheckResult("homotopy operator is zero on cohomology", hom_ok),
+        CheckResult("parametrix identity to 1e-12", worst <= 1e-12, f"worst residual {worst:.2e}"),
+        CheckResult.of("homotopy operator is zero on cohomology", nonzero),
     ]
 
 
@@ -576,9 +549,13 @@ def check_taylor_main(ctx: FixtureContext) -> List[CheckResult]:
     family = ctx.f1
     for theta in (0.25, 0.5):
         report = spectra.taylor_report(family, theta)
-        ok = all(member == family.is_joint(chi) for chi, member in report.taylor.items())
+        wrong = [
+            f"chi={chi}: {'a Taylor member, not joint' if member else 'joint, not a Taylor member'}"
+            for chi, member in report.taylor.items()
+            if member != family.is_joint(chi)
+        ]
         detail = f"{len(report.taylor)} gated characters, {len(report.joint)} joint eigenvalues"
-        out.append(CheckResult(f"Taylor members = joint eigenvalues (theta={theta})", ok, detail))
+        out.append(CheckResult.of(f"Taylor members = joint eigenvalues (theta={theta})", wrong, detail))
     return out
 
 
@@ -593,11 +570,14 @@ def check_rank1_oracle(ctx: FixtureContext, edges) -> List[CheckResult]:
     perm = oracles.germ_edge_positions(ctx.system, ctx.space.table(1), des)
     halved = b.T[np.ix_(perm, perm)]
     nonzero = np.nonzero(halved)
-    match = tm.m_mu == q and all(
-        np.array_equal(x, y)
-        for x, y in zip(transfer.cells(tm.preimages), nonzero + (halved[nonzero],))
-    )
-    out.append(CheckResult("transfer matrix equals the halved edge operator", bool(match)))
+    unequal = [f"M_mu = {tm.m_mu} but q = {q}"] if tm.m_mu != q else []
+    unequal += [
+        f"the nonzero {what} differ"
+        for what, x, y in zip(("rows", "columns", "entries"), transfer.cells(tm.preimages),
+                              nonzero + (halved[nonzero],))
+        if not np.array_equal(x, y)
+    ]
+    out.append(CheckResult.of("transfer matrix equals the halved edge operator", unequal))
     mine = np.linalg.eigvals(tm.dense())
     ok = oracles.multiset_close(np.sort_complex(mine), np.sort_complex(vals / q), 1e-8)
     out.append(CheckResult("spectrum matches the edge-operator oracle", ok))
@@ -613,12 +593,11 @@ def check_a2_health(ctx: FixtureContext) -> List[CheckResult]:
     t1 = ctx.tm(Coweight((1, 0)), 1)
     m1 = t1.m_mu
     out.append(CheckResult("M_w1 = q^2", m1 == q * q and t1.row_sums_ok(), f"M={m1}"))
-    ok = True
-    for n in (1, 2):
-        ok = ok and transfer.commute(
-            ctx.tm(Coweight((1, 0)), n).preimages, ctx.tm(Coweight((0, 1)), n).preimages
-        )
-    out.append(CheckResult("generators commute exactly on F_1 and F_2", ok))
+    w1, w2 = ctx.generators
+    apart = [
+        f"F_{n}" for n in (1, 2) if not transfer.commute(ctx.tm(w1, n).preimages, ctx.tm(w2, n).preimages)
+    ]
+    out.append(CheckResult.of("generators commute exactly on F_1 and F_2", apart))
     return out
 
 
@@ -723,10 +702,9 @@ def _terminated(signum, frame):
 def run_suite(ctx: FixtureContext, metric_radius: int = 3, edges=None) -> List[CheckResult]:
     """Every check on one system, in the order of the CLI's lines; the germ
     half runs in a forked child (see the module docstring)."""
-    report = ctx.report
-    detail = "" if report.passed else "{}: {}".format(*report.failures[0])
-    results = [CheckResult("local building checks", report.passed, detail)]
-    if not report.passed:
+    failures = ["{}: {}".format(*failure) for failure in ctx.report.failures]
+    results = [CheckResult.of("local building checks", failures)]
+    if not results[0].passed:
         return results  # no germ table is built for a system that fails them
     try:
         for g in ctx.generators:

@@ -256,9 +256,11 @@ def test_lasota_yorke_reads_the_factor_from_the_operator(a2):
 def test_fn_invariance_k33(k33):
     tms = [transfer.transfer_matrix(k33.space, Coweight((1,)), n) for n in (1, 2, 3)]
     rep = transfer.check_fn_invariance(k33.space, tms[0], tms[1])
-    assert rep.compression_exact
+    assert rep.compression == [] and rep.maps_into is None  # claim (b) needs n >= 2
+    assert rep.compression_exact and rep.maps_into_smaller is None
     rep2 = transfer.check_fn_invariance(k33.space, tms[1], tms[2])
-    assert rep2.passed and rep2.maps_into_smaller
+    assert rep2.compression == [] and rep2.maps_into == []
+    assert rep2.compression_exact and rep2.maps_into_smaller is True
 
 
 def test_fn_invariance_needs_one_mu_on_adjacent_radii(a2):
@@ -286,10 +288,8 @@ def test_fn_invariance_names_first_witnesses(a2, monkeypatch):
     rep = transfer.check_fn_invariance(a2.space, small, big)
     first_big = int(np.flatnonzero(a2.space.table(3).restriction_map(2) == h)[0])
     assert not rep.compression_exact and rep.maps_into_smaller is False
-    assert rep.details == [
-        f"big class {first_big}: compressed row differs",
-        f"rows 0 and {h} differ inside radius-1 class 0",
-    ]
+    assert rep.compression == [f"big class {first_big}: compressed row differs"]
+    assert rep.maps_into == [f"rows 0 and {h} differ inside radius-1 class 0"]
 
 
 def test_a_short_preimage_list_fails_the_row_sum_line(k33, monkeypatch):

@@ -152,13 +152,16 @@ def test_verify_all_assembles_each_operator_once(monkeypatch, log, capsys):
         return results
 
     # the pass under way in this process, as (space, (coords, n) of each
-    # request), set before its pieces are cut
+    # request), set before its pieces are cut and None between passes
     assembly, real_assembly = [None], transfer.transfer_matrices
 
     def assemble(space, requests):
         assembly[0] = (id(space), tuple((tuple(mu.coords), n) for mu, n in requests))
         log.add("assembly", assembly[0])
-        return real_assembly(space, requests)
+        try:
+            return real_assembly(space, requests)
+        finally:
+            assembly[0] = None
 
     # per plug grouping: (assembly, big rows, whether its piece is one plug
     # key); the groupings made while the pieces are cut are logged apart
@@ -194,7 +197,7 @@ def test_verify_all_assembles_each_operator_once(monkeypatch, log, capsys):
         assert np.array_equal(labels, want_labels.reshape(-1))
         if cutting[0]:
             log.add("cut", (assembly[0], len(labels)))
-        else:
+        elif assembly[0] is not None:  # check_fn_invariance groups classes outside a pass
             log.add("plug", (assembly[0], len(labels), piece_is_one_key[-1]))
         return first, labels
 
@@ -498,13 +501,59 @@ def test_a_tampered_germ_fails_the_shared_passes_as_one_at_a_time(a2, monkeypatc
             if not shared:
                 m.setattr(ctx, "assemble", lambda keys: None)
             try:
-                return [res.line() for res in verify.check_transfer_exact(ctx)]
+                results = verify.check_transfer_exact(ctx)
             except transfer.CountingError as exc:
                 return f"raised {exc}"
+            assert all(res.detail for res in results if not res.passed)
+            return [res.line() for res in results]
 
     got = outcome(True)
     assert got == outcome(False)
     assert f"preimage counting failed for mu={first}" in str(got), got
+
+
+def test_uneven_extension_counts_name_their_own_line(k33):
+    # one radius-2 germ moved to another parent's restriction class: each
+    # radius-1 class keeps an extension, and two now hold 1 and 3
+    ctx = FixtureContext("k33", k33.system)
+    table = ctx.space.table(2)
+    real = table.restriction_map
+
+    def moved(m):
+        restr = real(m)
+        if m == 1:
+            restr = restr.copy()
+            restr[0] = (restr[0] + 1) % (restr.max() + 1)
+        return restr
+
+    table.restriction_map = moved
+    _, surjective, regular = verify.check_tables(ctx, max_radius=2)
+    assert surjective.line() == "[PASS] restriction maps surjective"
+    assert regular.line() == (
+        "[FAIL] extension count independent of the germ: radius 2: extension counts range 1..3"
+    )
+
+
+def test_a_row_split_inside_its_class_names_the_maps_into_line(a2, monkeypatch):
+    # the strongly dominant operator on F_2 with row 1, which shares its
+    # radius-1 class with row 0, rolled by one
+    real = transfer.transfer_matrix
+
+    def tampered(space, mu, radius):
+        tm = real(space, mu, radius)
+        if (mu, radius) == (a2.strong, 2):
+            rows = tm.preimages.copy()
+            rows[1] = np.sort((rows[1] + 1) % tm.dim)
+            tm = transfer.TransferMatrix(tm.mu, tm.radius, rows, tm.m_mu)
+        return tm
+
+    monkeypatch.setattr(transfer, "transfer_matrix", tampered)
+    compression, maps_into = verify.check_fn_invariance(FixtureContext("a2q2", a2.system))
+    assert maps_into.line() == (
+        "[FAIL] strongly dominant shift maps F_2 into F_1: rows 0 and 1 differ inside radius-1 class 0"
+    )
+    assert not compression.passed and compression.detail
+    assert "differ inside" not in compression.detail
 
 
 def test_walk_parameter_details_land_on_their_own_result(a2, monkeypatch):
@@ -634,8 +683,10 @@ def test_metric_refinements_match_dense_laws(name):
                 tamper(ctx)
             elif tamper is not None:
                 tamper(ctx, n)
-            verdicts = [res.passed for res in verify.check_metric_suite(ctx, radius=n)]
+            results = verify.check_metric_suite(ctx, radius=n)
+            verdicts = [res.passed for res in results]
             assert verdicts == _dense_metric_laws(ctx, n), (n, tamper)
+            assert all(res.detail for res in results if not res.passed)
             if tamper is None:
                 assert all(verdicts)
 
@@ -644,13 +695,16 @@ def test_tampered_maps_fail_their_laws():
     system = fixtures.load_fixture("a2q2")
     ctx = FixtureContext("a2q2", system)
     _constant_shift_maps(ctx)
-    lines = {res.name: res.passed for res in verify.check_metric_suite(ctx, radius=2)}
-    assert lines["shift monotonicity (radius 2)"] is False
+    lines = {res.name: res for res in verify.check_metric_suite(ctx, radius=2)}
+    mono = lines["shift monotonicity (radius 2)"]
+    assert not mono.passed and mono.detail == "mu=(1, 0); mu=(0, 1)"
     ctx = FixtureContext("a2q2", system)
     _split_first_ray_class(ctx, 2)
-    lines = {res.name: res.passed for res in verify.check_metric_suite(ctx, radius=2)}
-    assert lines["direction formula k = min_i k_i (radius 2)"] is False
-    assert lines["directional shift laws (radius 2)"] is False
+    lines = {res.name: res for res in verify.check_metric_suite(ctx, radius=2)}
+    direction = lines["direction formula k = min_i k_i (radius 2)"]
+    assert not direction.passed and direction.detail == "12 resolved ordered pairs have k != min_i k_i"
+    directional = lines["directional shift laws (radius 2)"]
+    assert not directional.passed and directional.detail == "k_0 under the shift by mu=(0, 1)"
 
 
 def test_iterated_contraction_names_the_failing_power(a2, monkeypatch):
@@ -665,7 +719,7 @@ def test_iterated_contraction_names_the_failing_power(a2, monkeypatch):
     monkeypatch.setattr(transfer, "lipschitz_seminorms", inflated)
     lines = {res.name: res for res in verify.check_lasota_yorke(a2)}
     iterated = lines.pop("iterated contraction up to the third power")
-    assert not iterated.passed
+    assert not iterated.passed and iterated.detail.count("; ") == 2  # the first three witnesses
     assert iterated.detail.startswith("L^2 too large on indicator 0: |L phi| = "), iterated.detail
     assert all(res.passed for res in lines.values())
 
@@ -880,6 +934,7 @@ def test_chain_sign_flip_fails_the_duality_line(contexts, monkeypatch, name):
     # the witness is the first character of the cube and the flipped degree
     assert dual.detail == f"chi={(0,) * ctx.rank} at chain degree {ctx.rank}"
     assert results["Koszul differentials square to zero"].passed
+    assert all(res.detail for res in results.values() if not res.passed)
     rec = spectra.koszul_complexes(family, first)
     assert rec.homology is None
     # the chain rank SVDs of the old route cannot see the flip
@@ -903,6 +958,7 @@ def test_cochain_sign_flip_fails_the_square_line(a2, monkeypatch):
     assert not square.passed and square.detail == "chi=(0, 0) at cochain degree 0"
     dual = results["chain/cochain duality dim H_p = dim H^(r-p)"]
     assert not dual.passed and dual.detail == "chi=(0, 0) at chain degree 2"
+    assert all(res.detail for res in results.values() if not res.passed)
 
 
 def test_koszul_command_writes_null_homology_when_the_identity_fails(monkeypatch, capsys):
@@ -918,6 +974,7 @@ def test_verify_reports_a_failed_local_check_in_one_line(swapped_a2q2, monkeypat
     out, err = capsys.readouterr()
     assert out.splitlines() == [
         f"== {swapped_a2q2} ==",
-        "[FAIL] local building checks: residue {0,1}: component of chamber 0: repeated flag",
+        "[FAIL] local building checks: residue {0,1}: component of chamber 0: repeated flag; "
+        "residue {1,2}: component of chamber 0: girth 4, diameter 4, expected 6 and 3",
     ]
     assert err == "" and builds() == []
